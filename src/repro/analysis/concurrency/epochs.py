@@ -10,7 +10,7 @@ sequencing: a direct ``scorer.update_item_features(...)`` from a worker
 op applies an update the epoch ledger never saw, so a later legitimate
 epoch silently double-applies or resurrects the state it replaced.
 
-Flagged, inside ``serving/sharded``: calls to scorer mutators
+Flagged, anywhere under ``serving/``: calls to scorer mutators
 (``update_item_features``) and cache mutators (``apply_update``,
 ``invalidate*``, ``clear`` on index/cache receivers) outside the
 sanctioned functions (``submit_update`` / ``_apply_update``; ``close``
@@ -85,7 +85,7 @@ class EpochDisciplineRule(ProjectRule):
     are reachable from the worker dispatch table.
     """
 
-    SCOPE = ("serving/sharded/",)
+    SCOPE = ("serving/",)
 
     def check_project(self, modules: List[ParsedModule]) -> Iterator[Violation]:
         scoped = [m for m in modules if m.in_package_dir(*self.SCOPE)]

@@ -189,7 +189,7 @@ class RpcProtocolRule(ProjectRule):
     payload keys in both directions.
     """
 
-    SCOPE = ("serving/sharded/",)
+    SCOPE = ("serving/",)
 
     def check_project(self, modules: List[ParsedModule]) -> Iterator[Violation]:
         scoped = [m for m in modules if m.in_package_dir(*self.SCOPE)]

@@ -206,7 +206,7 @@ class ShmWriteEscapeRule(ProjectRule):
     auditable.
     """
 
-    SCOPE = ("serving/sharded/",)
+    SCOPE = ("serving/",)
 
     def check_project(self, modules: List[ParsedModule]) -> Iterator[Violation]:
         scoped = [m for m in modules if m.in_package_dir(*self.SCOPE)]

@@ -279,7 +279,8 @@ class VBPR(Recommender):
         ``features`` replaces the clean item features, as in
         :meth:`score_all`; the visual projection ``feats @ E`` still
         spans the whole catalog, so callers serving many small blocks
-        should precompute it once (see ``repro.serving.IncrementalScorer``).
+        should precompute it once (see
+        ``repro.serving.sharded.compute_item_side``).
         """
         self._require_fitted()
         user_ids = self._validate_user_ids(user_ids)

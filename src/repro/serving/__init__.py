@@ -1,18 +1,20 @@
 """``repro.serving`` — the online recommendation serving layer.
 
 Treats a trained TAaMR system as a running service instead of a score
-matrix: :class:`IncrementalScorer` answers user-block requests from
-precomputed item-side factors and re-derives only attacked columns,
-:class:`TopNCache` keeps served lists hot with threshold-based
-invalidation, :class:`RecommenderService` wires both to a
-:class:`~repro.core.pipeline.TAaMRPipeline` (live feature pushes +
-rolling CHR monitoring), and :mod:`~repro.serving.loadgen` measures the
-request path under deterministic Zipf traffic.
+matrix.  There is one serving path, :mod:`repro.serving.sharded`: a
+:class:`~repro.serving.sharded.SharedScorer` answers user-block requests
+from precomputed item-side factors and re-derives only attacked
+columns, :class:`TopNCache` keeps served lists hot with threshold-based
+invalidation, :class:`RollingChrMonitor` watches served category
+exposure, and a :class:`ShardRouter` fans requests and epoch-stamped
+pushes out to shards — in process or across worker processes over
+shared memory, with MostPop failover.
 
-:mod:`repro.serving.sharded` scales the same stack across worker
-processes: shared-memory item-side publication, a user-hashing router
-with async epoch-stamped invalidation fan-out, MostPop failover, and
-the multi-worker benchmark behind ``serve-bench --workers``.
+:class:`RecommenderService` is that stack with one in-process shard,
+wired to a :class:`~repro.core.pipeline.TAaMRPipeline` (live feature
+pushes + rolling CHR monitoring); :mod:`~repro.serving.loadgen`
+measures its request path under deterministic Zipf traffic, and
+``serve-bench --workers`` measures the multi-worker fleet.
 """
 
 from .index import CacheStats, TopNCache
@@ -23,15 +25,8 @@ from .loadgen import (
     measure_phase,
     run_serving_bench,
 )
-from .scorer import IncrementalScorer
 from .screen import FeatureScreen, ScreenReport
-from .service import (
-    RecommenderService,
-    RollingChrMonitor,
-    UpdateReport,
-    topn_head_row,
-    topn_heads_block,
-)
+from .service import RecommenderService, UpdateReport
 from .sharded import (
     MostPopFallback,
     Shard,
@@ -40,9 +35,9 @@ from .sharded import (
     format_sharded_report,
     run_sharded_bench,
 )
+from .sharded.shard import RollingChrMonitor
 
 __all__ = [
-    "IncrementalScorer",
     "TopNCache",
     "CacheStats",
     "RecommenderService",
@@ -55,8 +50,6 @@ __all__ = [
     "measure_phase",
     "run_serving_bench",
     "format_serving_report",
-    "topn_head_row",
-    "topn_heads_block",
     "MostPopFallback",
     "Shard",
     "ShardRouter",

@@ -57,16 +57,6 @@ class CacheStats:
             "hit_rate": self.hit_rate,
         }
 
-    def publish(self, registry, prefix: str = "serving.cache.lifetime") -> None:
-        """Mirror the lifetime counters into a metrics registry.
-
-        Gauges, not counters: these are point-in-time totals of the
-        cache's whole life, published when a report is assembled (the
-        live request path increments its own per-session counters).
-        """
-        for key, value in self.as_dict().items():
-            registry.gauge(f"{prefix}.{key}").set(value)
-
 
 @dataclass
 class _Entry:
@@ -175,7 +165,7 @@ class TopNCache:
         new_scores:
             Post-update scores of shape ``(len(users), len(item_ids))``,
             row-aligned with ``users`` (from
-            :meth:`IncrementalScorer.score_items`).
+            :meth:`~repro.serving.sharded.scorer.SharedScorer.score_items`).
 
         Returns the list of invalidated user ids (their entries are
         dropped; the next ``get`` misses and triggers a fresh compute).

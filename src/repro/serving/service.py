@@ -1,18 +1,23 @@
 """``RecommenderService`` — the online face of a TAaMR experiment.
 
-Wires the incremental scorer and the invalidating top-N cache behind a
-request API, and watches category exposure drift *live*:
+A one-shard :class:`~repro.serving.sharded.router.ShardedService` on the
+in-process backend: the same :class:`~repro.serving.sharded.Shard`,
+scorer and router code that serve a multi-process fleet, behind the
+request API a single-process caller wants:
 
 * :meth:`recommend` serves one user's top-``n`` (cache hit = a dict
   lookup; miss = one small GEMM + argpartition head);
 * :meth:`push_attacked_images` models the attack as deployed systems
   experience it — new images arrive, the extractor re-derives layer-e
   features, the scorer patches the affected columns and the cache drops
-  exactly the lists the change can alter;
-* :class:`RollingChrMonitor` tracks CHR@N over the last ``window``
-  *served* lists, so the category-exposure shift of Tables II–III shows
-  up as a moving signal during the attack instead of a before/after
-  batch number.
+  exactly the lists the change can alter — and reports what the push
+  did as an :class:`UpdateReport`;
+* :attr:`monitor` tracks CHR@N over the last ``window`` *served* lists,
+  so the category-exposure shift of Tables II–III shows up as a moving
+  signal during the attack instead of a before/after batch number.
+
+The router is built without a MostPop fallback: a scoring error raises
+instead of silently degrading the one shard's users.
 
 Build it from a :class:`~repro.core.pipeline.TAaMRPipeline` with
 :meth:`RecommenderService.from_pipeline` (shares the pipeline's
@@ -22,114 +27,16 @@ a fitted recommender for non-visual controls like BPR-MF.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..data.interactions import ImplicitFeedback
 from ..features.extractor import FeatureExtractor
 from ..recommenders.base import Recommender
-from ..telemetry import active_metrics, monotonic, span
-from .index import TopNCache
-from .scorer import IncrementalScorer
 from .screen import FeatureScreen, ScreenReport
-
-
-def topn_head_row(scores: np.ndarray, k: int):
-    """Top-``k`` ``(items, scores)`` of one masked score row, best first.
-
-    The single place the request-path head selection lives: the
-    single-process service and every shard of the sharded tier call
-    this exact function, so their served lists cannot drift apart.
-    """
-    head = np.argpartition(-scores, k - 1)[:k]
-    order = np.argsort(-scores[head], kind="stable")
-    items = head[order]
-    return items, scores[items]
-
-
-def topn_heads_block(block: np.ndarray, k: int):
-    """Yield per-row ``(items, scores)`` heads of a masked score block.
-
-    The warm-start mirror of :func:`topn_head_row` (one block-wise
-    argpartition instead of per-row calls); shared with the sharded
-    tier for the same bitwise-equivalence reason.
-    """
-    heads = np.argpartition(-block, k - 1, axis=1)[:, :k]
-    for row in range(block.shape[0]):
-        head = heads[row]
-        order = np.argsort(-block[row, head], kind="stable")
-        items = head[order]
-        yield items, block[row, items]
-
-
-class RollingChrMonitor:
-    """CHR@N over a rolling window of served recommendation lists.
-
-    Definition 5 over what the service *actually serves*: the fraction
-    of the last ``window`` lists' slots occupied by each class.  Lists
-    may have different lengths (callers request different ``n``); the
-    denominator is the total slot count in the window.
-    """
-
-    def __init__(
-        self,
-        item_classes: np.ndarray,
-        class_names: Sequence[str],
-        window: int = 256,
-    ) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        item_classes = np.asarray(item_classes, dtype=np.int64)
-        if item_classes.ndim != 1:
-            raise ValueError("item_classes must be 1-D")
-        if item_classes.size and item_classes.max() >= len(class_names):
-            raise ValueError("item_classes reference unknown classes")
-        self.item_classes = item_classes
-        self.class_names = list(class_names)
-        self.window = window
-        self._lists: Deque[np.ndarray] = deque()  # per-list class counts
-        self._counts = np.zeros(len(class_names), dtype=np.int64)
-        self._slots = 0
-        self.observed = 0  # lists ever observed (not capped by window)
-
-    def observe(self, items: np.ndarray) -> None:
-        """Record one served list (item ids)."""
-        items = np.asarray(items, dtype=np.int64)
-        counts = np.bincount(self.item_classes[items], minlength=len(self.class_names))
-        self._lists.append(counts)
-        self._counts += counts
-        self._slots += items.size
-        self.observed += 1
-        while len(self._lists) > self.window:
-            evicted = self._lists.popleft()
-            self._counts -= evicted
-            self._slots -= int(evicted.sum())
-
-    def chr_percent(self, class_name: str) -> float:
-        """Rolling CHR of one class, in percent (Table II units)."""
-        idx = self.class_names.index(class_name)
-        return 100.0 * self._counts[idx] / self._slots if self._slots else 0.0
-
-    def snapshot(self) -> Dict[str, float]:
-        """Rolling CHR percent per class name."""
-        if self._slots == 0:
-            return {name: 0.0 for name in self.class_names}
-        return {
-            name: 100.0 * float(self._counts[idx]) / self._slots
-            for idx, name in enumerate(self.class_names)
-        }
-
-    def counts_snapshot(self):
-        """Raw ``(per-class slot counts, total slots)`` of the window.
-
-        The mergeable form: the shard router aggregates cross-shard CHR
-        by summing counts and slots, which is exact — percentages are
-        not mergeable, counts are.
-        """
-        return self._counts.copy(), int(self._slots)
+from .sharded.router import ShardedService
 
 
 @dataclass
@@ -138,14 +45,10 @@ class UpdateReport:
 
     item_ids: np.ndarray  # items that actually reached the scorer
     scores_changed: bool  # False for non-visual models (attack-immune)
-    cached_users: int  # cache size when the update arrived
-    invalidated_users: List[int] = field(default_factory=list)
+    cached_users: int  # cache size when the update arrived (0 if none did)
+    num_invalidated: int = 0  # cached lists the update dropped
     screened: bool = False  # a FeatureScreen inspected this push
     quarantined_items: List[int] = field(default_factory=list)
-
-    @property
-    def num_invalidated(self) -> int:
-        return len(self.invalidated_users)
 
     @property
     def num_quarantined(self) -> int:
@@ -153,7 +56,12 @@ class UpdateReport:
 
 
 class RecommenderService:
-    """Online serving facade: incremental scorer + invalidating cache.
+    """Online serving facade over a one-shard in-process fleet.
+
+    ``recommend``, ``recommend_batch`` and ``publish_metrics`` are the
+    :class:`~repro.serving.sharded.ShardRouter`'s own methods and
+    ``warm_start`` the :class:`~repro.serving.sharded.Shard`'s, bound as
+    attributes; pushes return an :class:`UpdateReport`.
 
     Parameters
     ----------
@@ -203,22 +111,28 @@ class RecommenderService:
         ):
             raise ValueError("feedback universe does not match the recommender")
         self.recommender = recommender
-        self.feedback = feedback
-        self.extractor = extractor
-        self.screen = screen
-        self.last_screen: Optional[ScreenReport] = None
-        self.scorer = IncrementalScorer(recommender, features=features)
-        seen = feedback.positive_sets() if feedback is not None else None
-        self.index = TopNCache(n, recommender.num_items, seen_items=seen)
-        self.n = self.index.n
-
-        self.monitor: Optional[RollingChrMonitor] = None
-        if item_classes is not None:
-            if class_names is None:
-                raise ValueError("class_names required alongside item_classes")
-            self.monitor = RollingChrMonitor(
-                item_classes, class_names, window=monitor_window
-            )
+        self.router = ShardedService.build(
+            recommender,
+            num_shards=1,
+            backend="local",
+            feedback=feedback,
+            features=features,
+            item_classes=item_classes,
+            class_names=class_names,
+            extractor=extractor,
+            screen=screen,
+            n=n,
+            monitor_window=monitor_window,
+        ).router
+        self.router.fallback = None  # a scoring error raises, never masked
+        shard = self.router.handles[0].shard
+        self.n = self.router.n
+        self.monitor = shard.monitor
+        # The request path is the router's own, with no facade frame on it.
+        self.recommend = self.router.recommend
+        self.recommend_batch = self.router.recommend_batch
+        self.warm_start = shard.warm_start
+        self.publish_metrics = self.router.publish_metrics
 
     @classmethod
     def from_pipeline(
@@ -284,100 +198,7 @@ class RecommenderService:
         return service
 
     # ------------------------------------------------------------------ #
-    # Warm start
-    # ------------------------------------------------------------------ #
-    def warm_start(self, scores: np.ndarray, user_ids=None) -> int:
-        """Prefill the top-N cache from a precomputed clean score matrix.
-
-        ``scores`` is either the full ``(num_users, num_items)`` matrix
-        (e.g. the stored ``clean_scores`` stage artifact) or, alongside
-        ``user_ids``, a row-aligned block ``(len(user_ids), num_items)``
-        — the sharded tier's shape, where each shard prefills only its
-        own users without ever materialising the full matrix.
-        Seen-item masking matches the request path exactly, so a warmed
-        entry is indistinguishable from one computed on demand.  Returns
-        the number of users warmed.
-        """
-        scores = np.asarray(scores, dtype=np.float64)
-        full_shape = (self.recommender.num_users, self.recommender.num_items)
-        user_ids = (
-            np.arange(self.recommender.num_users, dtype=np.int64)
-            if user_ids is None
-            else self.recommender._validate_user_ids(user_ids)
-        )
-        if scores.shape == full_shape:
-            block = scores[user_ids].copy()
-        elif scores.shape == (user_ids.shape[0], self.recommender.num_items):
-            block = np.array(scores, copy=True)
-        else:
-            raise ValueError(
-                "warm-start scores must be (num_users, num_items) or a "
-                "row-aligned (len(user_ids), num_items) block; "
-                f"got {scores.shape}"
-            )
-        if self.feedback is not None:
-            for row, user in enumerate(user_ids):
-                block[row, self.feedback.train_items[int(user)]] = -np.inf
-        for row, (items, head_scores) in enumerate(
-            topn_heads_block(block, self.index.n)
-        ):
-            self.index.put(int(user_ids[row]), items, head_scores)
-        return int(user_ids.size)
-
-    # ------------------------------------------------------------------ #
-    # Request path
-    # ------------------------------------------------------------------ #
-    def _compute_entry(self, user: int) -> tuple:
-        """Fresh top-N head for one user: small GEMM + argpartition."""
-        scores = self.scorer.score_block([user])[0]
-        if self.feedback is not None:
-            scores[self.feedback.train_items[user]] = -np.inf
-        return topn_head_row(scores, self.index.n)
-
-    def _serve(self, user: int, n: int) -> tuple:
-        """The unmeasured request path; returns ``(served, cache_hit)``."""
-        items = self.index.get(user)
-        hit = items is not None
-        if not hit:
-            items, scores = self._compute_entry(user)
-            self.index.put(user, items, scores)
-        served = items[:n]
-        if self.monitor is not None:
-            self.monitor.observe(served)
-        return served, hit
-
-    def recommend(self, user: int, n: Optional[int] = None) -> np.ndarray:
-        """Top-``n`` items for ``user``, best first (cached).
-
-        ``n`` defaults to the serving cutoff and must not exceed it —
-        the cached head only extends that far.  The top-``n`` prefix of
-        a cached top-N list *is* the exact top-``n`` list.
-        """
-        n = self.n if n is None else n
-        if n <= 0 or n > self.n:
-            raise ValueError(f"n must be in [1, {self.n}] (the serving cutoff)")
-        user = int(user)
-        if not 0 <= user < self.recommender.num_users:
-            raise ValueError(f"user must lie in [0, {self.recommender.num_users})")
-        registry = active_metrics()
-        if registry is None:
-            return self._serve(user, n)[0]
-        started = monotonic()
-        served, hit = self._serve(user, n)
-        registry.histogram("serving.recommend.latency_ms").record(
-            1e3 * (monotonic() - started)
-        )
-        registry.counter("serving.cache.hits" if hit else "serving.cache.misses").inc()
-        return served
-
-    def recommend_batch(self, user_ids, n: Optional[int] = None) -> np.ndarray:
-        """Serve a block of users; rows follow request order."""
-        user_ids = self.recommender._validate_user_ids(user_ids)
-        n = self.n if n is None else n
-        return np.stack([self.recommend(int(user), n) for user in user_ids])
-
-    # ------------------------------------------------------------------ #
-    # Update path
+    # Updates
     # ------------------------------------------------------------------ #
     def push_item_features(self, item_ids, item_features) -> UpdateReport:
         """Swap item features and surgically invalidate affected lists.
@@ -387,42 +208,8 @@ class RecommenderService:
         features keep serving and no list is invalidated for them.  A
         fully quarantined push is a recorded no-op.
         """
-        item_ids = np.atleast_1d(np.asarray(item_ids, dtype=np.int64))
-        quarantined: List[int] = []
-        if self.screen is not None:
-            item_features = np.asarray(item_features)
-            verdict = self.screen.screen(item_ids, item_features)
-            self.last_screen = verdict
-            quarantined = [int(item) for item in verdict.quarantined_item_ids]
-            item_ids = verdict.passed_item_ids
-            item_features = item_features[~verdict.flagged]
-        with span("serving.push_item_features", items=int(item_ids.size)) as push_span:
-            cached = self.index.cached_users()
-            changed = (
-                self.scorer.update_item_features(item_ids, item_features)
-                if item_ids.size
-                else False
-            )
-            report = UpdateReport(
-                item_ids=item_ids,
-                scores_changed=changed,
-                cached_users=len(cached),
-                screened=self.screen is not None,
-                quarantined_items=quarantined,
-            )
-            if changed and cached:
-                new_columns = self.scorer.score_items(cached, item_ids)
-                report.invalidated_users = self.index.apply_update(
-                    cached, item_ids, new_columns
-                )
-            push_span.set_attrs(invalidated=report.num_invalidated)
-            registry = active_metrics()
-            if registry is not None:
-                registry.counter("serving.updates.pushed_items").inc(int(item_ids.size))
-                registry.counter("serving.updates.invalidated_users").inc(
-                    report.num_invalidated
-                )
-            return report
+        self.router.push_item_features(item_ids, item_features)
+        return self._settle(item_ids)
 
     def push_attacked_images(self, item_ids, images: np.ndarray) -> UpdateReport:
         """The deployed-system attack surface: new images for ``item_ids``.
@@ -431,30 +218,42 @@ class RecommenderService:
         recommender trained against (raw layer-e pass + the catalog's
         standardisation), then pushed incrementally.
         """
-        if self.extractor is None:
-            raise RuntimeError(
-                "push_attacked_images requires an extractor; build the service "
-                "with one (or via from_pipeline)"
-            )
-        with span("serving.push_attacked_images", items=int(np.size(item_ids))):
-            raw = self.extractor.model.extract_features(
-                np.asarray(images), batch_size=self.extractor.batch_size
-            )
-            features = self.extractor.transform_raw_features(raw)
-            return self.push_item_features(item_ids, features)
+        self.router.push_attacked_images(item_ids, images)
+        return self._settle(item_ids)
+
+    def _settle(self, item_ids) -> UpdateReport:
+        """Drain the shard's ack for the push just made into a report."""
+        acks = self.router.flush()
+        item_ids = np.atleast_1d(np.asarray(item_ids, dtype=np.int64))
+        quarantined: List[int] = []
+        verdict = self.last_screen
+        if verdict is not None:
+            quarantined = [int(item) for item in verdict.quarantined_item_ids]
+            item_ids = verdict.passed_item_ids
+        return UpdateReport(
+            item_ids=item_ids,
+            scores_changed=any(ack["scores_changed"] for ack in acks),
+            cached_users=sum(ack["cached_users"] for ack in acks),
+            num_invalidated=sum(ack["invalidated_users"] for ack in acks),
+            screened=self.screen is not None,
+            quarantined_items=quarantined,
+        )
 
     # ------------------------------------------------------------------ #
     @property
+    def screen(self) -> Optional[FeatureScreen]:
+        return self.router.screen
+
+    @screen.setter
+    def screen(self, screen: Optional[FeatureScreen]) -> None:
+        self.router.screen = screen
+
+    @property
+    def last_screen(self) -> Optional[ScreenReport]:
+        return self.router.last_screen
+
+    @property
     def stats(self) -> Dict[str, float]:
         """Cache counters plus scorer update count."""
-        payload = self.index.stats.as_dict()
-        payload["feature_updates"] = self.scorer.feature_updates
-        return payload
-
-    def publish_metrics(self, registry) -> None:
-        """Mirror lifetime cache/scorer state into a metrics registry."""
-        self.index.stats.publish(registry)
-        registry.gauge("serving.cache.size").set(len(self.index))
-        registry.gauge("serving.scorer.feature_updates").set(
-            self.scorer.feature_updates
-        )
+        aggregate = self.router.stats()
+        return {**aggregate["cache"], "feature_updates": aggregate["feature_updates"]}

@@ -36,7 +36,6 @@ import numpy as np
 from ...recommenders.vbpr import VBPR, VBPRConfig
 from ...rng import derive_rng
 from ...telemetry import active_metrics
-from ..loadgen import ZipfLoadGenerator
 from ..screen import FeatureScreen
 from .race import race_check_enabled
 from .router import ShardedService
@@ -265,6 +264,10 @@ def run_sharded_bench(
     log(f"synthetic VBPR ready: {num_users} users x {num_items} items")
 
     # One global stream, shard-count invariant (see partition module).
+    # Imported here: loadgen drives RecommenderService, which is built on
+    # this package, so a module-level import would be circular.
+    from ..loadgen import ZipfLoadGenerator
+
     generator = ZipfLoadGenerator(
         num_users, exponent=zipf_exponent, seed=seed, stream="sharded.loadgen"
     )

@@ -1,19 +1,24 @@
 """Router front-end over a fleet of scoring shards.
 
 :class:`ShardRouter` hashes each user to its owning shard
-(:class:`~repro.serving.sharded.partition.UserPartition`), serves
+(``user % num_shards``, see
+:class:`~repro.serving.sharded.partition.UserPartition`), serves
 recommendation calls synchronously, and fans invalidation pushes out
 *asynchronously*: every push gets the next epoch number and is ``cast``
 to each healthy shard's bounded inbox; acks drain on :meth:`flush`.
 Shards apply epochs strictly in order (see
 :mod:`repro.serving.sharded.shard`), so the router never waits for the
 slowest shard to acknowledge an attack push before serving traffic.
+Malformed requests and pushes are rejected with ``ValueError`` *before*
+dispatch, so a caller's mistake never fails a healthy shard over.
 
 **Graceful degradation.**  A shard that times out, errors, or dies is
 marked unhealthy (``serving.shard_failover`` counter + span) and its
 users are served from :class:`MostPopFallback` — most-popular is
 *attack-immune*: its ranking never reads image features, so a poisoned
-catalog cannot steer what degraded users see.
+catalog cannot steer what degraded users see.  A failed shard stays out
+of rotation: it missed every epoch pushed during its outage, so putting
+it back would serve pre-outage scores.
 
 :class:`ShardedService` is the lifecycle wrapper: it publishes the
 item side (shared memory for the process backend, an in-process
@@ -30,10 +35,9 @@ import numpy as np
 
 from ...telemetry import active_metrics, monotonic, span
 from ..screen import FeatureScreen, ScreenReport
-from ..service import RecommenderService  # noqa: F401  (docs cross-reference)
 from .partition import UserPartition
 from .race import race_check_enabled
-from .scorer import SharedScorer, compute_item_side
+from .scorer import check_item_features, check_item_ids, compute_item_side
 from .shard import Shard, ShardSpec
 from .shm import ArrayBank, SharedArrayBundle
 from .worker import (
@@ -79,17 +83,23 @@ class ShardRouter:
         self,
         handles: Sequence,
         num_users: int,
+        num_items: int,
         fallback: Optional[MostPopFallback] = None,
         extractor=None,
         screen: Optional[FeatureScreen] = None,
         n: int = 10,
         cast_timeout_s: float = 5.0,
         call_timeout_s: Optional[float] = None,
+        feature_dim: Optional[int] = None,
     ) -> None:
         if not handles:
             raise ValueError("need at least one shard handle")
         self.handles = list(handles)
         self.partition = UserPartition(num_users, len(self.handles))
+        self.num_users = int(num_users)
+        self.num_shards = len(self.handles)
+        self.num_items = num_items
+        self.feature_dim = feature_dim  # visual models only; checks pushes
         self.fallback = fallback
         self.extractor = extractor
         self.screen = screen
@@ -112,9 +122,6 @@ class ShardRouter:
     def healthy_shards(self) -> List[int]:
         return [i for i, ok in enumerate(self._healthy) if ok]
 
-    def is_healthy(self, shard_id: int) -> bool:
-        return self._healthy[shard_id]
-
     def mark_unhealthy(self, shard_id: int, reason: str = "") -> None:
         """Take a shard out of rotation (idempotent); telemetry on edge."""
         if not self._healthy[shard_id]:
@@ -125,10 +132,6 @@ class ShardRouter:
             registry = active_metrics()
             if registry is not None:
                 registry.counter("serving.shard_failover").inc()
-
-    def mark_healthy(self, shard_id: int) -> None:
-        """Put a recovered shard back (its cache restarts cold)."""
-        self._healthy[shard_id] = True
 
     def ping(self) -> List[Dict]:
         """Round-trip the ``ping`` op through every healthy shard.
@@ -151,9 +154,15 @@ class ShardRouter:
     # ------------------------------------------------------------------ #
     # Request path
     # ------------------------------------------------------------------ #
+    def _check_n(self, n) -> int:
+        n = self.n if n is None else int(n)
+        if not 1 <= n <= self.n:
+            raise ValueError(f"n must be in [1, {self.n}] (the serving cutoff)")
+        return n
+
     def _serve_fallback(self, user: int, n: int) -> np.ndarray:
         if self.fallback is None:
-            shard_id = int(self.partition.shard_of(user))
+            shard_id = user % self.num_shards
             raise ShardError(
                 f"shard {shard_id} is unhealthy and no fallback is configured",
                 shard_id=shard_id,
@@ -166,11 +175,19 @@ class ShardRouter:
         return self.fallback.recommend(user, n)
 
     def recommend(self, user: int, n: Optional[int] = None) -> np.ndarray:
-        """Top-``n`` for ``user``, failing over on shard trouble."""
+        """Top-``n`` for ``user``, failing over on shard trouble.
+
+        ``n`` defaults to the serving cutoff and must not exceed it (the
+        cached head only extends that far); an out-of-range ``n`` or
+        ``user`` raises ``ValueError`` without touching any shard.
+        """
         user = int(user)
-        n = self.n if n is None else n
-        shard_id = int(self.partition.shard_of(user))
-        started = monotonic()
+        n = self._check_n(n)
+        if not 0 <= user < self.num_users:
+            raise ValueError(f"user must lie in [0, {self.num_users})")
+        shard_id = user % self.num_shards
+        registry = active_metrics()
+        started = monotonic() if registry is not None else 0.0
         handle = self.handles[shard_id]
         if not self._healthy[shard_id] or not handle.alive():
             if self._healthy[shard_id]:
@@ -184,7 +201,6 @@ class ShardRouter:
             except (ShardError, ShardTimeout) as exc:
                 self.mark_unhealthy(shard_id, reason=type(exc).__name__)
                 served = self._serve_fallback(user, n)
-        registry = active_metrics()
         if registry is not None:
             registry.histogram("serving.recommend.latency_ms").record(
                 1e3 * (monotonic() - started)
@@ -198,15 +214,19 @@ class ShardRouter:
         within each group, so per-shard cache behaviour is identical to
         the per-user loop) and each group rides a single round trip
         instead of one queue ping-pong per user.  A shard that fails
-        mid-batch fails over per-user, same as :meth:`recommend`.
+        mid-batch fails over per-user, same as :meth:`recommend`; a bad
+        ``n`` or user id rejects the whole batch before dispatch.
         """
         users = np.atleast_1d(np.asarray(user_ids, dtype=np.int64))
-        n = self.n if n is None else n
+        n = self._check_n(n)
+        if users.ndim != 1 or users.size == 0:
+            raise ValueError("user_ids must be a non-empty scalar or 1-D sequence")
+        if users.min() < 0 or users.max() >= self.num_users:
+            raise ValueError(f"user_ids must lie in [0, {self.num_users})")
         results: List[Optional[np.ndarray]] = [None] * int(users.size)
         by_shard: Dict[int, List[int]] = {}
-        for pos, user in enumerate(users):
-            shard_id = int(self.partition.shard_of(int(user)))
-            by_shard.setdefault(shard_id, []).append(pos)
+        for pos, user in enumerate(users.tolist()):
+            by_shard.setdefault(user % self.num_shards, []).append(pos)
         for shard_id, positions in sorted(by_shard.items()):
             owned = [int(users[pos]) for pos in positions]
             handle = self.handles[shard_id]
@@ -244,12 +264,14 @@ class ShardRouter:
         never reach any shard, so no worker rescoring or invalidation
         runs on their behalf.  A fully quarantined push is dropped and
         the current epoch is returned unchanged (no epoch is spent on
-        an update no shard will ever see).
+        an update no shard will ever see); so is an empty push.  A
+        malformed push raises ``ValueError`` before any shard sees it.
+        :attr:`last_screen` is this push's verdict (None if unscreened).
         """
-        item_ids = np.atleast_1d(np.asarray(item_ids, dtype=np.int64))
-        item_features = (
-            None if item_features is None else np.asarray(item_features, dtype=np.float64)
-        )
+        item_ids, item_features = self._check_push(item_ids, item_features)
+        self.last_screen = None
+        if item_ids.size == 0:
+            return self._epoch
         if self.screen is not None and item_features is not None:
             verdict = self.screen.screen(item_ids, item_features)
             self.last_screen = verdict
@@ -284,6 +306,19 @@ class ShardRouter:
                 )
         return epoch
 
+    def _check_push(self, item_ids, item_features):
+        """The shard's own update checks, run before any shard can fail them."""
+        item_ids = np.atleast_1d(np.asarray(item_ids, dtype=np.int64))
+        if item_ids.size:
+            item_ids = check_item_ids(item_ids, self.num_items)
+            if self.feature_dim is not None:
+                item_features = check_item_features(
+                    item_features, item_ids.size, self.feature_dim
+                )
+        if item_features is not None:
+            item_features = np.asarray(item_features, dtype=np.float64)
+        return item_ids, item_features
+
     def push_attacked_images(self, item_ids, images: np.ndarray) -> int:
         """The deployed-system attack surface, sharded edition.
 
@@ -294,7 +329,7 @@ class ShardRouter:
         if self.extractor is None:
             raise RuntimeError(
                 "push_attacked_images requires an extractor; build the "
-                "ShardedService with one"
+                "service with one"
             )
         with span("serving.sharded.push_attacked_images", items=int(np.size(item_ids))):
             raw = self.extractor.model.extract_features(
@@ -363,15 +398,6 @@ class ShardRouter:
             }
             aggregate["chr_observed"] = int(sum(m["observed"] for m in monitors))
         return aggregate
-
-    def chr_percent(self, class_name: str) -> float:
-        """Merged rolling class-hit-rate across every healthy shard."""
-        chr_map = self.stats().get("chr")
-        if chr_map is None:
-            raise RuntimeError("no shard carries a CHR monitor")
-        if class_name not in chr_map:
-            raise KeyError(f"unknown class {class_name!r}")
-        return chr_map[class_name]
 
     def publish_metrics(self, registry) -> None:
         """Mirror the cross-shard aggregate into a metrics registry."""
@@ -507,7 +533,8 @@ class ShardedService:
 
         ``backend="process"`` forks one worker per shard attached to a
         shared-memory segment; ``backend="local"`` builds the identical
-        shards in-process against a snapshot bank (what the bitwise
+        shards in-process against a snapshot bank (what
+        :class:`~repro.serving.RecommenderService` and the bitwise
         equivalence tests run).
 
         ``race_check`` arms the runtime shm-write sentinel in every
@@ -519,6 +546,7 @@ class ShardedService:
         race = race_check_enabled(race_check)
         kind, arrays = compute_item_side(recommender, features=features)
         partition = UserPartition(recommender.num_users, num_shards)
+        n = min(n, recommender.num_items)  # the cache's effective cutoff
 
         seen_all = feedback.positive_sets() if feedback is not None else None
         specs: List[ShardSpec] = []
@@ -584,28 +612,9 @@ class ShardedService:
                     )
             else:
                 for spec in specs:
-                    scorer = SharedScorer(
-                        spec.kind,
-                        bank,
-                        num_users=spec.num_users,
-                        num_items=spec.num_items,
-                        user_ids=spec.user_ids,
-                        user_factors=spec.user_factors,
-                        visual_user_factors=spec.visual_user_factors,
-                        escalate_fraction=spec.escalate_fraction,
+                    handles.append(
+                        LocalShardHandle(Shard.over_bank(spec, bank), race_check=race)
                     )
-                    shard = Shard(
-                        spec.shard_id,
-                        scorer,
-                        n=spec.n,
-                        train_items=spec.train_items,
-                        seen_sets=spec.seen_sets,
-                        item_classes=spec.item_classes,
-                        class_names=spec.class_names,
-                        monitor_window=spec.monitor_window,
-                        max_pending=spec.max_pending,
-                    )
-                    handles.append(LocalShardHandle(shard, race_check=race))
         except Exception:
             for handle in handles:
                 handle.stop()
@@ -626,12 +635,14 @@ class ShardedService:
         router = ShardRouter(
             handles,
             num_users=recommender.num_users,
+            num_items=recommender.num_items,
             fallback=fallback,
             extractor=extractor,
             screen=screen,
             n=n,
             cast_timeout_s=cast_timeout_s,
             call_timeout_s=call_timeout_s,
+            feature_dim=arrays["embedding"].shape[0] if kind == "vbpr" else None,
         )
         service = cls(router, bundle=bundle, bank=bank)
         # Build-time health check: every worker must answer a ping over

@@ -1,20 +1,25 @@
 """Zero-copy shard scorer over a published item-side array bank.
 
-:func:`compute_item_side` derives, once per deployment, exactly the
-item-side state :class:`~repro.serving.scorer.IncrementalScorer` would
-precompute — the visual projection ``F·E``, the visual-bias column
-``F·β``, item biases/factors (and ``E``/``β`` themselves, needed to
-fold feature *updates* in).  :class:`SharedScorer` then answers
-per-user-block requests for one shard against read-only views of that
-bank (shared memory in worker processes, an in-process snapshot for
-local shards) plus the shard's own slice of the user-side factors.
+The one serving-time scorer.  Offline evaluation calls ``score_all()``
+and materialises the full user×item matrix; a running service cannot.
+:func:`compute_item_side` derives, once per deployment, the item-side
+state of a fitted BPR-family model — the visual projection ``F·E``, the
+visual-bias column ``F·β``, item biases/factors (and ``E``/``β``
+themselves, needed to fold feature *updates* in), or MostPop's
+popularity vector.  :class:`SharedScorer` then answers per-user-block
+requests for one shard with small ``(B, K) @ (K, |I|)`` GEMMs against
+read-only views of that bank (shared memory in worker processes, an
+in-process snapshot for local shards) plus the shard's own slice of
+the user-side factors.
 
 Attack-driven updates never write the shared bank — it is immutable by
 construction.  Instead each shard keeps a sparse *overlay* of updated
 item rows; scoring patches exactly the overlaid columns with the same
-arithmetic (same expression shapes, same addition order) the dense
-scorer uses, so a sharded deployment serves bitwise-identical lists to
-a single-process :class:`~repro.serving.service.RecommenderService`.
+arithmetic (same expression shapes, same addition order) as the dense
+path, so a fleet of any shard count serves bitwise-identical lists.
+Non-visual models (BPR-MF, MostPop) accept updates as recorded no-ops:
+image perturbations cannot move their scores, the attack-immune control
+of the paper (§III-A).
 When an overlay grows past ``escalate_fraction`` of the catalog the
 shard *escalates*: it materialises a private dense copy of the item
 side (base ⊕ overlay) and continues with plain dense scoring — the
@@ -37,6 +42,31 @@ from .shm import ArrayBank
 ITEM_SIDE_KINDS = ("bprmf", "vbpr", "mostpop")
 
 
+def check_item_ids(item_ids, num_items: int) -> np.ndarray:
+    """``item_ids`` as a non-empty 1-D int64 array inside ``[0, num_items)``."""
+    item_ids = np.atleast_1d(np.asarray(item_ids, dtype=np.int64))
+    if item_ids.ndim != 1:
+        raise ValueError("item_ids must be a scalar or 1-D sequence")
+    if item_ids.size == 0:
+        raise ValueError("item_ids must not be empty")
+    if item_ids.min() < 0 or item_ids.max() >= num_items:
+        raise ValueError(
+            f"item_ids must lie in [0, {num_items}); "
+            f"got range [{item_ids.min()}, {item_ids.max()}]"
+        )
+    return item_ids
+
+
+def check_item_features(item_features, num_rows: int, feature_dim: int) -> np.ndarray:
+    """Finite float64 features of shape ``(num_rows, feature_dim)``."""
+    item_features = np.asarray(item_features, dtype=np.float64)
+    if item_features.shape != (num_rows, feature_dim):
+        raise ValueError("item_features must have shape (len(item_ids), D)")
+    if not np.isfinite(item_features).all():
+        raise ValueError("item_features contain non-finite values")
+    return item_features
+
+
 def item_side_kind(recommender) -> str:
     """Classify a fitted recommender for item-side publication."""
     if isinstance(recommender, MostPop):
@@ -56,14 +86,13 @@ def compute_item_side(
 ) -> Tuple[str, Dict[str, np.ndarray]]:
     """The publish-once item-side arrays for ``recommender``.
 
-    Mirrors :class:`IncrementalScorer`'s construction bit for bit: the
-    same float64 coercion, the same ``F @ E`` / ``F @ β`` products —
-    a shard scoring against the published bank and a single-process
-    scorer constructed from the same model start from identical state.
+    Float64 copies throughout — the bank is a snapshot, isolated from
+    later writes to the model or to ``features`` (which defaults to the
+    features the model trained on).
     """
+    kind = item_side_kind(recommender)
     if not recommender.is_fitted:
         raise RuntimeError("recommender must be fitted before publication")
-    kind = item_side_kind(recommender)
     if kind == "mostpop":
         if features is not None:
             raise ValueError("MostPop has no visual pathway; features must be None")
@@ -187,19 +216,6 @@ class SharedScorer:
             )
         return rows
 
-    def _validate_item_ids(self, item_ids) -> np.ndarray:
-        item_ids = np.atleast_1d(np.asarray(item_ids, dtype=np.int64))
-        if item_ids.ndim != 1:
-            raise ValueError("item_ids must be a scalar or 1-D sequence")
-        if item_ids.size == 0:
-            raise ValueError("item_ids must not be empty")
-        if item_ids.min() < 0 or item_ids.max() >= self.num_items:
-            raise ValueError(
-                f"item_ids must lie in [0, {self.num_items}); "
-                f"got range [{item_ids.min()}, {item_ids.max()}]"
-            )
-        return item_ids
-
     # ------------------------------------------------------------------ #
     # Item-side state resolution (bank / overlay / escalated dense)
     # ------------------------------------------------------------------ #
@@ -282,7 +298,7 @@ class SharedScorer:
 
     def score_items(self, user_ids, item_ids) -> np.ndarray:
         """Scores of selected columns (the cache-invalidation path)."""
-        item_ids = self._validate_item_ids(item_ids)
+        item_ids = check_item_ids(item_ids, self.num_items)
         if self.kind == "mostpop":
             rows = self._rows(user_ids)
             return np.broadcast_to(
@@ -315,20 +331,17 @@ class SharedScorer:
         """Fold new features for ``item_ids`` into this shard's view.
 
         Returns True when scores moved (visual models).  Non-visual
-        kinds record the call and return False — the attack-immune
-        contract of :class:`IncrementalScorer` carried over.  With
-        duplicate ids the last write wins.
+        kinds record the call and return False — image perturbations
+        cannot move their scores.  With duplicate ids the last write
+        wins.
         """
-        item_ids = self._validate_item_ids(item_ids)
+        item_ids = check_item_ids(item_ids, self.num_items)
         self.feature_updates += 1
         if not self.is_visual:
             return False
-        item_features = np.asarray(item_features, dtype=np.float64)
-        feature_dim = self.bank["embedding"].shape[0]
-        if item_features.shape != (item_ids.shape[0], feature_dim):
-            raise ValueError("item_features must have shape (len(item_ids), D)")
-        if not np.isfinite(item_features).all():
-            raise ValueError("item_features contain non-finite values")
+        item_features = check_item_features(
+            item_features, item_ids.size, self.bank["embedding"].shape[0]
+        )
         visual_rows = item_features @ self.bank["embedding"]
         bias_rows = item_features @ self.bank["visual_bias"]
         if self._dense is not None:

@@ -1,14 +1,12 @@
 """One serving shard: a user slice's scorer + cache + epoch-ordered updates.
 
-A :class:`Shard` is the single-process serving stack
-(:class:`~repro.serving.index.TopNCache`,
-:class:`~repro.serving.service.RollingChrMonitor`, the same head
-selection via :func:`~repro.serving.service.topn_head_row`) scoped to
-the users one worker owns, scoring through a
+A :class:`Shard` is the whole serving stack for the users one worker
+owns: a :class:`~repro.serving.index.TopNCache`, a
+:class:`RollingChrMonitor` and a
 :class:`~repro.serving.sharded.scorer.SharedScorer` over the published
-item side.  The same class runs in-process (local handles, used by the
-bitwise-equivalence tests) and inside worker processes
-(:meth:`from_spec` attaches the shared-memory bank).
+item side.  The same class runs in-process (local handles — including
+the one-shard :class:`~repro.serving.RecommenderService`) and inside
+worker processes (:meth:`from_spec` attaches the shared-memory bank).
 
 **Epoch ordering.**  The router stamps every invalidation fan-out with
 a monotonically increasing epoch.  :meth:`submit_update` applies epochs
@@ -22,15 +20,82 @@ worker surfaces and the router answers by failing the shard over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from collections import deque
+from dataclasses import asdict, dataclass, field
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..index import TopNCache
-from ..service import RollingChrMonitor, topn_head_row, topn_heads_block
 from .scorer import SharedScorer
-from .shm import ShmManifest, attach_bundle
+from .shm import ArrayBank, ShmManifest, attach_bundle
+
+
+class RollingChrMonitor:
+    """CHR@N over a rolling window of served recommendation lists.
+
+    Definition 5 over what the service *actually serves*: the fraction
+    of the last ``window`` lists' slots occupied by each class.  Lists
+    may have different lengths (callers request different ``n``); the
+    denominator is the total slot count in the window.
+    """
+
+    def __init__(
+        self,
+        item_classes: np.ndarray,
+        class_names: Sequence[str],
+        window: int = 256,
+    ) -> None:
+        if window <= 0:
+            raise ValueError("window must be positive")
+        item_classes = np.asarray(item_classes, dtype=np.int64)
+        if item_classes.ndim != 1:
+            raise ValueError("item_classes must be 1-D")
+        if item_classes.size and item_classes.max() >= len(class_names):
+            raise ValueError("item_classes reference unknown classes")
+        self.item_classes = item_classes
+        self.class_names = list(class_names)
+        self.window = window
+        self._lists: Deque[np.ndarray] = deque()  # per-list class counts
+        self._counts = np.zeros(len(class_names), dtype=np.int64)
+        self._slots = 0
+        self.observed = 0  # lists ever observed (not capped by window)
+
+    def observe(self, items: np.ndarray) -> None:
+        """Record one served list (item ids)."""
+        items = np.asarray(items, dtype=np.int64)
+        counts = np.bincount(self.item_classes[items], minlength=len(self.class_names))
+        self._lists.append(counts)
+        self._counts += counts
+        self._slots += items.size
+        self.observed += 1
+        while len(self._lists) > self.window:
+            evicted = self._lists.popleft()
+            self._counts -= evicted
+            self._slots -= int(evicted.sum())
+
+    def chr_percent(self, class_name: str) -> float:
+        """Rolling CHR of one class, in percent (Table II units)."""
+        idx = self.class_names.index(class_name)
+        return 100.0 * self._counts[idx] / self._slots if self._slots else 0.0
+
+    def snapshot(self) -> Dict[str, float]:
+        """Rolling CHR percent per class name."""
+        if self._slots == 0:
+            return {name: 0.0 for name in self.class_names}
+        return {
+            name: 100.0 * float(self._counts[idx]) / self._slots
+            for idx, name in enumerate(self.class_names)
+        }
+
+    def counts_snapshot(self):
+        """Raw ``(per-class slot counts, total slots)`` of the window.
+
+        The mergeable form: the shard router aggregates cross-shard CHR
+        by summing counts and slots, which is exact — percentages are
+        not mergeable, counts are.
+        """
+        return self._counts.copy(), int(self._slots)
 
 
 @dataclass
@@ -74,16 +139,10 @@ class ShardUpdateReport:
     stale: bool = False
     invalidated_users: int = 0
     scores_changed: bool = False
+    cached_users: int = 0  # cache size when the delivery arrived
 
     def as_dict(self) -> Dict:
-        return {
-            "epoch": self.epoch,
-            "applied_epochs": list(self.applied_epochs),
-            "buffered": self.buffered,
-            "stale": self.stale,
-            "invalidated_users": self.invalidated_users,
-            "scores_changed": self.scores_changed,
-        }
+        return asdict(self)
 
 
 class Shard:
@@ -129,6 +188,16 @@ class Shard:
     def from_spec(cls, spec: ShardSpec) -> "Shard":
         """Worker-process constructor: attach the shm bank, build the shard."""
         bank = attach_bundle(spec.manifest)
+        return cls.over_bank(spec, bank, bank_closer=bank.close)
+
+    @classmethod
+    def over_bank(cls, spec: ShardSpec, bank: ArrayBank, bank_closer=None) -> "Shard":
+        """Build the shard ``spec`` describes, scoring against ``bank``.
+
+        The one place a shard is assembled: worker processes pass their
+        shm attachment (via :meth:`from_spec`), in-process fleets pass
+        the owner's snapshot bank and keep its lifetime to themselves.
+        """
         scorer = SharedScorer(
             spec.kind,
             bank,
@@ -149,7 +218,7 @@ class Shard:
             class_names=spec.class_names,
             monitor_window=spec.monitor_window,
             max_pending=spec.max_pending,
-            bank_closer=bank.close,
+            bank_closer=bank_closer,
         )
 
     # ------------------------------------------------------------------ #
@@ -159,13 +228,17 @@ class Shard:
         return self.scorer.owns(user)
 
     def _compute_entry(self, user: int):
+        """Fresh top-N ``(items, scores)``: one score row, seen items masked."""
         scores = self.scorer.score_block([user])[0]
         if self._train_items is not None:
             scores[self._train_items[user]] = -np.inf
-        return topn_head_row(scores, self.index.n)
+        k = self.index.n
+        head = np.argpartition(-scores, k - 1)[:k]
+        items = head[np.argsort(-scores[head], kind="stable")]
+        return items, scores[items]
 
     def recommend(self, user: int, n: Optional[int] = None) -> np.ndarray:
-        """Top-``n`` for an owned user; identical math to the facade."""
+        """Top-``n`` for an owned user (cached; misses score one row)."""
         n = self.n if n is None else n
         if n <= 0 or n > self.n:
             raise ValueError(f"n must be in [1, {self.n}] (the serving cutoff)")
@@ -191,8 +264,9 @@ class Shard:
         matrix (rows for this shard's users are sliced out — e.g. a
         shared-memory view of the ``clean_scores`` artifact) or a block
         already aligned with ``user_ids`` (defaulting to every owned
-        user).  Masking and head selection mirror
-        :meth:`RecommenderService.warm_start` exactly.
+        user).  Masking and head selection mirror the request path
+        exactly, so a warmed entry is indistinguishable from a computed
+        one.
         """
         user_ids = (
             self.user_ids
@@ -217,10 +291,12 @@ class Shard:
         if self._train_items is not None:
             for row, user in enumerate(user_ids):
                 block[row, self._train_items[int(user)]] = -np.inf
-        for row, (items, head_scores) in enumerate(
-            topn_heads_block(block, self.index.n)
-        ):
-            self.index.put(int(user_ids[row]), items, head_scores)
+        # One block-wise argpartition, then _compute_entry's exact ordering.
+        k = self.index.n
+        heads = np.argpartition(-block, k - 1, axis=1)[:, :k]
+        for row, head in enumerate(heads):
+            items = head[np.argsort(-block[row, head], kind="stable")]
+            self.index.put(int(user_ids[row]), items, block[row, items])
         return int(user_ids.size)
 
     # ------------------------------------------------------------------ #
@@ -233,7 +309,7 @@ class Shard:
         epoch = int(epoch)
         if epoch <= 0:
             raise ValueError("epochs are 1-based and positive")
-        report = ShardUpdateReport(epoch=epoch)
+        report = ShardUpdateReport(epoch=epoch, cached_users=len(self.index))
         if epoch <= self.applied_epoch or epoch in self._pending:
             # Stale or duplicate delivery: already folded in (or queued).
             # Re-applying would re-run invalidation against *newer* cache

@@ -13,9 +13,9 @@ a ``cast`` that cannot enqueue within its timeout marks the shard as a
 failover candidate instead of blocking forever.
 
 :class:`LocalShardHandle` runs the identical shard in-process behind
-the same interface — the bitwise-equivalence tests exercise the real
-shard/scorer stack without process startup noise, and the process
-backend only adds transport.
+the same interface, update acks included — it is what
+:class:`~repro.serving.RecommenderService` and the bitwise-equivalence
+tests run on, and the process backend only adds transport.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue
 import time
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -370,17 +370,14 @@ class ProcessShardHandle:
 
 
 class LocalShardHandle:
-    """Same interface, shard runs in the caller's process (tests)."""
+    """Same interface, shard runs in the caller's process."""
 
-    def __init__(self, spec_or_shard, race_check: bool = False) -> None:
-        self._shard = (
-            spec_or_shard
-            if isinstance(spec_or_shard, Shard)
-            else Shard.from_spec(spec_or_shard)
-        )
+    def __init__(self, shard: Shard, race_check: bool = False) -> None:
+        self._shard = shard
         self.shard_id = self._shard.shard_id
         self.user_ids = self._shard.user_ids
         self._alive = True
+        self._acks: List[Dict] = []
         self._sentinel = (
             ShmWriteSentinel(self._shard.scorer.bank) if race_check else None
         )
@@ -413,11 +410,16 @@ class LocalShardHandle:
             ) from exc
 
     def cast(self, op: str, payload=None, timeout_s: float = 1.0) -> int:
-        self.call(op, payload)
+        """Apply now; an ``update`` reply is kept as an ack for :meth:`flush`."""
+        reply = self.call(op, payload)
+        if op == "update":
+            self._acks.append(reply)
         return 0
 
     def flush(self, timeout_s: Optional[float] = None):
-        return []
+        """Drain the update acks kept since the last flush."""
+        acks, self._acks = self._acks, []
+        return acks
 
     def alive(self) -> bool:
         return self._alive

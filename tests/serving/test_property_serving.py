@@ -8,7 +8,9 @@ if no cache existed.  Seeded random interleavings exercise the
 threshold bookkeeping (entries kept across irrelevant updates, dropped
 exactly when a score change can cross the head boundary) on all three
 recommenders of the paper; BPR-MF doubles as the attack-immune control
-whose cache must *never* be invalidated by feature pushes.
+whose cache must *never* be invalidated by feature pushes.  Each case
+runs on the one-shard :class:`RecommenderService` and on local fleets
+of 2 and 4 shards behind the same surface.
 """
 
 import numpy as np
@@ -23,10 +25,57 @@ from repro.recommenders import (
     VBPR,
     VBPRConfig,
 )
-from repro.serving import RecommenderService
+from repro.serving import RecommenderService, ShardedService
 
 N = 10
 FEATURE_DIM = 12
+SHARD_COUNTS = (1, 2, 4)
+
+
+def shard_cases(*params):
+    """Cross ``params`` with SHARD_COUNTS; one-shard ids carry no suffix."""
+    cases, ids = [], []
+    for num_shards in SHARD_COUNTS:
+        for values in params:
+            values = values if isinstance(values, tuple) else (values,)
+            cases.append((num_shards, *values))
+            suffix = "" if num_shards == 1 else f"-{num_shards}shards"
+            ids.append("-".join(str(v) for v in values) + suffix)
+    return {"argvalues": cases, "ids": ids}
+
+
+class LocalFleet:
+    """A local N-shard fleet behind the facade's recommend/push/stats."""
+
+    def __init__(self, fleet):
+        self.fleet = fleet
+
+    def recommend(self, user):
+        return self.fleet.recommend(user)
+
+    def push_item_features(self, item_ids, item_features):
+        self.fleet.push_item_features(item_ids, item_features)
+        self.fleet.flush()
+
+    @property
+    def stats(self):
+        aggregate = self.fleet.stats()
+        return {**aggregate["cache"], "feature_updates": aggregate["feature_updates"]}
+
+
+def build_service(model, dataset, features, num_shards):
+    if num_shards == 1:
+        return RecommenderService(model, feedback=dataset.feedback, features=features, n=N)
+    return LocalFleet(
+        ShardedService.build(
+            model,
+            num_shards=num_shards,
+            backend="local",
+            feedback=dataset.feedback,
+            features=features,
+            n=N,
+        )
+    )
 
 
 @pytest.fixture(scope="module")
@@ -72,18 +121,22 @@ def brute_force_top_n(model, dataset, feature_state):
     return model.top_n(N, feedback=dataset.feedback, scores=scores)
 
 
-@pytest.mark.parametrize("model_name", ["bprmf", "vbpr", "amr"])
-@pytest.mark.parametrize("trial_seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "num_shards,trial_seed,model_name",
+    **shard_cases(
+        *[(seed, name) for seed in (0, 1, 2) for name in ("amr", "bprmf", "vbpr")]
+    ),
+)
 def test_interleaved_serving_matches_brute_force(
-    dataset, features, model_name, trial_seed
+    dataset, features, model_name, trial_seed, num_shards
 ):
     model = build_model(model_name, dataset, features)
     visual = model_name != "bprmf"
-    service = RecommenderService(
+    service = build_service(
         model,
-        feedback=dataset.feedback,
-        features=np.array(features, copy=True) if visual else None,
-        n=N,
+        dataset,
+        np.array(features, copy=True) if visual else None,
+        num_shards,
     )
     feature_state = np.array(features, copy=True) if visual else None
     truth = brute_force_top_n(model, dataset, feature_state)
@@ -121,8 +174,10 @@ def test_interleaved_serving_matches_brute_force(
         assert stats["feature_updates"] > 0
 
 
-@pytest.mark.parametrize("model_name", ["vbpr"])
-def test_cache_actually_serves_across_updates(dataset, features, model_name):
+@pytest.mark.parametrize("num_shards,model_name", **shard_cases("vbpr"))
+def test_cache_actually_serves_across_updates(
+    dataset, features, model_name, num_shards
+):
     """Guard against trivially-correct implementations that drop everything.
 
     With small, off-head feature perturbations the threshold rule must
@@ -130,8 +185,8 @@ def test_cache_actually_serves_across_updates(dataset, features, model_name):
     though updates keep arriving.
     """
     model = build_model(model_name, dataset, features)
-    service = RecommenderService(
-        model, feedback=dataset.feedback, features=np.array(features, copy=True), n=N
+    service = build_service(
+        model, dataset, np.array(features, copy=True), num_shards
     )
     rng = np.random.default_rng(5)
     users = list(range(dataset.num_users))

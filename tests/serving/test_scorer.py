@@ -1,4 +1,10 @@
-"""Unit tests for the incremental batched scorer."""
+"""Unit tests for the serving scorer.
+
+:class:`SharedScorer` over an in-process snapshot of
+:func:`compute_item_side`, owning every user, checked against each
+recommender's offline ``score_all`` — an oracle independent of the
+shard, cache and router code that sit on top of it.
+"""
 
 import numpy as np
 import pytest
@@ -13,7 +19,20 @@ from repro.recommenders import (
     VBPR,
     VBPRConfig,
 )
-from repro.serving import IncrementalScorer
+from repro.serving.sharded import ArrayBank, SharedScorer, compute_item_side
+
+
+def make_scorer(model, features=None):
+    kind, arrays = compute_item_side(model, features=features)
+    return SharedScorer(
+        kind,
+        ArrayBank.snapshot(arrays),
+        num_users=model.num_users,
+        num_items=model.num_items,
+        user_ids=np.arange(model.num_users),
+        user_factors=None if kind == "mostpop" else model.user_factors,
+        visual_user_factors=model.visual_user_factors if kind == "vbpr" else None,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -46,53 +65,62 @@ class TestConstruction:
     def test_requires_fitted(self, dataset, features):
         model = VBPR(dataset.num_users, dataset.num_items, features)
         with pytest.raises(RuntimeError):
-            IncrementalScorer(model)
+            make_scorer(model)
 
-    def test_rejects_unknown_model(self):
+    def test_rejects_unknown_model(self, vbpr):
         with pytest.raises(TypeError):
-            IncrementalScorer(object())
+            make_scorer(object())
+        _, arrays = compute_item_side(vbpr)
+        with pytest.raises(ValueError):
+            SharedScorer(
+                "ncf",
+                ArrayBank.snapshot(arrays),
+                num_users=vbpr.num_users,
+                num_items=vbpr.num_items,
+                user_ids=np.arange(vbpr.num_users),
+            )
 
     def test_rejects_features_for_nonvisual(self, bprmf, features):
         with pytest.raises(ValueError):
-            IncrementalScorer(bprmf, features=features)
+            make_scorer(bprmf, features=features)
 
     def test_rejects_wrong_feature_shape(self, vbpr):
         with pytest.raises(ValueError):
-            IncrementalScorer(vbpr, features=np.zeros((3, 12)))
+            make_scorer(vbpr, features=np.zeros((3, 12)))
 
     def test_snapshot_isolated_from_caller(self, vbpr, features):
         feats = np.array(features, copy=True)
-        scorer = IncrementalScorer(vbpr, features=feats)
+        scorer = make_scorer(vbpr, features=feats)
         feats[0, 0] += 100.0
-        assert scorer.features[0, 0] != feats[0, 0]
+        assert scorer.bank["features"][0, 0] != feats[0, 0]
 
     def test_features_view_readonly(self, vbpr):
-        scorer = IncrementalScorer(vbpr)
+        scorer = make_scorer(vbpr)
         with pytest.raises(ValueError):
-            scorer.features[0, 0] = 1.0
+            scorer.bank["features"][0, 0] = 1.0
 
     def test_nonvisual_has_no_features(self, bprmf):
-        with pytest.raises(AttributeError):
-            IncrementalScorer(bprmf).features
+        with pytest.raises(KeyError):
+            make_scorer(bprmf).bank["features"]
 
 
 class TestScoring:
     def test_block_matches_score_all_vbpr(self, vbpr):
-        scorer = IncrementalScorer(vbpr)
+        scorer = make_scorer(vbpr)
         users = [0, 5, 17]
         np.testing.assert_allclose(
             scorer.score_block(users), vbpr.score_all()[users], rtol=1e-10
         )
 
     def test_block_matches_score_all_bprmf(self, bprmf):
-        scorer = IncrementalScorer(bprmf)
+        scorer = make_scorer(bprmf)
         np.testing.assert_allclose(
             scorer.score_block([2, 3]), bprmf.score_all()[[2, 3]], rtol=1e-10
         )
 
     def test_block_matches_score_all_mostpop(self, dataset):
         model = MostPop(dataset.num_users, dataset.num_items).fit(dataset.feedback)
-        scorer = IncrementalScorer(model)
+        scorer = make_scorer(model)
         np.testing.assert_allclose(
             scorer.score_block([1, 4]), model.score_all()[[1, 4]]
         )
@@ -101,20 +129,20 @@ class TestScoring:
         )
 
     def test_score_items_matches_columns(self, vbpr):
-        scorer = IncrementalScorer(vbpr)
+        scorer = make_scorer(vbpr)
         full = scorer.score_block([4, 9])
         cols = scorer.score_items([4, 9], [0, 7, 31])
         np.testing.assert_allclose(cols, full[:, [0, 7, 31]], rtol=1e-12)
 
     def test_invalid_users_rejected(self, vbpr):
-        scorer = IncrementalScorer(vbpr)
+        scorer = make_scorer(vbpr)
         with pytest.raises(ValueError):
             scorer.score_block([vbpr.num_users])
         with pytest.raises(ValueError):
             scorer.score_block([-1])
 
     def test_invalid_items_rejected(self, vbpr):
-        scorer = IncrementalScorer(vbpr)
+        scorer = make_scorer(vbpr)
         with pytest.raises(ValueError):
             scorer.score_items([0], [vbpr.num_items])
         with pytest.raises(ValueError):
@@ -123,7 +151,7 @@ class TestScoring:
 
 class TestUpdates:
     def test_update_matches_full_rescore(self, dataset, vbpr, features):
-        scorer = IncrementalScorer(vbpr)
+        scorer = make_scorer(vbpr)
         rng = np.random.default_rng(7)
         item_ids = np.array([3, 40, 41])
         new = rng.normal(0, 1, (3, features.shape[1]))
@@ -136,7 +164,7 @@ class TestUpdates:
         np.testing.assert_allclose(scorer.score_block(users), expected, rtol=1e-10)
 
     def test_untouched_columns_bit_identical(self, vbpr, features):
-        scorer = IncrementalScorer(vbpr)
+        scorer = make_scorer(vbpr)
         before = scorer.score_block([0])
         scorer.update_item_features([10], np.ones((1, features.shape[1])))
         after = scorer.score_block([0])
@@ -144,7 +172,7 @@ class TestUpdates:
         np.testing.assert_array_equal(before[:, untouched], after[:, untouched])
 
     def test_nonvisual_update_is_noop(self, bprmf):
-        scorer = IncrementalScorer(bprmf)
+        scorer = make_scorer(bprmf)
         before = scorer.score_block([0, 1])
         assert scorer.update_item_features([5], np.ones((1, 99))) is False
         assert scorer.feature_updates == 1
@@ -157,14 +185,14 @@ class TestUpdates:
             features,
             AMRConfig(epochs=3, pretrain_epochs=1, seed=0),
         ).fit(dataset.feedback)
-        scorer = IncrementalScorer(model)
+        scorer = make_scorer(model)
         assert scorer.is_visual
         np.testing.assert_allclose(
             scorer.score_block([0]), model.score_all()[[0]], rtol=1e-10
         )
 
     def test_update_validation(self, vbpr, features):
-        scorer = IncrementalScorer(vbpr)
+        scorer = make_scorer(vbpr)
         with pytest.raises(ValueError):
             scorer.update_item_features([0], np.ones((2, features.shape[1])))
         with pytest.raises(ValueError):

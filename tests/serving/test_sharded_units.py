@@ -263,6 +263,67 @@ class TestFailover:
             service.close()
 
 
+class TestMalformedInput:
+    """A caller's mistake raises before dispatch; no shard fails over."""
+
+    @pytest.fixture()
+    def service(self, system):
+        model, item_classes, class_names, counts = system
+        service = ShardedService.build(
+            model, num_shards=2, backend="local", fallback_counts=counts, n=6
+        )
+        yield service
+        service.close()
+
+    def test_bad_request_leaves_shards_healthy(self, service, system):
+        model, *_ = system
+        router = service.router
+        for kwargs in (
+            {"user": 0, "n": 0},
+            {"user": 0, "n": 7},
+            {"user": -1},
+            {"user": model.num_users},
+        ):
+            with pytest.raises(ValueError):
+                router.recommend(**kwargs)
+        with pytest.raises(ValueError):
+            router.recommend_batch([0, 1], n=7)
+        with pytest.raises(ValueError):
+            router.recommend_batch([0, model.num_users])
+        assert router.healthy_shards() == [0, 1]
+        assert router.failovers == 0 and router.fallback_requests == 0
+        assert service.recommend(0, n=6).shape == (6,)
+
+    def test_bad_push_leaves_shards_healthy(self, service, system):
+        model, *_ = system
+        router = service.router
+        good = model.features[[0]]
+        for item_ids, features in (
+            ([model.num_items], good),
+            ([0, 1], good),
+            ([0], good[:, :3]),
+            ([0], np.full_like(good, np.nan)),
+            ([0], None),
+        ):
+            with pytest.raises(ValueError):
+                router.push_item_features(item_ids, features)
+        assert router.push_item_features([], np.zeros((0, model.feature_dim))) == 0
+        assert router.epoch == 0
+        assert router.healthy_shards() == [0, 1]
+
+    def test_local_flush_returns_one_ack_per_shard(self, service, system):
+        model, *_ = system
+        for user in range(model.num_users):
+            service.recommend(user)
+        epoch = service.push_item_features([3], model.features[[3]] + 5.0)
+        acks = service.flush()
+        assert epoch == 1
+        assert len(acks) == 2
+        assert [ack["applied_epochs"] for ack in acks] == [[1], [1]]
+        assert sum(ack["cached_users"] for ack in acks) == model.num_users
+        assert service.flush() == []
+
+
 # --------------------------------------------------------------------- #
 # Warm-start slice (RecommenderService satellite)
 # --------------------------------------------------------------------- #
@@ -290,6 +351,17 @@ class TestWarmStartSlice:
             service.warm_start(
                 np.zeros((3, model.num_items)), user_ids=np.array([0, 1])
             )
+
+
+class TestServiceFacade:
+    def test_runs_one_local_shard_without_fallback(self, system):
+        model, *_ = system
+        service = RecommenderService(model, n=6)
+        assert len(service.router.handles) == 1
+        assert service.router.fallback is None
+        service.router.handles[0].stop()
+        with pytest.raises(ShardError, match="unhealthy"):
+            service.recommend(0)
 
 
 class TestLocalHandle:
