@@ -3,8 +3,8 @@
 Times the hot paths behind every table in the reproduction (classifier
 forward, training backward, FGSM, PGD, and the full attack grid) under
 the pre-optimization engine configuration (float64 compute, no conv+BN
-folding) and the shipping one (float32 policy, eval-time folding,
-im2col workspace reuse), using identical weights for both.
+folding) and the shipping one (float32 policy, eval-time folding),
+using identical weights for both.
 
 Writes ``BENCH_perf_engine.json`` at the repository root so the speedup
 numbers are tracked alongside the table outputs.  The optimized engine

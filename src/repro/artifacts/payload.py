@@ -24,9 +24,11 @@ No pickle is involved anywhere, so files stay portable and safe.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import uuid
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -84,7 +86,14 @@ def write_payload(
     meta: Optional[Dict[str, Any]] = None,
     compress: bool = False,
 ) -> str:
-    """Write one artifact; returns its payload ``content_hash``."""
+    """Write one artifact; returns its payload ``content_hash``.
+
+    The archive is written to a temporary file beside ``path`` and moved
+    into place with :func:`os.replace`, so a run killed mid-write leaves
+    either the previous file or none — never a truncated archive.  Like
+    :func:`numpy.savez`, a ``path`` without the ``.npz`` suffix gets it
+    appended.
+    """
     for name in arrays:
         if name.startswith("__"):
             raise ValueError(f"payload array name '{name}' is reserved")
@@ -98,10 +107,23 @@ def write_payload(
         "content_hash": digest,
         "meta": meta,
     }
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     writer = np.savez_compressed if compress else np.savez
-    writer(path, **{_HEADER_KEY: np.array(json.dumps(header))}, **dict(arrays))
+    temp_path = os.path.join(directory, f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+    try:
+        # Writing through an open handle stops numpy appending ``.npz``
+        # to the temporary name.
+        with open(temp_path, "xb") as stream:
+            writer(stream, **{_HEADER_KEY: np.array(json.dumps(header))}, **dict(arrays))
+        os.replace(temp_path, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp_path)
+        raise
     return digest
 
 

@@ -4,12 +4,12 @@ Times the hot paths of the reproduction — classifier forward, training
 backward, FGSM, PGD, and the full ``run_attack_grid`` — under two
 engine configurations measured in the same process:
 
-* ``float64_baseline`` — compute dtype float64 with conv+BN folding,
-  im2col workspace reuse and attack-time parameter freezing all off:
-  the engine as it behaved before the fast-attack-grid work;
+* ``float64_baseline`` — compute dtype float64 with conv+BN folding
+  and attack-time parameter freezing off: the engine as it behaved
+  before the fast-attack-grid work, except that im2col workspace reuse
+  has no switch and is on in both modes;
 * ``float32_optimized`` — the shipping defaults (float32 policy,
-  eval-time conv+BN folding, workspace reuse, input-gradient-only
-  attack backward).
+  eval-time conv+BN folding, input-gradient-only attack backward).
 
 Both modes run the *same* trained weights (cast losslessly between the
 two dtypes), so the speedup numbers isolate the engine changes from any
@@ -32,7 +32,6 @@ from ..nn import (
     conv_bn_folding,
     cross_entropy,
     parameter_freezing,
-    workspace_reuse,
 )
 from ..telemetry import active_metrics, monotonic, span
 from .config import men_config
@@ -45,20 +44,18 @@ from .runner import run_attack_grid, run_attack_grids
 LADDER_BENCH_MODES = ("off", "exact", "warm")
 
 #: The two engine configurations compared by the benchmark.  The baseline
-#: switches off every fast-attack-grid engine feature, not just the dtype:
-#: folding, workspace reuse and attack-time parameter freezing all arrived
-#: with that work, so the seed engine ran without them.
+#: switches off the fast-attack-grid engine features that still have a
+#: switch, not just the dtype: folding and attack-time parameter freezing
+#: arrived with that work, so the seed engine ran without them.
 BENCH_MODES = {
     "float64_baseline": {
         "dtype": np.float64,
         "folding": False,
-        "workspace": False,
         "freeze_params": False,
     },
     "float32_optimized": {
         "dtype": np.float32,
         "folding": True,
-        "workspace": True,
         "freeze_params": True,
     },
 }
@@ -193,13 +190,11 @@ def run_perf_bench(
         dtype = np.dtype(mode["dtype"])
         log(
             f"mode {mode_name}: dtype={dtype.name} folding={mode['folding']} "
-            f"workspace={mode['workspace']} freeze_params={mode['freeze_params']}"
+            f"freeze_params={mode['freeze_params']}"
         )
         with span("bench.mode", mode=mode_name, dtype=dtype.name), compute_dtype(
             dtype
-        ), conv_bn_folding(mode["folding"]), workspace_reuse(
-            mode["workspace"]
-        ), parameter_freezing(mode["freeze_params"]):
+        ), conv_bn_folding(mode["folding"]), parameter_freezing(mode["freeze_params"]):
             model.to_dtype(dtype)
 
             def forward() -> None:
@@ -224,7 +219,6 @@ def run_perf_bench(
             mode_report = {
                 "dtype": dtype.name,
                 "conv_bn_folding": bool(mode["folding"]),
-                "workspace_reuse": bool(mode["workspace"]),
                 "parameter_freezing": bool(mode["freeze_params"]),
                 "forward": _timing(
                     _best_wall_time(forward, repeats), images.shape[0], "images/s"

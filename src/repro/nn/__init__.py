@@ -28,7 +28,7 @@ from .layers import (
     set_conv_bn_folding,
     set_parameter_freezing,
 )
-from .functional import Im2colWorkspace, set_workspace_reuse, workspace_reuse
+from .functional import Im2colWorkspace
 from .losses import accuracy, cross_entropy, mse, soft_cross_entropy
 from .sanitizer import (
     DtypePolicyError,
@@ -73,8 +73,6 @@ __all__ = [
     "set_parameter_freezing",
     "set_conv_bn_folding",
     "Im2colWorkspace",
-    "workspace_reuse",
-    "set_workspace_reuse",
     "functional",
     "Module",
     "Parameter",

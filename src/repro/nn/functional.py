@@ -6,6 +6,15 @@ the classifier and by the attack objectives.
 
 All spatial operations use the NCHW layout, matching the convention of
 the image substrate (:mod:`repro.data.images`).
+
+The lowering works through NHWC: :func:`im2col` fills its
+``(N, H_out, W_out, C, K, K)`` column buffer with one strided slice copy
+per kernel offset ``(ky, kx)``, each moving whole channel runs, and
+:func:`col2im` scatter-adds the column gradient back in the same
+``(ky, kx)`` order.  Columns are pure copies and each image-gradient
+pixel sums its window contributions in that fixed order, so conv/pool
+outputs and gradients are bitwise those of a direct 6-D strided gather
+(pinned by ``tests/nn/test_lowering_parity.py``).
 """
 
 from __future__ import annotations
@@ -23,36 +32,6 @@ from .tensor import Tensor, get_default_dtype
 
 def _out_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
-
-
-_WORKSPACE_REUSE = True
-
-
-def set_workspace_reuse(enabled: bool) -> bool:
-    """Globally enable/disable im2col workspace reuse; returns previous.
-
-    With reuse off every :meth:`Im2colWorkspace.acquire` returns ``None``
-    and conv/pool lowering falls back to fresh allocations — the seed
-    engine's behaviour, kept reachable for benchmarking.
-    """
-    global _WORKSPACE_REUSE
-    previous = _WORKSPACE_REUSE
-    _WORKSPACE_REUSE = bool(enabled)
-    return previous
-
-
-class workspace_reuse:
-    """Context manager pinning the workspace-reuse flag."""
-
-    def __init__(self, enabled: bool) -> None:
-        self._enabled = enabled
-
-    def __enter__(self) -> "workspace_reuse":
-        self._previous = set_workspace_reuse(self._enabled)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        set_workspace_reuse(self._previous)
 
 
 class Im2colWorkspace:
@@ -79,7 +58,7 @@ class Im2colWorkspace:
 
     def acquire(self, shape: Tuple[int, ...], dtype: np.dtype) -> Optional[np.ndarray]:
         """Borrow the scratch buffer, reallocating on shape/dtype change."""
-        if self._in_use or not _WORKSPACE_REUSE:
+        if self._in_use:
             return None
         if (
             self._buffer is None
@@ -107,9 +86,19 @@ def im2col(
     """Lower NCHW image patches into a 2-D matrix of flattened windows.
 
     Returns a matrix of shape ``(N * H_out * W_out, C * kernel * kernel)``
-    and the output spatial size ``(H_out, W_out)``.  When ``out`` (a
-    ``(N, H_out, W_out, C, K, K)`` buffer) is given, the window copy is
-    written into it and the returned matrix is a view — no allocation.
+    and the output spatial size ``(H_out, W_out)``: row ``(n, y, x)``
+    holds the window at output pixel ``(y, x)`` flattened channel-major,
+    ``(c, ky, kx)``.  When ``out`` (a ``(N, H_out, W_out, C, K, K)``
+    buffer) is given, the windows are written into it and the returned
+    matrix is a view — no allocation.
+
+    The input is viewed as NHWC (copied once into a zero-bordered buffer
+    when ``pad > 0``), then each of the K×K kernel offsets fills its
+    ``[..., ky, kx]`` plane with one strided slice.  Every slice reads
+    whole contiguous channel runs, and conv outputs are NCHW views of
+    NHWC data, so the view is free for them.  The entries are plain
+    copies of input values, so the matrix is byte-for-byte the one any
+    other gather would build.
     """
     n, c, h, w = images.shape
     h_out = _out_size(h, kernel, stride, pad)
@@ -119,34 +108,20 @@ def im2col(
             f"im2col: kernel {kernel} / stride {stride} / pad {pad} too large "
             f"for spatial size {(h, w)}"
         )
+    nhwc = images.transpose(0, 2, 3, 1)
     if pad > 0:
-        images = np.pad(images, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-
-    strides = images.strides
-    windows = np.lib.stride_tricks.as_strided(
-        images,
-        shape=(n, c, h_out, w_out, kernel, kernel),
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2] * stride,
-            strides[3] * stride,
-            strides[2],
-            strides[3],
-        ),
-        writeable=False,
-    )
-    # (N, H_out, W_out, C, K, K) -> rows indexed by (n, y, x).  The
-    # permuted view is non-contiguous, so materialising it is one copy
-    # either way; writing into ``out`` reuses the caller's buffer, and a
-    # bare ``reshape`` already yields a contiguous matrix BLAS accepts.
-    permuted = windows.transpose(0, 2, 3, 1, 4, 5)
-    if out is not None:
-        np.copyto(out, permuted)
-        cols = out.reshape(n * h_out * w_out, c * kernel * kernel)
+        padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=images.dtype)
+        padded[:, pad : pad + h, pad : pad + w] = nhwc
     else:
-        cols = permuted.reshape(n * h_out * w_out, c * kernel * kernel)
-    return cols, (h_out, w_out)
+        padded = nhwc
+    if out is None:
+        out = np.empty((n, h_out, w_out, c, kernel, kernel), dtype=images.dtype)
+    y_span = stride * (h_out - 1) + 1
+    x_span = stride * (w_out - 1) + 1
+    for ky in range(kernel):
+        for kx in range(kernel):
+            out[..., ky, kx] = padded[:, ky : ky + y_span : stride, kx : kx + x_span : stride]
+    return out.reshape(n * h_out * w_out, c * kernel * kernel), (h_out, w_out)
 
 
 def col2im(
@@ -158,21 +133,24 @@ def col2im(
 ) -> np.ndarray:
     """Scatter-add column gradients back to NCHW image gradients.
 
-    Inverse (adjoint) of :func:`im2col`: overlapping windows accumulate.
+    Inverse (adjoint) of :func:`im2col`: overlapping windows accumulate,
+    one kernel offset at a time in ``(ky, kx)`` order, into an NHWC
+    buffer.  The result is copied out C-contiguous NCHW: callers reduce
+    over image gradients (batch norm), and numpy's summation order
+    follows memory layout, so an NHWC-backed view would move those sums
+    by an ulp.
     """
     n, c, h, w = image_shape
     h_out = _out_size(h, kernel, stride, pad)
     w_out = _out_size(w, kernel, stride, pad)
-    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols6 = cols.reshape(n, h_out, w_out, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
+    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
+    cols6 = cols.reshape(n, h_out, w_out, c, kernel, kernel)
+    y_span = stride * (h_out - 1) + 1
+    x_span = stride * (w_out - 1) + 1
     for ky in range(kernel):
-        y_end = ky + stride * h_out
         for kx in range(kernel):
-            x_end = kx + stride * w_out
-            padded[:, :, ky:y_end:stride, kx:x_end:stride] += cols6[:, :, :, :, ky, kx]
-    if pad > 0:
-        return padded[:, :, pad:-pad, pad:-pad]
-    return padded
+            padded[:, ky : ky + y_span : stride, kx : kx + x_span : stride] += cols6[..., ky, kx]
+    return np.ascontiguousarray(padded[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2))
 
 
 # --------------------------------------------------------------------- #

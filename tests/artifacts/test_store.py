@@ -102,6 +102,37 @@ class TestPayloadProtocol:
         assert header["schema_version"] == 3
         assert header["fingerprint"] == "fp"
 
+    def test_interrupted_write_leaves_nothing(self, tmp_path, monkeypatch):
+        def killed_mid_write(file, **arrays):
+            file.write(b"PK\x03\x04 truncated")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "savez", killed_mid_write)
+        with pytest.raises(KeyboardInterrupt):
+            write_payload(
+                os.path.join(tmp_path, "a.npz"), kind="demo", schema_version=1, arrays=ARRAYS
+            )
+        assert os.listdir(tmp_path) == []
+
+    def test_interrupted_overwrite_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = os.path.join(tmp_path, "a.npz")
+        digest = write_payload(path, kind="demo", schema_version=1, arrays=ARRAYS)
+
+        def failing_writer(file, **arrays):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", failing_writer)
+        with pytest.raises(OSError, match="disk full"):
+            write_payload(path, kind="demo", schema_version=1, arrays={"bias": np.ones(3)})
+        assert os.listdir(tmp_path) == ["a.npz"]
+        assert read_payload(path, kind="demo", schema_version=1)[2] == digest
+
+    def test_npz_suffix_appended_like_numpy(self, tmp_path):
+        base = os.path.join(tmp_path, "state")
+        write_payload(base, kind="demo", schema_version=1, arrays=ARRAYS)
+        assert os.listdir(tmp_path) == ["state.npz"]
+        read_payload(os.path.join(tmp_path, "state.npz"), kind="demo", schema_version=1)
+
 
 class TestArtifactStore:
     def test_save_load_round_trip(self, tmp_path):

@@ -12,6 +12,7 @@ from repro.metrics import (
     psnr,
     ssim,
 )
+from repro.metrics.ssim import _windows
 from repro.nn import TinyResNet
 
 RNG = np.random.default_rng(9)
@@ -117,6 +118,14 @@ class TestSSIM:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             ssim(np.zeros((3, 8, 8)), np.zeros((3, 9, 9)))
+
+    def test_windows_are_row_major_patches(self):
+        plane = RNG.random((9, 16))[:, ::2]  # a non-contiguous plane
+        rows = _windows(plane, 3)
+        expected = np.array(
+            [plane[i : i + 3, j : j + 3].reshape(-1) for i in range(7) for j in range(6)]
+        )
+        assert rows.tobytes() == expected.tobytes()
 
     def test_batch_ssim(self):
         x = RNG.random((3, 3, 12, 12))

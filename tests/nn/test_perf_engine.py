@@ -19,7 +19,6 @@ from repro.nn import (
     frozen_parameters,
     no_grad,
     parameter_freezing,
-    workspace_reuse,
 )
 from repro.nn import functional as F
 from repro.nn.functional import Im2colWorkspace
@@ -126,12 +125,18 @@ class TestWorkspaceReuse:
         np.testing.assert_array_equal(fresh, second)
         assert workspace.hits >= 1
 
-    def test_workspace_reuse_toggle(self):
+    def test_buffer_held_until_pending_backward_runs(self):
+        x = Tensor(RNG.random((2, 3, 6, 6)).astype(np.float32), requires_grad=True)
+        weight = Tensor(RNG.random((4, 3, 3, 3)).astype(np.float32) - 0.5, requires_grad=True)
         workspace = Im2colWorkspace()
-        with workspace_reuse(False):
-            assert workspace.acquire((4, 6), np.dtype(np.float32)) is None
-        buffer = workspace.acquire((4, 6), np.dtype(np.float32))
-        assert buffer is not None and buffer.shape == (4, 6)
+        shape = (2, 6, 6, 3, 3, 3)
+
+        out = F.conv2d(x, weight, stride=1, padding=1, workspace=workspace)
+        # The backward still owes a weight gradient from the columns.
+        assert workspace.acquire(shape, np.dtype(np.float32)) is None
+        out.sum().backward()
+        buffer = workspace.acquire(shape, np.dtype(np.float32))
+        assert buffer is not None and buffer.shape == shape
         workspace.release()
 
 
