@@ -22,16 +22,12 @@ import numpy as np
 import pytest
 
 from repro.attacks import FGSM, epsilon_from_255
-from repro.experiments import format_table2, run_attack_grid
+from repro.experiments import format_table2
 
 
 @pytest.fixture(scope="module")
-def all_grids(men_context, women_context):
-    grids = []
-    for context in (men_context, women_context):
-        for model_name in ("VBPR", "AMR"):
-            grids.append(run_attack_grid(context, model_name))
-    return grids
+def all_grids(men_grids, women_grids):
+    return [*men_grids, *women_grids]
 
 
 def test_table2_chr_after_attack(men_context, women_context, all_grids, benchmark):

@@ -17,15 +17,12 @@ dominant cost of the grid.
 import pytest
 
 from repro.attacks import PGD, epsilon_from_255
-from repro.experiments import format_table3, run_attack_grid
+from repro.experiments import format_table3
 
 
 @pytest.fixture(scope="module")
-def grids(men_context, women_context):
-    return [
-        run_attack_grid(men_context, "VBPR"),
-        run_attack_grid(women_context, "VBPR"),
-    ]
+def grids(men_grids, women_grids):
+    return [men_grids[0], women_grids[0]]  # the VBPR grids
 
 
 def test_table3_attack_success_probability(men_context, grids, benchmark):

@@ -21,16 +21,13 @@ over one attacked category — the analysis cost of RQ2.
 import numpy as np
 import pytest
 
-from repro.experiments import format_table4, run_attack_grid
+from repro.experiments import format_table4
 from repro.metrics import PerceptualSimilarity, batch_psnr, batch_ssim
 
 
 @pytest.fixture(scope="module")
-def grids(men_context, women_context):
-    return {
-        "men": run_attack_grid(men_context, "VBPR"),
-        "women": run_attack_grid(women_context, "VBPR"),
-    }
+def grids(men_grids, women_grids):
+    return {"men": men_grids[0], "women": women_grids[0]}  # the VBPR grids
 
 
 def test_table4_visual_quality(men_context, grids, benchmark):

@@ -17,6 +17,7 @@ from .payload import (
     content_hash,
     read_header,
     read_payload,
+    write_json,
     write_payload,
 )
 from .store import ArtifactRef, ArtifactStore, LoadedArtifact
@@ -32,6 +33,7 @@ __all__ = [
     "read_header",
     "read_payload",
     "write_payload",
+    "write_json",
     "ArtifactStore",
     "ArtifactRef",
     "LoadedArtifact",

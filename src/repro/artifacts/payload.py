@@ -110,21 +110,39 @@ def write_payload(
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"
+    writer = np.savez_compressed if compress else np.savez
+    # Writing through an open handle stops numpy appending ``.npz`` to
+    # the temporary name.
+    with _replacing(path, "xb") as stream:
+        writer(stream, **{_HEADER_KEY: np.array(json.dumps(header))}, **dict(arrays))
+    return digest
+
+
+def write_json(path: str, payload: Any) -> None:
+    """Write ``payload`` as indented, key-sorted JSON, atomically.
+
+    Same temp-file-then-:func:`os.replace` discipline as
+    :func:`write_payload`: a run killed mid-write keeps the previous
+    file.  Values JSON cannot encode are written as their ``str()``.
+    """
+    with _replacing(os.fspath(path), "x") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True, default=str)
+
+
+@contextlib.contextmanager
+def _replacing(path: str, mode: str):
+    """Open a temporary file beside ``path``; move it onto ``path`` on success."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    writer = np.savez_compressed if compress else np.savez
     temp_path = os.path.join(directory, f".{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
     try:
-        # Writing through an open handle stops numpy appending ``.npz``
-        # to the temporary name.
-        with open(temp_path, "xb") as stream:
-            writer(stream, **{_HEADER_KEY: np.array(json.dumps(header))}, **dict(arrays))
+        with open(temp_path, mode, encoding=None if "b" in mode else "utf-8") as stream:
+            yield stream
         os.replace(temp_path, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(temp_path)
         raise
-    return digest
 
 
 def read_header(path: str) -> Dict[str, Any]:

@@ -17,7 +17,8 @@ Four subcommands cover the daily workflows::
 ``stats`` prints Table I-style dataset statistics; ``train`` builds (and
 optionally caches) the full experiment context; ``attack`` runs a single
 TAaMR attack and reports CHR / success / visual metrics; ``tables``
-regenerates the paper's Tables II-IV on one dataset; ``bench`` times the
+regenerates the paper's Tables II-IV on one dataset (the ``tables``
+stage of the ``run`` DAG, printed); ``bench`` times the
 engine's float64-baseline vs float32-optimized configurations;
 ``serve-bench`` load-tests the online serving layer (cold vs cached vs
 post-attack-invalidation phases); ``run`` executes the experiment stage
@@ -42,16 +43,7 @@ from typing import List, Optional
 
 from .attacks import BIM, FGSM, MIM, PGD, epsilon_from_255
 from .core import TAaMRPipeline, make_scenario
-from .experiments import (
-    build_context,
-    format_table1,
-    format_table2,
-    format_table3,
-    format_table4,
-    men_config,
-    run_attack_grids,
-    women_config,
-)
+from .experiments import build_context, format_table1, men_config, women_config
 
 ATTACKS = {
     "fgsm": lambda model, eps, steps, seed: FGSM(model, eps),
@@ -255,6 +247,25 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _dag_config(args: argparse.Namespace):
+    """The ExperimentConfig behind ``run`` / ``matrix``; None on a bad flag."""
+    factory = men_config if args.dataset == "men" else women_config
+    overrides = dict(scale=args.scale, seed=args.seed, cutoff=args.cutoff)
+    if args.epsilons:
+        try:
+            overrides["epsilons_255"] = tuple(
+                float(part) for part in args.epsilons.split(",") if part.strip()
+            )
+        except ValueError:
+            print("error: --epsilons must be comma-separated numbers", file=sys.stderr)
+            return None
+    if args.pgd_steps is not None:
+        overrides["pgd_steps"] = args.pgd_steps
+    if args.ladder is not None:
+        overrides["ladder_mode"] = args.ladder
+    return factory(**overrides)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     from .artifacts import ArtifactStore
     from .experiments import (
@@ -264,21 +275,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         format_plan,
     )
 
-    factory = men_config if args.dataset == "men" else women_config
-    overrides = dict(scale=args.scale, seed=args.seed, cutoff=args.cutoff)
-    if args.epsilons:
-        try:
-            overrides["epsilons_255"] = tuple(
-                float(part) for part in args.epsilons.split(",") if part.strip()
-            )
-        except ValueError:
-            print(f"error: --epsilons must be comma-separated numbers", file=sys.stderr)
-            return 2
-    if args.pgd_steps is not None:
-        overrides["pgd_steps"] = args.pgd_steps
-    if args.ladder is not None:
-        overrides["ladder_mode"] = args.ladder
-    config = factory(**overrides)
+    config = _dag_config(args)
+    if config is None:
+        return 2
 
     stages = None
     if args.stages:
@@ -325,21 +324,9 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     from .experiments import MatrixConfig, MatrixRunner, format_cube
     from .experiments.stages import format_plan
 
-    factory = men_config if args.dataset == "men" else women_config
-    overrides = dict(scale=args.scale, seed=args.seed, cutoff=args.cutoff)
-    if args.epsilons:
-        try:
-            overrides["epsilons_255"] = tuple(
-                float(part) for part in args.epsilons.split(",") if part.strip()
-            )
-        except ValueError:
-            print("error: --epsilons must be comma-separated numbers", file=sys.stderr)
-            return 2
-    if args.pgd_steps is not None:
-        overrides["pgd_steps"] = args.pgd_steps
-    if args.ladder is not None:
-        overrides["ladder_mode"] = args.ladder
-    base = factory(**overrides)
+    base = _dag_config(args)
+    if base is None:
+        return 2
 
     def split(value: str) -> tuple:
         return tuple(part.strip() for part in value.split(",") if part.strip())
@@ -470,14 +457,18 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    context = _build(args)
-    grids = run_attack_grids(context, ("VBPR", "AMR"), ladder_mode=args.ladder)
-    epsilons = context.config.epsilons_255
-    print(format_table2(grids, epsilons))
-    print()
-    print(format_table3(grids[:1], epsilons))
-    print()
-    print(format_table4(grids[0], epsilons))
+    import dataclasses
+
+    from .artifacts import ArtifactStore
+    from .experiments import StageRunner
+
+    config = _make_config(args)
+    if args.ladder is not None:
+        config = dataclasses.replace(config, ladder_mode=args.ladder)
+    store = ArtifactStore(args.cache_dir) if args.cache_dir else None
+    runner = StageRunner(config, store=store, verbose=not args.quiet)
+    results, _ = runner.run(stages=["tables"])
+    print(results.tables_text)
     return 0
 
 
@@ -547,11 +538,11 @@ def build_parser() -> argparse.ArgumentParser:
     tables = subparsers.add_parser("tables", help="regenerate Tables II-IV")
     _add_common_arguments(tables)
     tables.add_argument(
-        "--ladder", choices=("exact", "warm", "off"), default=None,
+        "--ladder", choices=("exact", "warm"), default=None,
         help="attack-grid engine: 'exact' batches each cohort through the "
-        "ε ladder (bitwise-identical to the per-cell path), 'warm' adds "
-        "warm starts + early exits, 'off' runs the legacy per-cell loop "
-        "(default: the config's ladder_mode, 'exact')",
+        "ε ladder (bitwise-identical to per-cell attacks), 'warm' adds "
+        "warm starts + early exits (default: the config's ladder_mode, "
+        "'exact')",
     )
     tables.set_defaults(handler=cmd_tables)
 
@@ -572,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--pgd-steps", type=int, default=None, help="PGD iterations")
     run.add_argument(
-        "--ladder", choices=("exact", "warm", "off"), default=None,
+        "--ladder", choices=("exact", "warm"), default=None,
         help="attack-grid engine for the attack_grid stage (fingerprinted: "
         "changing it re-runs the stage); default is the config's "
         "ladder_mode, 'exact'",
@@ -615,8 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix.add_argument("--pgd-steps", type=int, default=None, help="PGD iterations")
     matrix.add_argument(
-        "--ladder", choices=("exact", "warm", "off"), default=None,
-        help="crafting engine for FGSM/PGD cells (others always run per-cell)",
+        "--ladder", choices=("exact", "warm"), default=None,
+        help="ε-ladder mode for FGSM/PGD cells (others always run per-cell)",
     )
     matrix.add_argument(
         "--attacks", default="FGSM,PGD",
@@ -666,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--no-ladder", action="store_true",
-        help="skip the ladder-mode grid timings (off vs exact vs warm)",
+        help="skip the ladder grid timings (per-cell baseline vs exact vs warm)",
     )
     bench.add_argument(
         "--out", default=None, help="write the JSON report to this path"

@@ -41,9 +41,8 @@ class ExperimentConfig:
     epsilons_255: Tuple[float, ...] = (2.0, 4.0, 8.0, 16.0)
     pgd_steps: int = 10
     # Grid engine: "exact" batches each (scenario, attack) cohort through
-    # the ε ladder with bitwise-identical outputs, "warm" adds warm
-    # starts + early exits (tolerance-equivalent), "off" runs the legacy
-    # per-cell loop.
+    # the ε ladder with outputs bitwise-identical to per-cell attacks,
+    # "warm" adds warm starts + early exits (tolerance-equivalent).
     ladder_mode: str = "exact"
 
     def __post_init__(self) -> None:
@@ -55,8 +54,8 @@ class ExperimentConfig:
             raise ValueError("cutoff must be positive")
         if any(eps <= 0 or eps > 255 for eps in self.epsilons_255):
             raise ValueError("epsilons_255 must lie in (0, 255]")
-        if self.ladder_mode not in ("exact", "warm", "off"):
-            raise ValueError("ladder_mode must be 'exact', 'warm' or 'off'")
+        if self.ladder_mode not in ("exact", "warm"):
+            raise ValueError("ladder_mode must be 'exact' or 'warm'")
 
     def cache_key(self) -> str:
         """Deterministic hash of every training-relevant field."""

@@ -80,20 +80,6 @@ class ExperimentContext:
         )
 
 
-def _recommender_state(model: VBPR) -> Dict[str, np.ndarray]:
-    """Back-compat shim over :meth:`VBPR.state_dict`."""
-    return model.state_dict()
-
-
-def _load_recommender_state(model: VBPR, state: Dict[str, np.ndarray]) -> None:
-    """Back-compat shim over :meth:`VBPR.load_state_dict`.
-
-    Raises a :class:`ValueError` naming the missing/unexpected keys when
-    the cached state is corrupted, instead of an opaque ``KeyError``.
-    """
-    model.load_state_dict(state)
-
-
 def build_context(
     config: ExperimentConfig, cache_dir: Optional[str] = None, verbose: bool = False
 ) -> ExperimentContext:

@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..artifacts import ArtifactError, ArtifactStore, content_hash
+from ..artifacts import ArtifactStore, write_json
 from ..attacks import LADDER_ATTACKS, EpsilonLadder, LadderCell
 from ..attacks.base import AttackResult
 from ..attacks.projections import epsilon_from_255
@@ -74,17 +74,10 @@ from ..defenses import (
     ReconstructionDetector,
     distill,
 )
-from ..features import ClassifierConfig, ClassifierTrainer, FeatureExtractor
+from ..features import FeatureExtractor
 from ..metrics import batch_psnr, batch_ssim, psm_from_features
 from ..nn import TinyResNet
-from ..recommenders import (
-    AMR,
-    AMRConfig,
-    BPRMF,
-    BPRMFConfig,
-    VBPR,
-    VBPRConfig,
-)
+from ..recommenders import BPRMF, BPRMFConfig
 from ..telemetry import Stopwatch, span
 from .config import ExperimentConfig
 from .runner import fallback_ladder_cells
@@ -93,9 +86,19 @@ from .stages import (
     StagePlan,
     StageResults,
     StageRunner,
+    StoredNode,
+    _catalog_features,
     _grid_row,
+    _load_catalog_features,
+    _load_classifier,
+    _make_amr,
+    _make_classifier,
+    _make_vbpr,
+    _train_classifier,
     attack_stats_from_rows,
     chained_fingerprint,
+    load_node,
+    save_node,
 )
 
 MATRIX_SCHEMA_VERSION = 1
@@ -586,13 +589,7 @@ class MatrixManifest:
         }
 
     def save(self, path: str) -> None:
-        import json
-        import os
-
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.as_dict(), handle, indent=2, sort_keys=True, default=str)
+        write_json(path, self.as_dict())
 
 
 @dataclass
@@ -628,12 +625,13 @@ class MatrixResults:
 class MatrixRunner:
     """Execute the configured scenario matrix against an artifact store.
 
-    Follows the same load-verify-or-build protocol as
-    :class:`~repro.experiments.stages.StageRunner`: every node attempts
-    an artifact load keyed by its chained fingerprint, verifies the
-    recorded ``__inputs__`` content hashes against the upstream nodes
-    of *this* run, and rebuilds on any mismatch.  Base stages run first
-    through the static DAG, so both layers share one store.
+    Every node goes through the stage DAG's load-verify-or-build
+    protocol (:func:`~repro.experiments.stages.load_node` /
+    :func:`~repro.experiments.stages.save_node`): an artifact load keyed
+    by its chained fingerprint, verified against the content hashes of
+    the upstream nodes of *this* run, and a rebuild on any mismatch.
+    Base stages run first through the static DAG, so both layers share
+    one store.
     """
 
     def __init__(
@@ -646,7 +644,6 @@ class MatrixRunner:
         self.store = store
         self.verbose = verbose
         self.fingerprints = matrix_fingerprints(config)
-        self._hashes: Dict[str, str] = {}
 
     def _log(self, message: str) -> None:
         if self.verbose:
@@ -679,231 +676,82 @@ class MatrixRunner:
             )
         return plans
 
-    # -- generic node protocol ------------------------------------------ #
-    def _try_load(
-        self, name: str, kind: str, deps: Sequence[str]
-    ) -> Tuple[Optional[Any], Optional[StageOutcome], str]:
-        """Attempt an artifact load with input-hash verification."""
-        if self.store is None:
-            return None, None, "no store configured"
-        fingerprint = self.fingerprints[name]
-        watch = Stopwatch()
-        try:
-            loaded = self.store.load(
-                kind, fingerprint, schema_version=MATRIX_SCHEMA_VERSION
-            )
-            recorded = loaded.meta.get("__inputs__", {})
-            stale = [
-                dep for dep in deps if recorded.get(dep) != self._hashes.get(dep)
-            ]
-            if stale:
-                raise ArtifactError(
-                    f"inputs changed since the artifact was built: {sorted(stale)}"
-                )
-        except ArtifactError as error:
-            reason = (
-                "no stored artifact"
-                if isinstance(error, FileNotFoundError)
-                else f"refused stored artifact: {error}"
-            )
-            return None, None, reason
-        self._hashes[name] = loaded.ref.content_hash
-        self._log(f"node {name}: loaded from store ({fingerprint})")
-        outcome = StageOutcome(
+    def _stored(self, name: str, kind: str, deps: Sequence[str]) -> StoredNode:
+        return StoredNode(
             name=name,
-            fingerprint=fingerprint,
-            action="hit",
-            seconds=watch.elapsed(),
-            content_hash=loaded.ref.content_hash,
-            path=loaded.ref.path,
-        )
-        return loaded, outcome, ""
-
-    def _save(
-        self,
-        name: str,
-        kind: str,
-        deps: Sequence[str],
-        arrays: Dict[str, np.ndarray],
-        meta: Dict[str, Any],
-        seconds: float,
-        reason: str,
-    ) -> StageOutcome:
-        fingerprint = self.fingerprints[name]
-        meta = dict(meta)
-        meta["__inputs__"] = {dep: self._hashes[dep] for dep in deps}
-        path = None
-        if self.store is not None:
-            ref = self.store.save(
-                kind,
-                fingerprint,
-                arrays,
-                schema_version=MATRIX_SCHEMA_VERSION,
-                meta=meta,
-            )
-            digest, path = ref.content_hash, ref.path
-        else:
-            digest = content_hash(arrays, meta)
-        self._hashes[name] = digest
-        self._log(f"node {name}: built ({reason})")
-        return StageOutcome(
-            name=name,
-            fingerprint=fingerprint,
-            action="built",
-            seconds=seconds,
-            content_hash=digest,
-            path=path,
-            reason=reason,
+            kind=kind,
+            fingerprint=self.fingerprints[name],
+            schema_version=MATRIX_SCHEMA_VERSION,
+            deps=tuple(deps),
+            compress=False,
         )
 
-    def _node(
-        self,
-        name: str,
-        kind: str,
-        deps: Sequence[str],
-        build: Callable[[], Tuple[Dict[str, np.ndarray], Dict[str, Any]]],
-        unpack: Callable[[Dict[str, np.ndarray], Dict[str, Any]], Any],
-        forced: bool,
-    ) -> Tuple[Any, StageOutcome]:
-        reason = "forced rebuild" if forced else ""
-        with span(f"matrix.{name}", fingerprint=self.fingerprints[name]):
-            if not forced:
-                loaded, outcome, miss_reason = self._try_load(name, kind, deps)
-                if loaded is not None:
-                    return unpack(loaded.arrays, loaded.meta), outcome
-                reason = miss_reason
-            watch = Stopwatch()
-            arrays, meta = build()
-            value = unpack(arrays, meta)
-            outcome = self._save(
-                name, kind, deps, arrays, meta, watch.elapsed(), reason or "miss"
-            )
-        return value, outcome
+    # -- model nodes ----------------------------------------------------- #
+    def _model_node(
+        self, name: str, kind: str, base: StageResults, models: Dict[str, Any]
+    ) -> Tuple[Tuple[str, ...], Callable[[], Any], Callable[[Dict, Dict], Any]]:
+        """``(deps, build, unpack)`` of one non-cell node.
 
-    # -- node builders --------------------------------------------------- #
-    def _build_surrogate(self, base: StageResults):
-        config = self.config
-        dataset = base.dataset
-
-        def build():
-            model = TinyResNet(
-                num_classes=dataset.num_categories,
-                widths=config.base.classifier_widths,
-                blocks_per_stage=config.base.classifier_blocks,
-                seed=config.transfer_seed,
-            )
-            trainer = ClassifierTrainer(
-                model,
-                ClassifierConfig(
-                    epochs=config.base.classifier_epochs,
-                    batch_size=config.base.classifier_batch_size,
-                    learning_rate=config.base.classifier_lr,
-                    seed=config.transfer_seed,
-                ),
-            )
-            trainer.fit(dataset.images, dataset.item_categories)
-            return model.state_dict(), {}
-
-        def unpack(arrays, meta):
-            model = TinyResNet(
-                num_classes=dataset.num_categories,
-                widths=config.base.classifier_widths,
-                blocks_per_stage=config.base.classifier_blocks,
-                seed=config.transfer_seed,
-            )
-            model.load_state_dict(arrays)
-            model.eval()
-            return model
-
-        return build, unpack
-
-    def _build_bprmf(self, base: StageResults):
+        ``build`` returns the ``(arrays, meta)`` payload; ``unpack``
+        turns a payload (fresh or stored) into the node's value.
+        """
         config = self.config.base
         dataset = base.dataset
+        if kind == "matrix_surrogate":
+            seed = self.config.transfer_seed
 
-        def build():
-            model = BPRMF(
-                dataset.num_users,
-                dataset.num_items,
-                BPRMFConfig(epochs=config.recommender_epochs, seed=config.seed),
-            ).fit(dataset.feedback)
+            def build_surrogate():
+                model, _ = _train_classifier(config, dataset, seed)
+                return model.state_dict(), {}
+
             return (
-                {
-                    "user_factors": model.user_factors,
-                    "item_factors": model.item_factors,
-                    "item_bias": model.item_bias,
-                },
-                {},
+                ("dataset",),
+                build_surrogate,
+                lambda arrays, meta: _load_classifier(config, dataset, seed, arrays),
             )
+        if kind == "matrix_bprmf":
 
-        def unpack(arrays, meta):
-            model = BPRMF(
-                dataset.num_users,
-                dataset.num_items,
-                BPRMFConfig(epochs=config.recommender_epochs, seed=config.seed),
-            )
-            model.user_factors = np.asarray(
-                arrays["user_factors"], dtype=np.float64  # lint: allow-float64
-            )
-            model.item_factors = np.asarray(
-                arrays["item_factors"], dtype=np.float64  # lint: allow-float64
-            )
-            model.item_bias = np.asarray(
-                arrays["item_bias"], dtype=np.float64  # lint: allow-float64
-            )
-            model._fitted = True
-            return model
+            def make_bprmf() -> BPRMF:
+                return BPRMF(
+                    dataset.num_users,
+                    dataset.num_items,
+                    BPRMFConfig(epochs=config.recommender_epochs, seed=config.seed),
+                )
 
-        return build, unpack
-
-    def _defended_catalog(
-        self, classifier: TinyResNet, images: np.ndarray
-    ) -> Tuple[FeatureExtractor, np.ndarray, np.ndarray, np.ndarray]:
-        """One deployed-catalog pass: extractor + raw/std features + classes."""
-        extractor = FeatureExtractor(classifier)
-        classes, raw = classifier.predict_with_features(
-            images, batch_size=extractor.batch_size
-        )
-        raw = np.asarray(raw, dtype=np.float64)  # lint: allow-float64
-        extractor.fit_from_raw(raw)
+            return (
+                ("dataset",),
+                lambda: (make_bprmf().fit(dataset.feedback).state_dict(), {}),
+                lambda arrays, meta: make_bprmf().load_state_dict(arrays),
+            )
+        if kind == "matrix_defense":
+            build, unpack = self._defense_node(name.partition(":")[2], base)
+            return ("dataset", "classifier"), build, unpack
+        # "recommender:<defense>/<VBPR|AMR>", trained on the defense's features.
+        defense, _, rec = name.partition(":")[2].partition("/")
+        make = _make_vbpr if rec == "VBPR" else _make_amr
+        features = models[f"defense:{defense}"].features
         return (
-            extractor,
-            raw,
-            extractor.transform_raw_features(raw),
-            np.asarray(classes, dtype=np.int64),
+            ("dataset", f"defense:{defense}"),
+            lambda: (make(config, dataset, features).fit(dataset.feedback).state_dict(), {}),
+            lambda arrays, meta: make(config, dataset, features).load_state_dict(arrays),
         )
 
-    def _build_defense(self, defense: str, base: StageResults):
+    def _defense_node(self, defense: str, base: StageResults):
+        """``(build, unpack)`` of one retraining defense's deployed catalog."""
         config = self.config
         dataset = base.dataset
-
-        def _pack_state(
-            classifier: Optional[TinyResNet],
-            extractor: FeatureExtractor,
-            raw: np.ndarray,
-            item_classes: np.ndarray,
-        ):
-            arrays: Dict[str, np.ndarray] = {
-                "raw_features": raw,
-                "item_classes": item_classes,
-            }
-            arrays.update(
-                {f"norm__{k}": v for k, v in extractor.normalization_state().items()}
+        squeezer = (
+            FeatureSqueezer(
+                bits=config.squeeze_bits, median_kernel=config.squeeze_median_kernel
             )
-            if classifier is not None:
-                arrays.update(
-                    {f"clf__{k}": v for k, v in classifier.state_dict().items()}
-                )
-            return arrays, {"defense": defense}
+            if defense == "squeeze"
+            else None
+        )
+        seed = config.base.seed + 1 if defense == "distill" else config.base.seed
 
         def build():
             if defense == "adv_train":
-                classifier = TinyResNet(
-                    num_classes=dataset.num_categories,
-                    widths=config.base.classifier_widths,
-                    blocks_per_stage=config.base.classifier_blocks,
-                    seed=config.base.seed,
-                )
+                classifier = _make_classifier(config.base, dataset, seed)
                 classifier.load_state_dict(base.classifier.state_dict())
                 AdversarialTrainer(
                     classifier,
@@ -917,12 +765,8 @@ class MatrixRunner:
                         seed=config.base.seed,
                     ),
                 ).fit(dataset.images, dataset.item_categories)
-                extractor, raw, _, classes = self._defended_catalog(
-                    classifier, dataset.images
-                )
-                return _pack_state(classifier, extractor, raw, classes)
-            if defense == "distill":
-                student, _ = distill(
+            elif defense == "distill":
+                classifier, _ = distill(
                     base.classifier,
                     dataset.images,
                     DistillationConfig(
@@ -932,52 +776,34 @@ class MatrixRunner:
                         learning_rate=config.base.classifier_lr,
                         seed=config.base.seed,
                     ),
-                    student_seed=config.base.seed + 1,
+                    student_seed=seed,
                 )
-                extractor, raw, _, classes = self._defended_catalog(
-                    student, dataset.images
-                )
-                return _pack_state(student, extractor, raw, classes)
-            # squeeze: base classifier deployed behind the squeezer; the
-            # clean catalog itself is ingested through it.
-            squeezer = FeatureSqueezer(
-                bits=config.squeeze_bits, median_kernel=config.squeeze_median_kernel
-            )
-            extractor, raw, _, classes = self._defended_catalog(
-                base.classifier, squeezer(dataset.images)
-            )
-            return _pack_state(None, extractor, raw, classes)
-
-        def unpack(arrays, meta):
-            if defense == "squeeze":
-                classifier = base.classifier
             else:
-                seed = (
-                    config.base.seed + 1 if defense == "distill" else config.base.seed
-                )
-                classifier = TinyResNet(
-                    num_classes=dataset.num_categories,
-                    widths=config.base.classifier_widths,
-                    blocks_per_stage=config.base.classifier_blocks,
-                    seed=seed,
-                )
-                classifier.load_state_dict(
-                    {
-                        k[len("clf__"):]: v
-                        for k, v in arrays.items()
-                        if k.startswith("clf__")
-                    }
-                )
-                classifier.eval()
-            extractor = FeatureExtractor(classifier)
-            extractor.load_normalization_state(
-                {
-                    "mean": arrays["norm__mean"],
-                    "scale": arrays["norm__scale"],
-                }
+                # squeeze: the base classifier deployed behind the
+                # squeezer; the clean catalog itself is ingested through it.
+                classifier = base.classifier
+            images = dataset.images if squeezer is None else squeezer(dataset.images)
+            extractor, raw, _, classes = _catalog_features(classifier, images)
+            arrays: Dict[str, np.ndarray] = {"raw_features": raw, "item_classes": classes}
+            arrays.update(
+                {f"norm__{k}": v for k, v in extractor.normalization_state().items()}
             )
-            raw = np.asarray(
-                arrays["raw_features"], dtype=np.float64  # lint: allow-float64
+            if squeezer is None:
+                arrays.update({f"clf__{k}": v for k, v in classifier.state_dict().items()})
+            return arrays, {"defense": defense}
+
+        def unpack(arrays, meta) -> DefenseRuntime:
+            if squeezer is None:
+                state = {
+                    k[len("clf__"):]: v for k, v in arrays.items() if k.startswith("clf__")
+                }
+                classifier = _load_classifier(config.base, dataset, seed, state)
+            else:
+                classifier = base.classifier
+            extractor, raw, features = _load_catalog_features(
+                classifier,
+                {"mean": arrays["norm__mean"], "scale": arrays["norm__scale"]},
+                arrays["raw_features"],
             )
             item_classes = np.asarray(arrays["item_classes"], dtype=np.int64)
             return DefenseRuntime(
@@ -985,53 +811,13 @@ class MatrixRunner:
                 classifier=classifier,
                 extractor=extractor,
                 raw_features=raw,
-                features=extractor.transform_raw_features(raw),
+                features=features,
                 item_classes=item_classes,
                 attack_item_classes=(
-                    base.item_classes if defense == "squeeze" else item_classes
+                    item_classes if squeezer is None else base.item_classes
                 ),
-                ingest=(
-                    FeatureSqueezer(
-                        bits=config.squeeze_bits,
-                        median_kernel=config.squeeze_median_kernel,
-                    )
-                    if defense == "squeeze"
-                    else None
-                ),
+                ingest=squeezer,
             )
-
-        return build, unpack
-
-    def _build_visual_recommender(self, defense: str, rec: str, runtime: DefenseRuntime):
-        config = self.config.base
-        dataset = self._base.dataset
-
-        def make():
-            if rec == "VBPR":
-                return VBPR(
-                    dataset.num_users,
-                    dataset.num_items,
-                    runtime.features,
-                    VBPRConfig(epochs=config.recommender_epochs, seed=config.seed),
-                )
-            return AMR(
-                dataset.num_users,
-                dataset.num_items,
-                runtime.features,
-                AMRConfig(
-                    epochs=config.recommender_epochs,
-                    pretrain_epochs=config.amr_pretrain_epochs,
-                    gamma=config.amr_gamma,
-                    eta=config.amr_eta,
-                    seed=config.seed,
-                ),
-            )
-
-        def build():
-            return make().fit(dataset.feedback).state_dict(), {}
-
-        def unpack(arrays, meta):
-            return make().load_state_dict(arrays)
 
         return build, unpack
 
@@ -1054,53 +840,6 @@ class MatrixRunner:
             runtime.detector = detector
         return runtime
 
-    def _ensure_runtime(
-        self,
-        defense: str,
-        base: StageResults,
-        force_set: set,
-        nodes: List[StageOutcome],
-    ) -> Tuple[DefenseRuntime, Dict[str, Any]]:
-        """The defense runtime plus its (loaded-or-built) recommenders."""
-        recommenders: Dict[str, Any] = {}
-        if defense not in RETRAINING_DEFENSES:
-            runtime = self._base_runtime(defense, base)
-            # The deployed state of identity-ingest defenses *is* the base
-            # features artifact; chain their content identity through it.
-            self._hashes[f"defense:{defense}"] = self._hashes.get("features", "")
-            for rec in self.config.recommenders:
-                if rec in VISUAL_RECOMMENDERS:
-                    recommenders[rec] = base.recommender(rec)
-            return runtime, recommenders
-
-        node = f"defense:{defense}"
-        build, unpack = self._build_defense(defense, base)
-        runtime, outcome = self._node(
-            node,
-            "matrix_defense",
-            ("dataset", "classifier"),
-            build,
-            unpack,
-            forced=node in force_set,
-        )
-        nodes.append(outcome)
-        for rec in self.config.recommenders:
-            if rec not in VISUAL_RECOMMENDERS:
-                continue
-            rec_node = f"recommender:{defense}/{rec}"
-            build, unpack = self._build_visual_recommender(defense, rec, runtime)
-            model, outcome = self._node(
-                rec_node,
-                "matrix_recommender",
-                ("dataset", node),
-                build,
-                unpack,
-                forced=rec_node in force_set,
-            )
-            nodes.append(outcome)
-            recommenders[rec] = model
-        return runtime, recommenders
-
     # -- crafting -------------------------------------------------------- #
     def _craft_cells(
         self,
@@ -1108,12 +847,11 @@ class MatrixRunner:
         surrogate: Optional[TinyResNet],
         attack_name: str,
         scenario: AttackScenario,
+        images: np.ndarray,
         source_items: np.ndarray,
         target_class: int,
     ) -> List[LadderCell]:
         base = self.config.base
-        dataset = self._base.dataset
-        images = dataset.images[source_items]
         if attack_name == "TRANSFER":
             craft_model = surrogate
             craft_attack = "PGD"
@@ -1122,12 +860,11 @@ class MatrixRunner:
             craft_model = runtime.classifier
             craft_attack = attack_name
             original = runtime.attack_item_classes[source_items]
-        epsilons = tuple(epsilon_from_255(eps) for eps in base.epsilons_255)
-        if craft_attack in LADDER_ATTACKS and base.ladder_mode != "off":
+        if craft_attack in LADDER_ATTACKS:
             ladder = EpsilonLadder(
                 craft_model,
                 attack=craft_attack,
-                epsilons=epsilons,
+                epsilons=tuple(epsilon_from_255(eps) for eps in base.epsilons_255),
                 mode=base.ladder_mode,
                 num_steps=base.pgd_steps,
                 seed=base.seed,
@@ -1152,9 +889,6 @@ class MatrixRunner:
             pgd_steps=base.pgd_steps,
             seed=base.seed,
             options=self.config.attack_options(craft_attack),
-            # FGSM/PGD per-cell runs under ladder_mode="off" are a
-            # configuration choice, not an engine degradation.
-            count=craft_attack not in LADDER_ATTACKS,
         )
 
     # -- execution ------------------------------------------------------- #
@@ -1163,56 +897,58 @@ class MatrixRunner:
 
         ``force`` names matrix nodes (``defense:squeeze``,
         ``cell:none/FGSM/VBPR``, ...) that must rebuild even when a
-        valid artifact exists.
+        valid artifact exists.  Model nodes (surrogate, BPR-MF, retrained
+        defenses and their recommenders) resolve first, in
+        :func:`matrix_node_order`; then each defense's column of cells.
         """
         config = self.config
-        known = {name for name, _ in matrix_node_order(config)}
+        order = matrix_node_order(config)
         force_set = set(force or ())
-        unknown = force_set.difference(known)
+        unknown = force_set.difference(name for name, _ in order)
         if unknown:
             raise ValueError(f"unknown matrix nodes in force={sorted(unknown)}")
 
         base, base_manifest = StageRunner(
             config.base, store=self.store, verbose=self.verbose
         ).run(stages=self._base_stages_needed())
-        self._base = base
-        for outcome in base_manifest.stages:
-            if outcome.content_hash:
-                self._hashes[outcome.name] = outcome.content_hash
-
+        hashes: Dict[str, str] = {
+            outcome.name: outcome.content_hash
+            for outcome in base_manifest.stages
+            if outcome.content_hash
+        }
         manifest = MatrixManifest(
             config={**asdict(config), "base": asdict(config.base)},
             store_root=self.store.root if self.store else None,
             base_stages=list(base_manifest.stages),
         )
 
-        surrogate: Optional[TinyResNet] = None
-        if "TRANSFER" in config.attacks:
-            build, unpack = self._build_surrogate(base)
-            surrogate, outcome = self._node(
-                "surrogate",
-                "matrix_surrogate",
-                ("dataset",),
-                build,
-                unpack,
-                forced="surrogate" in force_set,
-            )
+        models: Dict[str, Any] = {}
+        for name, kind in order:
+            if kind == "matrix_cell":
+                continue
+            deps, build, unpack = self._model_node(name, kind, base, models)
+            node = self._stored(name, kind, deps)
+            with span(f"matrix.{name}", fingerprint=node.fingerprint):
+                loaded, outcome, reason = load_node(
+                    self.store, node, hashes, name in force_set
+                )
+                if loaded is not None:
+                    models[name] = unpack(loaded.arrays, loaded.meta)
+                    self._log(f"node {name}: loaded from store ({node.fingerprint})")
+                else:
+                    watch = Stopwatch()
+                    arrays, meta = build()
+                    models[name] = unpack(arrays, meta)
+                    outcome = save_node(
+                        self.store, node, hashes, arrays, meta, watch.elapsed(), reason
+                    )
+                    self._log(f"node {name}: built ({reason})")
             manifest.nodes.append(outcome)
 
-        bprmf: Optional[BPRMF] = None
-        bprmf_scores: Optional[np.ndarray] = None
-        bprmf_top_n: Optional[np.ndarray] = None
-        if "BPRMF" in config.recommenders:
-            build, unpack = self._build_bprmf(base)
-            bprmf, outcome = self._node(
-                "recommender:shared/BPRMF",
-                "matrix_bprmf",
-                ("dataset",),
-                build,
-                unpack,
-                forced="recommender:shared/BPRMF" in force_set,
-            )
-            manifest.nodes.append(outcome)
+        surrogate: Optional[TinyResNet] = models.get("surrogate")
+        bprmf: Optional[BPRMF] = models.get("recommender:shared/BPRMF")
+        bprmf_scores = bprmf_top_n = None
+        if bprmf is not None:
             bprmf_scores = bprmf.score_all()
             bprmf_top_n = bprmf.top_n(
                 min(config.base.cutoff, base.dataset.num_items),
@@ -1224,36 +960,47 @@ class MatrixRunner:
         rows_by_cell: Dict[Tuple[str, str, str], List[Dict[str, Any]]] = {}
 
         for defense in config.defenses:
-            runtime, rec_models = self._ensure_runtime(
-                defense, base, force_set, manifest.nodes
-            )
+            if defense in RETRAINING_DEFENSES:
+                runtime = models[f"defense:{defense}"]
+                rec_models = {
+                    rec: models[f"recommender:{defense}/{rec}"]
+                    for rec in config.recommenders
+                    if rec in VISUAL_RECOMMENDERS
+                }
+            else:
+                runtime = self._base_runtime(defense, base)
+                # The deployed state of identity-ingest defenses *is* the
+                # base features artifact; chain their content identity
+                # through it.
+                hashes[f"defense:{defense}"] = hashes.get("features", "")
+                rec_models = {
+                    rec: base.recommender(rec)
+                    for rec in config.recommenders
+                    if rec in VISUAL_RECOMMENDERS
+                }
 
             # Load every still-valid cell of this defense's column first;
             # only the misses pay for crafting and measurement.
-            pending: List[Tuple[str, str]] = []
-            load_reasons: Dict[Tuple[str, str], str] = {}
+            pending: Dict[Tuple[str, str], Tuple[StoredNode, str]] = {}
             for attack in config.attacks:
                 for rec in config.recommenders:
-                    name = cell_name(defense, attack, rec)
-                    deps = self._cell_deps(defense, attack, rec)
-                    if name in force_set:
-                        pending.append((attack, rec))
-                        load_reasons[(attack, rec)] = "forced rebuild"
-                        continue
-                    loaded, outcome, reason = self._try_load(
-                        name, "matrix_cell", deps
+                    node = self._stored(
+                        cell_name(defense, attack, rec),
+                        "matrix_cell",
+                        self._cell_deps(defense, attack, rec),
                     )
-                    if loaded is not None:
-                        rows_by_cell[(defense, attack, rec)] = list(
-                            loaded.meta["rows"]
-                        )
-                        manifest.nodes.append(outcome)
-                        skipped = list(loaded.meta.get("skipped_scenarios", []))
-                        if skipped:
-                            manifest.skipped_scenarios.setdefault(defense, skipped)
-                    else:
-                        pending.append((attack, rec))
-                        load_reasons[(attack, rec)] = reason
+                    loaded, outcome, reason = load_node(
+                        self.store, node, hashes, node.name in force_set
+                    )
+                    if loaded is None:
+                        pending[(attack, rec)] = (node, reason)
+                        continue
+                    self._log(f"node {node.name}: loaded from store ({node.fingerprint})")
+                    rows_by_cell[(defense, attack, rec)] = list(loaded.meta["rows"])
+                    manifest.nodes.append(outcome)
+                    skipped = list(loaded.meta.get("skipped_scenarios", []))
+                    if skipped:
+                        manifest.skipped_scenarios.setdefault(defense, skipped)
 
             if not pending:
                 continue
@@ -1295,9 +1042,16 @@ class MatrixRunner:
                     skipped.append(f"{scenario.source}->{scenario.target}")
                     continue
                 deployed_original = runtime.item_classes[source_items]
+                images = base.dataset.images[source_items]
                 for attack in attacks_needed:
                     cells = self._craft_cells(
-                        runtime, surrogate, attack, scenario, source_items, target_class
+                        runtime,
+                        surrogate,
+                        attack,
+                        scenario,
+                        images,
+                        source_items,
+                        target_class,
                     )
                     if attack == "TRANSFER" or runtime.derives_cells:
                         cells = _derive_deployed_cells(
@@ -1337,20 +1091,19 @@ class MatrixRunner:
 
             if skipped:
                 manifest.skipped_scenarios[defense] = skipped
-            elapsed = timer.elapsed()
-            share = elapsed / max(len(pending), 1)
-            for attack, rec in pending:
-                name = cell_name(defense, attack, rec)
+            share = timer.elapsed() / len(pending)
+            for (attack, rec), (node, reason) in pending.items():
                 rows = fresh[(attack, rec)]
-                outcome = self._save(
-                    name,
-                    "matrix_cell",
-                    self._cell_deps(defense, attack, rec),
+                outcome = save_node(
+                    self.store,
+                    node,
+                    hashes,
                     {},
                     {"rows": rows, "skipped_scenarios": skipped},
                     share,
-                    load_reasons.get((attack, rec), "miss"),
+                    reason,
                 )
+                self._log(f"node {node.name}: built ({reason})")
                 manifest.nodes.append(outcome)
                 rows_by_cell[(defense, attack, rec)] = rows
 

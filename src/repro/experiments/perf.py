@@ -18,6 +18,7 @@ training noise.  Results are written as JSON for regression tracking.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Callable, Dict, Optional
 
@@ -36,11 +37,11 @@ from ..nn import (
 from ..telemetry import active_metrics, monotonic, span
 from .config import men_config
 from .context import build_context, clear_context_registry
-from .runner import run_attack_grid, run_attack_grids
+from .runner import per_cell_grid, run_attack_grid, run_attack_grids
 
-#: Ladder engine modes timed by the ``ladder`` bench section, in the
-#: order they are reported.  ``off`` is the per-cell baseline the
-#: speedups are measured against.
+#: Grid engines timed by the ``ladder`` bench section, in the order they
+#: are reported.  ``off`` is the per-cell oracle (:func:`per_cell_grid`),
+#: the baseline the ε-ladder modes' speedups are measured against.
 LADDER_BENCH_MODES = ("off", "exact", "warm")
 
 #: The two engine configurations compared by the benchmark.  The baseline
@@ -85,16 +86,26 @@ def _ladder_bench(grid_context, log) -> Dict:
 
     Unlike the float64-vs-float32 comparison above, every mode here runs
     the same float32 optimized engine — the measurement isolates the
-    grid *orchestration*: per-cell loop ("off") vs shared ε-ladder
-    batching ("exact") vs warm starts + early exits ("warm").
+    grid *orchestration*: one independent per-cell grid per recommender
+    ("off") vs shared ε-ladder batching ("exact") vs warm starts + early
+    exits ("warm").
     """
+    names = ("VBPR", "AMR")
+
+    def ladder_grids(mode: str):
+        config = dataclasses.replace(grid_context.config, ladder_mode=mode)
+        return run_attack_grids(dataclasses.replace(grid_context, config=config), names)
+
+    runs = {
+        "off": lambda: [per_cell_grid(grid_context, name) for name in names],
+        "exact": lambda: ladder_grids("exact"),
+        "warm": lambda: ladder_grids("warm"),
+    }
     modes: Dict[str, Dict] = {}
     for mode in LADDER_BENCH_MODES:
         with span("bench.ladder", mode=mode):
             start = monotonic()
-            grids = run_attack_grids(
-                grid_context, ("VBPR", "AMR"), use_cache=False, ladder_mode=mode
-            )
+            grids = runs[mode]()
             wall = monotonic() - start
         cells = sum(len(grid.outcomes) for grid in grids)
         attacked = sum(
@@ -113,14 +124,14 @@ def _ladder_bench(grid_context, log) -> Dict:
             f"  ladder[{mode}]: {wall:.2f}s for {cells} cells "
             f"({modes[mode]['cells_per_s']:.2f} cells/s)"
         )
-    baseline = modes["off"]["wall_s"]
+    baseline = modes[LADDER_BENCH_MODES[0]]["wall_s"]
     return {
-        "recommenders": ["VBPR", "AMR"],
+        "recommenders": list(names),
         "modes": modes,
         "speedup": {
             mode: baseline / modes[mode]["wall_s"]
-            for mode in LADDER_BENCH_MODES
-            if mode != "off" and modes[mode]["wall_s"] > 0
+            for mode in LADDER_BENCH_MODES[1:]
+            if modes[mode]["wall_s"] > 0
         },
     }
 
@@ -147,8 +158,9 @@ def run_perf_bench(
         end-to-end tentpole number but costs tens of seconds; micro
         benchmarks alone finish much faster.
     include_ladder:
-        Also time the two-recommender grid per ladder mode
-        (off / exact / warm) under the shipping float32 engine.
+        Also time the two-recommender grid per engine (the per-cell
+        baseline "off", then the ε ladder's exact / warm modes) under the
+        shipping float32 engine.
         Requires ``include_grid`` (reuses its trained context).
     out_path:
         When given, the report is written there as JSON.
@@ -240,7 +252,7 @@ def run_perf_bench(
                 # makes (catalog scan, attacks, re-extraction).
                 grid_context.classifier.to_dtype(dtype)
                 start = monotonic()
-                grid = run_attack_grid(grid_context, "VBPR", use_cache=False)
+                grid = run_attack_grid(grid_context, "VBPR")
                 wall = monotonic() - start
                 mode_report["attack_grid"] = _timing(wall, len(grid.outcomes), "cells/s")
                 log(f"  attack_grid: {wall:.2f}s for {len(grid.outcomes)} cells")

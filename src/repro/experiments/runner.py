@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..attacks import (
     FGSM,
@@ -22,7 +22,6 @@ from ..attacks import (
     LadderCell,
     NESAttack,
 )
-from ..attacks.base import AttackResult, GradientAttack
 from ..attacks.projections import epsilon_from_255
 from ..core import (
     AttackOutcome,
@@ -41,12 +40,6 @@ GRID_ATTACK_NAMES = ("FGSM", "PGD")
 # have no batched ε-ladder path; the grid falls back to one per-cell
 # run per (scenario, attack, ε) for them (see fallback_ladder_cells).
 CELL_ATTACK_NAMES = ("FGSM", "PGD", "CW", "MIM", "NES")
-
-# LRU-bounded: each grid pins a pipeline (full catalog features, scores
-# and adversarial images), so an unbounded cache grows without limit in
-# long sessions sweeping many configs.
-_GRID_CACHE: "OrderedDict[Tuple[str, str, str], AttackGrid]" = OrderedDict()
-_GRID_CACHE_MAX_ENTRIES = 4
 
 
 @dataclass
@@ -136,7 +129,6 @@ def fallback_ladder_cells(
     pgd_steps: int,
     seed: int,
     options: Optional[Dict[str, float]] = None,
-    count: bool = True,
 ) -> List[LadderCell]:
     """Per-cell ε sweep for attacks without a batched ladder path.
 
@@ -144,12 +136,10 @@ def fallback_ladder_cells(
     :class:`EpsilonLadder` run would, so downstream measurement
     (``outcomes_from_cells``) is engine-agnostic.  Counted once per
     (scenario, attack) on the ``attack_ladder.fallback`` metric — the
-    grid degrades per *attack*, never for the whole grid.  ``count=False``
-    suppresses the counter for callers using this loop by choice
-    (``ladder_mode="off"``) rather than as a degradation.
+    grid degrades per *attack*, never for the whole grid.
     """
     registry = active_metrics()
-    if count and registry is not None:
+    if registry is not None:
         registry.counter("attack_ladder.fallback").inc()
     cells: List[LadderCell] = []
     for epsilon_255 in epsilons_255:
@@ -179,24 +169,6 @@ def fallback_ladder_cells(
             )
         )
     return cells
-
-
-def _make_attacks(
-    context: ExperimentContext,
-    epsilon_255: float,
-    attack_names: Sequence[str] = GRID_ATTACK_NAMES,
-) -> Dict[str, GradientAttack]:
-    config = context.config
-    return {
-        name: build_cell_attack(
-            name,
-            context.classifier,
-            epsilon_255,
-            pgd_steps=config.pgd_steps,
-            seed=config.seed,
-        )
-        for name in attack_names
-    }
 
 
 def ladder_grid_outcomes(
@@ -305,21 +277,91 @@ def _build_pipeline(context: ExperimentContext, recommender_name: str) -> TAaMRP
     )
 
 
-def _per_cell_outcomes(
+def run_attack_grids(
+    context: ExperimentContext,
+    recommender_names: Sequence[str] = ("VBPR", "AMR"),
+    scenarios: Optional[Sequence[AttackScenario]] = None,
+    epsilons_255: Optional[Sequence[float]] = None,
+    attack_names: Optional[Sequence[str]] = None,
+) -> List[AttackGrid]:
+    """Attack several recommenders, sharing ladder cells between them.
+
+    The attacks, adversarial-feature extraction and visual metrics run
+    **once** for all recommenders — the dominant cost of a
+    multi-recommender grid — and only re-scoring repeats.  The engine
+    mode is ``context.config.ladder_mode``: ``"exact"`` cells are
+    bitwise-identical to :func:`per_cell_grid`, ``"warm"`` adds warm
+    starts and early exits.  ``attack_names`` widens the grid beyond
+    FGSM/PGD (see :data:`CELL_ATTACK_NAMES`); attacks without a ladder
+    path fall back per attack to per-cell runs.
+    """
+    config = context.config
+    names = [name.upper() for name in recommender_names]
+    pipelines = OrderedDict((name, _build_pipeline(context, name)) for name in names)
+    resolved_scenarios = (
+        list(scenarios)
+        if scenarios is not None
+        else paper_scenarios(context.dataset.name, context.dataset.registry)
+    )
+    outcomes = ladder_grid_outcomes(
+        context.classifier,
+        pipelines,
+        resolved_scenarios,
+        tuple(epsilons_255) if epsilons_255 is not None else config.epsilons_255,
+        pgd_steps=config.pgd_steps,
+        seed=config.seed,
+        mode=config.ladder_mode,
+        attack_names=(
+            tuple(attack_names) if attack_names is not None else GRID_ATTACK_NAMES
+        ),
+    )
+    return [
+        AttackGrid(
+            recommender_name=name,
+            pipeline=pipelines[name],
+            scenarios=resolved_scenarios,
+            outcomes=outcomes[name],
+        )
+        for name in names
+    ]
+
+
+def run_attack_grid(
     context: ExperimentContext,
     recommender_name: str,
-    pipeline: TAaMRPipeline,
-    scenarios: Sequence[AttackScenario],
-    epsilons_255: Sequence[float],
-    attack_names: Sequence[str] = GRID_ATTACK_NAMES,
-) -> List[AttackOutcome]:
-    """The legacy per-cell loop (``ladder_mode="off"``)."""
+    scenarios: Optional[Sequence[AttackScenario]] = None,
+    epsilons_255: Optional[Sequence[float]] = None,
+    attack_names: Optional[Sequence[str]] = None,
+) -> AttackGrid:
+    """Attack one recommender across all scenarios, attacks and budgets."""
+    return run_attack_grids(
+        context, (recommender_name,), scenarios, epsilons_255, attack_names
+    )[0]
+
+
+def per_cell_grid(context: ExperimentContext, recommender_name: str) -> AttackGrid:
+    """The per-cell oracle: one attack per (scenario, ε, FGSM/PGD) cell.
+
+    Each cell builds its own FGSM/PGD instance and runs it through
+    :meth:`TAaMRPipeline.attack_category` — the unbatched path the
+    ε ladder must reproduce bit for bit in ``"exact"`` mode.  Not an
+    engine mode: the ladder tests and the per-cell baseline of
+    ``repro bench`` call it directly.
+    """
+    config = context.config
+    pipeline = _build_pipeline(context, recommender_name)
+    scenarios = paper_scenarios(context.dataset.name, context.dataset.registry)
     outcomes: List[AttackOutcome] = []
     for scenario in scenarios:
-        for epsilon_255 in epsilons_255:
-            for attack_name, attack in _make_attacks(
-                context, epsilon_255, attack_names
-            ).items():
+        for epsilon_255 in config.epsilons_255:
+            for attack_name in GRID_ATTACK_NAMES:
+                attack = build_cell_attack(
+                    attack_name,
+                    context.classifier,
+                    epsilon_255,
+                    pgd_steps=config.pgd_steps,
+                    seed=config.seed,
+                )
                 with span(
                     "attack_grid.cell",
                     recommender=recommender_name.upper(),
@@ -333,178 +375,12 @@ def _per_cell_outcomes(
                             scenario, attack, attack_name=attack_name
                         )
                     )
-    return outcomes
-
-
-def _resolve_mode(context: ExperimentContext, ladder_mode: Optional[str]) -> str:
-    mode = ladder_mode if ladder_mode is not None else getattr(
-        context.config, "ladder_mode", "exact"
-    )
-    if mode not in ("exact", "warm", "off"):
-        raise ValueError("ladder_mode must be 'exact', 'warm' or 'off'")
-    return mode
-
-
-def run_attack_grid(
-    context: ExperimentContext,
-    recommender_name: str,
-    scenarios: Optional[Sequence[AttackScenario]] = None,
-    epsilons_255: Optional[Sequence[float]] = None,
-    use_cache: bool = True,
-    ladder_mode: Optional[str] = None,
-    attack_names: Optional[Sequence[str]] = None,
-) -> AttackGrid:
-    """Attack one recommender across all scenarios, attacks and budgets.
-
-    ``ladder_mode`` overrides ``config.ladder_mode``: ``"exact"``
-    (default) drives the batched ε ladder with bitwise-identical cells,
-    ``"warm"`` adds warm starts and early exits, ``"off"`` runs the
-    legacy per-cell loop.  ``attack_names`` widens the grid beyond
-    FGSM/PGD (see :data:`CELL_ATTACK_NAMES`); attacks without a ladder
-    path fall back per attack to the per-cell loop.
-    """
-    mode = _resolve_mode(context, ladder_mode)
-    cache_key = (context.config.cache_key(), recommender_name.upper(), mode)
-    default_selection = (
-        scenarios is None and epsilons_255 is None and attack_names is None
-    )
-    if use_cache and default_selection and cache_key in _GRID_CACHE:
-        _GRID_CACHE.move_to_end(cache_key)
-        return _GRID_CACHE[cache_key]
-
-    pipeline = _build_pipeline(context, recommender_name)
-    resolved_scenarios = (
-        list(scenarios)
-        if scenarios is not None
-        else paper_scenarios(context.dataset.name, context.dataset.registry)
-    )
-    resolved_epsilons = (
-        tuple(epsilons_255) if epsilons_255 is not None else context.config.epsilons_255
-    )
-    resolved_attacks = (
-        tuple(attack_names) if attack_names is not None else GRID_ATTACK_NAMES
-    )
-
-    if mode == "off":
-        outcomes = _per_cell_outcomes(
-            context,
-            recommender_name,
-            pipeline,
-            resolved_scenarios,
-            resolved_epsilons,
-            resolved_attacks,
-        )
-    else:
-        outcomes = ladder_grid_outcomes(
-            context.classifier,
-            OrderedDict([(recommender_name.upper(), pipeline)]),
-            resolved_scenarios,
-            resolved_epsilons,
-            pgd_steps=context.config.pgd_steps,
-            seed=context.config.seed,
-            mode=mode,
-            attack_names=resolved_attacks,
-        )[recommender_name.upper()]
-
-    grid = AttackGrid(
+    return AttackGrid(
         recommender_name=recommender_name.upper(),
         pipeline=pipeline,
-        scenarios=resolved_scenarios,
+        scenarios=scenarios,
         outcomes=outcomes,
     )
-    if use_cache and default_selection:
-        _cache_store(cache_key, grid)
-    return grid
-
-
-def run_attack_grids(
-    context: ExperimentContext,
-    recommender_names: Sequence[str] = ("VBPR", "AMR"),
-    scenarios: Optional[Sequence[AttackScenario]] = None,
-    epsilons_255: Optional[Sequence[float]] = None,
-    use_cache: bool = True,
-    ladder_mode: Optional[str] = None,
-    attack_names: Optional[Sequence[str]] = None,
-) -> List[AttackGrid]:
-    """Attack several recommenders, sharing ladder cells between them.
-
-    With the ladder on, the attacks, adversarial-feature extraction and
-    visual metrics run **once** for all recommenders — the dominant cost
-    of a multi-recommender grid — and only re-scoring repeats.  With
-    ``ladder_mode="off"`` this degrades to one independent
-    :func:`run_attack_grid` per recommender.
-    """
-    mode = _resolve_mode(context, ladder_mode)
-    default_selection = (
-        scenarios is None and epsilons_255 is None and attack_names is None
-    )
-    if mode == "off":
-        return [
-            run_attack_grid(
-                context,
-                name,
-                scenarios,
-                epsilons_255,
-                use_cache,
-                ladder_mode=mode,
-                attack_names=attack_names,
-            )
-            for name in recommender_names
-        ]
-
-    names = [name.upper() for name in recommender_names]
-    if use_cache and default_selection:
-        keys = [(context.config.cache_key(), name, mode) for name in names]
-        if all(key in _GRID_CACHE for key in keys):
-            for key in keys:
-                _GRID_CACHE.move_to_end(key)
-            return [_GRID_CACHE[key] for key in keys]
-
-    pipelines = OrderedDict((name, _build_pipeline(context, name)) for name in names)
-    resolved_scenarios = (
-        list(scenarios)
-        if scenarios is not None
-        else paper_scenarios(context.dataset.name, context.dataset.registry)
-    )
-    resolved_epsilons = (
-        tuple(epsilons_255) if epsilons_255 is not None else context.config.epsilons_255
-    )
-    outcomes = ladder_grid_outcomes(
-        context.classifier,
-        pipelines,
-        resolved_scenarios,
-        resolved_epsilons,
-        pgd_steps=context.config.pgd_steps,
-        seed=context.config.seed,
-        mode=mode,
-        attack_names=(
-            tuple(attack_names) if attack_names is not None else GRID_ATTACK_NAMES
-        ),
-    )
-    grids = []
-    for name in names:
-        grid = AttackGrid(
-            recommender_name=name,
-            pipeline=pipelines[name],
-            scenarios=resolved_scenarios,
-            outcomes=outcomes[name],
-        )
-        if use_cache and default_selection:
-            _cache_store((context.config.cache_key(), name, mode), grid)
-        grids.append(grid)
-    return grids
-
-
-def _cache_store(cache_key: Tuple[str, str, str], grid: AttackGrid) -> None:
-    """Insert a grid into the LRU cache, evicting the oldest past the bound."""
-    _GRID_CACHE[cache_key] = grid
-    _GRID_CACHE.move_to_end(cache_key)
-    while len(_GRID_CACHE) > _GRID_CACHE_MAX_ENTRIES:
-        _GRID_CACHE.popitem(last=False)
-
-
-def clear_grid_cache() -> None:
-    _GRID_CACHE.clear()
 
 
 # --------------------------------------------------------------------- #

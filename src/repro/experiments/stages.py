@@ -17,8 +17,10 @@ reads.  A stage's *fingerprint* hashes exactly those two things, so:
   the classifier, as it must.
 
 Every artifact additionally records the *content hashes* of the inputs
-it was built from; :class:`StageRunner` verifies them on load and
-rebuilds instead of silently consuming a stale chain.  A run emits a
+it was built from; :func:`load_node` verifies them on load and the
+runner rebuilds instead of silently consuming a stale chain.  The
+scenario matrix (:mod:`repro.experiments.matrix`) stores its nodes
+through the same :func:`load_node` / :func:`save_node` pair.  A run emits a
 :class:`RunManifest` — per-stage fingerprints, artifact hashes,
 hit/built actions and wall-clock timings — the JSON trail behind
 ``python -m repro run``.
@@ -28,16 +30,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..artifacts import ArtifactError, ArtifactStore, content_hash
-from ..attacks import FGSM, PGD
-from ..attacks.projections import epsilon_from_255
+from ..artifacts import (
+    ArtifactError,
+    ArtifactStore,
+    LoadedArtifact,
+    content_hash,
+    write_json,
+)
 from ..core import CatalogState, TAaMRPipeline, VisualQuality, paper_scenarios
 from ..core.scenarios import AttackScenario
 from ..data import MultimediaDataset, amazon_men_like, amazon_women_like
@@ -234,10 +239,7 @@ class RunManifest:
         return payload
 
     def save(self, path: str) -> None:
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.as_dict(), handle, indent=2, sort_keys=True, default=str)
+        write_json(path, self.as_dict())
 
 
 # --------------------------------------------------------------------- #
@@ -310,31 +312,51 @@ def _unpack_dataset(results: StageResults, arrays, meta) -> None:
     results.dataset = unpack_dataset(arrays, meta)
 
 
-def _make_classifier(results: StageResults) -> TinyResNet:
-    config = results.config
+def _make_classifier(
+    config: ExperimentConfig, dataset: MultimediaDataset, seed: int
+) -> TinyResNet:
     return TinyResNet(
-        num_classes=results.dataset.num_categories,
+        num_classes=dataset.num_categories,
         widths=config.classifier_widths,
         blocks_per_stage=config.classifier_blocks,
-        seed=config.seed,
+        seed=seed,
     )
 
 
-def _build_classifier(results: StageResults) -> None:
-    config = results.config
-    classifier = _make_classifier(results)
+def _train_classifier(
+    config: ExperimentConfig, dataset: MultimediaDataset, seed: int
+) -> Tuple[TinyResNet, float]:
+    """A freshly trained catalog classifier and its final train accuracy."""
+    classifier = _make_classifier(config, dataset, seed)
     trainer = ClassifierTrainer(
         classifier,
         ClassifierConfig(
             epochs=config.classifier_epochs,
             batch_size=config.classifier_batch_size,
             learning_rate=config.classifier_lr,
-            seed=config.seed,
+            seed=seed,
         ),
     )
-    report = trainer.fit(results.dataset.images, results.dataset.item_categories)
-    results.classifier = classifier
-    results.classifier_accuracy = float(report.final_train_accuracy)
+    report = trainer.fit(dataset.images, dataset.item_categories)
+    return classifier, float(report.final_train_accuracy)
+
+
+def _load_classifier(
+    config: ExperimentConfig,
+    dataset: MultimediaDataset,
+    seed: int,
+    state: Dict[str, np.ndarray],
+) -> TinyResNet:
+    classifier = _make_classifier(config, dataset, seed)
+    classifier.load_state_dict(state)
+    classifier.eval()
+    return classifier
+
+
+def _build_classifier(results: StageResults) -> None:
+    results.classifier, results.classifier_accuracy = _train_classifier(
+        results.config, results.dataset, results.config.seed
+    )
 
 
 def _pack_classifier(results: StageResults):
@@ -342,25 +364,46 @@ def _pack_classifier(results: StageResults):
 
 
 def _unpack_classifier(results: StageResults, arrays, meta) -> None:
-    classifier = _make_classifier(results)
-    classifier.load_state_dict(arrays)
-    classifier.eval()
-    results.classifier = classifier
+    results.classifier = _load_classifier(
+        results.config, results.dataset, results.config.seed, arrays
+    )
     accuracy = meta.get("accuracy")
     results.classifier_accuracy = None if accuracy is None else float(accuracy)
 
 
-def _build_features(results: StageResults) -> None:
-    extractor = FeatureExtractor(results.classifier)
-    classes, raw = results.classifier.predict_with_features(
-        results.dataset.images, batch_size=extractor.batch_size
-    )
+def _catalog_features(
+    classifier: TinyResNet, images: np.ndarray
+) -> Tuple[FeatureExtractor, np.ndarray, np.ndarray, np.ndarray]:
+    """One catalog pass: fitted extractor, raw and standardized features, classes."""
+    extractor = FeatureExtractor(classifier)
+    classes, raw = classifier.predict_with_features(images, batch_size=extractor.batch_size)
     raw = np.asarray(raw, dtype=np.float64)
     extractor.fit_from_raw(raw)
-    results.extractor = extractor
-    results.item_classes = np.asarray(classes, dtype=np.int64)
-    results.raw_features = raw
-    results.features = extractor.transform_raw_features(raw)
+    return (
+        extractor,
+        raw,
+        extractor.transform_raw_features(raw),
+        np.asarray(classes, dtype=np.int64),
+    )
+
+
+def _load_catalog_features(
+    classifier: TinyResNet, normalization: Dict[str, np.ndarray], raw: np.ndarray
+) -> Tuple[FeatureExtractor, np.ndarray, np.ndarray]:
+    """The stored side of :func:`_catalog_features`: extractor, raw, standardized."""
+    extractor = FeatureExtractor(classifier)
+    extractor.load_normalization_state(normalization)
+    raw = np.asarray(raw, dtype=np.float64)
+    return extractor, raw, extractor.transform_raw_features(raw)
+
+
+def _build_features(results: StageResults) -> None:
+    (
+        results.extractor,
+        results.raw_features,
+        results.features,
+        results.item_classes,
+    ) = _catalog_features(results.classifier, results.dataset.images)
 
 
 def _pack_features(results: StageResults):
@@ -373,33 +416,32 @@ def _pack_features(results: StageResults):
 
 
 def _unpack_features(results: StageResults, arrays, meta) -> None:
-    extractor = FeatureExtractor(results.classifier)
-    extractor.load_normalization_state(
-        {key: arrays[key] for key in ("mean", "scale") if key in arrays}
+    results.extractor, results.raw_features, results.features = _load_catalog_features(
+        results.classifier,
+        {key: arrays[key] for key in ("mean", "scale") if key in arrays},
+        arrays["raw_features"],
     )
-    raw = np.asarray(arrays["raw_features"], dtype=np.float64)
-    results.extractor = extractor
     results.item_classes = np.asarray(arrays["item_classes"], dtype=np.int64)
-    results.raw_features = raw
-    results.features = extractor.transform_raw_features(raw)
 
 
-def _make_vbpr(results: StageResults) -> VBPR:
-    config = results.config
+def _make_vbpr(
+    config: ExperimentConfig, dataset: MultimediaDataset, features: np.ndarray
+) -> VBPR:
     return VBPR(
-        results.dataset.num_users,
-        results.dataset.num_items,
-        results.features,
+        dataset.num_users,
+        dataset.num_items,
+        features,
         VBPRConfig(epochs=config.recommender_epochs, seed=config.seed),
     )
 
 
-def _make_amr(results: StageResults) -> AMR:
-    config = results.config
+def _make_amr(
+    config: ExperimentConfig, dataset: MultimediaDataset, features: np.ndarray
+) -> AMR:
     return AMR(
-        results.dataset.num_users,
-        results.dataset.num_items,
-        results.features,
+        dataset.num_users,
+        dataset.num_items,
+        features,
         AMRConfig(
             epochs=config.recommender_epochs,
             pretrain_epochs=config.amr_pretrain_epochs,
@@ -411,7 +453,9 @@ def _make_amr(results: StageResults) -> AMR:
 
 
 def _build_vbpr(results: StageResults) -> None:
-    results.vbpr = _make_vbpr(results).fit(results.dataset.feedback)
+    results.vbpr = _make_vbpr(results.config, results.dataset, results.features).fit(
+        results.dataset.feedback
+    )
 
 
 def _pack_vbpr(results: StageResults):
@@ -419,11 +463,15 @@ def _pack_vbpr(results: StageResults):
 
 
 def _unpack_vbpr(results: StageResults, arrays, meta) -> None:
-    results.vbpr = _make_vbpr(results).load_state_dict(arrays)
+    results.vbpr = _make_vbpr(
+        results.config, results.dataset, results.features
+    ).load_state_dict(arrays)
 
 
 def _build_amr(results: StageResults) -> None:
-    results.amr = _make_amr(results).fit(results.dataset.feedback)
+    results.amr = _make_amr(results.config, results.dataset, results.features).fit(
+        results.dataset.feedback
+    )
 
 
 def _pack_amr(results: StageResults):
@@ -431,7 +479,9 @@ def _pack_amr(results: StageResults):
 
 
 def _unpack_amr(results: StageResults, arrays, meta) -> None:
-    results.amr = _make_amr(results).load_state_dict(arrays)
+    results.amr = _make_amr(
+        results.config, results.dataset, results.features
+    ).load_state_dict(arrays)
 
 
 def _build_clean_scores(results: StageResults) -> None:
@@ -493,8 +543,6 @@ def _build_attack_grid(results: StageResults) -> None:
     from .runner import ladder_grid_outcomes
 
     config = results.config
-    ladder_mode = config.ladder_mode
-    rows: List[Dict[str, Any]] = []
     scenarios = paper_scenarios(results.dataset.name, results.dataset.registry)
     pipelines = {
         name: TAaMRPipeline(
@@ -506,51 +554,23 @@ def _build_attack_grid(results: StageResults) -> None:
         )
         for name in RECOMMENDER_NAMES
     }
-    if ladder_mode == "off":
-        for name in RECOMMENDER_NAMES:
-            pipeline = pipelines[name]
-            for scenario in scenarios:
-                for epsilon_255 in config.epsilons_255:
-                    epsilon = epsilon_from_255(epsilon_255)
-                    attacks = {
-                        "FGSM": FGSM(results.classifier, epsilon),
-                        "PGD": PGD(
-                            results.classifier,
-                            epsilon,
-                            num_steps=config.pgd_steps,
-                            seed=config.seed,
-                        ),
-                    }
-                    for attack_name, attack in attacks.items():
-                        with span(
-                            "attack_grid.cell",
-                            recommender=name,
-                            source=scenario.source,
-                            target=scenario.target,
-                            attack=attack_name,
-                            epsilon_255=float(epsilon_255),
-                        ):
-                            outcome = pipeline.attack_category(
-                                scenario, attack, attack_name=attack_name
-                            )
-                        rows.append(_grid_row(name, outcome, ladder_mode))
-    else:
-        # One ladder run per (scenario, attack) serves both recommenders:
-        # attacks, re-extraction and visual metrics are classifier-side
-        # work, so only re-scoring repeats per recommender.
-        outcomes_by_name = ladder_grid_outcomes(
-            results.classifier,
-            pipelines,
-            scenarios,
-            config.epsilons_255,
-            pgd_steps=config.pgd_steps,
-            seed=config.seed,
-            mode=ladder_mode,
-        )
-        for name in RECOMMENDER_NAMES:
-            for outcome in outcomes_by_name[name]:
-                rows.append(_grid_row(name, outcome, ladder_mode))
-    results.grid_rows = rows
+    # One ladder run per (scenario, attack) serves both recommenders:
+    # attacks, re-extraction and visual metrics are classifier-side work,
+    # so only re-scoring repeats per recommender.
+    outcomes_by_name = ladder_grid_outcomes(
+        results.classifier,
+        pipelines,
+        scenarios,
+        config.epsilons_255,
+        pgd_steps=config.pgd_steps,
+        seed=config.seed,
+        mode=config.ladder_mode,
+    )
+    results.grid_rows = [
+        _grid_row(name, outcome, config.ladder_mode)
+        for name in RECOMMENDER_NAMES
+        for outcome in outcomes_by_name[name]
+    ]
 
 
 def _pack_attack_grid(results: StageResults):
@@ -694,6 +714,107 @@ _COMPRESSED_STAGES = frozenset({"dataset"})
 
 
 # --------------------------------------------------------------------- #
+# The node protocol: load-verify-or-build, shared with the matrix
+# --------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class StoredNode:
+    """Where one DAG node's artifact lives and which nodes it consumes."""
+
+    name: str
+    kind: str
+    fingerprint: str
+    schema_version: int
+    deps: Tuple[str, ...]
+    compress: bool
+
+
+def load_node(
+    store: Optional[ArtifactStore],
+    node: StoredNode,
+    hashes: Dict[str, str],
+    forced: bool,
+) -> Tuple[Optional[LoadedArtifact], Optional[StageOutcome], str]:
+    """Load ``node``'s artifact if it is still valid for this run.
+
+    Valid means stored under the node's fingerprint *and* built from the
+    upstream content this run holds: the recorded ``__inputs__`` must
+    equal ``hashes`` (node name → content hash) for every dependency.
+    A hit adds the node's content hash to ``hashes`` and returns the
+    artifact with a ``"hit"`` outcome; a miss returns ``(None, None,
+    reason)`` so the caller builds and hands the reason to
+    :func:`save_node`.
+    """
+    if forced:
+        return None, None, "forced rebuild"
+    if store is None:
+        return None, None, "no store configured"
+    watch = Stopwatch()
+    try:
+        loaded = store.load(node.kind, node.fingerprint, schema_version=node.schema_version)
+        recorded = loaded.meta.get("__inputs__", {})
+        stale = sorted(dep for dep in node.deps if recorded.get(dep) != hashes.get(dep))
+        if stale:
+            raise ArtifactError(f"inputs changed since the artifact was built: {stale}")
+    except ArtifactError as error:
+        if isinstance(error, FileNotFoundError):
+            return None, None, "no stored artifact"
+        return None, None, f"refused stored artifact: {error}"
+    hashes[node.name] = loaded.ref.content_hash
+    outcome = StageOutcome(
+        name=node.name,
+        fingerprint=node.fingerprint,
+        action="hit",
+        seconds=watch.elapsed(),
+        content_hash=loaded.ref.content_hash,
+        path=loaded.ref.path,
+    )
+    return loaded, outcome, ""
+
+
+def save_node(
+    store: Optional[ArtifactStore],
+    node: StoredNode,
+    hashes: Dict[str, str],
+    arrays: Dict[str, np.ndarray],
+    meta: Dict[str, Any],
+    seconds: float,
+    reason: str,
+) -> StageOutcome:
+    """Store a freshly built node with the ``__inputs__`` it was built from.
+
+    Without a store the content hash is still computed, so downstream
+    nodes chain off it exactly as they would off a stored artifact.
+    """
+    meta = dict(meta)
+    meta["__inputs__"] = {dep: hashes[dep] for dep in node.deps}
+    path = None
+    if store is not None:
+        ref = store.save(
+            node.kind,
+            node.fingerprint,
+            arrays,
+            schema_version=node.schema_version,
+            meta=meta,
+            compress=node.compress,
+        )
+        digest, path = ref.content_hash, ref.path
+    else:
+        digest = content_hash(arrays, meta)
+    hashes[node.name] = digest
+    return StageOutcome(
+        name=node.name,
+        fingerprint=node.fingerprint,
+        action="built",
+        seconds=seconds,
+        content_hash=digest,
+        path=path,
+        reason=reason,
+    )
+
+
+# --------------------------------------------------------------------- #
 # The runner
 # --------------------------------------------------------------------- #
 
@@ -797,74 +918,32 @@ class StageRunner:
         forced: bool,
     ) -> StageOutcome:
         spec = _SPEC_BY_NAME[name]
-        fingerprint = self.fingerprints[name]
-        reason = "forced rebuild" if forced else ""
-
-        with span(f"stage.{name}", fingerprint=fingerprint) as stage_span:
+        node = StoredNode(
+            name=name,
+            kind=spec.kind,
+            fingerprint=self.fingerprints[name],
+            schema_version=spec.schema_version,
+            deps=spec.deps,
+            compress=name in _COMPRESSED_STAGES,
+        )
+        with span(f"stage.{name}", fingerprint=node.fingerprint) as stage_span:
             watch = Stopwatch()
-            if self.store is not None and not forced:
-                try:
-                    loaded = self.store.load(
-                        spec.kind, fingerprint, schema_version=spec.schema_version
-                    )
-                    recorded_inputs = loaded.meta.get("__inputs__", {})
-                    stale = {
-                        dep: (recorded_inputs.get(dep), hashes.get(dep))
-                        for dep in spec.deps
-                        if recorded_inputs.get(dep) != hashes.get(dep)
-                    }
-                    if stale:
-                        raise ArtifactError(
-                            f"inputs changed since the artifact was built: {sorted(stale)}"
-                        )
-                    _UNPACKERS[name](results, loaded.arrays, loaded.meta)
-                    hashes[name] = loaded.ref.content_hash
-                    self._log(f"stage {name}: loaded from store ({fingerprint})")
-                    stage_span.set_attrs(action="hit")
-                    return StageOutcome(
-                        name=name,
-                        fingerprint=fingerprint,
-                        action="hit",
-                        seconds=watch.elapsed(),
-                        content_hash=loaded.ref.content_hash,
-                        path=loaded.ref.path,
-                    )
-                except ArtifactError as error:
-                    reason = (
-                        "no stored artifact"
-                        if isinstance(error, FileNotFoundError)
-                        else f"refused stored artifact: {error}"
-                    )
+            loaded, outcome, reason = load_node(self.store, node, hashes, forced)
+            if loaded is not None:
+                _UNPACKERS[name](results, loaded.arrays, loaded.meta)
+                self._log(f"stage {name}: loaded from store ({node.fingerprint})")
+                stage_span.set_attrs(action="hit")
+                # A hit's time covers deserializing into the results too.
+                return replace(outcome, seconds=watch.elapsed())
 
             _BUILDERS[name](results)
             arrays, meta = _PACKERS[name](results)
-            meta = dict(meta)
-            meta["__inputs__"] = {dep: hashes[dep] for dep in spec.deps}
-            path = None
-            if self.store is not None:
-                ref = self.store.save(
-                    spec.kind,
-                    fingerprint,
-                    arrays,
-                    schema_version=spec.schema_version,
-                    meta=meta,
-                    compress=name in _COMPRESSED_STAGES,
-                )
-                digest, path = ref.content_hash, ref.path
-            else:
-                digest = content_hash(arrays, meta)
-            hashes[name] = digest
-            self._log(f"stage {name}: built ({reason or 'no store'})")
-            stage_span.set_attrs(action="built", reason=reason or "miss")
-            return StageOutcome(
-                name=name,
-                fingerprint=fingerprint,
-                action="built",
-                seconds=watch.elapsed(),
-                content_hash=digest,
-                path=path,
-                reason=reason or ("no store configured" if self.store is None else "miss"),
+            outcome = save_node(
+                self.store, node, hashes, arrays, meta, watch.elapsed(), reason
             )
+            self._log(f"stage {name}: built ({reason})")
+            stage_span.set_attrs(action="built", reason=reason)
+            return outcome
 
 
 def run_stages(

@@ -9,7 +9,7 @@ three models differ only in their preference predictor and update rule.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -63,7 +63,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class Recommender(ABC):
-    """Abstract top-N recommender over a fixed user/item universe."""
+    """Abstract top-N recommender over a fixed user/item universe.
+
+    Subclasses name their trained float64 parameter arrays in
+    ``STATE_FIELDS``; :meth:`state_dict` / :meth:`load_state_dict`
+    persist exactly those.
+    """
+
+    STATE_FIELDS: Tuple[str, ...]
 
     def __init__(self, num_users: int, num_items: int) -> None:
         if num_users <= 0 or num_items <= 0:
@@ -83,6 +90,38 @@ class Recommender(ABC):
     @abstractmethod
     def score_all(self) -> np.ndarray:
         """Predicted preference matrix of shape ``(num_users, num_items)``."""
+
+    def state_dict(self) -> Dict[str, np.ndarray]:
+        """Trained parameters, keyed by field name (same idiom as nn.Module)."""
+        return {name: getattr(self, name).copy() for name in self.STATE_FIELDS}
+
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> "Recommender":
+        """Restore trained parameters; refuses incomplete or foreign state.
+
+        Missing and unexpected keys are named explicitly so a corrupted
+        or truncated cache fails with an actionable message instead of
+        an opaque ``KeyError``.
+        """
+        missing = [name for name in self.STATE_FIELDS if name not in state]
+        extra = [name for name in state if name not in self.STATE_FIELDS]
+        if missing or extra:
+            raise ValueError(
+                f"{type(self).__name__} state is not loadable: "
+                f"missing keys {missing or 'none'}, unexpected keys {extra or 'none'}; "
+                "the cached artifact is corrupted or from an incompatible build"
+            )
+        for name in self.STATE_FIELDS:
+            current = getattr(self, name)
+            value = np.asarray(state[name], dtype=np.float64)
+            if value.shape != current.shape:
+                raise ValueError(
+                    f"{type(self).__name__} state field '{name}' has shape "
+                    f"{value.shape}, expected {current.shape}"
+                )
+        for name in self.STATE_FIELDS:
+            setattr(self, name, np.array(state[name], dtype=np.float64, copy=True))
+        self._fitted = True
+        return self
 
     def _require_fitted(self) -> None:
         if not self._fitted:

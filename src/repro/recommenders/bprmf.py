@@ -58,6 +58,9 @@ class BPRMF(Recommender):
         self.item_bias = np.zeros(num_items)
         self.loss_history: List[float] = []
 
+    #: Trained parameters behind :meth:`state_dict` / :meth:`load_state_dict`.
+    STATE_FIELDS = ("user_factors", "item_factors", "item_bias")
+
     # ------------------------------------------------------------------ #
     def fit(self, feedback: ImplicitFeedback) -> "BPRMF":
         if feedback.num_users != self.num_users or feedback.num_items != self.num_items:

@@ -20,6 +20,8 @@ from .base import Recommender
 class MostPop(Recommender):
     """Popularity-ranking recommender (user-independent scores)."""
 
+    STATE_FIELDS = ("item_counts",)
+
     def __init__(self, num_users: int, num_items: int) -> None:
         super().__init__(num_users, num_items)
         self.item_counts = np.zeros(num_items)

@@ -21,7 +21,7 @@ prediction-time attack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -98,9 +98,7 @@ class VBPR(Recommender):
         self.item_bias = np.zeros(num_items)
         self.loss_history: List[float] = []
 
-    # ------------------------------------------------------------------ #
-    # State
-    # ------------------------------------------------------------------ #
+    #: Trained parameters behind :meth:`state_dict` / :meth:`load_state_dict`.
     STATE_FIELDS = (
         "user_factors",
         "item_factors",
@@ -109,38 +107,6 @@ class VBPR(Recommender):
         "visual_bias",
         "item_bias",
     )
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Trained parameters, keyed by field name (same idiom as nn.Module)."""
-        return {name: getattr(self, name).copy() for name in self.STATE_FIELDS}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> "VBPR":
-        """Restore trained parameters; refuses incomplete or foreign state.
-
-        Missing and unexpected keys are named explicitly so a corrupted
-        or truncated cache fails with an actionable message instead of
-        an opaque ``KeyError``.
-        """
-        missing = [name for name in self.STATE_FIELDS if name not in state]
-        extra = [name for name in state if name not in self.STATE_FIELDS]
-        if missing or extra:
-            raise ValueError(
-                f"{type(self).__name__} state is not loadable: "
-                f"missing keys {missing or 'none'}, unexpected keys {extra or 'none'}; "
-                "the cached artifact is corrupted or from an incompatible build"
-            )
-        for name in self.STATE_FIELDS:
-            current = getattr(self, name)
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != current.shape:
-                raise ValueError(
-                    f"{type(self).__name__} state field '{name}' has shape "
-                    f"{value.shape}, expected {current.shape}"
-                )
-        for name in self.STATE_FIELDS:
-            setattr(self, name, np.array(state[name], dtype=np.float64, copy=True))
-        self._fitted = True
-        return self
 
     # ------------------------------------------------------------------ #
     # Training

@@ -223,6 +223,35 @@ class TestUnifiedSerializationPaths:
         assert clone.is_fitted
         np.testing.assert_allclose(clone.score_all(), model.score_all(), atol=0)
 
+    def test_bprmf_state_dict_round_trip(self):
+        from repro.data import tiny_dataset
+        from repro.recommenders import BPRMF, BPRMFConfig
+
+        dataset = tiny_dataset(seed=0, image_size=16)
+        model = BPRMF(
+            dataset.num_users, dataset.num_items, BPRMFConfig(epochs=2, seed=0)
+        ).fit(dataset.feedback)
+        state = model.state_dict()
+        assert sorted(state) == ["item_bias", "item_factors", "user_factors"]
+        clone = BPRMF(dataset.num_users, dataset.num_items, BPRMFConfig(seed=9))
+        assert clone.load_state_dict(state) is clone
+        assert clone.is_fitted
+        np.testing.assert_array_equal(clone.score_all(), model.score_all())
+
+    def test_bprmf_state_dict_names_bad_keys(self):
+        from repro.data import tiny_dataset
+        from repro.recommenders import BPRMF
+
+        dataset = tiny_dataset(seed=0, image_size=16)
+        model = BPRMF(dataset.num_users, dataset.num_items)
+        state = {name: np.zeros(1) for name in ("user_factors", "bogus")}
+        with pytest.raises(ValueError) as excinfo:
+            model.load_state_dict(state)
+        message = str(excinfo.value)
+        assert "item_factors" in message and "item_bias" in message  # missing
+        assert "bogus" in message  # unexpected
+        assert not model.is_fitted
+
     def test_recommender_state_dict_names_bad_keys(self):
         from repro.data import tiny_dataset
         from repro.recommenders import VBPR, VBPRConfig

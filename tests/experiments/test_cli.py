@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import ExperimentConfig
 
 FAST = [
     "--scale", "0.002",
@@ -110,15 +111,41 @@ class TestAttackCommand:
 class TestTablesCommand:
     def test_prints_all_tables(self, capsys, monkeypatch):
         TestTrainCommand._shrink_training(monkeypatch)
-        import repro.experiments.runner as runner
-
-        runner.clear_grid_cache()
         code = main(["tables", "--dataset", "men", *FAST])
         assert code == 0
         out = capsys.readouterr().out
         assert "Table II" in out
         assert "Table III" in out
         assert "Table IV" in out
+
+    def test_stdout_is_the_tables_stage_text(self, capsys, monkeypatch, tmp_path):
+        """``repro tables`` is the stage DAG's ``tables`` stage, printed:
+        a stage run over the same store hits every stage and holds the
+        exact text the command wrote."""
+        import repro.cli as cli
+        from repro.artifacts import ArtifactStore
+        from repro.experiments import StageRunner
+
+        TestTrainCommand._shrink_training(monkeypatch)
+        argv = ["tables", "--dataset", "men", *FAST, "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        config = cli._make_config(build_parser().parse_args(argv))
+        results, manifest = StageRunner(config, ArtifactStore(str(tmp_path))).run(
+            stages=["tables"]
+        )
+        assert manifest.all_hits
+        assert out == results.tables_text + "\n"
+
+
+class TestLadderChoices:
+    def test_off_is_not_a_ladder_mode(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", *FAST, "--ladder", "off"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="ladder_mode"):
+            ExperimentConfig(ladder_mode="off")
 
 
 class TestBenchCommand:

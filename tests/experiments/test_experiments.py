@@ -8,7 +8,6 @@ from repro.experiments import (
     ExperimentConfig,
     build_context,
     clear_context_registry,
-    clear_grid_cache,
     format_table1,
     format_table2,
     format_table3,
@@ -32,7 +31,6 @@ TINY = dict(
 @pytest.fixture(scope="module")
 def context():
     clear_context_registry()
-    clear_grid_cache()
     return build_context(men_config(**TINY))
 
 
@@ -107,15 +105,9 @@ class TestRunner:
         assert len(grid.outcomes) == 4
         assert {o.attack_name for o in grid.outcomes} == {"FGSM", "PGD"}
 
-    def test_grid_cached(self, context):
-        first = run_attack_grid(context, "VBPR")
-        second = run_attack_grid(context, "VBPR")
-        assert first is second
-
-    def test_grid_cache_bypass_for_custom_params(self, context):
-        cached = run_attack_grid(context, "VBPR")
+    def test_custom_epsilons_selection(self, context):
         custom = run_attack_grid(context, "VBPR", epsilons_255=(4.0,))
-        assert custom is not cached
+        assert len(custom.outcomes) == 4
         assert all(o.epsilon_255 == pytest.approx(4.0) for o in custom.outcomes)
 
     def test_cells_filtering(self, context):
@@ -129,27 +121,6 @@ class TestRunner:
         scenario = make_scenario(context.dataset.registry, "jeans", "running_shoe")
         grid = run_attack_grid(context, "VBPR", scenarios=[scenario])
         assert all(o.scenario == scenario for o in grid.outcomes)
-
-    def test_grid_cache_lru_bound(self):
-        from repro.experiments import runner
-
-        saved = dict(runner._GRID_CACHE)
-        runner.clear_grid_cache()
-        try:
-            for idx in range(runner._GRID_CACHE_MAX_ENTRIES + 2):
-                runner._cache_store((f"config{idx}", "VBPR"), object())
-            assert len(runner._GRID_CACHE) == runner._GRID_CACHE_MAX_ENTRIES
-            # Oldest entries were evicted first.
-            assert ("config0", "VBPR") not in runner._GRID_CACHE
-            assert ("config1", "VBPR") not in runner._GRID_CACHE
-            # Re-storing an entry refreshes its recency.
-            oldest = next(iter(runner._GRID_CACHE))
-            runner._cache_store(oldest, object())
-            runner._cache_store(("one-more", "VBPR"), object())
-            assert oldest in runner._GRID_CACHE
-        finally:
-            runner.clear_grid_cache()
-            runner._GRID_CACHE.update(saved)
 
 
 class TestFormatters:

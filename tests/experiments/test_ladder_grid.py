@@ -1,11 +1,13 @@
 """Grid-level tests for the ε-ladder engine.
 
-Pins the tentpole contract: ``ladder_mode="exact"`` produces the same
-grid as the legacy per-cell loop cell for cell (bitwise on images,
-equal on every derived number), ``"warm"`` stays within tolerance, the
-stage DAG fingerprints the mode, and run manifests surface the attack
-accounting satellites.
+Pins the ladder contract against the per-cell oracle
+(:func:`repro.experiments.runner.per_cell_grid`): ``ladder_mode="exact"``
+produces the same grid cell for cell (bitwise on images, equal on every
+derived number), ``"warm"`` stays within tolerance, the stage DAG
+fingerprints the mode, and run manifests surface the attack accounting.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,13 +17,14 @@ from repro.experiments import (
     attack_stats_from_rows,
     build_context,
     clear_context_registry,
-    clear_grid_cache,
     format_manifest,
     men_config,
     run_attack_grid,
     run_attack_grids,
     stage_fingerprints,
 )
+from repro.experiments.runner import per_cell_grid
+from repro.experiments.stages import _grid_row
 
 TINY = dict(
     scale=0.002,
@@ -37,20 +40,26 @@ TINY = dict(
 @pytest.fixture(scope="module")
 def context():
     clear_context_registry()
-    clear_grid_cache()
     return build_context(men_config(**TINY))
 
 
+def with_mode(context, mode):
+    """The same trained context with another ``ladder_mode``."""
+    return dataclasses.replace(
+        context, config=dataclasses.replace(context.config, ladder_mode=mode)
+    )
+
+
 @pytest.fixture(scope="module")
-def off_grid(context):
-    return run_attack_grid(context, "VBPR", use_cache=False, ladder_mode="off")
+def oracle_grid(context):
+    return per_cell_grid(context, "VBPR")
 
 
 class TestExactGridEquivalence:
-    def test_exact_matches_per_cell_grid(self, context, off_grid):
-        exact = run_attack_grid(context, "VBPR", use_cache=False, ladder_mode="exact")
-        assert len(exact.outcomes) == len(off_grid.outcomes)
-        for a, b in zip(off_grid.outcomes, exact.outcomes):
+    def test_exact_matches_per_cell_grid(self, context, oracle_grid):
+        exact = run_attack_grid(context, "VBPR")
+        assert len(exact.outcomes) == len(oracle_grid.outcomes)
+        for a, b in zip(oracle_grid.outcomes, exact.outcomes):
             assert (a.scenario.source, a.attack_name, a.epsilon_255) == (
                 b.scenario.source,
                 b.attack_name,
@@ -66,21 +75,19 @@ class TestExactGridEquivalence:
     def test_shared_ladder_matches_independent_grids(self, context):
         """run_attack_grids shares one ladder across recommenders without
         changing any number."""
-        shared = run_attack_grids(
-            context, ("VBPR", "AMR"), use_cache=False, ladder_mode="exact"
-        )
+        shared = run_attack_grids(context, ("VBPR", "AMR"))
         for name, grid in zip(("VBPR", "AMR"), shared):
-            independent = run_attack_grid(
-                context, name, use_cache=False, ladder_mode="off"
-            )
+            independent = per_cell_grid(context, name)
+            assert len(independent.outcomes) == len(grid.outcomes)
             for a, b in zip(independent.outcomes, grid.outcomes):
                 assert np.array_equal(a.adversarial_images, b.adversarial_images)
                 assert a.chr_source_after == b.chr_source_after
                 assert a.chr_target_before == b.chr_target_before
 
-    def test_warm_within_tolerance(self, context, off_grid):
-        warm = run_attack_grid(context, "VBPR", use_cache=False, ladder_mode="warm")
-        for a, b in zip(off_grid.outcomes, warm.outcomes):
+    def test_warm_within_tolerance(self, context, oracle_grid):
+        warm = run_attack_grid(with_mode(context, "warm"), "VBPR")
+        assert len(warm.outcomes) == len(oracle_grid.outcomes)
+        for a, b in zip(oracle_grid.outcomes, warm.outcomes):
             if a.attack_name == "FGSM":
                 # FGSM has no iterates to warm-start: still bitwise.
                 assert np.array_equal(a.adversarial_images, b.adversarial_images)
@@ -92,7 +99,7 @@ class TestExactGridEquivalence:
             assert np.abs(b.adversarial_images - clean).max() <= eps + 1e-6
 
     def test_outcome_metadata_populated(self, context):
-        exact = run_attack_grid(context, "VBPR", use_cache=False, ladder_mode="exact")
+        exact = run_attack_grid(context, "VBPR")
         for outcome in exact.outcomes:
             meta = outcome.attack_metadata
             assert meta["ladder"] is True and meta["mode"] == "exact"
@@ -136,16 +143,18 @@ class TestStageIntegration:
 
 
 class TestGridRowParity:
-    def test_ladder_rows_match_legacy_rows(self):
+    def test_ladder_rows_match_legacy_rows(self, context):
         """The attack_grid stage emits the same numbers via the ladder as
-        via the per-cell loop (modulo the new accounting columns)."""
-        off_results, _ = StageRunner(
-            men_config(**TINY, ladder_mode="off"), verbose=False
-        ).run(stages=["attack_grid"])
+        the per-cell oracle does (modulo the accounting columns)."""
+        oracle_rows = [
+            _grid_row(name, outcome, "exact")
+            for name in ("VBPR", "AMR")
+            for outcome in per_cell_grid(context, name).outcomes
+        ]
         exact_results, _ = StageRunner(
             men_config(**TINY, ladder_mode="exact"), verbose=False
         ).run(stages=["attack_grid"])
-        assert len(off_results.grid_rows) == len(exact_results.grid_rows)
+        assert len(oracle_rows) == len(exact_results.grid_rows)
         ignore = {
             "ladder_mode",
             "attack_iterations",
@@ -153,7 +162,7 @@ class TestGridRowParity:
             "attack_backwards",
             "early_exited",
         }
-        for a, b in zip(off_results.grid_rows, exact_results.grid_rows):
+        for a, b in zip(oracle_rows, exact_results.grid_rows):
             for key in a:
                 if key in ignore:
                     continue

@@ -237,6 +237,78 @@ class TestManifest:
         assert "8 built" in text
 
 
+class TestManifestWrites:
+    @pytest.mark.parametrize("kind", ["run", "matrix"])
+    def test_failed_write_keeps_previous_manifest(self, kind, tmp_path, monkeypatch):
+        """A write that dies midway leaves the previous manifest intact and
+        no temporary file behind."""
+        from repro.experiments import MatrixManifest, RunManifest
+
+        if kind == "run":
+            manifest = RunManifest(config_key="k", config={}, store_root=None)
+        else:
+            manifest = MatrixManifest(config={}, store_root=None)
+        path = str(tmp_path / "manifest.json")
+        manifest.save(path)
+        with open(path, encoding="utf-8") as handle:
+            before = handle.read()
+
+        def interrupted_dump(payload, handle, **kwargs):
+            handle.write('{"manifest_version": ')
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(json, "dump", interrupted_dump)
+        with pytest.raises(KeyboardInterrupt):
+            manifest.save(path)
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == before
+        assert os.listdir(tmp_path) == ["manifest.json"]
+
+
+def _run_stages(config, store):
+    return run_stages(config, store=store, stages=("vbpr",))
+
+
+def _run_bprmf_cube(config, store):
+    from repro.experiments import MatrixConfig, run_matrix
+
+    cube = MatrixConfig(base=config, attacks=("FGSM",), recommenders=("BPRMF",))
+    return run_matrix(cube, store=store)
+
+
+class TestNodeProtocol:
+    @pytest.mark.parametrize(
+        "run, kind, name, dep",
+        [
+            (_run_stages, "stage_vbpr", "vbpr", "features"),
+            (_run_bprmf_cube, "matrix_bprmf", "recommender:shared/BPRMF", "dataset"),
+        ],
+        ids=["stage", "matrix-node"],
+    )
+    def test_tampered_inputs_refused(
+        self, config, store_root, first_run, run, kind, name, dep
+    ):
+        """Stages and matrix nodes share one load-verify protocol: an
+        artifact whose recorded ``__inputs__`` no longer match this run's
+        upstream content is refused, with the same reason, and rebuilt."""
+        store = ArtifactStore(store_root)
+        run(config, store)
+        (ref,) = store.list(kind)
+        loaded = store.load(kind, ref.fingerprint)
+        meta = dict(loaded.meta)
+        meta["__inputs__"] = {**meta["__inputs__"], dep: "0" * 64}
+        store.save(kind, ref.fingerprint, loaded.arrays, meta=meta)
+
+        _, manifest = run(config, store)
+        assert manifest.built == [name]
+        outcomes = getattr(manifest, "nodes", None) or manifest.stages
+        (outcome,) = [o for o in outcomes if o.name == name]
+        assert outcome.reason == (
+            "refused stored artifact: inputs changed since the artifact "
+            f"was built: ['{dep}']"
+        )
+
+
 class TestPlan:
     def test_plan_reflects_store_state(self, config, store_root, first_run, tmp_path):
         warm = StageRunner(config, store=ArtifactStore(store_root)).plan()
