@@ -2,8 +2,9 @@
 
 The sharded serving tier speaks a tiny ``(op, seq, payload)`` protocol:
 ops are string literals constructed at ``ShardHandle.call/cast`` sites
-(and the raw ``queue.put(("stop", …))`` shutdown path) and consumed by
-string comparisons in ``_dispatch`` / the worker loop.  Nothing checks
+(and raw wire tuples such as the ``inbox.send(("stop", …))`` shutdown
+path, via ``send`` or ``put``) and consumed by string comparisons in
+``_dispatch`` / the worker loop.  Nothing checks
 the two sides against each other — a typo'd op string fails at runtime
 with an opaque "unknown op", a removed caller leaves a dead handler, and
 a payload key a handler requires but no caller sets is a latent
@@ -184,9 +185,9 @@ class RpcProtocolRule(ProjectRule):
     has to be maintained; a `payload["key"]` no caller sets is a
     KeyError on the next invocation.  This rule rebuilds both sides of
     the protocol from the ASTs — handler table from `_dispatch`/the
-    worker loop, op constructions from call/cast sites and raw
-    queue-tuple puts — and cross-checks ops and statically resolvable
-    payload keys in both directions.
+    worker loop, op constructions from call/cast sites and raw wire
+    tuples passed to send/put — and cross-checks ops and statically
+    resolvable payload keys in both directions.
     """
 
     SCOPE = ("serving/",)
@@ -293,8 +294,8 @@ class RpcProtocolRule(ProjectRule):
                         callers.setdefault(first.value, []).append(
                             (node, func.module, keys)
                         )
-                elif attr == "put" and node.args and not handler_side:
-                    # Raw wire tuples: inbox.put(("stop", seq, None)).
+                elif attr in ("put", "send") and node.args and not handler_side:
+                    # Raw wire tuples: inbox.send(("stop", seq, None)).
                     first = node.args[0]
                     if (
                         isinstance(first, ast.Tuple)

@@ -85,8 +85,9 @@ class Module:
         return self
 
     def eval(self) -> "Module":
+        if self.training:  # an eval→eval call keeps the conv+BN fold cache
+            self.__dict__.pop("_folded_eval", None)
         self.training = False
-        self.__dict__.pop("_folded_eval", None)
         for child in self.children():
             child.eval()
         return self
@@ -419,8 +420,10 @@ def conv_bn_forward(x: Tensor, conv: Conv2d, bn: BatchNorm2d) -> Tensor:
     running statistics keep updating exactly as before.  When no gradient
     can flow to the pair's parameters (inference under ``no_grad``, or an
     input-gradient attack with frozen weights) the folded weight/bias are
-    cached on the conv and reused until any parameter array is rebound or
-    the module changes mode — repeated eval forwards skip the re-fold.
+    cached on the conv, holding the source arrays it was folded from, and
+    reused until one of them is rebound (``load_state_dict``,
+    ``to_dtype``) or the module goes back to training — repeated eval
+    forwards skip the re-fold.
     """
     if bn.training or not _CONV_BN_FOLDING:
         return bn(conv(x))
@@ -433,18 +436,20 @@ def conv_bn_forward(x: Tensor, conv: Conv2d, bn: BatchNorm2d) -> Tensor:
     if needs_parameter_graph:
         weight, bias = fold_conv_bn(conv, bn)
     else:
-        key = (
-            id(conv.weight.data),
-            None if conv.bias is None else id(conv.bias.data),
-            id(bn.weight.data),
-            id(bn.bias.data),
-            id(bn.running_mean),
-            id(bn.running_var),
+        # Hold the sources, not their ids: an id can be reused once a
+        # rebound array is freed, which would serve a stale fold.
+        sources = (
+            conv.weight.data,
+            None if conv.bias is None else conv.bias.data,
+            bn.weight.data,
+            bn.bias.data,
+            bn.running_mean,
+            bn.running_var,
         )
         cached = conv.__dict__.get("_folded_eval")
-        if cached is None or cached[0] != key:
+        if cached is None or any(a is not b for a, b in zip(cached[0], sources)):
             folded_weight, folded_bias = fold_conv_bn(conv, bn)
-            cached = (key, Tensor(folded_weight.data), Tensor(folded_bias.data))
+            cached = (sources, Tensor(folded_weight.data), Tensor(folded_bias.data))
             conv._folded_eval = cached
         weight, bias = cached[1], cached[2]
     return F.conv2d(

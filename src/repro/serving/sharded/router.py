@@ -5,7 +5,8 @@
 :class:`~repro.serving.sharded.partition.UserPartition`), serves
 recommendation calls synchronously, and fans invalidation pushes out
 *asynchronously*: every push gets the next epoch number and is ``cast``
-to each healthy shard's bounded inbox; acks drain on :meth:`flush`.
+to each healthy shard (at most ``backlog`` un-acked casts per shard);
+acks drain on :meth:`flush`.
 Shards apply epochs strictly in order (see
 :mod:`repro.serving.sharded.shard`), so the router never waits for the
 slowest shard to acknowledge an attack push before serving traffic.
@@ -136,8 +137,8 @@ class ShardRouter:
     def ping(self) -> List[Dict]:
         """Round-trip the ``ping`` op through every healthy shard.
 
-        A liveness probe that exercises the full wire path (queue in,
-        dispatch, queue out) rather than just ``Process.is_alive()``;
+        A liveness probe that exercises the full wire path (pipe in,
+        dispatch, pipe out) rather than just ``Process.is_alive()``;
         shards that fail the round trip are marked unhealthy.  Used as
         the build-time health check before a fleet takes traffic.
         """
@@ -213,7 +214,7 @@ class ShardRouter:
         Users are grouped by owning shard (original order preserved
         within each group, so per-shard cache behaviour is identical to
         the per-user loop) and each group rides a single round trip
-        instead of one queue ping-pong per user.  A shard that fails
+        instead of one pipe ping-pong per user.  A shard that fails
         mid-batch fails over per-user, same as :meth:`recommend`; a bad
         ``n`` or user id rejects the whole batch before dispatch.
         """
@@ -256,7 +257,7 @@ class ShardRouter:
         """Fan an epoch-stamped feature push to every healthy shard.
 
         Returns the epoch assigned to this push.  The call returns once
-        each healthy shard has the update *enqueued* — application is
+        each healthy shard has the update *sent* — application is
         asynchronous; :meth:`flush` drains the acks.
 
         With a :class:`FeatureScreen` installed, screening happens
@@ -463,7 +464,7 @@ class ShardedService:
 
         The process backend publishes ``scores`` as a throwaway shm
         bundle so each worker slices its own users zero-copy instead of
-        pickling catalog-sized blocks through the queues.
+        pickling catalog-sized blocks through the pipes.
         """
         scores = np.ascontiguousarray(scores, dtype=np.float64)
         total = 0

@@ -1,16 +1,29 @@
 """Worker processes and their RPC seam.
 
 One shard lives in one worker process.  The protocol is deliberately
-tiny: the router puts ``(op, seq, payload)`` tuples on a bounded inbox
-queue, the worker answers ``(seq, status, payload)`` on its outbox.
+tiny: the router sends ``(op, seq, payload)`` tuples down a simplex
+inbox pipe and the worker answers ``(seq, status, payload)`` up its
+outbox pipe, each side pickling on its own thread (no feeder threads).
 Recommendation calls are synchronous (:meth:`ProcessShardHandle.call`);
 invalidation fan-out is asynchronous (:meth:`ProcessShardHandle.cast`
-returns after enqueueing, acks are drained later by :meth:`flush`) so
-an attack push never blocks the router behind one slow shard.
+returns after sending, acks are drained later by :meth:`flush`) so an
+attack push never blocks the router behind one slow shard.
 
-Backpressure is explicit: the inbox is a ``Queue(maxsize=backlog)`` and
-a ``cast`` that cannot enqueue within its timeout marks the shard as a
-failover candidate instead of blocking forever.
+Backpressure is explicit: a ``cast`` finding ``backlog`` acks
+outstanding waits up to its timeout for one, then raises
+:class:`ShardTimeout` (failover, not a hang).  A broken pipe, EOF or a
+dead process raises ``ShardError(kind="WorkerDeath")``; as later
+workers inherit earlier workers' pipe ends under ``fork``, EOF alone is
+no death signal, so polls re-check the process and shutdown sends an
+explicit ``"stop"``.
+
+**No pipe deadlock.**  A writer blocks on a full 64 KiB pipe until the
+reader drains it.  The worker writes while the router is not reading
+only for ``update`` acks — small, at most ``backlog`` ≤
+:data:`MAX_BACKLOG` of them — so they fit and the worker gets back to
+its inbox: a large router send (``warm`` with raw scores) completes.
+Large replies (``recommend_many``, ``bench_phase``, ``warm``) only
+answer synchronous calls, which the router reads while it waits.
 
 :class:`LocalShardHandle` runs the identical shard in-process behind
 the same interface, update acks included — it is what
@@ -21,7 +34,7 @@ tests run on, and the process backend only adds transport.
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue
+import select
 import time
 from typing import Dict, List, Optional
 
@@ -33,6 +46,8 @@ from .race import ShmRaceError, ShmWriteSentinel
 from .shard import Shard, ShardSpec
 
 _DEFAULT_TIMEOUT_S = 30.0
+#: Un-acked casts allowed per shard; their acks must fit in one pipe buffer.
+MAX_BACKLOG = 128
 
 
 class ShardError(RuntimeError):
@@ -85,7 +100,7 @@ class ShardError(RuntimeError):
 
 
 class ShardTimeout(TimeoutError):
-    """The worker did not answer (or enqueue) within the deadline."""
+    """The worker did not answer (or ack enough casts) within the deadline."""
 
 
 def _error_reply(shard_id: int, op: Optional[str], seq: int, exc: BaseException) -> Dict:
@@ -200,7 +215,7 @@ def _dispatch(shard: Shard, op: str, payload):
 
 
 def shard_worker_main(spec: ShardSpec, inbox, outbox) -> None:
-    """Entry point of a worker process: build the shard, serve the queue."""
+    """Entry point of a worker process: build the shard, serve the inbox."""
     shard = None
     sentinel = None
     try:
@@ -211,24 +226,26 @@ def shard_worker_main(spec: ShardSpec, inbox, outbox) -> None:
             # side fails the op that exposed it (ShmRaceError in the
             # error reply) instead of a parity diff much later.
             sentinel = ShmWriteSentinel(shard.scorer.bank)
-        outbox.put((0, "ok", {"shard_id": spec.shard_id}))
+        outbox.send((0, "ok", {"shard_id": spec.shard_id}))
     except Exception as exc:  # construction failed: report, don't serve
-        outbox.put((0, "error", _error_reply(spec.shard_id, "start", 0, exc)))
+        outbox.send((0, "error", _error_reply(spec.shard_id, "start", 0, exc)))
         return
     try:
         while True:
-            op, seq, payload = inbox.get()
+            try:
+                op, seq, payload = inbox.recv()
+            except EOFError:  # every router end closed: nobody to serve
+                return
             if op == "stop":
-                outbox.put((seq, "ok", None))
                 return
             try:
                 result = _dispatch(shard, op, payload)
                 if sentinel is not None:
                     sentinel.verify(op=op, seq=seq)
             except Exception as exc:
-                outbox.put((seq, "error", _error_reply(shard.shard_id, op, seq, exc)))
+                outbox.send((seq, "error", _error_reply(shard.shard_id, op, seq, exc)))
             else:
-                outbox.put((seq, "ok", result))
+                outbox.send((seq, "ok", result))
     finally:
         if shard is not None:
             shard.close()
@@ -247,38 +264,49 @@ class ProcessShardHandle:
         start_method: str = "fork",
         timeout_s: float = _DEFAULT_TIMEOUT_S,
     ) -> None:
+        if not 1 <= backlog <= MAX_BACKLOG:
+            raise ValueError(f"backlog must be in [1, {MAX_BACKLOG}]")
         self.shard_id = spec.shard_id
         self.user_ids = spec.user_ids
         self.timeout_s = timeout_s
+        self.backlog = backlog
         ctx = mp.get_context(start_method)
-        self._inbox = ctx.Queue(maxsize=backlog)
-        self._outbox = ctx.Queue()
+        worker_inbox, self._inbox = ctx.Pipe(duplex=False)
+        self._outbox, worker_outbox = ctx.Pipe(duplex=False)
         self._proc = ctx.Process(
             target=shard_worker_main,
-            args=(spec, self._inbox, self._outbox),
+            args=(spec, worker_inbox, worker_outbox),
             name=f"repro-shard-{spec.shard_id}",
             daemon=True,
         )
         self._proc.start()
+        worker_inbox.close()
+        worker_outbox.close()
         self._seq = 0
         self._acks: Dict[int, tuple] = {}
         self._outstanding: set = set()
-        self._stopped = False
         seq, status, payload = self._recv(0, timeout_s)
         if status != "ok":
             self.stop()
             raise ShardError.from_reply(self.shard_id, payload, op="start")
 
     # -- low-level plumbing ------------------------------------------- #
-    def _next_seq(self) -> int:
+    def _worker_death(self) -> ShardError:
+        message = f"shard {self.shard_id}: worker died (exitcode={self._proc.exitcode})"
+        return ShardError(message, shard_id=self.shard_id, kind="WorkerDeath")
+
+    def _send(self, op: str, payload) -> int:
         self._seq += 1
+        try:
+            self._inbox.send((op, self._seq, payload))
+        except OSError as exc:  # BrokenPipeError, or a closed handle
+            raise self._worker_death() from exc
+        self._outstanding.add(self._seq)
         return self._seq
 
     def _recv(self, want_seq: int, timeout_s: float):
         deadline = monotonic() + timeout_s
-        while True:
-            if want_seq in self._acks:
-                return self._acks.pop(want_seq)
+        while want_seq not in self._acks:
             remaining = deadline - monotonic()
             if remaining <= 0:
                 raise ShardTimeout(
@@ -286,61 +314,41 @@ class ProcessShardHandle:
                     f"within {timeout_s:.1f}s"
                 )
             try:
-                seq, status, payload = self._outbox.get(timeout=min(remaining, 0.5))
-            except queue.Empty:
-                if not self.alive():
-                    raise ShardError(
-                        f"shard {self.shard_id}: worker died "
-                        f"(exitcode={self._proc.exitcode})",
-                        shard_id=self.shard_id,
-                        kind="WorkerDeath",
-                    ) from None
-                continue
+                if not self._outbox.poll(min(remaining, 0.5)):
+                    if not self.alive():
+                        raise self._worker_death()
+                    continue
+                seq, status, payload = self._outbox.recv()
+            except (EOFError, OSError) as exc:
+                raise self._worker_death() from exc
             self._outstanding.discard(seq)
             self._acks[seq] = (seq, status, payload)
+        return self._acks.pop(want_seq)
 
     # -- public API ---------------------------------------------------- #
     def call(self, op: str, payload=None, timeout_s: Optional[float] = None):
         """Synchronous request/reply."""
         timeout_s = self.timeout_s if timeout_s is None else timeout_s
-        seq = self._next_seq()
-        try:
-            self._inbox.put((op, seq, payload), timeout=timeout_s)
-        except queue.Full:
-            raise ShardTimeout(
-                f"shard {self.shard_id}: inbox full for {timeout_s:.1f}s "
-                f"(op={op})"
-            ) from None
-        self._outstanding.add(seq)
-        seq, status, result = self._recv(seq, timeout_s)
+        seq, status, result = self._recv(self._send(op, payload), timeout_s)
         if status != "ok":
             raise ShardError.from_reply(self.shard_id, result, op=op)
         return result
 
     def cast(self, op: str, payload=None, timeout_s: float = 1.0) -> int:
-        """Asynchronous send: enqueue and return the sequence number.
+        """Send without waiting; the ack stays outstanding until :meth:`flush`.
 
-        The ack stays outstanding until :meth:`flush`.  A full inbox for
-        longer than ``timeout_s`` raises :class:`ShardTimeout` — bounded
-        backlog means a stuck shard surfaces as failover, not as an
-        unbounded queue.
-        """
-        seq = self._next_seq()
-        try:
-            self._inbox.put((op, seq, payload), timeout=timeout_s)
-        except queue.Full:
-            raise ShardTimeout(
-                f"shard {self.shard_id}: backlog full for {timeout_s:.1f}s "
-                f"(op={op})"
-            ) from None
-        self._outstanding.add(seq)
-        return seq
+        With ``backlog`` acks outstanding, first wait up to ``timeout_s``
+        for the oldest, else raise :class:`ShardTimeout` (failover)."""
+        if len(self._outstanding) >= self.backlog:
+            oldest = min(self._outstanding)  # the worker replies in order
+            self._acks[oldest] = self._recv(oldest, timeout_s)  # kept for flush
+        return self._send(op, payload)
 
     def flush(self, timeout_s: Optional[float] = None):
-        """Drain every outstanding ack; raise on the first shard error."""
+        """Drain every un-drained ack; raise on the first shard error."""
         timeout_s = self.timeout_s if timeout_s is None else timeout_s
         results = []
-        for seq in sorted(self._outstanding):
+        for seq in sorted(self._outstanding | self._acks.keys()):
             seq, status, payload = self._recv(seq, timeout_s)
             if status != "ok":
                 raise ShardError.from_reply(self.shard_id, payload)
@@ -351,22 +359,22 @@ class ProcessShardHandle:
         return self._proc.is_alive()
 
     def stop(self, timeout_s: float = 5.0) -> None:
-        if self._stopped:
+        """Send ``"stop"`` if the inbox has room, join, then terminate."""
+        if self._inbox.closed:
             return
-        self._stopped = True
-        if self._proc.is_alive():
-            try:
-                seq = self._next_seq()
-                self._inbox.put(("stop", seq, None), timeout=1.0)
-                self._proc.join(timeout=timeout_s)
-            except (queue.Full, ValueError, OSError):
-                pass
+        try:
+            if self.alive() and select.select([], [self._inbox], [], 1.0)[1]:
+                self._inbox.send(("stop", self._seq + 1, None))
+        except OSError:
+            pass
+        self._proc.join(timeout=timeout_s)
+        # SIGTERM stays pending on a SIGSTOPped worker; SIGKILL does not.
+        for end in (self._proc.terminate, self._proc.kill):
             if self._proc.is_alive():
-                self._proc.terminate()
+                end()
                 self._proc.join(timeout=timeout_s)
-        for q in (self._inbox, self._outbox):
-            q.close()
-            q.join_thread()
+        self._inbox.close()
+        self._outbox.close()
 
 
 class LocalShardHandle:
@@ -378,9 +386,7 @@ class LocalShardHandle:
         self.user_ids = self._shard.user_ids
         self._alive = True
         self._acks: List[Dict] = []
-        self._sentinel = (
-            ShmWriteSentinel(self._shard.scorer.bank) if race_check else None
-        )
+        self._sentinel = ShmWriteSentinel(shard.scorer.bank) if race_check else None
 
     @property
     def shard(self) -> Shard:
@@ -388,12 +394,8 @@ class LocalShardHandle:
 
     def call(self, op: str, payload=None, timeout_s: Optional[float] = None):
         if not self._alive:
-            raise ShardError(
-                f"shard {self.shard_id}: handle stopped",
-                shard_id=self.shard_id,
-                op=op,
-                kind="HandleStopped",
-            )
+            message = f"shard {self.shard_id}: handle stopped"
+            raise ShardError(message, shard_id=self.shard_id, op=op, kind="HandleStopped")
         try:
             result = _dispatch(self._shard, op, payload)
             if self._sentinel is not None:
@@ -402,12 +404,9 @@ class LocalShardHandle:
         except (ShardError, ShardTimeout, ShmRaceError):
             raise
         except Exception as exc:
-            raise ShardError(
-                f"shard {self.shard_id} op {op}: {type(exc).__name__}: {exc}",
-                shard_id=self.shard_id,
-                op=op,
-                kind=type(exc).__name__,
-            ) from exc
+            kind = type(exc).__name__
+            message = f"shard {self.shard_id} op {op}: {kind}: {exc}"
+            raise ShardError(message, shard_id=self.shard_id, op=op, kind=kind) from exc
 
     def cast(self, op: str, payload=None, timeout_s: float = 1.0) -> int:
         """Apply now; an ``update`` reply is kept as an ack for :meth:`flush`."""

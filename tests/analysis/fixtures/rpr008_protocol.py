@@ -3,7 +3,8 @@
 Never imported; parsed by the lint self-tests.  The rule rebuilds both
 sides of the ``(op, seq, payload)`` protocol from this file alone: the
 handler table from ``_dispatch``/``shard_worker_main`` and the op
-constructions from ``call``/``cast``/raw queue-tuple ``put`` sites.
+constructions from ``call``/``cast`` sites and raw wire tuples passed to
+``send``/``put``.
 """
 
 
@@ -45,5 +46,11 @@ class Handle:
         return self.call("recomend", {"user": 1})  # VIOLATION: unknown op
 
     def shutdown(self):
-        # Raw wire tuple: keeps the "stop" handler alive.
-        self.inbox.put(("stop", 0, None))
+        # Raw wire tuple over a pipe: keeps the "stop" handler alive.
+        self.inbox.send(("stop", 0, None))
+
+    def legacy_shutdown(self):
+        self.inbox.put(("halt", 0, None))  # VIOLATION: raw put tuple, unknown op
+
+    def piped_typo(self):
+        self.inbox.send(("recomend", 1, {"user": 1}))  # VIOLATION: unknown op

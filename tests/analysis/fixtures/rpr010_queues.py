@@ -1,8 +1,8 @@
 """RPR010 fixture — queue/lock hygiene in the serving tier.
 
-Never imported; parsed by the lint self-tests.  Queues and locks are
-recognised by the serving tier's naming conventions (``inbox``/
-``outbox``/``*queue*``, ``*lock*``/``*mutex*``).
+Never imported; parsed by the lint self-tests.  Queues, pipe ends and
+locks are recognised by the serving tier's naming conventions
+(``inbox``/``outbox``/``*queue*``, ``*lock*``/``*mutex*``).
 """
 
 import threading
@@ -30,6 +30,29 @@ class Handle:
     def enqueue_outside(self, item):
         self.inbox.put(item)  # no lock held: fine
 
+    def drain_pipe(self):
+        return self.outbox.recv()  # VIOLATION: recv with no bounded poll
+
+    def polled_pipe(self):
+        if self.outbox.poll(0.5):
+            return self.outbox.recv()  # bounded poll on the same end: fine
+        return None
+
+    def forever_poll(self):
+        self.outbox.poll(None)
+        return self.outbox.recv()  # VIOLATION: poll(None) is no bound
+
+    def other_end_polled(self):
+        self.inbox.poll(timeout=0.1)
+        return self.outbox.recv()  # VIOLATION: the poll is on another end
+
+    def send_locked(self, item):
+        with self._lock:
+            self.inbox.send(item)  # VIOLATION: send under a held lock
+
+    def send_outside(self, item):
+        self.inbox.send(item)  # no lock held: fine
+
 
 def forward():
     with state_lock:
@@ -50,3 +73,4 @@ def shard_worker_main(inbox, outbox):
         if task is None:
             break
         outbox.put(task)
+        outbox.send(inbox.recv())

@@ -82,6 +82,35 @@ class TestConvBnFolding:
         assert not np.allclose(before, after)
         np.testing.assert_allclose(after, reference, atol=1e-5)
 
+    def test_repeated_predicts_reuse_one_fold(self):
+        # predict_proba calls eval() per batch; an eval→eval call must not
+        # drop the cache, or every inference forward re-folds every conv.
+        model = make_model()
+        images = RNG.random((2, 3, 12, 12)).astype(np.float32)
+        with conv_bn_folding(True):
+            model.predict_proba(images)
+            fold = model.stem_conv._folded_eval
+            model.predict_proba(images)
+        assert model.stem_conv._folded_eval is fold
+
+    def test_load_state_dict_in_eval_mode_refolds(self):
+        # The load rebinds every array the cached fold came from; the cache
+        # holds those sources, so a freed array's reused id() cannot fool it.
+        source = make_model(seed=3)
+        images = RNG.random((2, 3, 12, 12)).astype(np.float32)
+        with conv_bn_folding(True):
+            model = make_model(seed=0)
+            eval_forward(model, images)  # fold seed-0 weights into the cache
+            model.load_state_dict(source.state_dict())
+            loaded = eval_forward(model, images)
+            fresh = TinyResNet(
+                num_classes=4, widths=(8, 16), blocks_per_stage=(1, 1), seed=5
+            )
+            fresh.load_state_dict(source.state_dict())
+            fresh.eval()
+            expected = eval_forward(fresh, images)
+        np.testing.assert_array_equal(loaded, expected)
+
 
 class TestDtypePolicy:
     def test_float32_and_float64_predictions_agree(self):

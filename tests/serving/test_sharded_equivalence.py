@@ -9,7 +9,7 @@ expressions in the same order, so there is no tolerance here, only
 ``assert_array_equal``.  Runs on all three recommenders of the paper
 (BPR-MF as the attack-immune control) and on both backends: ``local``
 (in-process shards, the fast path for the property sweep) and
-``process`` (real workers + shared memory + queue transport).
+``process`` (real workers + shared memory + pipe transport).
 """
 
 import numpy as np

@@ -3,9 +3,16 @@
 Epoch-ordered update application (out-of-order delivery cannot
 resurrect stale cache entries), shared-memory bundle round-trips and
 teardown, partition invariance, derived load-generator streams,
-failover to the MostPop fallback, and the block-shaped warm-start
-slice on :class:`RecommenderService`.
+failover to the MostPop fallback, the process transport's failure
+contracts (backpressure, worker death, no pipe deadlock, clean
+shutdown), and the block-shaped warm-start slice on
+:class:`RecommenderService`.
 """
+
+import multiprocessing as mp
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +34,7 @@ from repro.serving.sharded import (
 )
 from repro.serving.sharded.shard import Shard
 from repro.serving.sharded.scorer import SharedScorer, compute_item_side
-from repro.serving.sharded.worker import LocalShardHandle, ShardError
+from repro.serving.sharded.worker import LocalShardHandle, ShardError, ShardTimeout
 from repro.telemetry import MetricsRegistry, install_metrics
 
 
@@ -261,6 +268,100 @@ class TestFailover:
                 service.recommend(0)
         finally:
             service.close()
+
+
+# --------------------------------------------------------------------- #
+# Process transport: failure contracts of the worker pipes
+# --------------------------------------------------------------------- #
+def _shard_children():
+    return [p for p in mp.active_children() if p.name.startswith("repro-shard-")]
+
+
+def _update(model, epoch):
+    items = np.array([epoch % model.num_items])
+    return {
+        "epoch": epoch,
+        "item_ids": items,
+        "item_features": model.features[items] + 0.1 * epoch,
+    }
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs POSIX signals")
+class TestProcessTransport:
+    @pytest.fixture()
+    def process_service(self, system):
+        model, item_classes, class_names, counts = system
+        service = ShardedService.build(
+            model,
+            num_shards=2,
+            backend="process",
+            fallback_counts=counts,
+            n=6,
+            backlog=4,
+        )
+        yield service
+        service.close()
+
+    def test_stuck_worker_turns_backpressure_into_timeout(self, process_service, system):
+        model, *_ = system
+        handle = process_service.router.handles[0]
+        os.kill(handle._proc.pid, signal.SIGSTOP)
+        try:
+            seqs = [handle.cast("update", _update(model, e)) for e in range(1, 5)]
+            started = time.monotonic()
+            with pytest.raises(ShardTimeout):
+                handle.cast("update", _update(model, 5), timeout_s=0.3)
+            assert time.monotonic() - started < 2.0
+        finally:
+            os.kill(handle._proc.pid, signal.SIGCONT)
+        acks = handle.flush(timeout_s=10.0)
+        assert len(acks) == len(seqs) == handle.backlog
+        assert [ack["applied_epochs"] for ack in acks] == [[1], [2], [3], [4]]
+
+    def test_killed_worker_is_a_typed_death_and_fails_over(self, process_service, system):
+        *_, counts = system
+        router = process_service.router
+        handle = router.handles[1]
+        os.kill(handle._proc.pid, signal.SIGKILL)
+        with pytest.raises(ShardError) as info:
+            handle.call("ping", timeout_s=10.0)
+        assert info.value.kind == "WorkerDeath"
+        started = time.monotonic()
+        served = router.recommend(1)  # a shard-1 user
+        assert time.monotonic() - started < 2.0
+        np.testing.assert_array_equal(served, np.argsort(-counts, kind="stable")[:6])
+        assert router.healthy_shards() == [0]
+
+    def test_large_warm_completes_while_casts_are_outstanding(self):
+        model, *_ = build_synthetic_system(400, 200, feature_dim=10, seed=3)
+        scores = model.score_all()
+        assert scores.nbytes > 64 * 1024  # larger than one pipe buffer
+        service = ShardedService.build(model, num_shards=2, backend="process", n=6)
+        try:
+            handle = service.router.handles[0]
+            for epoch in (1, 2, 3):
+                handle.cast("update", _update(model, epoch))
+            warmed = handle.call("warm", {"scores": scores}, timeout_s=20.0)
+            assert warmed == handle.user_ids.size
+            acks = handle.flush(timeout_s=10.0)
+            assert [ack["applied_epochs"] for ack in acks] == [[1], [2], [3]]
+        finally:
+            service.close()
+
+    def test_stop_never_blocks_on_a_stuck_worker(self, process_service):
+        handle = process_service.router.handles[0]
+        os.kill(handle._proc.pid, signal.SIGSTOP)
+        started = time.monotonic()
+        handle.stop(timeout_s=0.2)
+        assert time.monotonic() - started < 5.0
+        assert not handle.alive()
+
+    def test_close_leaves_no_worker_behind(self, system):
+        model, *_ = system
+        service = ShardedService.build(model, num_shards=2, backend="process", n=6)
+        assert len(_shard_children()) == 2
+        service.close()
+        assert _shard_children() == []
 
 
 class TestMalformedInput:
