@@ -9,8 +9,6 @@ Four subcommands cover the daily workflows::
     python -m repro tables  --dataset men --scale 0.006
     python -m repro run     --dataset men --cache-dir .cache --explain
     python -m repro run     --dataset men --cache-dir .cache --manifest run.json
-    python -m repro bench   --scale 0.003 --out BENCH_perf_engine.json
-    python -m repro serve-bench --requests 600 --out BENCH_serving.json
     python -m repro lint    --explain
     python -m repro lint    --select RPR003 --format json
 
@@ -18,10 +16,7 @@ Four subcommands cover the daily workflows::
 optionally caches) the full experiment context; ``attack`` runs a single
 TAaMR attack and reports CHR / success / visual metrics; ``tables``
 regenerates the paper's Tables II-IV on one dataset (the ``tables``
-stage of the ``run`` DAG, printed); ``bench`` times the
-engine's float64-baseline vs float32-optimized configurations;
-``serve-bench`` load-tests the online serving layer (cold vs cached vs
-post-attack-invalidation phases); ``run`` executes the experiment stage
+stage of the ``run`` DAG, printed); ``run`` executes the experiment stage
 DAG against a content-addressed artifact store — only stages whose
 inputs changed re-run — and emits a JSON run manifest (per-stage
 fingerprints, artifact hashes, cache hit/built actions, timings);
@@ -71,10 +66,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         "integrity, dtype-policy and leaked-graph checks); values are "
         "bitwise identical, execution is slower",
     )
-    _add_telemetry_arguments(parser)
-
-
-def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile", action="store_true",
         help="collect autograd op stats and run metrics; prints the hot-op "
@@ -181,69 +172,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
             clean, outcome.adversarial_images[:count], args.save_images
         )
         print(f"clean/attacked grid saved to {args.save_images}")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .experiments import format_perf_report, run_perf_bench
-
-    payload = run_perf_bench(
-        scale=args.scale,
-        image_size=args.image_size,
-        repeats=args.repeats,
-        include_grid=not args.no_grid,
-        include_ladder=not args.no_ladder,
-        out_path=args.out,
-        verbose=not args.quiet,
-    )
-    print(format_perf_report(payload))
-    return 0
-
-
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    if args.workers:
-        from .serving import format_sharded_report, run_sharded_bench
-
-        try:
-            worker_counts = tuple(
-                int(part) for part in args.workers.split(",") if part.strip()
-            )
-        except ValueError:
-            print("error: --workers must be comma-separated integers", file=sys.stderr)
-            return 2
-        if not worker_counts or any(count <= 0 for count in worker_counts):
-            print("error: --workers needs positive worker counts", file=sys.stderr)
-            return 2
-        payload = run_sharded_bench(
-            num_users=args.users,
-            num_items=args.items,
-            requests=args.requests or 60_000,
-            top_n=args.top_n,
-            zipf_exponent=args.zipf if args.zipf is not None else 0.9,
-            worker_counts=worker_counts,
-            seed=args.seed,
-            smoke=args.smoke,
-            race_check=True if args.race else None,
-            out_path=args.out,
-            verbose=not args.quiet,
-        )
-        print(format_sharded_report(payload))
-        return 0
-
-    from .serving import format_serving_report, run_serving_bench
-
-    payload = run_serving_bench(
-        scale=args.scale,
-        requests=args.requests or 600,
-        top_n=args.top_n,
-        zipf_exponent=args.zipf if args.zipf is not None else 1.1,
-        epsilon_255=args.eps,
-        seed=args.seed,
-        smoke=args.smoke,
-        out_path=args.out,
-        verbose=not args.quiet,
-    )
-    print(format_serving_report(payload))
     return 0
 
 
@@ -644,73 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the cube rows as JSON to this path",
     )
     matrix.set_defaults(handler=cmd_matrix)
-
-    bench = subparsers.add_parser(
-        "bench", help="time the engine (float64 baseline vs float32 optimized)"
-    )
-    bench.add_argument("--scale", type=float, default=0.003, help="dataset scale factor")
-    bench.add_argument("--image-size", type=int, default=24, help="catalog image size")
-    bench.add_argument("--repeats", type=int, default=3, help="timed repetitions per stage")
-    bench.add_argument(
-        "--no-grid", action="store_true",
-        help="skip the full attack-grid timing (micro benchmarks only)",
-    )
-    bench.add_argument(
-        "--no-ladder", action="store_true",
-        help="skip the ladder grid timings (per-cell baseline vs exact vs warm)",
-    )
-    bench.add_argument(
-        "--out", default=None, help="write the JSON report to this path"
-    )
-    bench.add_argument("--quiet", action="store_true", help="suppress progress logs")
-    _add_telemetry_arguments(bench)
-    bench.set_defaults(handler=cmd_bench)
-
-    serve = subparsers.add_parser(
-        "serve-bench",
-        help="load-test the serving layer (cold / warm / post-invalidation)",
-    )
-    serve.add_argument("--scale", type=float, default=0.004, help="dataset scale factor")
-    serve.add_argument(
-        "--requests", type=int, default=None,
-        help="requests per phase (default 600 single-process, 24000 sharded)",
-    )
-    serve.add_argument("--top-n", type=int, default=20, help="serving cutoff N")
-    serve.add_argument(
-        "--workers", default=None, metavar="N[,N...]",
-        help="run the sharded multi-worker bench at these worker counts "
-        "(synthetic catalog; e.g. --workers 1,2,4)",
-    )
-    serve.add_argument(
-        "--users", type=int, default=100_000,
-        help="synthetic user count for the sharded bench",
-    )
-    serve.add_argument(
-        "--items", type=int, default=2000,
-        help="synthetic catalog size for the sharded bench",
-    )
-    serve.add_argument(
-        "--zipf", type=float, default=None,
-        help="traffic skew exponent (default 1.1 single-process, 0.9 sharded)",
-    )
-    serve.add_argument("--eps", type=float, default=8.0, help="attack ε on the 0-255 scale")
-    serve.add_argument("--seed", type=int, default=0, help="experiment seed")
-    serve.add_argument(
-        "--smoke", action="store_true",
-        help="tiny fast mode (used by the default test tier)",
-    )
-    serve.add_argument(
-        "--race", action="store_true",
-        help="arm the runtime shm-write sentinel in every worker (sharded "
-        "bench only; also enabled by REPRO_RACE_CHECK=1)",
-    )
-    serve.add_argument(
-        "--out", default="BENCH_serving.json",
-        help="write the JSON report to this path",
-    )
-    serve.add_argument("--quiet", action="store_true", help="suppress progress logs")
-    _add_telemetry_arguments(serve)
-    serve.set_defaults(handler=cmd_serve_bench)
 
     profile = subparsers.add_parser(
         "profile",

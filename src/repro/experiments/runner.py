@@ -345,8 +345,7 @@ def per_cell_grid(context: ExperimentContext, recommender_name: str) -> AttackGr
     Each cell builds its own FGSM/PGD instance and runs it through
     :meth:`TAaMRPipeline.attack_category` — the unbatched path the
     ε ladder must reproduce bit for bit in ``"exact"`` mode.  Not an
-    engine mode: the ladder tests and the per-cell baseline of
-    ``repro bench`` call it directly.
+    engine mode: the ladder tests call it directly.
     """
     config = context.config
     pipeline = _build_pipeline(context, recommender_name)

@@ -19,14 +19,9 @@ from .layers import (
     Parameter,
     ReLU,
     Sequential,
-    conv_bn_folding,
-    conv_bn_folding_enabled,
     conv_bn_forward,
     fold_conv_bn,
     frozen_parameters,
-    parameter_freezing,
-    set_conv_bn_folding,
-    set_parameter_freezing,
 )
 from .functional import Im2colWorkspace
 from .losses import accuracy, cross_entropy, mse, soft_cross_entropy
@@ -64,14 +59,9 @@ __all__ = [
     "compute_dtype",
     "get_default_dtype",
     "set_default_dtype",
-    "conv_bn_folding",
-    "conv_bn_folding_enabled",
     "conv_bn_forward",
     "fold_conv_bn",
     "frozen_parameters",
-    "parameter_freezing",
-    "set_parameter_freezing",
-    "set_conv_bn_folding",
     "Im2colWorkspace",
     "functional",
     "Module",

@@ -99,8 +99,8 @@ class Module:
     def to_dtype(self, dtype) -> "Module":
         """Cast every parameter, gradient and buffer to ``dtype`` in place.
 
-        Used by the perf benchmark to time the same trained weights under
-        both compute policies.
+        Lets the same trained weights run under either compute policy
+        (pair with :class:`~repro.nn.tensor.compute_dtype`).
         """
         resolved = np.dtype(dtype)
         for _, param in self.named_parameters():
@@ -295,49 +295,6 @@ class BatchNorm2d(Module):
         return normalised * scale + shift
 
 
-# --------------------------------------------------------------------- #
-# Eval-time conv + BN folding
-# --------------------------------------------------------------------- #
-#
-# In eval mode batch norm is a fixed per-channel affine map, so it can be
-# folded into the preceding convolution's weights: W' = W · γ/√(v+ε),
-# b' = β + (b − m) · γ/√(v+ε).  Every attack iteration runs the model in
-# eval mode, so folding removes four full-feature-map elementwise ops
-# (and their backward closures) per conv/BN pair per iteration.  The fold
-# is computed with Tensor ops on the layers' parameters, so it is exact
-# and gradients still flow to conv and BN parameters; train() falls back
-# to the unfolded pair automatically because folding is eval-only.
-
-_PARAMETER_FREEZING = True
-
-
-def set_parameter_freezing(enabled: bool) -> bool:
-    """Globally enable/disable :class:`frozen_parameters`; returns previous.
-
-    With freezing off the context manager becomes a no-op and attack
-    backward passes compute (and accumulate) parameter gradients exactly
-    as the seed engine did — kept reachable for benchmarking.
-    """
-    global _PARAMETER_FREEZING
-    previous = _PARAMETER_FREEZING
-    _PARAMETER_FREEZING = bool(enabled)
-    return previous
-
-
-class parameter_freezing:
-    """Context manager pinning the parameter-freezing flag."""
-
-    def __init__(self, enabled: bool) -> None:
-        self._enabled = enabled
-
-    def __enter__(self) -> "parameter_freezing":
-        self._previous = set_parameter_freezing(self._enabled)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        set_parameter_freezing(self._previous)
-
-
 class frozen_parameters:
     """Context manager disabling gradient tracking for a module's parameters.
 
@@ -353,9 +310,6 @@ class frozen_parameters:
         self._module = module
 
     def __enter__(self) -> "frozen_parameters":
-        if not _PARAMETER_FREEZING:
-            self._frozen = []
-            return self
         self._frozen = [p for p in self._module.parameters() if p.requires_grad]
         for parameter in self._frozen:
             parameter.requires_grad = False
@@ -366,33 +320,18 @@ class frozen_parameters:
             parameter.requires_grad = True
 
 
-_CONV_BN_FOLDING = True
-
-
-def set_conv_bn_folding(enabled: bool) -> bool:
-    """Globally enable/disable eval-time conv+BN folding; returns previous."""
-    global _CONV_BN_FOLDING
-    previous = _CONV_BN_FOLDING
-    _CONV_BN_FOLDING = bool(enabled)
-    return previous
-
-
-def conv_bn_folding_enabled() -> bool:
-    return _CONV_BN_FOLDING
-
-
-class conv_bn_folding:
-    """Context manager pinning the folding flag (used by benchmarks/tests)."""
-
-    def __init__(self, enabled: bool) -> None:
-        self._enabled = enabled
-
-    def __enter__(self) -> "conv_bn_folding":
-        self._previous = set_conv_bn_folding(self._enabled)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        set_conv_bn_folding(self._previous)
+# --------------------------------------------------------------------- #
+# Eval-time conv + BN folding
+# --------------------------------------------------------------------- #
+#
+# In eval mode batch norm is a fixed per-channel affine map, so it can be
+# folded into the preceding convolution's weights: W' = W · γ/√(v+ε),
+# b' = β + (b − m) · γ/√(v+ε).  Every attack iteration runs the model in
+# eval mode, so folding removes four full-feature-map elementwise ops
+# (and their backward closures) per conv/BN pair per iteration.  The fold
+# is computed with Tensor ops on the layers' parameters, so it is exact
+# and gradients still flow to conv and BN parameters; train() falls back
+# to the unfolded pair automatically because folding is eval-only.
 
 
 def fold_conv_bn(conv: Conv2d, bn: BatchNorm2d) -> Tuple[Tensor, Tensor]:
@@ -414,18 +353,17 @@ def fold_conv_bn(conv: Conv2d, bn: BatchNorm2d) -> Tuple[Tensor, Tensor]:
 
 
 def conv_bn_forward(x: Tensor, conv: Conv2d, bn: BatchNorm2d) -> Tensor:
-    """``bn(conv(x))`` with eval-time folding when enabled.
+    """``bn(conv(x))`` with eval-time folding.
 
-    Training mode (or a disabled fold flag) uses the unfolded pair, so
-    running statistics keep updating exactly as before.  When no gradient
-    can flow to the pair's parameters (inference under ``no_grad``, or an
-    input-gradient attack with frozen weights) the folded weight/bias are
-    cached on the conv, holding the source arrays it was folded from, and
-    reused until one of them is rebound (``load_state_dict``,
-    ``to_dtype``) or the module goes back to training — repeated eval
-    forwards skip the re-fold.
+    Training mode uses the unfolded pair, so running statistics keep
+    updating exactly as before.  When no gradient can flow to the pair's
+    parameters (inference under ``no_grad``, or an input-gradient attack
+    with frozen weights) the folded weight/bias are cached on the conv,
+    holding the source arrays it was folded from, and reused until one of
+    them is rebound (``load_state_dict``, ``to_dtype``) or the module goes
+    back to training — repeated eval forwards skip the re-fold.
     """
-    if bn.training or not _CONV_BN_FOLDING:
+    if bn.training:
         return bn(conv(x))
     needs_parameter_graph = is_grad_enabled() and (
         conv.weight.requires_grad

@@ -77,7 +77,7 @@ class compute_dtype:
 
     ``with compute_dtype(np.float64): ...`` runs the enclosed forward /
     backward passes in full precision, restoring the previous policy on
-    exit — used by the perf benchmark to time both policies in one run.
+    exit.
     """
 
     def __init__(self, dtype) -> None:

@@ -13,18 +13,11 @@ shared memory, with MostPop failover.
 :class:`RecommenderService` is that stack with one in-process shard,
 wired to a :class:`~repro.core.pipeline.TAaMRPipeline` (live feature
 pushes + rolling CHR monitoring); :mod:`~repro.serving.loadgen`
-measures its request path under deterministic Zipf traffic, and
-``serve-bench --workers`` measures the multi-worker fleet.
+draws deterministic Zipf request streams to drive either.
 """
 
 from .index import CacheStats, TopNCache
-from .loadgen import (
-    PhaseStats,
-    ZipfLoadGenerator,
-    format_serving_report,
-    measure_phase,
-    run_serving_bench,
-)
+from .loadgen import ZipfLoadGenerator
 from .screen import FeatureScreen, ScreenReport
 from .service import RecommenderService, UpdateReport
 from .sharded import (
@@ -32,8 +25,6 @@ from .sharded import (
     Shard,
     ShardedService,
     ShardRouter,
-    format_sharded_report,
-    run_sharded_bench,
 )
 from .sharded.shard import RollingChrMonitor
 
@@ -46,14 +37,8 @@ __all__ = [
     "FeatureScreen",
     "ScreenReport",
     "ZipfLoadGenerator",
-    "PhaseStats",
-    "measure_phase",
-    "run_serving_bench",
-    "format_serving_report",
     "MostPopFallback",
     "Shard",
     "ShardRouter",
     "ShardedService",
-    "format_sharded_report",
-    "run_sharded_bench",
 ]

@@ -1,56 +1,17 @@
-"""Deterministic Zipf load generator and the serving benchmark.
+"""Deterministic Zipf load generator.
 
 Real recommendation traffic is heavily skewed — a small fraction of
 users generates most requests — which is exactly the regime where a
 per-user top-N cache pays off.  :class:`ZipfLoadGenerator` draws user
 ids from a seeded Zipf distribution over a random user permutation, so
 request streams are reproducible bit-for-bit across runs.
-
-:func:`run_serving_bench` measures the three serving regimes the
-tentpole cares about on one trained system:
-
-* **cold** — empty cache, each distinct user of the stream served once
-  in first-appearance order, so every request pays the full scoring
-  path;
-* **warm_cache** — the full Zipf stream against the populated cache,
-  hits dominate;
-* **post_invalidation** — a TAaMR perturbation of the source category's
-  images is pushed through :meth:`RecommenderService.push_attacked_images`
-  (feature re-extraction + incremental rescore + fine-grained cache
-  invalidation), then the stream replays again: only users whose lists
-  the attack could change pay the recompute;
-* **defended** — a :class:`~repro.serving.screen.FeatureScreen`
-  (reconstruction detector fitted + calibrated on the clean catalog
-  features) is installed on the ingest path, the same attack push is
-  replayed against it, and the stream replays once more.  The phase
-  carries the measured detection rate and the request-path p95 delta
-  vs ``post_invalidation``; the ``screen`` payload section adds the
-  clean-push false-positive rate and the push-path overhead.
-
-Each phase reports throughput and p50/p95/p99 latency; the payload also
-carries cache counters and the rolling CHR of the attacked source
-category before/after the push — the live view of the paper's Table II
-shift.  ``python -m repro serve-bench`` and
-``benchmarks/bench_serving.py`` both write it as ``BENCH_serving.json``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Dict, Optional
-
 import numpy as np
 
-from ..attacks import FGSM, PGD, epsilon_from_255
-from ..core.pipeline import TAaMRPipeline
-from ..core.scenarios import make_scenario
-from ..experiments.config import men_config
-from ..experiments.context import build_context
-from ..rng import derive_rng, rng_from_seed
-from ..telemetry import active_metrics, monotonic, span
-from .screen import FeatureScreen
-from .service import RecommenderService
+from ..rng import derive_rng
 
 
 class ZipfLoadGenerator:
@@ -63,12 +24,9 @@ class ZipfLoadGenerator:
     ``stream`` names a derived RNG stream
     (:func:`repro.rng.derive_rng`): generators built from the same seed
     but different stream names draw independent, individually
-    reproducible sequences.  The sharded bench keys streams as
-    ``"sharded.loadgen"`` etc. so multi-process runs stay reproducible
-    and — because one *global* stream is partitioned by ownership rather
-    than one stream drawn per shard — invariant to the shard count.
-    Omitting ``stream`` preserves the original single-process sequences
-    bit for bit.
+    reproducible sequences.  Callers draw one *global* stream and
+    partition it by ownership rather than drawing one stream per shard,
+    so a run is invariant to the shard count.
     """
 
     def __init__(
@@ -76,7 +34,8 @@ class ZipfLoadGenerator:
         num_users: int,
         exponent: float = 1.1,
         seed: int = 0,
-        stream: Optional[str] = None,
+        *,
+        stream: str,
     ) -> None:
         if num_users <= 0:
             raise ValueError("num_users must be positive")
@@ -85,7 +44,7 @@ class ZipfLoadGenerator:
         self.num_users = num_users
         self.exponent = exponent
         self.stream = stream
-        self._rng = rng_from_seed(seed) if stream is None else derive_rng(seed, stream)
+        self._rng = derive_rng(seed, stream)
         ranks = np.empty(num_users, dtype=np.float64)
         ranks[self._rng.permutation(num_users)] = np.arange(1, num_users + 1)
         weights = ranks**-exponent
@@ -96,311 +55,3 @@ class ZipfLoadGenerator:
         if count <= 0:
             raise ValueError("count must be positive")
         return self._rng.choice(self.num_users, size=count, p=self.probabilities)
-
-
-@dataclass
-class PhaseStats:
-    """Latency/throughput profile of one request phase."""
-
-    name: str
-    requests: int
-    wall_s: float
-    throughput_rps: float
-    p50_ms: float
-    p95_ms: float
-    p99_ms: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "requests": self.requests,
-            "wall_s": self.wall_s,
-            "throughput_rps": self.throughput_rps,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-        }
-
-
-def measure_phase(service: RecommenderService, name: str, users: np.ndarray) -> PhaseStats:
-    """Serve ``users`` one request at a time, timing each."""
-    latencies = np.empty(users.shape[0], dtype=np.float64)
-    registry = active_metrics()
-    phase_histogram = (
-        registry.histogram(f"serving.phase.{name}.latency_ms")
-        if registry is not None
-        else None
-    )
-    with span("serving.phase", phase=name, requests=int(users.shape[0])):
-        start = monotonic()
-        for idx, user in enumerate(users):
-            t0 = monotonic()
-            service.recommend(int(user))
-            latencies[idx] = monotonic() - t0
-            if phase_histogram is not None:
-                phase_histogram.record(1e3 * latencies[idx])
-        wall = monotonic() - start
-    p50, p95, p99 = np.percentile(latencies, [50, 95, 99])
-    return PhaseStats(
-        name=name,
-        requests=int(users.shape[0]),
-        wall_s=wall,
-        throughput_rps=users.shape[0] / wall if wall > 0 else float("inf"),
-        p50_ms=1e3 * float(p50),
-        p95_ms=1e3 * float(p95),
-        p99_ms=1e3 * float(p99),
-    )
-
-
-def run_serving_bench(
-    scale: float = 0.004,
-    image_size: int = 24,
-    requests: int = 600,
-    top_n: int = 20,
-    zipf_exponent: float = 1.1,
-    epsilon_255: float = 8.0,
-    source: str = "sock",
-    target: str = "running_shoe",
-    seed: int = 0,
-    smoke: bool = False,
-    screen_components: int = 8,
-    screen_fpr: float = 0.05,
-    out_path: Optional[str] = None,
-    verbose: bool = False,
-) -> Dict:
-    """Benchmark cold / warm / post-invalidation / defended serving on VBPR.
-
-    ``smoke=True`` shrinks everything (tiny catalog, short training,
-    few requests, one-step FGSM) so the benchmark machinery can run
-    inside the default test tier in a few seconds.
-    """
-    if requests <= 0:
-        raise ValueError("requests must be positive")
-
-    def log(message: str) -> None:
-        if verbose:
-            print(f"[serve-bench] {message}", flush=True)
-
-    if smoke:
-        scale, image_size = min(scale, 0.002), min(image_size, 16)
-        requests = min(requests, 48)
-        config = men_config(
-            scale=scale,
-            image_size=image_size,
-            seed=seed,
-            classifier_epochs=3,
-            recommender_epochs=4,
-            amr_pretrain_epochs=2,
-        )
-    else:
-        config = men_config(
-            scale=scale,
-            image_size=image_size,
-            seed=seed,
-            classifier_epochs=8,
-            recommender_epochs=20,
-            amr_pretrain_epochs=10,
-        )
-    context = build_context(config, verbose=verbose)
-    pipeline = TAaMRPipeline(
-        context.dataset, context.extractor, context.vbpr, cutoff=top_n
-    )
-    service = RecommenderService.from_pipeline(
-        pipeline, n=top_n, monitor_window=max(64, requests)
-    )
-    log(
-        f"service ready: {context.dataset.num_users} users x "
-        f"{context.dataset.num_items} items, cutoff {service.n}"
-    )
-
-    generator = ZipfLoadGenerator(
-        context.dataset.num_users, exponent=zipf_exponent, seed=seed
-    )
-    stream = generator.sample(requests)
-    # First-touch order: each distinct user of the stream once, against
-    # the empty cache, so the cold profile is purely the miss path (a
-    # Zipf replay would mostly hit entries it created moments earlier).
-    _, first_seen = np.unique(stream, return_index=True)
-    cold_users = stream[np.sort(first_seen)]
-
-    cold = measure_phase(service, "cold", cold_users)
-    log(f"cold: {cold.throughput_rps:.0f} req/s, p50 {cold.p50_ms:.3f} ms")
-    warm = measure_phase(service, "warm_cache", stream)
-    log(f"warm: {warm.throughput_rps:.0f} req/s, p50 {warm.p50_ms:.3f} ms")
-    chr_before = service.monitor.chr_percent(source)
-
-    # The attack: perturb the source category's images toward the target
-    # class and push them through the deployed-system surface.
-    scenario = make_scenario(context.dataset.registry, source, target)
-    source_items = pipeline.category_items(scenario.source)
-    if source_items.size == 0:
-        raise ValueError(f"classifier assigns no items to '{source}'")
-    max_items = 8 if smoke else 32
-    attacked_items = source_items[:max_items]
-    target_class = context.dataset.registry.by_name(scenario.target).category_id
-    epsilon = epsilon_from_255(epsilon_255)
-    attack = (
-        FGSM(context.classifier, epsilon)
-        if smoke
-        else PGD(context.classifier, epsilon, num_steps=10, seed=seed)
-    )
-    result = attack.attack(
-        context.dataset.images[attacked_items],
-        target_class=target_class,
-        original_predictions=pipeline.item_classes[attacked_items],
-    )
-    push_started = monotonic()
-    update = service.push_attacked_images(attacked_items, result.adversarial_images)
-    push_undefended_ms = 1e3 * (monotonic() - push_started)
-    log(
-        f"pushed {attacked_items.size} attacked images: "
-        f"{update.num_invalidated}/{update.cached_users} cached lists invalidated"
-    )
-
-    post = measure_phase(service, "post_invalidation", stream)
-    log(f"post: {post.throughput_rps:.0f} req/s, p50 {post.p50_ms:.3f} ms")
-    chr_after = service.monitor.chr_percent(source)
-
-    # Defended ingest: the reconstruction screen is fitted + calibrated
-    # on the clean catalog features, then the same attack replays
-    # against it.  A clean push first measures the false-positive cost
-    # of the screen on legitimate catalog refreshes.
-    screen = FeatureScreen.fit(
-        pipeline.clean_features,
-        num_components=screen_components,
-        target_fpr=screen_fpr,
-    )
-    service.screen = screen
-    clean_update = service.push_item_features(
-        attacked_items, pipeline.clean_features[attacked_items]
-    )
-    false_positive_rate = (
-        clean_update.num_quarantined / attacked_items.size if attacked_items.size else 0.0
-    )
-    push_started = monotonic()
-    defended_update = service.push_attacked_images(
-        attacked_items, result.adversarial_images
-    )
-    push_defended_ms = 1e3 * (monotonic() - push_started)
-    detection_rate = (
-        defended_update.num_quarantined / attacked_items.size
-        if attacked_items.size
-        else 0.0
-    )
-    log(
-        f"defended push: {defended_update.num_quarantined}/{attacked_items.size} "
-        f"quarantined (clean FP {clean_update.num_quarantined}/{attacked_items.size})"
-    )
-    defended = measure_phase(service, "defended", stream)
-    log(f"defended: {defended.throughput_rps:.0f} req/s, p50 {defended.p50_ms:.3f} ms")
-    chr_defended = service.monitor.chr_percent(source)
-
-    payload = {
-        "benchmark": "serving",
-        "config": {
-            "scale": scale,
-            "image_size": image_size,
-            "requests": requests,
-            "top_n": service.n,
-            "zipf_exponent": zipf_exponent,
-            "epsilon_255": epsilon_255,
-            "scenario": scenario.label(),
-            "attacked_items": int(attacked_items.size),
-            "smoke": smoke,
-            "seed": seed,
-            "num_users": context.dataset.num_users,
-            "num_items": context.dataset.num_items,
-        },
-        "phases": {
-            **{phase.name: phase.as_dict() for phase in (cold, warm, post)},
-            "defended": {
-                **defended.as_dict(),
-                "detection_rate": detection_rate,
-                "added_p95_ms": defended.p95_ms - post.p95_ms,
-            },
-        },
-        "cache": service.stats,
-        "invalidation": {
-            "cached_users": update.cached_users,
-            "invalidated_users": update.num_invalidated,
-            "scores_changed": update.scores_changed,
-        },
-        "screen": {
-            "num_components": screen_components,
-            "target_fpr": screen_fpr,
-            "threshold": screen.threshold,
-            "attacked_items": int(attacked_items.size),
-            "quarantined_items": defended_update.num_quarantined,
-            "detection_rate": detection_rate,
-            "clean_false_positive_rate": false_positive_rate,
-            "push_ms_undefended": push_undefended_ms,
-            "push_ms_defended": push_defended_ms,
-            "screen_overhead_ms": push_defended_ms - push_undefended_ms,
-        },
-        "chr_monitor": {
-            "category": source,
-            "rolling_percent_before_attack": chr_before,
-            "rolling_percent_after_attack": chr_after,
-            "rolling_percent_defended": chr_defended,
-        },
-        "speedup": {
-            "warm_vs_cold_p50": cold.p50_ms / warm.p50_ms if warm.p50_ms > 0 else float("inf"),
-            "warm_vs_cold_throughput": warm.throughput_rps / cold.throughput_rps,
-        },
-    }
-
-    registry = active_metrics()
-    if registry is not None:
-        service.publish_metrics(registry)
-        payload["metrics"] = registry.snapshot()
-
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-        log(f"report written to {out_path}")
-    return payload
-
-
-def format_serving_report(payload: Dict) -> str:
-    """Human-readable summary of a :func:`run_serving_bench` payload."""
-    lines = [
-        "Serving benchmark "
-        f"({payload['config']['num_users']} users x "
-        f"{payload['config']['num_items']} items, "
-        f"top-{payload['config']['top_n']}, "
-        f"{payload['config']['requests']}-request Zipf stream)"
-    ]
-    lines.append(
-        f"{'phase':20s} {'reqs':>6s} {'req/s':>10s} "
-        f"{'p50 ms':>9s} {'p95 ms':>9s} {'p99 ms':>9s}"
-    )
-    for name, phase in payload["phases"].items():
-        lines.append(
-            f"{name:20s} {phase['requests']:6d} {phase['throughput_rps']:10.0f} "
-            f"{phase['p50_ms']:9.3f} {phase['p95_ms']:9.3f} {phase['p99_ms']:9.3f}"
-        )
-    cache = payload["cache"]
-    lines.append(
-        f"cache: {cache['hits']} hits / {cache['misses']} misses "
-        f"(rate {cache['hit_rate']:.2f}), {cache['invalidations']} invalidations"
-    )
-    inv = payload["invalidation"]
-    lines.append(
-        f"attack push: {inv['invalidated_users']}/{inv['cached_users']} "
-        f"cached lists invalidated"
-    )
-    screen_info = payload.get("screen")
-    if screen_info is not None:
-        lines.append(
-            f"screen: {screen_info['quarantined_items']}/{screen_info['attacked_items']} "
-            f"attacked items quarantined "
-            f"(detection {screen_info['detection_rate']:.2f}, "
-            f"clean FP {screen_info['clean_false_positive_rate']:.2f}, "
-            f"push overhead {screen_info['screen_overhead_ms']:+.2f} ms)"
-        )
-    chr_info = payload["chr_monitor"]
-    lines.append(
-        f"rolling CHR[{chr_info['category']}]: "
-        f"{chr_info['rolling_percent_before_attack']:.3f}% -> "
-        f"{chr_info['rolling_percent_after_attack']:.3f}%"
-    )
-    return "\n".join(lines)

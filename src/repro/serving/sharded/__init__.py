@@ -6,18 +6,11 @@ published once into shared memory (:mod:`repro.serving.sharded.shm`).
 A :class:`ShardRouter` front-end hashes users to shards, fans
 epoch-stamped invalidation pushes out asynchronously, fails dead shards
 over to an attack-immune MostPop ranker, and aggregates cache/CHR
-telemetry across the fleet.  ``python -m repro serve-bench --workers``
-drives :func:`run_sharded_bench` over a ≥10⁵-user synthetic system.
+telemetry across the fleet.  :func:`build_synthetic_system` draws a
+fitted ≥10⁵-user VBPR universe to drive it without a training run.
 """
 
-from .driver import (
-    SYNTHETIC_CLASS_NAMES,
-    ShardedPhaseStats,
-    build_synthetic_system,
-    format_sharded_report,
-    run_sharded_bench,
-    run_sharded_phase,
-)
+from .driver import SYNTHETIC_CLASS_NAMES, build_synthetic_system
 from .partition import UserPartition
 from .race import (
     FaultInjectingHandle,
@@ -58,7 +51,6 @@ __all__ = [
     "ShardSpec",
     "ShardTimeout",
     "ShardUpdateReport",
-    "ShardedPhaseStats",
     "ShardedService",
     "SharedArrayBundle",
     "SharedArraySpec",
@@ -70,11 +62,8 @@ __all__ = [
     "attach_bundle",
     "build_synthetic_system",
     "compute_item_side",
-    "format_sharded_report",
     "item_side_kind",
     "race_check_enabled",
-    "run_sharded_bench",
-    "run_sharded_phase",
     "segment_exists",
     "shard_worker_main",
 ]

@@ -1,45 +1,20 @@
-"""Multi-worker serving benchmark at synthetic production scale.
+"""A synthetic fitted VBPR universe for driving the sharded fleet.
 
-The sharded bench answers one question: how does aggregate serving
-capacity move with the worker count, with the item side published once
-in shared memory?  It builds a *synthetic* fitted VBPR at ≥10⁵ users
-(every parameter drawn from named :func:`repro.rng.derive_rng` streams,
-so no training run stands between the CLI and a six-figure user
-universe), splits one global Zipf request stream by shard ownership and
-drives the same four phases as the single-process bench — cold,
-warm_cache, an epoch-stamped attack push, post_invalidation.
-
-**Aggregate throughput is a capacity model.**  The benchmark hosts are
-single-core, so running W workers concurrently and timing wall-clock
-would measure the scheduler, not the architecture.  Each shard instead
-serves its substream back-to-back inside its own worker process and the
-aggregate is ``total_requests / max(per-shard wall)`` — the throughput
-of W such workers given a core each, which is the quantity the
-``BENCH_serving.json`` scaling floors constrain.  Per-shard walls and
-merged cross-worker latency percentiles are reported alongside so
-nothing hides in the aggregation.
-
-Request streams are shard-count *invariant*: one global generator, one
-stream, partitioned by ownership — so every worker count serves exactly
-the same multiset of requests in the same per-user order, and the
-attack push perturbs the same items with the same features at every W.
+:func:`build_synthetic_system` draws every parameter from named
+:func:`repro.rng.derive_rng` streams, so no training run stands between
+a caller and a six-figure user universe, and two builds with the same
+seed are bitwise identical.  The serving benchmark and the fleet smoke
+tests build their fleets on it.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ...recommenders.vbpr import VBPR, VBPRConfig
 from ...rng import derive_rng
-from ...telemetry import active_metrics
-from ..screen import FeatureScreen
-from .race import race_check_enabled
-from .router import ShardedService
-from .shm import segment_exists
 
 SYNTHETIC_CLASS_NAMES = ("sandal", "sock", "running_shoe", "boot")
 
@@ -64,7 +39,7 @@ def build_synthetic_system(
     Item features are *low-rank plus noise* rather than iid Gaussian:
     real extracted features concentrate near a low-dimensional manifold
     (the premise of the reconstruction screen), and an iid cloud has no
-    manifold for the defended phase to defend.  The mixing is scaled so
+    manifold for the screen to defend.  The mixing is scaled so
     the per-dimension variance stays ≈1, keeping score magnitudes
     comparable to the previous iid draw.
     """
@@ -102,401 +77,3 @@ def build_synthetic_system(
         1, 1000, size=num_items
     ).astype(np.float64)
     return model, item_classes, SYNTHETIC_CLASS_NAMES, counts
-
-
-@dataclass
-class ShardedPhaseStats:
-    """Cross-worker profile of one phase (see module docstring).
-
-    ``throughput_rps`` is the capacity aggregate ``requests /
-    max(shard walls)``; ``p50/p95/p99`` come from the *merged* latency
-    samples of every worker, so tail latency cannot hide inside a fast
-    shard's histogram.
-    """
-
-    name: str
-    workers: int
-    requests: int
-    max_shard_wall_s: float
-    throughput_rps: float
-    sum_shard_rps: float
-    p50_ms: float
-    p95_ms: float
-    p99_ms: float
-    per_shard: List[Dict] = field(default_factory=list)
-
-    def as_dict(self) -> Dict:
-        return {
-            "workers": self.workers,
-            "requests": self.requests,
-            "max_shard_wall_s": self.max_shard_wall_s,
-            "throughput_rps": self.throughput_rps,
-            "sum_shard_rps": self.sum_shard_rps,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-            "per_shard": self.per_shard,
-        }
-
-
-def run_sharded_phase(
-    service: ShardedService,
-    name: str,
-    users: np.ndarray,
-    mode: str = "closed",
-    rate_rps: Optional[float] = None,
-    seed: int = 0,
-    timeout_s: float = 600.0,
-    repeats: int = 1,
-) -> ShardedPhaseStats:
-    """Drive one phase through every shard, merging the profiles.
-
-    The global stream is split by ownership and each worker serves its
-    substream *inside its own process* (one RPC per phase, not per
-    request).  Shards run one at a time — on a single-core host that is
-    the measurement, not a limitation; see the module docstring.
-    """
-    router = service.router
-    substreams = router.partition.split_stream(users)
-    merged: List[np.ndarray] = []
-    per_shard: List[Dict] = []
-    walls: List[float] = []
-    total = 0
-    for shard_id in router.healthy_shards():
-        sub = substreams[shard_id]
-        if sub.size == 0:
-            continue
-        payload = {"users": sub, "mode": mode, "seed": seed, "repeats": repeats}
-        if rate_rps is not None:
-            # Every worker gets its fair slice of the offered load.
-            payload["rate_rps"] = rate_rps / len(router.handles)
-        result = router.handles[shard_id].call(
-            "bench_phase", payload, timeout_s=timeout_s
-        )
-        latencies = np.asarray(result["latencies_ms"], dtype=np.float64)
-        merged.append(latencies)
-        walls.append(result["wall_s"])
-        total += result["requests"]
-        per_shard.append(
-            {
-                "shard_id": shard_id,
-                "requests": result["requests"],
-                "wall_s": result["wall_s"],
-                "throughput_rps": (
-                    result["requests"] / result["wall_s"]
-                    if result["wall_s"] > 0
-                    else float("inf")
-                ),
-            }
-        )
-    if not merged:
-        raise RuntimeError(f"phase {name!r}: no healthy shard served any request")
-    latencies = np.concatenate(merged)
-    registry = active_metrics()
-    if registry is not None:
-        histogram = registry.histogram(f"serving.phase.{name}.latency_ms")
-        for value in latencies:
-            histogram.record(float(value))
-    max_wall = max(walls)
-    p50, p95, p99 = np.percentile(latencies, [50, 95, 99])
-    return ShardedPhaseStats(
-        name=name,
-        workers=len(router.handles),
-        requests=total,
-        max_shard_wall_s=float(max_wall),
-        throughput_rps=total / max_wall if max_wall > 0 else float("inf"),
-        sum_shard_rps=float(sum(s["throughput_rps"] for s in per_shard)),
-        p50_ms=float(p50),
-        p95_ms=float(p95),
-        p99_ms=float(p99),
-        per_shard=per_shard,
-    )
-
-
-def run_sharded_bench(
-    num_users: int = 100_000,
-    num_items: int = 2000,
-    feature_dim: int = 64,
-    requests: int = 60_000,
-    top_n: int = 20,
-    zipf_exponent: float = 0.9,
-    attacked_items: int = 64,
-    worker_counts: Sequence[int] = (1, 2, 4),
-    seed: int = 0,
-    smoke: bool = False,
-    mode: str = "closed",
-    rate_rps: Optional[float] = None,
-    backend: str = "process",
-    screen_components: int = 8,
-    screen_fpr: float = 0.05,
-    race_check: Optional[bool] = None,
-    out_path: Optional[str] = None,
-    verbose: bool = False,
-) -> Dict:
-    """Benchmark sharded serving across worker counts (one JSON payload).
-
-    ``smoke=True`` shrinks the universe so the whole grid (including
-    process startup) finishes in seconds — the shard-smoke CI job runs
-    exactly this with ``worker_counts=(2,)``.
-
-    The default exponent is 0.9 (the single-process bench uses 1.1):
-    user-affinity sharding is capacity-bounded by the busiest shard's
-    traffic share, and at 1.1 the single hottest user of a 10⁵-user
-    universe carries ~13% of all requests on its own, capping 4-worker
-    scaling near 2.8× regardless of implementation.  0.9 keeps heavy
-    skew (the cache still pays off) while leaving the hot head small
-    enough that the partition, not one user, decides the balance.
-    """
-    if smoke:
-        num_users = min(num_users, 2000)
-        num_items = min(num_items, 300)
-        feature_dim = min(feature_dim, 32)
-        requests = min(requests, 1200)
-        attacked_items = min(attacked_items, 16)
-
-    def log(message: str) -> None:
-        if verbose:
-            print(f"[shard-bench] {message}", flush=True)
-
-    model, item_classes, class_names, counts = build_synthetic_system(
-        num_users, num_items, feature_dim=feature_dim, seed=seed
-    )
-    log(f"synthetic VBPR ready: {num_users} users x {num_items} items")
-
-    # One global stream, shard-count invariant (see partition module).
-    # Imported here: loadgen drives RecommenderService, which is built on
-    # this package, so a module-level import would be circular.
-    from ..loadgen import ZipfLoadGenerator
-
-    generator = ZipfLoadGenerator(
-        num_users, exponent=zipf_exponent, seed=seed, stream="sharded.loadgen"
-    )
-    stream = generator.sample(requests)
-    _, first_seen = np.unique(stream, return_index=True)
-    cold_users = stream[np.sort(first_seen)]
-
-    # The same attack push at every worker count: perturb a fixed set of
-    # items with a fixed feature delta, both from derived streams.
-    attack_rng = derive_rng(seed, "sharded.attack")
-    attacked = np.sort(
-        attack_rng.choice(num_items, size=min(attacked_items, num_items), replace=False)
-    )
-    attacked_features = model.features[attacked] + attack_rng.normal(
-        0.0, 0.25, (attacked.size, feature_dim)
-    )
-
-    # One screen for every fleet: fitted + calibrated on the clean
-    # synthetic catalog, installed only for the defended phase so the
-    # cold/warm/post phases stay bit-for-bit undefended.
-    screen = FeatureScreen.fit(
-        model.features, num_components=screen_components, target_fpr=screen_fpr
-    )
-
-    runs: Dict[str, Dict] = {}
-    leaked_segments = 0
-    services: Dict[int, ShardedService] = {}
-    segments: Dict[int, Optional[str]] = {}
-    cold_stats: Dict[int, ShardedPhaseStats] = {}
-    warm_stats: Dict[int, ShardedPhaseStats] = {}
-    try:
-        for workers in worker_counts:
-            log(f"building {workers}-worker fleet")
-            service = ShardedService.build(
-                model,
-                num_shards=workers,
-                backend=backend,
-                item_classes=item_classes,
-                class_names=class_names,
-                fallback_counts=counts,
-                n=top_n,
-                race_check=race_check,
-            )
-            services[workers] = service
-            segments[workers] = service.segment_name
-            cold_stats[workers] = run_sharded_phase(
-                service, "cold", cold_users, mode=mode, rate_rps=rate_rps, seed=seed
-            )
-            log(
-                f"cold {workers}w: "
-                f"{cold_stats[workers].throughput_rps:.0f} req/s aggregate"
-            )
-
-        # Warm rounds are INTERLEAVED across worker counts, best round
-        # per fleet: machine-level noise (frequency scaling, co-tenant
-        # bursts) is correlated in time, so measuring the 1-worker
-        # baseline and the 4-worker fleet minutes apart lets one slow
-        # period skew the scaling ratio.  Replaying the warm stream is
-        # side-effect free (pure cache hits), which makes repetition
-        # legitimate here and only here.
-        for round_index in range(5):
-            for workers, service in services.items():
-                warm = run_sharded_phase(
-                    service, "warm_cache", stream, mode=mode,
-                    rate_rps=rate_rps, seed=seed,
-                )
-                best = warm_stats.get(workers)
-                if best is None or warm.throughput_rps > best.throughput_rps:
-                    warm_stats[workers] = warm
-                log(
-                    f"warm {workers}w round {round_index}: "
-                    f"{warm.throughput_rps:.0f} req/s aggregate"
-                )
-
-        for workers, service in services.items():
-            cold, warm = cold_stats[workers], warm_stats[workers]
-            segment = segments[workers]
-            epoch = service.push_item_features(attacked, attacked_features)
-            reports = service.flush()
-            invalidated = sum(r.get("invalidated_users", 0) for r in reports)
-            log(
-                f"push {workers}w epoch {epoch}: {attacked.size} items, "
-                f"{invalidated} cached lists invalidated"
-            )
-            post = run_sharded_phase(
-                service,
-                "post_invalidation",
-                stream,
-                mode=mode,
-                rate_rps=rate_rps,
-                seed=seed,
-            )
-            log(f"post {workers}w: {post.throughput_rps:.0f} req/s aggregate")
-
-            # Defended ingest: install the screen at the router and
-            # replay the same attack push — quarantined items never
-            # reach a shard.  Then the stream replays once more.
-            service.router.screen = screen
-            defended_epoch = service.push_item_features(attacked, attacked_features)
-            service.flush()
-            verdict = service.router.last_screen
-            quarantined = verdict.num_flagged if verdict is not None else 0
-            detection_rate = verdict.flag_rate if verdict is not None else 0.0
-            log(
-                f"defended push {workers}w: {quarantined}/{attacked.size} "
-                f"items quarantined at the router"
-            )
-            defended = run_sharded_phase(
-                service, "defended", stream, mode=mode, rate_rps=rate_rps, seed=seed
-            )
-            log(
-                f"defended {workers}w: "
-                f"{defended.throughput_rps:.0f} req/s aggregate"
-            )
-
-            aggregate = service.stats()
-            aggregate.pop("per_shard", None)
-            service.close()
-            leaked = segment is not None and segment_exists(segment)
-            leaked_segments += int(leaked)
-            runs[str(workers)] = {
-                "workers": workers,
-                "phases": {
-                    **{phase.name: phase.as_dict() for phase in (cold, warm, post)},
-                    "defended": {
-                        **defended.as_dict(),
-                        "detection_rate": detection_rate,
-                        "added_p95_ms": defended.p95_ms - post.p95_ms,
-                    },
-                },
-                "invalidation": {
-                    "epoch": epoch,
-                    "attacked_items": int(attacked.size),
-                    "invalidated_users": int(invalidated),
-                },
-                "screen": {
-                    "threshold": screen.threshold,
-                    "attacked_items": int(attacked.size),
-                    "quarantined_items": int(quarantined),
-                    "detection_rate": detection_rate,
-                    # A fully quarantined push spends no epoch.
-                    "epoch_advanced": defended_epoch != epoch,
-                },
-                "stats": aggregate,
-                "shm": {"segment": segment, "leaked": leaked},
-            }
-    finally:
-        for service in services.values():
-            service.close()  # idempotent; reclaims fleets on error paths
-
-    scaling: Dict[str, float] = {}
-    base = runs.get("1")
-    if base is not None:
-        base_warm = base["phases"]["warm_cache"]["throughput_rps"]
-        for workers, run in runs.items():
-            if workers == "1":
-                continue
-            scaling[f"warm_{workers}w_vs_1w"] = (
-                run["phases"]["warm_cache"]["throughput_rps"] / base_warm
-            )
-
-    payload = {
-        "benchmark": "serving_sharded",
-        "config": {
-            "num_users": num_users,
-            "num_items": num_items,
-            "feature_dim": feature_dim,
-            "requests": requests,
-            "top_n": top_n,
-            "zipf_exponent": zipf_exponent,
-            "attacked_items": int(attacked.size),
-            "worker_counts": [int(w) for w in worker_counts],
-            "mode": mode,
-            "backend": backend,
-            "seed": seed,
-            "smoke": smoke,
-            "screen_components": screen_components,
-            "screen_fpr": screen_fpr,
-            "race_check": race_check_enabled(race_check),
-            "aggregation": "capacity: total_requests / max(per-shard wall)",
-        },
-        "runs": runs,
-        "scaling": scaling,
-        "shm": {"leaked": leaked_segments},
-    }
-    registry = active_metrics()
-    if registry is not None:
-        payload["metrics"] = registry.snapshot()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-        log(f"report written to {out_path}")
-    return payload
-
-
-def format_sharded_report(payload: Dict) -> str:
-    """Human-readable summary of a :func:`run_sharded_bench` payload."""
-    config = payload["config"]
-    lines = [
-        "Sharded serving benchmark "
-        f"({config['num_users']} users x {config['num_items']} items, "
-        f"top-{config['top_n']}, {config['requests']}-request Zipf stream, "
-        f"backend {config['backend']})"
-    ]
-    lines.append(
-        f"{'workers':>7s} {'phase':18s} {'reqs':>6s} {'agg req/s':>10s} "
-        f"{'p50 ms':>8s} {'p95 ms':>8s} {'p99 ms':>8s}"
-    )
-    for workers, run in payload["runs"].items():
-        for name, phase in run["phases"].items():
-            lines.append(
-                f"{workers:>7s} {name:18s} {phase['requests']:6d} "
-                f"{phase['throughput_rps']:10.0f} {phase['p50_ms']:8.3f} "
-                f"{phase['p95_ms']:8.3f} {phase['p99_ms']:8.3f}"
-            )
-        inv = run["invalidation"]
-        lines.append(
-            f"{'':>7s} push: epoch {inv['epoch']}, {inv['attacked_items']} items, "
-            f"{inv['invalidated_users']} lists invalidated; "
-            f"shm leaked: {run['shm']['leaked']}"
-        )
-        screen_info = run.get("screen")
-        if screen_info is not None:
-            lines.append(
-                f"{'':>7s} screen: "
-                f"{screen_info['quarantined_items']}/{screen_info['attacked_items']} "
-                f"quarantined (detection {screen_info['detection_rate']:.2f})"
-            )
-    for key, value in payload.get("scaling", {}).items():
-        lines.append(f"scaling {key}: {value:.2f}x")
-    lines.append(f"leaked shm segments: {payload['shm']['leaked']}")
-    return "\n".join(lines)

@@ -4,8 +4,7 @@ Modulo partitioning: user ``u`` lives on shard ``u % num_shards``.
 Because :class:`~repro.serving.loadgen.ZipfLoadGenerator` assigns
 popularity ranks through a seeded *permutation* of user ids, modulo
 assignment spreads the hot head of the Zipf curve across shards instead
-of concentrating it — the balance the aggregate-throughput floors in
-``BENCH_serving.json`` depend on.
+of concentrating it, so no one shard carries the head's traffic.
 
 The assignment is a pure function of ``(user, num_shards)``: the router
 and every worker agree on ownership without coordination, and a request

@@ -9,14 +9,14 @@ Two pieces:
 
 * :class:`ShmWriteSentinel` — CRC-32 stamps every array in a shard's
   bank at install time and re-verifies after each dispatched op.  Under
-  ``race_check`` mode (``ShardedService.build(race_check=True)``, the
-  ``REPRO_RACE_CHECK=1`` environment toggle, or ``serve-bench --race``)
-  every worker wraps its dispatch loop with one, so *any* op that
-  mutates the shared segment — in this process or a sibling — fails the
-  op that exposed it with a :class:`ShmRaceError` naming the corrupted
-  keys, instead of surfacing as a parity diff three layers later.  The
-  scan is a full checksum pass per op: strictly a test/debug mode, which
-  is why it is off by default and carried as a flag on the spec.
+  ``race_check`` mode (``ShardedService.build(race_check=True)`` or the
+  ``REPRO_RACE_CHECK=1`` environment toggle) every worker wraps its
+  dispatch loop with one, so *any* op that mutates the shared segment —
+  in this process or a sibling — fails the op that exposed it with a
+  :class:`ShmRaceError` naming the corrupted keys, instead of surfacing
+  as a parity diff three layers later.  The scan is a full checksum pass
+  per op: strictly a test/debug mode, which is why it is off by default
+  and carried as a flag on the spec.
 
 * :class:`FaultInjectingHandle` — a wrapper handle that perturbs the
   *protocol* instead of the memory: epoch-stamped ``update`` casts can
@@ -46,8 +46,8 @@ def race_check_enabled(explicit: Optional[bool] = None) -> bool:
     """Resolve the race-check toggle: explicit argument over environment.
 
     The environment hook (``REPRO_RACE_CHECK=1``) exists so existing
-    suites — the 1/2/4-shard bitwise-parity tests, the serve-bench
-    smoke — run unchanged under the sentinel without threading a flag
+    suites — the 1/2/4-shard bitwise-parity tests, the fleet smoke
+    tests — run unchanged under the sentinel without threading a flag
     through every call site.
     """
     if explicit is not None:

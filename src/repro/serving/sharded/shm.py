@@ -222,7 +222,7 @@ def segment_exists(name: str) -> bool:
 
     Checks ``/dev/shm`` directly when the platform exposes it (Linux —
     the CI and benchmark hosts), falling back to an attach probe.  The
-    shard-smoke job asserts this is False for every published segment
+    fleet smoke tests assert this is False for every published segment
     after teardown.
     """
     shm_dir = "/dev/shm"

@@ -22,8 +22,8 @@ reader drains it.  The worker writes while the router is not reading
 only for ``update`` acks — small, at most ``backlog`` ≤
 :data:`MAX_BACKLOG` of them — so they fit and the worker gets back to
 its inbox: a large router send (``warm`` with raw scores) completes.
-Large replies (``recommend_many``, ``bench_phase``, ``warm``) only
-answer synchronous calls, which the router reads while it waits.
+Large replies (``recommend_many``, ``warm``) only answer synchronous
+calls, which the router reads while it waits.
 
 :class:`LocalShardHandle` runs the identical shard in-process behind
 the same interface, update acks included — it is what
@@ -35,12 +35,10 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import select
-import time
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from ...rng import derive_rng
 from ...telemetry import monotonic
 from .race import ShmRaceError, ShmWriteSentinel
 from .shard import Shard, ShardSpec
@@ -117,67 +115,6 @@ def _error_reply(shard_id: int, op: Optional[str], seq: int, exc: BaseException)
 # --------------------------------------------------------------------- #
 # Worker-side loop
 # --------------------------------------------------------------------- #
-def _run_phase(shard: Shard, payload: Dict) -> Dict:
-    """Serve one benchmark phase inside the worker, returning latencies.
-
-    Closed loop: issue requests back-to-back, latency is per-request
-    service time.  Open loop: draw exponential inter-arrival gaps from
-    the shard-derived RNG stream and measure latency against the
-    *scheduled* arrival, so queueing delay shows up in the tail instead
-    of being silently absorbed (coordinated omission).
-    """
-    users = np.asarray(payload["users"], dtype=np.int64)
-    mode = payload.get("mode", "closed")
-    n = payload.get("n")
-    # Only meaningful for state-idempotent phases (steady-state cache
-    # hits): each repeat replays the substream and the best wall wins,
-    # washing out scheduler noise on sub-second walls.  Phases that
-    # mutate state (cold fills, post-invalidation recomputes) must keep
-    # the default of 1 or the second pass would measure a different
-    # regime.
-    repeats = int(payload.get("repeats", 1))
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    latencies = np.empty(users.size, dtype=np.float64)
-    if mode == "closed":
-        wall = None
-        for _ in range(repeats):
-            pass_latencies = np.empty(users.size, dtype=np.float64)
-            wall_start = monotonic()
-            for i, user in enumerate(users):
-                started = monotonic()
-                shard.recommend(int(user), n=n)
-                pass_latencies[i] = monotonic() - started
-            pass_wall = monotonic() - wall_start
-            if wall is None or pass_wall < wall:
-                wall = pass_wall
-                latencies = pass_latencies
-    elif mode == "open":
-        rate = float(payload["rate_rps"])
-        if rate <= 0:
-            raise ValueError("open-loop mode needs a positive rate_rps")
-        rng = derive_rng(int(payload.get("seed", 0)), f"openloop.shard{shard.shard_id}")
-        gaps = rng.exponential(1.0 / rate, size=users.size)
-        arrivals = np.cumsum(gaps)
-        wall_start = monotonic()
-        for i, user in enumerate(users):
-            scheduled = wall_start + arrivals[i]
-            now = monotonic()
-            if now < scheduled:
-                time.sleep(scheduled - now)
-            shard.recommend(int(user), n=n)
-            latencies[i] = monotonic() - scheduled
-        wall = monotonic() - wall_start
-    else:
-        raise ValueError(f"unknown phase mode: {mode!r}")
-    return {
-        "requests": int(users.size),
-        "wall_s": float(wall),
-        "latencies_ms": (1e3 * latencies),
-        "stats": shard.stats(),
-    }
-
-
 def _dispatch(shard: Shard, op: str, payload):
     if op == "ping":
         return {"shard_id": shard.shard_id, "users": int(shard.user_ids.size)}
@@ -207,8 +144,6 @@ def _dispatch(shard: Shard, op: str, payload):
             payload["epoch"], payload["item_ids"], payload.get("item_features")
         )
         return report.as_dict()
-    if op == "bench_phase":
-        return _run_phase(shard, payload)
     if op == "stats":
         return shard.stats()
     raise ValueError(f"unknown shard op: {op!r}")

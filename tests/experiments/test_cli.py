@@ -148,67 +148,6 @@ class TestLadderChoices:
             ExperimentConfig(ladder_mode="off")
 
 
-class TestBenchCommand:
-    def test_bench_no_grid_writes_report(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench", "--no-grid", "--repeats", "1", "--scale", "0.002",
-                "--image-size", "16", "--quiet", "--out", str(out_path),
-            ]
-        )
-        assert code == 0
-        assert "speedup" in capsys.readouterr().out
-
-        payload = json.loads(out_path.read_text())
-        assert set(payload["modes"]) == {"float64_baseline", "float32_optimized"}
-        assert payload["modes"]["float32_optimized"]["dtype"] == "float32"
-        assert payload["modes"]["float64_baseline"]["conv_bn_folding"] is False
-        for stage in ("forward", "backward", "fgsm", "pgd"):
-            assert stage in payload["speedup"]
-        assert "attack_grid" not in payload["speedup"]
-
-
-class TestServeBenchCommand:
-    def test_smoke_writes_report(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "serving.json"
-        code = main(["serve-bench", "--smoke", "--quiet", "--out", str(out_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Serving benchmark" in out
-        assert "warm_cache" in out
-
-        payload = json.loads(out_path.read_text())
-        assert set(payload["phases"]) == {
-            "cold", "warm_cache", "post_invalidation", "defended",
-        }
-        for phase in payload["phases"].values():
-            for key in ("throughput_rps", "p50_ms", "p95_ms", "p99_ms"):
-                assert phase[key] > 0
-        assert 0.0 <= payload["phases"]["defended"]["detection_rate"] <= 1.0
-        assert "added_p95_ms" in payload["phases"]["defended"]
-
-    def test_serve_bench_defaults(self):
-        args = build_parser().parse_args(["serve-bench"])
-        assert args.out == "BENCH_serving.json"
-        # None at parse time: the single-process path substitutes 600
-        # requests / zipf 1.1, the sharded path 60000 / 0.9.
-        assert args.requests is None
-        assert args.zipf is None
-        assert args.workers is None
-        assert args.users == 100_000
-        assert args.items == 2000
-        assert not args.smoke
-
-    def test_serve_bench_workers_parses_counts(self):
-        args = build_parser().parse_args(["serve-bench", "--workers", "1,2,4"])
-        assert args.workers == "1,2,4"
-
-
 class TestRunCommand:
     def test_explain_is_free_and_lists_all_stages(self, capsys, tmp_path):
         code = main(

@@ -7,18 +7,21 @@ against the unoptimized ones so a future change cannot silently trade
 correctness for throughput.
 """
 
+import contextlib
+
 import numpy as np
+import pytest
 
 from repro.nn import (
     SGD,
     Tensor,
     TinyResNet,
     compute_dtype,
-    conv_bn_folding,
     cross_entropy,
     frozen_parameters,
     no_grad,
-    parameter_freezing,
+    resnet,
+    simplecnn,
 )
 from repro.nn import functional as F
 from repro.nn.functional import Im2colWorkspace
@@ -42,43 +45,54 @@ def eval_forward(model: TinyResNet, images: np.ndarray) -> np.ndarray:
         return model(Tensor(images)).data.copy()
 
 
+@pytest.fixture
+def unfolded(monkeypatch):
+    """Context manager running the models on the plain ``bn(conv(x))`` pair."""
+
+    @contextlib.contextmanager
+    def reference():
+        with monkeypatch.context() as patch:
+            for module in (resnet, simplecnn):
+                patch.setattr(module, "conv_bn_forward", lambda x, conv, bn: bn(conv(x)))
+            yield
+
+    return reference
+
+
 class TestConvBnFolding:
-    def test_folded_matches_unfolded(self):
+    def test_folded_matches_unfolded(self, unfolded):
         model = make_model()
         images = RNG.random((4, 3, 12, 12)).astype(np.float32)
-        with conv_bn_folding(True):
-            folded = eval_forward(model, images)
-        with conv_bn_folding(False):
-            unfolded = eval_forward(model, images)
-        np.testing.assert_allclose(folded, unfolded, atol=1e-5)
+        folded = eval_forward(model, images)
+        with unfolded():
+            reference = eval_forward(model, images)
+        np.testing.assert_allclose(folded, reference, atol=1e-5)
 
-    def test_fold_cache_invalidated_by_mode_flip(self):
+    def test_fold_cache_invalidated_by_mode_flip(self, unfolded):
         # Optimizer steps mutate parameter arrays in place while the model
         # is in train mode; returning to eval must re-fold.
         model = make_model()
         images = RNG.random((2, 3, 12, 12)).astype(np.float32)
-        with conv_bn_folding(True):
-            before = eval_forward(model, images)
-            model.train()
-            model.stem_conv.weight.data *= 1.5
-            model.eval()
-            after = eval_forward(model, images)
-            with conv_bn_folding(False):
-                reference = eval_forward(model, images)
+        before = eval_forward(model, images)
+        model.train()
+        model.stem_conv.weight.data *= 1.5
+        model.eval()
+        after = eval_forward(model, images)
+        with unfolded():
+            reference = eval_forward(model, images)
         assert not np.allclose(before, after)
         np.testing.assert_allclose(after, reference, atol=1e-5)
 
-    def test_fold_cache_invalidated_by_stat_rebind(self):
+    def test_fold_cache_invalidated_by_stat_rebind(self, unfolded):
         # BN recalibration rebinds the running-stat arrays without any
         # mode flip; the identity-keyed cache must notice.
         model = make_model()
         images = RNG.random((2, 3, 12, 12)).astype(np.float32)
-        with conv_bn_folding(True):
-            before = eval_forward(model, images)
-            model.stem_bn.running_mean = model.stem_bn.running_mean + 0.25
-            after = eval_forward(model, images)
-            with conv_bn_folding(False):
-                reference = eval_forward(model, images)
+        before = eval_forward(model, images)
+        model.stem_bn.running_mean = model.stem_bn.running_mean + 0.25
+        after = eval_forward(model, images)
+        with unfolded():
+            reference = eval_forward(model, images)
         assert not np.allclose(before, after)
         np.testing.assert_allclose(after, reference, atol=1e-5)
 
@@ -87,10 +101,9 @@ class TestConvBnFolding:
         # drop the cache, or every inference forward re-folds every conv.
         model = make_model()
         images = RNG.random((2, 3, 12, 12)).astype(np.float32)
-        with conv_bn_folding(True):
-            model.predict_proba(images)
-            fold = model.stem_conv._folded_eval
-            model.predict_proba(images)
+        model.predict_proba(images)
+        fold = model.stem_conv._folded_eval
+        model.predict_proba(images)
         assert model.stem_conv._folded_eval is fold
 
     def test_load_state_dict_in_eval_mode_refolds(self):
@@ -98,17 +111,16 @@ class TestConvBnFolding:
         # holds those sources, so a freed array's reused id() cannot fool it.
         source = make_model(seed=3)
         images = RNG.random((2, 3, 12, 12)).astype(np.float32)
-        with conv_bn_folding(True):
-            model = make_model(seed=0)
-            eval_forward(model, images)  # fold seed-0 weights into the cache
-            model.load_state_dict(source.state_dict())
-            loaded = eval_forward(model, images)
-            fresh = TinyResNet(
-                num_classes=4, widths=(8, 16), blocks_per_stage=(1, 1), seed=5
-            )
-            fresh.load_state_dict(source.state_dict())
-            fresh.eval()
-            expected = eval_forward(fresh, images)
+        model = make_model(seed=0)
+        eval_forward(model, images)  # fold seed-0 weights into the cache
+        model.load_state_dict(source.state_dict())
+        loaded = eval_forward(model, images)
+        fresh = TinyResNet(
+            num_classes=4, widths=(8, 16), blocks_per_stage=(1, 1), seed=5
+        )
+        fresh.load_state_dict(source.state_dict())
+        fresh.eval()
+        expected = eval_forward(fresh, images)
         np.testing.assert_array_equal(loaded, expected)
 
 
@@ -186,13 +198,4 @@ class TestFrozenParameters:
 
         np.testing.assert_array_equal(x_frozen.grad, x_unfrozen.grad)
         assert all(p.grad is None for p in model.parameters())
-        assert all(p.requires_grad for p in model.parameters())
-
-    def test_freezing_toggle_restores_seed_behaviour(self):
-        model = make_model()
-        with parameter_freezing(False):
-            with frozen_parameters(model):
-                assert all(p.requires_grad for p in model.parameters())
-        with frozen_parameters(model):
-            assert not any(p.requires_grad for p in model.parameters())
         assert all(p.requires_grad for p in model.parameters())

@@ -1,31 +1,23 @@
-"""Unit tests for the load generator and the smoke serving benchmark."""
-
-import json
+"""Unit tests for the Zipf load generator."""
 
 import numpy as np
 import pytest
 
-from repro.serving import (
-    PhaseStats,
-    ZipfLoadGenerator,
-    format_serving_report,
-    measure_phase,
-    run_serving_bench,
-)
+from repro.serving import ZipfLoadGenerator
 
 
 class TestZipfLoadGenerator:
     def test_deterministic_given_seed(self):
-        a = ZipfLoadGenerator(50, exponent=1.1, seed=3).sample(200)
-        b = ZipfLoadGenerator(50, exponent=1.1, seed=3).sample(200)
+        a = ZipfLoadGenerator(50, exponent=1.1, seed=3, stream="t").sample(200)
+        b = ZipfLoadGenerator(50, exponent=1.1, seed=3, stream="t").sample(200)
         np.testing.assert_array_equal(a, b)
 
     def test_stream_advances(self):
-        gen = ZipfLoadGenerator(50, seed=0)
+        gen = ZipfLoadGenerator(50, seed=0, stream="t")
         assert not np.array_equal(gen.sample(100), gen.sample(100))
 
     def test_skewed_traffic(self):
-        gen = ZipfLoadGenerator(100, exponent=1.5, seed=0)
+        gen = ZipfLoadGenerator(100, exponent=1.5, seed=0, stream="t")
         users = gen.sample(5000)
         counts = np.bincount(users, minlength=100)
         # The hottest decile should dwarf the coldest decile.
@@ -33,92 +25,17 @@ class TestZipfLoadGenerator:
         assert counts[-10:].sum() > 5 * counts[:10].sum()
 
     def test_zero_exponent_is_uniform(self):
-        gen = ZipfLoadGenerator(10, exponent=0.0, seed=0)
+        gen = ZipfLoadGenerator(10, exponent=0.0, seed=0, stream="t")
         np.testing.assert_allclose(gen.probabilities, np.full(10, 0.1))
 
     def test_all_users_in_range(self):
-        users = ZipfLoadGenerator(7, seed=1).sample(500)
+        users = ZipfLoadGenerator(7, seed=1, stream="t").sample(500)
         assert users.min() >= 0 and users.max() < 7
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ZipfLoadGenerator(0)
+            ZipfLoadGenerator(0, stream="t")
         with pytest.raises(ValueError):
-            ZipfLoadGenerator(5, exponent=-1.0)
+            ZipfLoadGenerator(5, exponent=-1.0, stream="t")
         with pytest.raises(ValueError):
-            ZipfLoadGenerator(5).sample(0)
-
-
-class TestMeasurePhase:
-    def test_profile_shape(self):
-        class FakeService:
-            def recommend(self, user):
-                return np.array([user])
-
-        stats = measure_phase(FakeService(), "cold", np.arange(32))
-        assert isinstance(stats, PhaseStats)
-        assert stats.requests == 32
-        assert stats.throughput_rps > 0
-        assert stats.p50_ms <= stats.p95_ms <= stats.p99_ms
-        payload = stats.as_dict()
-        assert set(payload) == {
-            "requests", "wall_s", "throughput_rps", "p50_ms", "p95_ms", "p99_ms",
-        }
-
-
-class TestSmokeBench:
-    """The --smoke path is cheap enough for the default test tier."""
-
-    @pytest.fixture(scope="class")
-    def payload(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("bench") / "BENCH_serving.json"
-        payload = run_serving_bench(smoke=True, out_path=str(out))
-        with open(out, encoding="utf-8") as handle:
-            assert json.load(handle) == payload
-        return payload
-
-    def test_phases_present(self, payload):
-        assert set(payload["phases"]) == {
-            "cold", "warm_cache", "post_invalidation", "defended",
-        }
-        for phase in payload["phases"].values():
-            assert phase["requests"] > 0
-            assert phase["throughput_rps"] > 0
-            assert phase["p50_ms"] <= phase["p95_ms"] <= phase["p99_ms"]
-
-    def test_attack_push_recorded(self, payload):
-        inv = payload["invalidation"]
-        assert inv["scores_changed"] is True
-        assert 0 <= inv["invalidated_users"] <= inv["cached_users"]
-        # Undefended push + defended clean push + defended attacked push
-        # (the last one skips the scorer when fully quarantined).
-        assert 2 <= payload["cache"]["feature_updates"] <= 3
-
-    def test_defended_phase_reports_screen(self, payload):
-        defended = payload["phases"]["defended"]
-        assert 0.0 <= defended["detection_rate"] <= 1.0
-        assert "added_p95_ms" in defended
-        screen = payload["screen"]
-        assert screen["attacked_items"] > 0
-        assert screen["quarantined_items"] == round(
-            screen["detection_rate"] * screen["attacked_items"]
-        )
-        assert 0.0 <= screen["clean_false_positive_rate"] <= 1.0
-        assert screen["threshold"] > 0
-        assert screen["push_ms_defended"] > 0 and screen["push_ms_undefended"] > 0
-
-    def test_chr_monitor_tracked(self, payload):
-        chr_info = payload["chr_monitor"]
-        assert chr_info["category"] == "sock"
-        assert chr_info["rolling_percent_before_attack"] >= 0.0
-        assert chr_info["rolling_percent_after_attack"] >= 0.0
-
-    def test_report_formats(self, payload):
-        text = format_serving_report(payload)
-        assert "cold" in text and "warm_cache" in text and "post_invalidation" in text
-        assert "defended" in text and "quarantined" in text
-        assert "rolling CHR" in text
-
-    def test_invalid_requests(self):
-        with pytest.raises(ValueError):
-            run_serving_bench(requests=0, smoke=True)
+            ZipfLoadGenerator(5, stream="t").sample(0)

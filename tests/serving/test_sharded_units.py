@@ -190,11 +190,6 @@ class TestPartition:
 
 
 class TestLoadGeneratorStreams:
-    def test_default_stream_matches_legacy_sequences(self):
-        a = ZipfLoadGenerator(64, exponent=1.1, seed=9).sample(100)
-        b = ZipfLoadGenerator(64, exponent=1.1, seed=9).sample(100)
-        np.testing.assert_array_equal(a, b)
-
     def test_named_streams_are_independent_and_reproducible(self):
         base = ZipfLoadGenerator(64, seed=9, stream="shard.0").sample(100)
         again = ZipfLoadGenerator(64, seed=9, stream="shard.0").sample(100)
