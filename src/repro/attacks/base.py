@@ -11,8 +11,9 @@ primitive plus batching; concrete attacks implement :meth:`perturb`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional
 
 import numpy as np
 
@@ -75,6 +76,25 @@ class AttackResult:
         return linf_distance(self.adversarial_images, clean_images)
 
 
+@contextmanager
+def attack_mode(model) -> Iterator[None]:
+    """Eval mode with frozen parameters; both restored on exit.
+
+    The threat model only needs ∂loss/∂x; freezing the weights skips
+    every weight-gradient GEMM in the backward pass.  Training mode and
+    each parameter's ``requires_grad`` come back as they were, also when
+    the body raises.
+    """
+    was_training = model.training
+    model.eval()
+    try:
+        with frozen_parameters(model):
+            yield
+    finally:
+        if was_training:
+            model.train()
+
+
 class GradientAttack(ABC):
     """Base class for white-box gradient attacks on a TinyResNet."""
 
@@ -98,21 +118,11 @@ class GradientAttack(ABC):
         self, images: np.ndarray, labels: np.ndarray
     ) -> np.ndarray:
         """∇_x L_F(θ, x, labels) for a batch of images (eval mode)."""
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            # The threat model only needs ∂loss/∂x; freezing the weights
-            # skips every weight-gradient GEMM in the backward pass.
-            with frozen_parameters(self.model):
-                x = Tensor(
-                    np.asarray(images, dtype=get_default_dtype()), requires_grad=True
-                )
-                logits = self.model(x)
-                loss = cross_entropy(logits, labels)
-                loss.backward()
-        finally:
-            if was_training:
-                self.model.train()
+        with attack_mode(self.model):
+            x = Tensor(np.asarray(images, dtype=get_default_dtype()), requires_grad=True)
+            logits = self.model(x)
+            loss = cross_entropy(logits, labels)
+            loss.backward()
         assert x.grad is not None
         self._forward_passes += images.shape[0]
         self._backward_passes += images.shape[0]

@@ -10,6 +10,11 @@ adversarial images, the final-step predictions (no redundant predict
 pass) and the layer-e features of the adversarial images (harvested
 from the same trunk passes, so downstream re-extraction disappears).
 
+Three attacks run on the ladder: FGSM, PGD and MIM (the momentum
+member of the multi-step family).  CW and NES have no ladder path; the
+grid runs them cell by cell instead
+(:func:`repro.experiments.runner.fallback_ladder_cells`).
+
 Two modes:
 
 ``exact``
@@ -19,17 +24,22 @@ Two modes:
     mini-batch chunk grid (input gradients are *not* batch-split
     invariant, unlike forward passes), the ladder merely shares the
     ε-independent work — FGSM's single gradient, PGD's unit random
-    start — and merges the final predict with feature extraction into
-    one trunk pass.
+    start, MIM's first gradient (taken at the clean image) — and merges
+    the final predict with feature extraction into one trunk pass.
 
 ``warm``
     Adds warm starts and early exits.  Each ε rung starts from the
     previous rung's converged perturbation rescaled into the new ball
-    (δ · ε_new/ε_prev, re-projected, re-clipped), and an image leaves
-    the working set as soon as targeted misclassification sticks — its
-    row is frozen and carried forward while the active batch compacts.
-    Results are statistically equivalent to ``exact`` (CHR, success
-    rate, visual quality within tolerance) but not bitwise.
+    (δ · ε_new/ε_prev, re-projected, re-clipped; MIM's velocity restarts
+    at zero), and an image leaves the working set as soon as targeted
+    misclassification sticks — its row is frozen and carried forward
+    while the active batch compacts.  Results are statistically
+    equivalent to ``exact`` (CHR, success rate, visual quality within
+    tolerance) but not bitwise.
+
+The model is put in eval mode with frozen parameters once per
+:meth:`EpsilonLadder.run`, not once per gradient chunk; both are
+restored on exit.
 
 Telemetry: an ``attack_ladder.run`` span wraps the ladder with one
 ``attack_ladder.epsilon`` child per rung; counters
@@ -45,13 +55,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn import Tensor, cross_entropy, frozen_parameters, get_default_dtype
+from ..nn import Tensor, cross_entropy, get_default_dtype
 from ..telemetry import active_metrics, span
-from .base import AttackResult
+from .base import AttackResult, attack_mode
+from .mim import accumulate_velocity
 from .projections import clip_pixels, per_image_unit_noise, project_linf
 
 LADDER_MODES = ("exact", "warm")
-LADDER_ATTACKS = ("FGSM", "PGD")
+LADDER_ATTACKS = ("FGSM", "PGD", "MIM")
 
 
 @dataclass
@@ -74,24 +85,18 @@ class LadderCell:
 def _forward_backward(
     model, images: np.ndarray, labels: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(∂loss/∂x, logits, layer-e features)`` from one eval-mode graph.
+    """``(∂loss/∂x, logits, layer-e features)`` from one graph.
 
     Runs the same op sequence as ``GradientAttack.loss_gradient``
-    (``fc(features(x))`` under frozen parameters), so the returned
-    gradient is bitwise identical to the per-cell path; the logits and
-    features of the *input* iterate come out of the same pass for free.
+    (``fc(features(x))``), so the returned gradient is bitwise identical
+    to the per-cell path; the logits and features of the *input* iterate
+    come out of the same pass for free.  The caller holds ``model`` in
+    eval mode with frozen parameters (see :func:`~repro.attacks.base.attack_mode`).
     """
-    was_training = model.training
-    model.eval()
-    try:
-        with frozen_parameters(model):
-            x = Tensor(np.asarray(images, dtype=get_default_dtype()), requires_grad=True)
-            logits, feats = model.forward_with_features(x)
-            loss = cross_entropy(logits, labels)
-            loss.backward()
-    finally:
-        if was_training:
-            model.train()
+    x = Tensor(np.asarray(images, dtype=get_default_dtype()), requires_grad=True)
+    logits, feats = model.forward_with_features(x)
+    loss = cross_entropy(logits, labels)
+    loss.backward()
     assert x.grad is not None
     return x.grad, logits.data, feats.data
 
@@ -104,7 +109,8 @@ class EpsilonLadder:
     model:
         The white-box classifier under attack (an ``ImageClassifier``).
     attack:
-        ``"FGSM"`` or ``"PGD"`` — the two attacks of the paper's grid.
+        ``"FGSM"``, ``"PGD"`` or ``"MIM"``: the paper's two attacks plus
+        the momentum iterative method.  CW and NES have no ladder path.
     epsilons:
         l∞ budgets on the [0, 1] pixel scale, one rung per value.  For
         ``warm`` mode they should ascend (the paper's {2,4,8,16}/255
@@ -112,8 +118,12 @@ class EpsilonLadder:
     mode:
         ``"exact"`` or ``"warm"`` (see module docstring).
     num_steps / step_size / random_start / seed:
-        PGD parameters, as in :class:`~repro.attacks.pgd.PGD`.  A
-        ``step_size`` of ``None`` uses ε/4 per rung.
+        PGD and MIM parameters, as in :class:`~repro.attacks.pgd.PGD`
+        and :class:`~repro.attacks.mim.MIM`.  A ``step_size`` of
+        ``None`` uses ε/4 per rung for PGD and ε/num_steps for MIM.
+        MIM has no random start.
+    decay:
+        MIM's momentum decay μ (ignored by FGSM and PGD).
     batch_size:
         The oracle's mini-batch chunk grid.  ``exact`` mode evaluates
         gradients in these chunks (input gradients depend on the chunk
@@ -131,6 +141,7 @@ class EpsilonLadder:
         random_start: bool = True,
         seed: int = 0,
         batch_size: int = 32,
+        decay: float = 1.0,
     ) -> None:
         attack = attack.upper()
         if attack not in LADDER_ATTACKS:
@@ -146,6 +157,8 @@ class EpsilonLadder:
             raise ValueError("num_steps must be positive")
         if step_size is not None and step_size <= 0:
             raise ValueError("step_size must be positive")
+        if decay < 0:
+            raise ValueError("decay must be non-negative")
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.model = model
@@ -157,6 +170,7 @@ class EpsilonLadder:
         self.random_start = random_start
         self.seed = seed
         self.batch_size = batch_size
+        self.decay = decay
         self._forwards = 0
         self._backwards = 0
 
@@ -192,13 +206,15 @@ class EpsilonLadder:
             mode=self.mode,
             images=n,
             epsilons=len(self.epsilons),
-        ):
+        ), attack_mode(self.model):
             if n == 0:
                 cells = self._empty_cells(images, original, target_class)
             elif self.attack == "FGSM":
                 cells = self._run_fgsm(images, labels, original, target_class)
+            elif self.mode == "exact":
+                cells = self._run_iterative_exact(images, labels, original, target_class)
             else:
-                cells = self._run_pgd(images, labels, original, target_class)
+                cells = self._run_iterative_warm(images, labels, original, target_class)
         self._note_savings(
             n,
             forwards=self._forwards - forwards_before,
@@ -236,7 +252,21 @@ class EpsilonLadder:
         return np.asarray(predictions, dtype=np.int64), features
 
     def _step_size_for(self, epsilon: float) -> float:
-        return self.step_size if self.step_size is not None else epsilon / 4.0
+        if self.step_size is not None:
+            return self.step_size
+        if self.attack == "MIM":
+            return epsilon / self.num_steps
+        return epsilon / 4.0
+
+    def _steps_for(self, epsilon: float) -> int:
+        """Gradient steps the per-cell oracle takes at ``epsilon``.
+
+        PGD and MIM return the clean images at ε = 0 without a gradient;
+        FGSM takes its single step at every budget.
+        """
+        if self.attack == "FGSM":
+            return 1
+        return self.num_steps if epsilon > 0.0 else 0
 
     def _cell_metadata(self, iterations: int, forwards: float, backwards: float) -> Dict[str, Any]:
         return {
@@ -289,17 +319,17 @@ class EpsilonLadder:
     def _note_savings(self, n: int, forwards: int, backwards: int) -> None:
         """Record image-passes eliminated vs the per-cell oracle path.
 
-        The baseline counts, per cell, the oracle attack's passes plus
-        the downstream feature re-extraction the merged
-        ``predict_with_features`` pass replaces.
+        The baseline counts, per cell, the oracle attack's gradient
+        passes plus its final predict and the downstream feature
+        re-extraction that the merged ``predict_with_features`` pass
+        replaces.
         """
         registry = active_metrics()
         if registry is None or n == 0:
             return
-        cells = len(self.epsilons)
-        steps = 1 if self.attack == "FGSM" else self.num_steps
-        baseline_forwards = cells * n * (steps + 2)
-        baseline_backwards = cells * n * steps
+        steps = sum(self._steps_for(eps) for eps in self.epsilons)
+        baseline_forwards = n * (steps + 2 * len(self.epsilons))
+        baseline_backwards = n * steps
         saved_f = max(0, baseline_forwards - forwards)
         saved_b = max(0, baseline_backwards - backwards)
         if saved_f:
@@ -347,27 +377,33 @@ class EpsilonLadder:
         return cells
 
     # ------------------------------------------------------------------ #
-    # PGD
+    # PGD and MIM: iterated sign steps
     # ------------------------------------------------------------------ #
-    def _run_pgd(
-        self,
-        images: np.ndarray,
-        labels: np.ndarray,
-        original: np.ndarray,
-        target_class: int,
-    ) -> List[LadderCell]:
-        if self.mode == "exact":
-            return self._run_pgd_exact(images, labels, original, target_class)
-        return self._run_pgd_warm(images, labels, original, target_class)
-
     def _unit_noise(self, images: np.ndarray) -> Optional[np.ndarray]:
         # The per-image unit draw is ε-independent: one draw serves every
         # rung, scaled into each ball exactly as the oracle scales it.
-        if not self.random_start:
+        if self.attack == "MIM" or not self.random_start:
             return None
         return per_image_unit_noise(images.shape, self.seed)
 
-    def _run_pgd_exact(
+    def _start(
+        self, images: np.ndarray, unit: Optional[np.ndarray], epsilon: float
+    ) -> np.ndarray:
+        if unit is None:
+            return images.copy()
+        return clip_pixels(images + (epsilon * unit).astype(images.dtype, copy=False))
+
+    def _direction(
+        self, gradient: np.ndarray, velocity: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(step sign, new velocity)``: PGD steps along the gradient,
+        MIM along its accumulated velocity."""
+        if velocity is None:
+            return np.sign(gradient), None
+        velocity = accumulate_velocity(velocity, gradient, self.decay)
+        return np.sign(velocity), velocity
+
+    def _run_iterative_exact(
         self,
         images: np.ndarray,
         labels: np.ndarray,
@@ -375,28 +411,37 @@ class EpsilonLadder:
         target_class: int,
     ) -> List[LadderCell]:
         n = images.shape[0]
+        momentum = self.attack == "MIM"
         unit = self._unit_noise(images)
+        attacked_rungs = sum(1 for eps in self.epsilons if eps > 0.0)
+        first_velocity = None
+        if momentum and attacked_rungs:
+            # MIM's first step is taken at the clean image, so its
+            # gradient and velocity are ε-independent: computed once here
+            # on the oracle's chunk grid and split evenly over the rungs.
+            first_velocity = accumulate_velocity(
+                np.zeros_like(images), self._chunked_gradient(images, labels), self.decay
+            )
+        shared = n / attacked_rungs if attacked_rungs else 0.0
         cells = []
         for eps in self.epsilons:
             eps_f = float(eps)
-            with span("attack_ladder.epsilon", attack="PGD", epsilon=eps_f):
-                if eps_f == 0.0:
-                    current = images.copy()
-                    iterations = 0
-                else:
-                    step_size = self._step_size_for(eps_f)
-                    if unit is not None:
-                        current = clip_pixels(
-                            images + (eps_f * unit).astype(images.dtype, copy=False)
-                        )
+            with span("attack_ladder.epsilon", attack=self.attack, epsilon=eps_f):
+                steps = self._steps_for(eps_f)
+                current = self._start(images, unit, eps_f) if steps else images.copy()
+                step_size = self._step_size_for(eps_f)
+                velocity = None
+                passes = float(n * steps)
+                for step in range(steps):
+                    if step == 0 and first_velocity is not None:
+                        velocity = first_velocity
+                        direction = np.sign(velocity)
+                        passes += shared - n  # this rung's share, not n
                     else:
-                        current = images.copy()
-                    for _ in range(self.num_steps):
                         gradient = self._chunked_gradient(current, labels)
-                        current = current - np.sign(gradient) * step_size
-                        current = project_linf(current, images, eps_f)
-                        current = clip_pixels(current)
-                    iterations = self.num_steps
+                        direction, velocity = self._direction(gradient, velocity)
+                    current = current - direction * step_size
+                    current = clip_pixels(project_linf(current, images, eps_f))
                 predictions, features = self._predict_with_features(current)
                 cells.append(
                     self._make_cell(
@@ -406,14 +451,12 @@ class EpsilonLadder:
                         predictions,
                         features,
                         target_class,
-                        self._cell_metadata(
-                            iterations, n * (iterations + 1), n * iterations
-                        ),
+                        self._cell_metadata(steps, passes + n, passes),
                     )
                 )
         return cells
 
-    def _run_pgd_warm(
+    def _run_iterative_warm(
         self,
         images: np.ndarray,
         labels: np.ndarray,
@@ -422,13 +465,14 @@ class EpsilonLadder:
     ) -> List[LadderCell]:
         n = images.shape[0]
         dtype = images.dtype
+        momentum = self.attack == "MIM"
         unit = self._unit_noise(images)
         registry = active_metrics()
         previous: Optional[Tuple[float, np.ndarray]] = None
         cells = []
         for eps in self.epsilons:
             eps_f = float(eps)
-            with span("attack_ladder.epsilon", attack="PGD", epsilon=eps_f):
+            with span("attack_ladder.epsilon", attack=self.attack, epsilon=eps_f):
                 if eps_f == 0.0:
                     current = images.copy()
                     predictions, features = self._predict_with_features(current)
@@ -451,12 +495,10 @@ class EpsilonLadder:
                     delta = (prev_adv - images) * (eps_f / prev_eps)
                     delta = np.clip(delta, -eps_f, eps_f).astype(dtype, copy=False)
                     current = clip_pixels(images + delta)
-                elif unit is not None:
-                    current = clip_pixels(
-                        images + (eps_f * unit).astype(dtype, copy=False)
-                    )
                 else:
-                    current = images.copy()
+                    current = self._start(images, unit, eps_f)
+                # MIM's velocity restarts at zero on every rung.
+                velocity = np.zeros_like(images) if momentum else None
 
                 predictions = np.empty(n, dtype=np.int64)
                 features = np.empty((n, self.model.feature_dim), dtype=get_default_dtype())
@@ -482,7 +524,13 @@ class EpsilonLadder:
                         break
                     # Frozen rows are never touched again: updates write
                     # only through the compacted active index set.
-                    update = current[active] - np.sign(gradient) * step_size
+                    if velocity is None:
+                        direction, _ = self._direction(gradient, None)
+                    else:
+                        direction, velocity[active] = self._direction(
+                            gradient, velocity[active]
+                        )
+                    update = current[active] - direction * step_size
                     update = project_linf(update, images[active], eps_f)
                     current[active] = clip_pixels(update)
                 if active.size:

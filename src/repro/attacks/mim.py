@@ -23,6 +23,18 @@ from .base import GradientAttack
 from .projections import clip_pixels, project_linf
 
 
+def accumulate_velocity(
+    velocity: np.ndarray, gradient: np.ndarray, decay: float
+) -> np.ndarray:
+    """One MIM velocity update: ``μ · g + ∇ / ‖∇‖₁``, normalised per image.
+
+    Shared with the ε-ladder's MIM path so both run the same float ops.
+    """
+    l1 = np.abs(gradient).reshape(gradient.shape[0], -1).sum(axis=1)
+    l1 = np.maximum(l1, 1e-12).reshape(-1, 1, 1, 1)
+    return decay * velocity + gradient / l1
+
+
 class MIM(GradientAttack):
     """Momentum iterative l∞ attack."""
 
@@ -55,9 +67,7 @@ class MIM(GradientAttack):
         velocity = np.zeros_like(images)
         for _ in range(self.num_steps):
             gradient = self.loss_gradient(current, labels)
-            l1 = np.abs(gradient).reshape(gradient.shape[0], -1).sum(axis=1)
-            l1 = np.maximum(l1, 1e-12).reshape(-1, 1, 1, 1)
-            velocity = self.decay * velocity + gradient / l1
+            velocity = accumulate_velocity(velocity, gradient, self.decay)
             step = np.sign(velocity) * self.step_size
             current = current - step if targeted else current + step
             current = clip_pixels(project_linf(current, images, self.epsilon))

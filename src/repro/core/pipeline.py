@@ -23,7 +23,7 @@ from ..attacks.base import AttackResult, GradientAttack
 from ..attacks.ladder import LadderCell
 from ..data.datasets import MultimediaDataset
 from ..features.extractor import FeatureExtractor
-from ..metrics import batch_psnr, batch_ssim, psm_from_features
+from ..metrics import batch_psnr, batch_ssim, psm_from_features, ssim_reference
 from ..recommenders.evaluation import recommendation_rank_of_item
 from ..recommenders.vbpr import VBPR
 from ..telemetry import span
@@ -367,6 +367,12 @@ class TAaMRPipeline:
             )
         target_items = self.category_items(scenario.target)
         clean_images = self.dataset.images[source_items]
+        # Every cell compares against the same clean cohort: its SSIM
+        # window statistics are computed once, by the first cell to need
+        # them, and the clean CHRs once for all cells.
+        reference = ssim_reference(clean_images)
+        chr_source_before = self._chr_percent_of_items(source_items, self.clean_top_n)
+        chr_target_before = self._chr_percent_of_items(target_items, self.clean_top_n)
 
         outcomes: List[AttackOutcome] = []
         for cell in cells:
@@ -400,7 +406,13 @@ class TAaMRPipeline:
                             np.mean(batch_psnr(clean_images, result.adversarial_images))
                         ),
                         ssim=float(
-                            np.mean(batch_ssim(clean_images, result.adversarial_images))
+                            np.mean(
+                                batch_ssim(
+                                    clean_images,
+                                    result.adversarial_images,
+                                    reference=reference,
+                                )
+                            )
                         ),
                         psm=float(
                             np.mean(
@@ -417,12 +429,8 @@ class TAaMRPipeline:
                     scenario=scenario,
                     attack_name=attack_name,
                     epsilon_255=cell.epsilon * 255.0,
-                    chr_source_before=self._chr_percent_of_items(
-                        source_items, self.clean_top_n
-                    ),
-                    chr_target_before=self._chr_percent_of_items(
-                        target_items, self.clean_top_n
-                    ),
+                    chr_source_before=chr_source_before,
+                    chr_target_before=chr_target_before,
                     chr_source_after=self._chr_percent_of_items(source_items, top_after),
                     success_rate=result.success_rate(),
                     visual=visual,

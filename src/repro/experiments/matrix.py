@@ -26,8 +26,8 @@ Execution semantics per axis value:
   before re-extraction; ``detector`` screens the re-extracted feature
   vectors with a :class:`~repro.defenses.ReconstructionDetector` and
   quarantines flagged items (their features and predictions stay clean).
-* **Attack** decides how adversarial images are crafted.  FGSM/PGD ride
-  the batched ε-ladder engine; CW/MIM/NES fall back to per-cell runs;
+* **Attack** decides how adversarial images are crafted.  FGSM/PGD/MIM
+  ride the batched ε-ladder engine; CW/NES fall back to per-cell runs;
   ``TRANSFER`` crafts PGD images on an independently-seeded surrogate
   classifier and delivers them to the (unseen) deployed one.
 * **Recommender** decides how impact is measured.  VBPR/AMR re-score
@@ -53,7 +53,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..artifacts import ArtifactStore, write_json
-from ..attacks import LADDER_ATTACKS, EpsilonLadder, LadderCell
+from ..attacks import LADDER_ATTACKS, LadderCell
 from ..attacks.base import AttackResult
 from ..attacks.projections import epsilon_from_255
 from ..core import (
@@ -75,12 +75,18 @@ from ..defenses import (
     distill,
 )
 from ..features import FeatureExtractor
-from ..metrics import batch_psnr, batch_ssim, psm_from_features
+from ..metrics import (
+    SSIMReference,
+    batch_psnr,
+    batch_ssim,
+    psm_from_features,
+    ssim_reference,
+)
 from ..nn import TinyResNet
 from ..recommenders import BPRMF, BPRMFConfig
 from ..telemetry import Stopwatch, span
 from .config import ExperimentConfig
-from .runner import fallback_ladder_cells
+from .runner import build_ladder, fallback_ladder_cells
 from .stages import (
     StageOutcome,
     StagePlan,
@@ -465,7 +471,10 @@ def _derive_deployed_cells(
 
 
 def _cell_visual(
-    cell: LadderCell, clean_images: np.ndarray, clean_raw: np.ndarray
+    cell: LadderCell,
+    clean_images: np.ndarray,
+    clean_raw: np.ndarray,
+    reference: SSIMReference,
 ) -> VisualQuality:
     """The memoised visual-quality triple of one cell.
 
@@ -473,13 +482,18 @@ def _cell_visual(
     :meth:`TAaMRPipeline.outcomes_from_cells` (and shares its
     ``extras["visual"]`` memo) so BPR-MF-only measurement produces the
     same numbers a visual recommender's pass would have cached.
+    ``reference`` is ``ssim_reference(clean_images)``, shared by the
+    cohort's cells.
     """
     visual = cell.extras.get("visual")
     if visual is None:
         result = cell.result
+        adversarial = result.adversarial_images
         visual = VisualQuality(
-            psnr=float(np.mean(batch_psnr(clean_images, result.adversarial_images))),
-            ssim=float(np.mean(batch_ssim(clean_images, result.adversarial_images))),
+            psnr=float(np.mean(batch_psnr(clean_images, adversarial))),
+            ssim=float(
+                np.mean(batch_ssim(clean_images, adversarial, reference=reference))
+            ),
             psm=float(np.mean(psm_from_features(clean_raw, cell.raw_features))),
         )
         cell.extras["visual"] = visual
@@ -513,6 +527,7 @@ def _bprmf_outcomes(
     chr_target = 100.0 * category_hit_ratio(clean_top_n, target_items)
     clean_images = dataset.images[source_items]
     clean_raw = runtime.raw_features[source_items]
+    reference = ssim_reference(clean_images)
     outcomes: List[AttackOutcome] = []
     for cell in cells:
         outcomes.append(
@@ -524,7 +539,7 @@ def _bprmf_outcomes(
                 chr_target_before=chr_target,
                 chr_source_after=chr_source,
                 success_rate=cell.result.success_rate(),
-                visual=_cell_visual(cell, clean_images, clean_raw),
+                visual=_cell_visual(cell, clean_images, clean_raw, reference),
                 attacked_item_ids=source_items,
                 adversarial_images=cell.result.adversarial_images,
                 scores_after=clean_scores,
@@ -860,15 +875,16 @@ class MatrixRunner:
             craft_model = runtime.classifier
             craft_attack = attack_name
             original = runtime.attack_item_classes[source_items]
+        options = self.config.attack_options(craft_attack)
         if craft_attack in LADDER_ATTACKS:
-            ladder = EpsilonLadder(
+            ladder = build_ladder(
+                craft_attack,
                 craft_model,
-                attack=craft_attack,
-                epsilons=tuple(epsilon_from_255(eps) for eps in base.epsilons_255),
-                mode=base.ladder_mode,
-                num_steps=base.pgd_steps,
+                tuple(epsilon_from_255(eps) for eps in base.epsilons_255),
+                base.ladder_mode,
+                pgd_steps=base.pgd_steps,
                 seed=base.seed,
-                batch_size=32,
+                options=options,
             )
             with span(
                 "matrix.ladder",
@@ -888,7 +904,7 @@ class MatrixRunner:
             base.epsilons_255,
             pgd_steps=base.pgd_steps,
             seed=base.seed,
-            options=self.config.attack_options(craft_attack),
+            options=options,
         )
 
     # -- execution ------------------------------------------------------- #

@@ -36,9 +36,10 @@ from .context import ExperimentContext
 
 GRID_ATTACK_NAMES = ("FGSM", "PGD")
 
-# Attacks the grid can run beyond the ladder-batched pair.  CW/MIM/NES
-# have no batched ε-ladder path; the grid falls back to one per-cell
-# run per (scenario, attack, ε) for them (see fallback_ladder_cells).
+# Attacks the grid can run.  FGSM, PGD and MIM run on the batched
+# ε-ladder (LADDER_ATTACKS); CW and NES have no ladder path, so the grid
+# falls back to one per-cell run per (scenario, attack, ε) for them (see
+# fallback_ladder_cells).
 CELL_ATTACK_NAMES = ("FGSM", "PGD", "CW", "MIM", "NES")
 
 
@@ -119,6 +120,43 @@ def build_cell_attack(
     return attack
 
 
+def build_ladder(
+    name: str,
+    classifier,
+    epsilons: Sequence[float],
+    mode: str,
+    pgd_steps: int = 10,
+    seed: int = 0,
+    options: Optional[Dict[str, float]] = None,
+    batch_size: int = 32,
+) -> EpsilonLadder:
+    """The :class:`EpsilonLadder` for one attack of ``LADDER_ATTACKS``.
+
+    Takes the same ``options`` as :func:`build_cell_attack` (MIM's
+    ``num_steps`` and ``decay``, defaulting to ``pgd_steps`` and 1.0),
+    so a ladder run and the per-cell runs it replaces share one
+    configuration.  ``epsilons`` are on the [0, 1] pixel scale.
+    """
+    options = dict(options or {})
+    num_steps = pgd_steps
+    decay = 1.0
+    if name == "MIM":
+        num_steps = int(options.pop("num_steps", pgd_steps))
+        decay = float(options.pop("decay", 1.0))
+    if options:
+        raise ValueError(f"unused options for attack '{name}': {sorted(options)}")
+    return EpsilonLadder(
+        classifier,
+        attack=name,
+        epsilons=epsilons,
+        mode=mode,
+        num_steps=num_steps,
+        decay=decay,
+        seed=seed,
+        batch_size=batch_size,
+    )
+
+
 def fallback_ladder_cells(
     classifier,
     attack_name: str,
@@ -130,7 +168,7 @@ def fallback_ladder_cells(
     seed: int,
     options: Optional[Dict[str, float]] = None,
 ) -> List[LadderCell]:
-    """Per-cell ε sweep for attacks without a batched ladder path.
+    """Per-cell ε sweep for attacks without a batched ladder path (CW, NES).
 
     Produces the same :class:`LadderCell` list an
     :class:`EpsilonLadder` run would, so downstream measurement
@@ -193,12 +231,14 @@ def ladder_grid_outcomes(
     (scenario → ε → attack), so tables and stored grid rows are laid out
     exactly as the legacy loop produced them.
 
-    ``attack_names`` may include attacks without a batched ladder path
-    (CW/MIM/NES): those degrade gracefully to one per-cell run per
-    (scenario, attack) via :func:`fallback_ladder_cells` — per attack,
-    never for the whole grid — and bump the ``attack_ladder.fallback``
-    counter.  ``attack_options`` carries per-attack knobs for the
-    fallback (see :func:`build_cell_attack`).
+    FGSM, PGD and MIM run on the ladder.  ``attack_names`` may also
+    include the attacks without a batched ladder path (CW/NES): those
+    degrade gracefully to one per-cell run per (scenario, attack) via
+    :func:`fallback_ladder_cells` — per attack, never for the whole
+    grid — and bump the ``attack_ladder.fallback`` counter.
+    ``attack_options`` carries per-attack knobs (see
+    :func:`build_cell_attack`); MIM's ``num_steps`` and ``decay`` reach
+    its ladder, and without options MIM takes ``pgd_steps`` steps.
 
     All pipelines must share one catalog classification (identical
     ``item_classes``/``clean_features``), which holds for pipelines of
@@ -219,14 +259,16 @@ def ladder_grid_outcomes(
         original = first.item_classes[source_items]
         cells_by_attack = {}
         for attack_name in attack_names:
+            options = (attack_options or {}).get(attack_name)
             if attack_name in LADDER_ATTACKS:
-                ladder = EpsilonLadder(
+                ladder = build_ladder(
+                    attack_name,
                     classifier,
-                    attack=attack_name,
-                    epsilons=epsilons,
-                    mode=mode,
-                    num_steps=pgd_steps,
+                    epsilons,
+                    mode,
+                    pgd_steps=pgd_steps,
                     seed=seed,
+                    options=options,
                     batch_size=batch_size,
                 )
                 with span(
@@ -250,7 +292,7 @@ def ladder_grid_outcomes(
                     epsilons_255,
                     pgd_steps=pgd_steps,
                     seed=seed,
-                    options=(attack_options or {}).get(attack_name),
+                    options=options,
                 )
         for name, pipeline in pipelines.items():
             measured = {
@@ -292,8 +334,8 @@ def run_attack_grids(
     mode is ``context.config.ladder_mode``: ``"exact"`` cells are
     bitwise-identical to :func:`per_cell_grid`, ``"warm"`` adds warm
     starts and early exits.  ``attack_names`` widens the grid beyond
-    FGSM/PGD (see :data:`CELL_ATTACK_NAMES`); attacks without a ladder
-    path fall back per attack to per-cell runs.
+    FGSM/PGD (see :data:`CELL_ATTACK_NAMES`); MIM runs on the ladder
+    too, and CW/NES fall back per attack to per-cell runs.
     """
     config = context.config
     names = [name.upper() for name in recommender_names]

@@ -2,7 +2,7 @@
 
 from .psm import PerceptualSimilarity, psm_from_features
 from .psnr import batch_psnr, mse, psnr
-from .ssim import batch_ssim, ssim
+from .ssim import SSIMReference, batch_ssim, ssim, ssim_reference
 
 __all__ = [
     "mse",
@@ -10,6 +10,8 @@ __all__ = [
     "batch_psnr",
     "ssim",
     "batch_ssim",
+    "ssim_reference",
+    "SSIMReference",
     "PerceptualSimilarity",
     "psm_from_features",
 ]

@@ -23,8 +23,11 @@ from repro.experiments import (
     run_attack_grids,
     stage_fingerprints,
 )
-from repro.experiments.runner import per_cell_grid
+from repro.attacks.projections import epsilon_from_255
+from repro.core import paper_scenarios
+from repro.experiments.runner import build_cell_attack, build_ladder, per_cell_grid
 from repro.experiments.stages import _grid_row
+from repro.telemetry import telemetry_session
 
 TINY = dict(
     scale=0.002,
@@ -105,6 +108,58 @@ class TestExactGridEquivalence:
             assert meta["ladder"] is True and meta["mode"] == "exact"
             assert meta["iterations"] >= 1
             assert meta["forwards"] > 0 and meta["backwards"] > 0
+
+
+class TestMIMOnTheLadder:
+    """MIM runs on the ε-ladder: exact grid cells equal per-cell MIM."""
+
+    def test_exact_grid_matches_per_cell_mim(self, context):
+        with telemetry_session(metrics=True) as session:
+            (grid,) = run_attack_grids(
+                context, ("VBPR",), attack_names=("FGSM", "PGD", "MIM")
+            )
+        assert "attack_ladder.fallback" not in session.metrics.snapshot()
+        config = context.config
+        mim = grid.cells(attack_name="MIM")
+        scenarios = paper_scenarios(context.dataset.name, context.dataset.registry)
+        assert len(mim) == len(scenarios) * len(config.epsilons_255)
+        oracles = [
+            grid.pipeline.attack_category(
+                scenario,
+                build_cell_attack(
+                    "MIM",
+                    context.classifier,
+                    epsilon_255,
+                    pgd_steps=config.pgd_steps,
+                    seed=config.seed,
+                ),
+                attack_name="MIM",
+            )
+            for scenario in scenarios
+            for epsilon_255 in config.epsilons_255
+        ]
+        for a, b in zip(oracles, mim):
+            assert (a.scenario, a.epsilon_255) == (b.scenario, b.epsilon_255)
+            assert np.array_equal(a.adversarial_images, b.adversarial_images)
+            assert a.success_rate == b.success_rate
+            assert a.chr_source_after == b.chr_source_after
+            assert a.visual == b.visual
+
+    def test_build_ladder_takes_cell_attack_options(self, context):
+        epsilons = (epsilon_from_255(8.0),)
+        ladder = build_ladder(
+            "MIM",
+            context.classifier,
+            epsilons,
+            "exact",
+            pgd_steps=7,
+            options={"num_steps": 3, "decay": 0.5},
+        )
+        assert (ladder.attack, ladder.num_steps, ladder.decay) == ("MIM", 3, 0.5)
+        default = build_ladder("MIM", context.classifier, epsilons, "warm", pgd_steps=7)
+        assert (default.num_steps, default.decay, default.mode) == (7, 1.0, "warm")
+        with pytest.raises(ValueError, match="unused options"):
+            build_ladder("PGD", context.classifier, epsilons, "exact", options={"decay": 1.0})
 
 
 class TestStageIntegration:

@@ -27,6 +27,9 @@ from repro.experiments.matrix import (
     run_matrix,
     success_rates_by_attack,
 )
+from repro.experiments.runner import build_cell_attack
+from repro.metrics import batch_ssim
+from repro.telemetry import telemetry_session
 
 TINY = dict(
     scale=0.002,
@@ -334,3 +337,39 @@ class TestMatrixRun:
         ]
         key = lambda row: (row["source"], row["target"], row["epsilon_255"])
         assert sorted(got, key=key) == sorted(expected, key=key)
+
+    def test_mim_cells_ride_the_ladder_with_their_options(self, cold, store_root):
+        """MIM crafts through the ε-ladder with ``mim_steps``/``mim_decay``,
+        and its rows equal per-cell MIM on the same cohort."""
+        mim = make_config(
+            attacks=("MIM",),
+            defenses=("none",),
+            recommenders=("VBPR",),
+            mim_steps=2,
+            mim_decay=0.5,
+        )
+        with telemetry_session(metrics=True) as session:
+            results, manifest = run_matrix(mim, store=ArtifactStore(store_root))
+        assert "attack_ladder.fallback" not in session.metrics.snapshot()
+        assert manifest.built == [cell_name("none", "MIM", "VBPR")]
+        base = results.base
+        registry = base.dataset.registry
+        assert results.rows
+        for row in results.rows:
+            assert row["attack_iterations"] == 2
+            source = np.flatnonzero(
+                base.item_classes == registry.by_name(row["source"]).category_id
+            )
+            images = base.dataset.images[source]
+            attack = build_cell_attack(
+                "MIM", base.classifier, 8.0, options={"num_steps": 2, "decay": 0.5}
+            )
+            oracle = attack.attack(
+                images,
+                target_class=registry.by_name(row["target"]).category_id,
+                original_predictions=base.item_classes[source],
+            )
+            assert row["success_rate"] == oracle.success_rate()
+            assert row["ssim"] == float(
+                np.mean(batch_ssim(images, oracle.adversarial_images))
+            )

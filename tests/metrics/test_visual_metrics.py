@@ -1,5 +1,7 @@
 """Unit tests for PSNR, SSIM and PSM (Table IV metrics)."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.metrics import (
     psm_from_features,
     psnr,
     ssim,
+    ssim_reference,
 )
 from repro.metrics.ssim import _windows
 from repro.nn import TinyResNet
@@ -131,6 +134,84 @@ class TestSSIM:
         x = RNG.random((3, 3, 12, 12))
         values = batch_ssim(x, x)
         np.testing.assert_allclose(values, np.ones(3), atol=1e-10)
+
+
+def _ssim_loop(x, y, window):
+    """The per-image reference: one ``ssim`` call per image."""
+    return np.array([ssim(x[i], y[i], window=window) for i in range(x.shape[0])])
+
+
+class TestBatchSSIMPinnedToPerImage:
+    """``batch_ssim`` returns the bytes of a loop of per-image ``ssim``
+    calls, with and without a reusable clean-side ``reference``."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 5, 37])
+    @pytest.mark.parametrize("window", [2, 7, 8])
+    @pytest.mark.parametrize("shape", [(3, 16, 16), (3, 12, 21)])
+    def test_bytes_equal_per_image_loop(self, dtype, n, window, shape):
+        rng = np.random.default_rng(n * 100 + window)
+        x = rng.random((n,) + shape).astype(dtype)
+        y = np.clip(x + rng.normal(0, 0.05, x.shape), 0, 1).astype(dtype)
+        expected = _ssim_loop(x, y, window).tobytes()
+        assert batch_ssim(x, y, window=window).tobytes() == expected
+        reference = ssim_reference(x, window=window)
+        assert batch_ssim(x, y, window=window, reference=reference).tobytes() == expected
+
+    def test_reference_is_reused_across_rungs(self):
+        rng = np.random.default_rng(3)
+        x = rng.random((6, 3, 10, 14)).astype(np.float32)
+        reference = ssim_reference(x)
+        for scale in (0.01, 0.05, 0.2):
+            y = np.clip(x + rng.normal(0, scale, x.shape), 0, 1).astype(np.float32)
+            got = batch_ssim(x, y, reference=reference)
+            assert got.tobytes() == _ssim_loop(x, y, 7).tobytes()
+        assert reference.statistics() is reference.statistics()
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(4)
+        base = rng.random((5, 3, 13, 11))
+        x = base.transpose(0, 1, 3, 2)  # a transposed view, 11x13 planes
+        y = np.clip(x + rng.normal(0, 0.05, x.shape), 0, 1)
+        assert not x.flags.c_contiguous
+        expected = _ssim_loop(x, y, 7).tobytes()
+        assert batch_ssim(x, y).tobytes() == expected
+        assert batch_ssim(x, y, reference=ssim_reference(x)).tobytes() == expected
+
+    def test_blocks_do_not_change_bytes(self, monkeypatch):
+        # ``repro.metrics.ssim`` names the function; fetch the module.
+        module = importlib.import_module("repro.metrics.ssim")
+        rng = np.random.default_rng(5)
+        x = rng.random((9, 3, 12, 12))
+        y = np.clip(x + rng.normal(0, 0.05, x.shape), 0, 1)
+        expected = _ssim_loop(x, y, 7).tobytes()
+        # One image per block: the ragged block walk covers every image.
+        monkeypatch.setattr(module, "_BLOCK_ELEMENTS", 1)
+        assert batch_ssim(x, y).tobytes() == expected
+
+    def test_empty_batch(self):
+        x = np.zeros((0, 3, 8, 8))
+        assert batch_ssim(x, x).shape == (0,)
+
+    def test_validation_errors(self):
+        x = RNG.random((2, 3, 8, 8))
+        with pytest.raises(ValueError, match="window must be >= 2"):
+            batch_ssim(x, x, window=1)
+        with pytest.raises(ValueError, match="window larger than image"):
+            batch_ssim(x, x, window=10)
+        with pytest.raises(ValueError, match="identical shapes"):
+            batch_ssim(x, RNG.random((2, 3, 9, 9)))
+        with pytest.raises(ValueError, match="identical shapes"):
+            batch_ssim(x, x[:1])
+        with pytest.raises(ValueError, match="NCHW"):
+            batch_ssim(x[0], x[0])
+        with pytest.raises(ValueError, match="window larger than image"):
+            ssim_reference(x, window=9)
+        reference = ssim_reference(x)
+        with pytest.raises(ValueError, match="reference"):
+            batch_ssim(x, x, window=5, reference=reference)
+        with pytest.raises(ValueError, match="reference"):
+            batch_ssim(x[:1], x[:1], reference=reference)
 
 
 class TestPSM:
