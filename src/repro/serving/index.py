@@ -2,9 +2,9 @@
 
 A served top-N list stays valid until some item's score change could
 alter it.  The cache tracks, per cached user, the *head* (the N served
-items, best first, with their scores) and a *threshold* — the score of
-the N-th item.  When item features are pushed (:meth:`apply_update`),
-a cached list is invalidated only if
+items, best first) and a *threshold* — the score of the N-th item.
+When item features are pushed (:meth:`apply_update`), a cached list is
+invalidated only if
 
 * an updated item currently sits in the head (its new score may demote
   or reorder it), or
@@ -18,6 +18,13 @@ user nothing.  This is the serving-layer mirror of the paper's CHR
 mechanics — only score changes that cross top-N boundaries shift
 category exposure.
 
+Entries are rows of slot arrays, not per-user objects, so one push
+decides every cached user with array operations: a catalog-sized mask
+of the updated ids, indexed by all heads at once, finds the head hits,
+and one comparison against the thresholds finds the rows an update
+reaches.  Only those reached rows without a head hit visit the Python
+seen-item sets.
+
 Seen-item masking follows :meth:`Recommender.top_n`: entries are
 expected to be computed with train positives excluded, and the per-user
 positive sets passed at construction keep updated-but-seen items from
@@ -26,7 +33,8 @@ triggering spurious invalidations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
@@ -58,20 +66,21 @@ class CacheStats:
         }
 
 
-@dataclass
-class _Entry:
-    items: np.ndarray  # (N,) best first
-    scores: np.ndarray  # (N,) aligned, descending
-    head_set: Set[int] = field(init=False)
-    threshold: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.head_set = set(int(i) for i in self.items)
-        self.threshold = float(self.scores[-1]) if self.scores.size else -np.inf
+def _grown(array: np.ndarray, rows: int) -> np.ndarray:
+    """``array`` copied into the head of a ``rows``-row uninitialised array."""
+    grown = np.empty((rows,) + array.shape[1:], dtype=array.dtype)
+    grown[: array.shape[0]] = array
+    return grown
 
 
 class TopNCache:
     """Cache of per-user top-N lists keyed by user id.
+
+    Entries live in slots of parallel arrays — ``items (cap, n)``
+    (padded past each list's length with the out-of-catalog id
+    ``num_items``), ``length (cap,)`` and ``threshold (cap,)`` — that
+    grow geometrically; a user→slot dict keeps insertion order and a
+    free list recycles the slots of dropped entries.
 
     Parameters
     ----------
@@ -98,28 +107,28 @@ class TopNCache:
         self.n = min(n, num_items)
         self.num_items = num_items
         self._seen: Optional[Sequence[Set[int]]] = seen_items
-        self._entries: Dict[int, _Entry] = {}
         self.stats = CacheStats()
+        self.clear()
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._slot_of)
 
     def __contains__(self, user: int) -> bool:
-        return int(user) in self._entries
+        return int(user) in self._slot_of
 
     def cached_users(self) -> List[int]:
         """User ids with a live entry, in insertion order."""
-        return list(self._entries)
+        return list(self._slot_of)
 
     def get(self, user: int) -> Optional[np.ndarray]:
         """Cached top-N items for ``user`` (a copy), or None on miss."""
-        entry = self._entries.get(int(user))
-        if entry is None:
+        slot = self._slot_of.get(int(user))
+        if slot is None:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        return entry.items.copy()
+        return self._items[slot, : self._length[slot]].copy()
 
     def put(self, user: int, items: np.ndarray, scores: np.ndarray) -> None:
         """Store a freshly computed list with its aligned scores."""
@@ -133,19 +142,46 @@ class TopNCache:
             raise ValueError("items reference ids outside the catalog")
         if np.any(np.diff(scores) > 0):
             raise ValueError("scores must be non-increasing (best first)")
-        self._entries[int(user)] = _Entry(items.copy(), scores.copy())
+        user = int(user)
+        slot = self._slot_of.get(user)
+        if slot is None:
+            slot = self._free.pop() if self._free else self._new_slot()
+            self._slot_of[user] = slot
+        self._items[slot, : items.size] = items
+        self._items[slot, items.size :] = self.num_items
+        self._length[slot] = items.size
+        self._threshold[slot] = scores[-1]
         self.stats.puts += 1
+
+    def _new_slot(self) -> int:
+        """The next never-used slot, doubling the arrays when full."""
+        slot = self._used
+        if slot == self._threshold.size:
+            cap = max(16, 2 * slot)
+            self._items = _grown(self._items, cap)
+            self._length = _grown(self._length, cap)
+            self._threshold = _grown(self._threshold, cap)
+        self._used += 1
+        return slot
 
     def invalidate(self, users) -> int:
         """Drop entries for ``users``; returns how many were removed."""
         removed = 0
         for user in np.atleast_1d(np.asarray(users, dtype=np.int64)):
-            if self._entries.pop(int(user), None) is not None:
+            slot = self._slot_of.pop(int(user), None)
+            if slot is not None:
+                self._free.append(slot)
                 removed += 1
         return removed
 
     def clear(self) -> None:
-        self._entries.clear()
+        """Drop every entry and release the slot arrays."""
+        self._slot_of: Dict[int, int] = {}
+        self._free: List[int] = []
+        self._used = 0  # slots ever handed out; the rest are unused capacity
+        self._items = np.empty((0, self.n), dtype=np.int64)
+        self._length = np.empty(0, dtype=np.int64)
+        self._threshold = np.empty(0, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     def apply_update(
@@ -167,33 +203,44 @@ class TopNCache:
             row-aligned with ``users`` (from
             :meth:`~repro.serving.sharded.scorer.SharedScorer.score_items`).
 
-        Returns the list of invalidated user ids (their entries are
-        dropped; the next ``get`` misses and triggers a fresh compute).
+        Returns the list of invalidated user ids, in ``users`` order
+        (their entries are dropped; the next ``get`` misses and
+        triggers a fresh compute).
         """
         item_ids = np.asarray(item_ids, dtype=np.int64)
         new_scores = np.asarray(new_scores, dtype=np.float64)
         if new_scores.shape != (len(users), item_ids.shape[0]):
             raise ValueError("new_scores must be (len(users), len(item_ids))")
+        if item_ids.size and (item_ids.min() < 0 or item_ids.max() >= self.num_items):
+            raise ValueError("item_ids reference ids outside the catalog")
         self.stats.update_batches += 1
 
-        updated_set = set(int(i) for i in item_ids)
-        invalidated: List[int] = []
-        for row, user in enumerate(users):
-            user = int(user)
-            entry = self._entries.get(user)
-            if entry is None:
-                continue
-            if not updated_set.isdisjoint(entry.head_set):
-                # A served item changed score: rank/threshold may shift.
-                del self._entries[user]
-                invalidated.append(user)
-                continue
-            candidates = np.flatnonzero(new_scores[row] >= entry.threshold)
-            if candidates.size:
-                seen = self._seen[user] if self._seen is not None else ()
-                if any(int(item_ids[idx]) not in seen for idx in candidates):
-                    # An unseen item can now climb into the head.
-                    del self._entries[user]
-                    invalidated.append(user)
+        users = np.asarray(users, dtype=np.int64).reshape(-1)
+        slots = np.fromiter(
+            map(self._slot_of.get, users.tolist(), repeat(-1)),
+            dtype=np.int64,
+            count=users.size,
+        )
+        cached = np.flatnonzero(slots >= 0)
+        slots = slots[cached]
+        # A served item changed score: rank/threshold may shift.
+        updated = np.zeros(self.num_items + 1, dtype=bool)  # last: padding
+        updated[item_ids] = True
+        drop = updated[self._items[slots]].any(axis=1)
+        # An updated item reaches the threshold: it may climb into the head
+        # unless it is one of the user's train positives.
+        reaches = new_scores[cached] >= self._threshold[slots][:, None]
+        climbs = reaches.any(axis=1) & ~drop
+        if self._seen is None:
+            drop |= climbs
+        else:
+            for row in np.flatnonzero(climbs):
+                seen = self._seen[int(users[cached[row]])]
+                candidates = item_ids[reaches[row]].tolist()
+                drop[row] = any(item not in seen for item in candidates)
+        # A user listed twice is dropped once, at its first triggering row.
+        invalidated = list(dict.fromkeys(users[cached[drop]].tolist()))
+        for user in invalidated:
+            self._free.append(self._slot_of.pop(user))
         self.stats.invalidations += len(invalidated)
         return invalidated

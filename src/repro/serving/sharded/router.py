@@ -73,8 +73,13 @@ class MostPopFallback:
         if self._seen is None:
             return self._order[:n].copy()
         seen = self._seen[user]
-        picked = [item for item in self._order if int(item) not in seen]
-        return np.asarray(picked[:n], dtype=self._order.dtype)
+        picked = []
+        for item in self._order:
+            if int(item) not in seen:
+                picked.append(item)
+                if len(picked) == n:
+                    break
+        return np.asarray(picked, dtype=self._order.dtype)
 
 
 class ShardRouter:

@@ -14,9 +14,12 @@ the user-side factors.
 
 Attack-driven updates never write the shared bank — it is immutable by
 construction.  Instead each shard keeps a sparse *overlay* of updated
-item rows; scoring patches exactly the overlaid columns with the same
-arithmetic (same expression shapes, same addition order) as the dense
-path, so a fleet of any shard count serves bitwise-identical lists.
+item rows: sorted, C-contiguous arrays of the overlaid ids and their
+features, ``F·E`` rows and ``F·β`` values, merged in place by each push
+(last write wins).  Scoring patches exactly the overlaid columns from
+those arrays with the same arithmetic (same expression shapes, same
+addition order) as the dense path, so a fleet of any shard count serves
+bitwise-identical lists.
 Non-visual models (BPR-MF, MostPop) accept updates as recorded no-ops:
 image perturbations cannot move their scores, the attack-immune control
 of the paper (§III-A).
@@ -190,9 +193,7 @@ class SharedScorer:
                     raise ValueError("BPRMF shards carry no visual user factors")
                 self._visual_user_factors = None
 
-        # Sparse overlay of updated items: id -> (features, F·E row, F·β).
-        self._overlay: Dict[int, Tuple[np.ndarray, np.ndarray, float]] = {}
-        self._overlay_ids: Optional[np.ndarray] = None  # sorted cache
+        self._clear_overlay()
         # Escalated (copy-on-write) dense item side; None until needed.
         self._dense: Optional[Dict[str, np.ndarray]] = None
 
@@ -226,7 +227,7 @@ class SharedScorer:
 
     @property
     def overlay_size(self) -> int:
-        return len(self._overlay)
+        return int(self._overlay_ids.size)
 
     def _visual_state(self) -> Tuple[np.ndarray, np.ndarray]:
         """Current ``(F·E, F·β)`` — dense copy when escalated, base bank otherwise."""
@@ -234,10 +235,18 @@ class SharedScorer:
             return self._dense["visual_items"], self._dense["visual_bias_scores"]
         return self.bank["visual_items"], self.bank["visual_bias_scores"]
 
-    def _overlay_id_array(self) -> np.ndarray:
-        if self._overlay_ids is None:
-            self._overlay_ids = np.array(sorted(self._overlay), dtype=np.int64)
-        return self._overlay_ids
+    def _clear_overlay(self) -> None:
+        """Empty the sparse overlay of updated items.
+
+        It is sorted ids and, for visual kinds, row-aligned with them,
+        features, ``F·E`` rows and ``F·β`` values.
+        """
+        self._overlay_ids = np.empty(0, dtype=np.int64)
+        if self.is_visual:
+            feature_dim, visual_dim = self.bank["embedding"].shape
+            self._overlay_features = np.empty((0, feature_dim))
+            self._overlay_visual = np.empty((0, visual_dim))
+            self._overlay_bias = np.empty(0)
 
     def _escalate(self) -> None:
         """Materialise a private dense item side (base ⊕ overlay)."""
@@ -246,10 +255,10 @@ class SharedScorer:
             "visual_items": np.array(self.bank["visual_items"], copy=True),
             "visual_bias_scores": np.array(self.bank["visual_bias_scores"], copy=True),
         }
-        for item, (feats, visual_row, bias_score) in self._overlay.items():
-            dense["features"][item] = feats
-            dense["visual_items"][item] = visual_row
-            dense["visual_bias_scores"][item] = bias_score
+        ids = self._overlay_ids
+        dense["features"][ids] = self._overlay_features
+        dense["visual_items"][ids] = self._overlay_visual
+        dense["visual_bias_scores"][ids] = self._overlay_bias
         # Publish read-only: once the dense side starts serving it gets
         # the same write protection as the shared bank, so a scoring-path
         # bug cannot silently corrupt the escalated copy either.  The one
@@ -257,8 +266,7 @@ class SharedScorer:
         for array in dense.values():
             array.flags.writeable = False
         self._dense = dense
-        self._overlay.clear()
-        self._overlay_ids = None
+        self._clear_overlay()
 
     # ------------------------------------------------------------------ #
     # Scoring
@@ -279,21 +287,19 @@ class SharedScorer:
             visual_items, visual_bias_scores = self._visual_state()
             scores += self._visual_user_factors[rows] @ visual_items.T
             scores += visual_bias_scores[None, :]
-            if self._overlay:
-                ids = self._overlay_id_array()
-                scores[:, ids] = self._score_overlaid_columns(rows, ids)
+            if self._overlay_ids.size:
+                scores[:, self._overlay_ids] = self._score_overlaid_columns(rows)
         return scores
 
-    def _score_overlaid_columns(self, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    def _score_overlaid_columns(self, rows: np.ndarray) -> np.ndarray:
         """Recompute the overlaid columns with the dense scorer's addition order."""
-        visual_rows = np.stack([self._overlay[int(i)][1] for i in ids])
-        bias_rows = np.array([self._overlay[int(i)][2] for i in ids], dtype=np.float64)
+        ids = self._overlay_ids
         cols = (
             self.bank["item_bias"][ids][None, :]
             + self._user_factors[rows] @ self.bank["item_factors"][ids].T
         )
-        cols += self._visual_user_factors[rows] @ visual_rows.T
-        cols += bias_rows[None, :]
+        cols += self._visual_user_factors[rows] @ self._overlay_visual.T
+        cols += self._overlay_bias[None, :]
         return cols
 
     def score_items(self, user_ids, item_ids) -> np.ndarray:
@@ -314,12 +320,12 @@ class SharedScorer:
             visual_items, visual_bias_scores = self._visual_state()
             visual_sel = np.array(visual_items[item_ids], copy=True)
             bias_sel = np.array(visual_bias_scores[item_ids], copy=True)
-            if self._overlay:
-                for pos, item in enumerate(item_ids):
-                    entry = self._overlay.get(int(item))
-                    if entry is not None:
-                        visual_sel[pos] = entry[1]
-                        bias_sel[pos] = entry[2]
+            ids = self._overlay_ids
+            if ids.size:
+                pos = np.minimum(np.searchsorted(ids, item_ids), ids.size - 1)
+                hit = ids[pos] == item_ids
+                visual_sel[hit] = self._overlay_visual[pos[hit]]
+                bias_sel[hit] = self._overlay_bias[pos[hit]]
             scores += self._visual_user_factors[rows] @ visual_sel.T
             scores += bias_sel[None, :]
         return scores
@@ -358,13 +364,30 @@ class SharedScorer:
                 for array in self._dense.values():
                     array.setflags(write=False)
             return True
-        for pos, item in enumerate(item_ids):
-            self._overlay[int(item)] = (
-                item_features[pos],
-                visual_rows[pos],
-                float(bias_rows[pos]),
-            )
-        self._overlay_ids = None
-        if len(self._overlay) > self.escalate_fraction * self.num_items:
+        # Last write wins: keep each pushed id's final row only.
+        last = item_ids.size - 1 - np.unique(item_ids[::-1], return_index=True)[1]
+        item_ids = item_ids[last]
+        self._grow_overlay(item_ids)
+        pos = np.searchsorted(self._overlay_ids, item_ids)
+        self._overlay_features[pos] = item_features[last]
+        self._overlay_visual[pos] = visual_rows[last]
+        self._overlay_bias[pos] = bias_rows[last]
+        if self._overlay_ids.size > self.escalate_fraction * self.num_items:
             self._escalate()
         return True
+
+    def _grow_overlay(self, item_ids: np.ndarray) -> None:
+        """Add rows for the not-yet-overlaid ``item_ids``, keeping ids sorted.
+
+        The new rows are left for the caller to fill.
+        """
+        ids = np.union1d(self._overlay_ids, item_ids)
+        if ids.size == self._overlay_ids.size:
+            return
+        keep = np.searchsorted(ids, self._overlay_ids)
+        for name in ("_overlay_features", "_overlay_visual", "_overlay_bias"):
+            old = getattr(self, name)
+            grown = np.empty((ids.size,) + old.shape[1:])
+            grown[keep] = old
+            setattr(self, name, grown)
+        self._overlay_ids = ids

@@ -20,9 +20,8 @@ worker surfaces and the router answers by failing the shard over.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -37,7 +36,9 @@ class RollingChrMonitor:
     Definition 5 over what the service *actually serves*: the fraction
     of the last ``window`` lists' slots occupied by each class.  Lists
     may have different lengths (callers request different ``n``); the
-    denominator is the total slot count in the window.
+    denominator is the total slot count in the window.  Per-list class
+    counts live in a ``(window, C)`` ring buffer beside running totals,
+    so each observation overwrites the row of the list it evicts.
     """
 
     def __init__(
@@ -56,7 +57,9 @@ class RollingChrMonitor:
         self.item_classes = item_classes
         self.class_names = list(class_names)
         self.window = window
-        self._lists: Deque[np.ndarray] = deque()  # per-list class counts
+        # Row ``i % window`` holds the class counts of the i-th observed
+        # list until list ``i + window`` overwrites it.
+        self._ring = np.zeros((window, len(class_names)), dtype=np.int64)
         self._counts = np.zeros(len(class_names), dtype=np.int64)
         self._slots = 0
         self.observed = 0  # lists ever observed (not capped by window)
@@ -65,14 +68,12 @@ class RollingChrMonitor:
         """Record one served list (item ids)."""
         items = np.asarray(items, dtype=np.int64)
         counts = np.bincount(self.item_classes[items], minlength=len(self.class_names))
-        self._lists.append(counts)
-        self._counts += counts
-        self._slots += items.size
+        # Rows not yet written are zero, so the first lap evicts nothing.
+        evicted = self._ring[self.observed % self.window]
+        self._counts += counts - evicted
+        self._slots += items.size - int(evicted.sum())
+        evicted[:] = counts
         self.observed += 1
-        while len(self._lists) > self.window:
-            evicted = self._lists.popleft()
-            self._counts -= evicted
-            self._slots -= int(evicted.sum())
 
     def chr_percent(self, class_name: str) -> float:
         """Rolling CHR of one class, in percent (Table II units)."""
@@ -342,9 +343,10 @@ class Shard:
         return report
 
     def _apply_update(self, item_ids: np.ndarray, item_features) -> Tuple[bool, int]:
-        cached = self.index.cached_users()
+        # One int64 array serves both the re-score and the invalidation.
+        cached = np.array(self.index.cached_users(), dtype=np.int64)
         changed = self.scorer.update_item_features(item_ids, item_features)
-        if not (changed and cached):
+        if not (changed and cached.size):
             return changed, 0
         new_columns = self.scorer.score_items(cached, item_ids)
         invalidated = self.index.apply_update(cached, item_ids, new_columns)

@@ -22,7 +22,7 @@ from repro.recommenders import (
 from repro.serving.sharded import ArrayBank, SharedScorer, compute_item_side
 
 
-def make_scorer(model, features=None):
+def make_scorer(model, features=None, escalate_fraction=0.25):
     kind, arrays = compute_item_side(model, features=features)
     return SharedScorer(
         kind,
@@ -32,6 +32,7 @@ def make_scorer(model, features=None):
         user_ids=np.arange(model.num_users),
         user_factors=None if kind == "mostpop" else model.user_factors,
         visual_user_factors=model.visual_user_factors if kind == "vbpr" else None,
+        escalate_fraction=escalate_fraction,
     )
 
 
@@ -200,3 +201,125 @@ class TestUpdates:
         bad = np.full((1, features.shape[1]), np.nan)
         with pytest.raises(ValueError):
             scorer.update_item_features([0], bad)
+
+
+class DictOverlay:
+    """Overlay scoring as one dict entry per item, the oracle's form.
+
+    Each push's ``F·E`` and ``F·β`` rows are kept per id (last write
+    wins); scoring re-stacks them in id order and patches them over the
+    dense columns with the scorer's expression shapes and addition order.
+    """
+
+    def __init__(self, model):
+        _, self.bank = compute_item_side(model)
+        self.user_factors = model.user_factors
+        self.visual_user_factors = model.visual_user_factors
+        self.rows = {}
+
+    def update(self, item_ids, item_features):
+        visual_rows = item_features @ self.bank["embedding"]
+        bias_rows = item_features @ self.bank["visual_bias"]
+        for pos, item in enumerate(item_ids):
+            self.rows[int(item)] = (visual_rows[pos], float(bias_rows[pos]))
+
+    def columns(self, users, ids, visual, bias):
+        bank = self.bank
+        scores = (
+            bank["item_bias"][ids][None, :]
+            + self.user_factors[users] @ bank["item_factors"][ids].T
+        )
+        scores += self.visual_user_factors[users] @ visual.T
+        scores += bias[None, :]
+        return scores
+
+    def score_block(self, users):
+        bank = self.bank
+        scores = bank["item_bias"][None, :] + self.user_factors[users] @ bank["item_factors"].T
+        scores += self.visual_user_factors[users] @ bank["visual_items"].T
+        scores += bank["visual_bias_scores"][None, :]
+        ids = np.array(sorted(self.rows))
+        visual = np.stack([self.rows[i][0] for i in ids])
+        bias = np.array([self.rows[i][1] for i in ids])
+        scores[:, ids] = self.columns(users, ids, visual, bias)
+        return scores
+
+    def score_items(self, users, item_ids):
+        visual = np.array(self.bank["visual_items"][item_ids], copy=True)
+        bias = np.array(self.bank["visual_bias_scores"][item_ids], copy=True)
+        for pos, item in enumerate(item_ids):
+            if int(item) in self.rows:
+                visual[pos], bias[pos] = self.rows[int(item)]
+        return self.columns(users, item_ids, visual, bias)
+
+
+class TestOverlayOracle:
+    """Overlaid scores against a per-item dict overlay and the dense paths.
+
+    Over a run of pushes that repeat ids across pushes and within one
+    push (the last row wins), the overlay scorer must equal, byte for
+    byte, the dict-overlay oracle at every block shape, and a scorer
+    that escalates on its first push (dense item side, written in place)
+    at multi-user block shapes.  A one-user block is a matrix-vector
+    product, whose rounding BLAS may vary with the column count.
+    Against a fresh scorer published from the pushed feature state it
+    agrees to rounding only: a push computes ``F·E`` and ``F·β`` for its
+    own rows, and BLAS may round a row of a k-row product differently
+    from the same row of the catalogue-sized one.
+    """
+
+    def pushes(self, num_items, feature_dim):
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            item_ids = rng.choice(num_items, size=5, replace=True)
+            item_ids[1] = item_ids[0]  # at least one duplicate per push
+            yield item_ids, rng.normal(0, 2, (5, feature_dim))
+
+    def test_matches_dict_overlay_and_dense_item_sides(self, dataset, vbpr, features):
+        overlaid = make_scorer(vbpr, escalate_fraction=1.0)
+        escalated = make_scorer(vbpr, escalate_fraction=0.5 / vbpr.num_items)
+        oracle = DictOverlay(vbpr)
+        shadow = np.array(features, copy=True)
+        users = np.arange(dataset.num_users)
+        for item_ids, new in self.pushes(vbpr.num_items, features.shape[1]):
+            overlaid.update_item_features(item_ids, new)
+            escalated.update_item_features(item_ids, new)
+            oracle.update(item_ids, new)
+            for item, row in zip(item_ids, new):
+                shadow[item] = row
+            fresh = make_scorer(vbpr, features=shadow)
+            assert escalated.escalated and not overlaid.escalated
+            assert overlaid.overlay_size == len(oracle.rows)
+            for block in (users, users[3:9], users[:1]):
+                scores = overlaid.score_block(block)
+                np.testing.assert_array_equal(scores, oracle.score_block(block))
+                if block.size > 1:
+                    np.testing.assert_array_equal(scores, escalated.score_block(block))
+                np.testing.assert_allclose(
+                    scores, fresh.score_block(block), rtol=1e-12, atol=0
+                )
+            columns = np.concatenate([item_ids, [0, vbpr.num_items - 1]])
+            scores = overlaid.score_items(users, columns)
+            np.testing.assert_array_equal(scores, oracle.score_items(users, columns))
+            np.testing.assert_array_equal(scores, escalated.score_items(users, columns))
+            np.testing.assert_allclose(
+                scores, fresh.score_items(users, columns), rtol=1e-12, atol=0
+            )
+
+    def test_escalation_folds_the_overlay_in(self, dataset, vbpr, features):
+        scorer = make_scorer(vbpr)
+        shadow = np.array(features, copy=True)
+        users = np.arange(dataset.num_users)
+        rng = np.random.default_rng(4)
+        for item_ids in np.array_split(rng.permutation(vbpr.num_items), 8):
+            new = rng.normal(0, 1, (item_ids.size, features.shape[1]))
+            scorer.update_item_features(item_ids, new)
+            shadow[item_ids] = new
+            np.testing.assert_allclose(
+                scorer.score_block(users),
+                make_scorer(vbpr, features=shadow).score_block(users),
+                rtol=1e-12,
+                atol=0,
+            )
+        # The default fraction escalates once the overlay passes a quarter.
+        assert scorer.escalated and scorer.overlay_size == 0

@@ -1,5 +1,7 @@
 """Unit tests for the RecommenderService facade and the CHR monitor."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,33 @@ class TestMonitor:
         monitor.observe(np.array([1]))  # evicts the first
         assert monitor.chr_percent("a") == pytest.approx(50.0)
         assert monitor.chr_percent("b") == pytest.approx(50.0)
+
+    @pytest.mark.parametrize("window", [1, 3, 7])
+    def test_ring_buffer_matches_deque_window(self, window):
+        # Oracle: per-list class counts in a deque, evicted from the left.
+        rng = np.random.default_rng(window)
+        item_classes = rng.integers(0, 4, size=50)
+        names = ["a", "b", "c", "d"]
+        monitor = RollingChrMonitor(item_classes, names, window=window)
+        lists = deque()
+        for step in range(5 * window + 3):  # several laps of the ring
+            items = rng.choice(50, size=int(rng.integers(1, 9)), replace=False)
+            monitor.observe(items)
+            lists.append(np.bincount(item_classes[items], minlength=len(names)))
+            if len(lists) > window:
+                lists.popleft()
+            counts = np.sum(lists, axis=0)
+            slots = int(counts.sum())
+            got_counts, got_slots = monitor.counts_snapshot()
+            np.testing.assert_array_equal(got_counts, counts)
+            assert got_slots == slots
+            expected = {
+                name: 100.0 * float(counts[idx]) / slots for idx, name in enumerate(names)
+            }
+            assert monitor.snapshot() == expected
+            for name in names:
+                assert monitor.chr_percent(name) == 100.0 * counts[names.index(name)] / slots
+            assert monitor.observed == step + 1
 
     def test_empty_snapshot(self):
         monitor = RollingChrMonitor(np.array([0]), ["a"], window=4)

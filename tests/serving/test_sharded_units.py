@@ -213,6 +213,27 @@ class TestFailover:
         np.testing.assert_array_equal(fallback.recommend(0, 3), [3, 0, 4])
         np.testing.assert_array_equal(fallback.recommend(1, 3), [1, 3, 0])
 
+    def test_mostpop_fallback_stops_at_n_unseen(self):
+        # Oracle: the full-catalogue comprehension the early stop replaced.
+        rng = np.random.default_rng(2)
+        counts = rng.integers(0, 5, size=40).astype(np.float64)  # many ties
+        seen = {user: set(rng.choice(40, size=size, replace=False).tolist())
+                for user, size in enumerate((0, 5, 20, 35, 38, 40))}
+        fallback = MostPopFallback(counts, seen_items=seen)
+        order = np.argsort(-counts, kind="stable")
+        for user, items in seen.items():
+            for n in (1, 3, 10, 40):
+                picked = [item for item in order if int(item) not in items]
+                expected = np.asarray(picked[:n], dtype=order.dtype)
+                served = fallback.recommend(user, n)
+                assert served.dtype == expected.dtype
+                np.testing.assert_array_equal(served, expected)
+        # Fewer than n unseen items: all of them; none at all: empty.
+        assert fallback.recommend(4, 10).tolist() == [
+            item for item in order.tolist() if item not in seen[4]
+        ]
+        assert fallback.recommend(5, 3).shape == (0,)
+
     def test_dead_shard_fails_over_to_mostpop(self, system):
         model, item_classes, class_names, counts = system
         registry = MetricsRegistry()
