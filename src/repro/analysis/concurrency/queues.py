@@ -1,6 +1,6 @@
 """RPR010 — queue and lock hygiene in the serving tier.
 
-The serving stack's liveness rests on three conventions the language
+The serving stack's liveness rests on four conventions the language
 does not enforce.  (1) Only the worker loop may block forever on its
 inbox — everywhere else, a ``Queue.get()`` without a timeout, or a pipe
 ``recv()`` not gated by a bounded ``poll(timeout)`` on the same end in
@@ -12,7 +12,11 @@ lock, so one slow consumer stalls every thread contending on it — a
 classic deadlock shape once the consumer also wants the lock.
 (3) Nested lock acquisitions must agree on one global order; two call
 paths taking the same pair of locks in opposite orders deadlock the
-first time they interleave.
+first time they interleave.  (4) A handle's split ``send(op, …)``
+returns a ticket that a ``collect`` in the same function must redeem
+(or that the function returns to its caller): an uncollected reply
+stays outstanding, and the next ``flush()`` drains it as if it were an
+update ack.
 
 Receivers are classified by naming convention (``inbox``/``outbox``/
 ``*queue*`` for queues and pipe ends, ``*lock*`` for locks) — the
@@ -56,6 +60,21 @@ def _lock_names_of_with(node: ast.With) -> List[str]:
     return names
 
 
+def _is_split_send(call: ast.Call) -> bool:
+    """``handle.send(op, …)``: a handle's split send, not a raw pipe send."""
+    if not (
+        isinstance(call.func, ast.Attribute)
+        and call.func.attr == "send"
+        and call.args
+        and not _is_queue_name(final_attr_name(call.func.value))
+    ):
+        return False
+    first = call.args[0]
+    if isinstance(first, ast.Constant):
+        return isinstance(first.value, str)
+    return isinstance(first, ast.Name) and first.id == "op"
+
+
 def _bounded_polls(info: FunctionInfo) -> Set[str]:
     """Receivers the function polls with a bound (``poll(None)`` has none)."""
     polled: Set[str] = set()
@@ -79,7 +98,10 @@ class QueueLockHygieneRule(ProjectRule):
     """RPR010 — blocking gets/recvs, puts/sends under locks, lock-order inversions."""
 
     id = "RPR010"
-    title = "queue/lock hygiene (unbounded get/recv, put/send under lock, lock order)"
+    title = (
+        "queue/lock hygiene (unbounded get/recv, put/send under lock, lock order, "
+        "uncollected split sends)"
+    )
     rationale = """
     A multiprocess serving tier fails by hanging, not by crashing.
     `Queue.get()` with no timeout, or a pipe `recv()` with no bounded
@@ -94,7 +116,10 @@ class QueueLockHygieneRule(ProjectRule):
     waiting for the right interleaving.  All three are invisible to
     tests that don't race; all three are syntactically checkable, which
     is what this rule does across the serving tier using the tier's own
-    naming conventions for queues, pipe ends and locks.
+    naming conventions for queues, pipe ends and locks.  It also pairs
+    each split `handle.send(op, …)` with a `collect` in the same
+    function: a ticket dropped on the floor leaves its reply
+    outstanding, and the next `flush()` returns it as an update ack.
     """
 
     SCOPE = ("serving/",)
@@ -120,6 +145,18 @@ class QueueLockHygieneRule(ProjectRule):
         module = info.module
         sanctioned_loop = info.name in WORKER_LOOP_FUNCS
         polled = _bounded_polls(info)
+        collects = any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "collect"
+            for call in body_walk(info.node)
+        )
+        returned = {
+            id(inner)
+            for ret in body_walk(info.node)
+            if isinstance(ret, ast.Return) and ret.value is not None
+            for inner in ast.walk(ret.value)
+        }
 
         def walk(node: ast.AST, held_locks: Tuple[str, ...]) -> Iterator[Violation]:
             for child in ast.iter_child_nodes(node):
@@ -161,6 +198,24 @@ class QueueLockHygieneRule(ProjectRule):
                                     )
                                 )
                     child_locks = held_locks + tuple(acquired)
+                if isinstance(child, ast.Call) and _is_split_send(child):
+                    if isinstance(node, ast.Expr):
+                        yield self.violation(
+                            module,
+                            child,
+                            "split send() drops its ticket: the reply is never "
+                            "collected, stays outstanding, and the next flush() "
+                            "returns it as an update ack",
+                        )
+                    elif not collects and id(child) not in returned:
+                        yield self.violation(
+                            module,
+                            child,
+                            "split send() with no collect() in this function "
+                            "(and its ticket is not returned): the reply stays "
+                            "outstanding, and the next flush() returns it as an "
+                            "update ack",
+                        )
                 if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
                     receiver = final_attr_name(child.func.value)
                     if child.func.attr == "get" and _is_queue_name(receiver):

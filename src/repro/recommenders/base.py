@@ -67,7 +67,7 @@ class Recommender(ABC):
 
     Subclasses name their trained float64 parameter arrays in
     ``STATE_FIELDS``; :meth:`state_dict` / :meth:`load_state_dict`
-    persist exactly those.
+    persist exactly those, checked against :meth:`state_shapes`.
     """
 
     STATE_FIELDS: Tuple[str, ...]
@@ -95,6 +95,10 @@ class Recommender(ABC):
         """Trained parameters, keyed by field name (same idiom as nn.Module)."""
         return {name: getattr(self, name).copy() for name in self.STATE_FIELDS}
 
+    def state_shapes(self) -> Dict[str, Tuple[int, ...]]:
+        """The shape each ``STATE_FIELDS`` array must have (default: its current one)."""
+        return {name: getattr(self, name).shape for name in self.STATE_FIELDS}
+
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> "Recommender":
         """Restore trained parameters; refuses incomplete or foreign state.
 
@@ -102,6 +106,7 @@ class Recommender(ABC):
         or truncated cache fails with an actionable message instead of
         an opaque ``KeyError``.
         """
+        expected = self.state_shapes()
         missing = [name for name in self.STATE_FIELDS if name not in state]
         extra = [name for name in state if name not in self.STATE_FIELDS]
         if missing or extra:
@@ -111,12 +116,11 @@ class Recommender(ABC):
                 "the cached artifact is corrupted or from an incompatible build"
             )
         for name in self.STATE_FIELDS:
-            current = getattr(self, name)
             value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != current.shape:
+            if value.shape != expected[name]:
                 raise ValueError(
                     f"{type(self).__name__} state field '{name}' has shape "
-                    f"{value.shape}, expected {current.shape}"
+                    f"{value.shape}, expected {expected[name]}"
                 )
         for name in self.STATE_FIELDS:
             setattr(self, name, np.array(state[name], dtype=np.float64, copy=True))

@@ -21,7 +21,7 @@ prediction-time attack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,6 +68,10 @@ class VBPR(Recommender):
         ``f_i`` the model trains against.
     config:
         Hyper-parameters.
+    state:
+        Trained parameters to build a fitted model from (checked as
+        :meth:`load_state_dict` checks them); the random init is then
+        never drawn.
     """
 
     def __init__(
@@ -76,6 +80,7 @@ class VBPR(Recommender):
         num_items: int,
         features: np.ndarray,
         config: Optional[VBPRConfig] = None,
+        state: Optional[Dict[str, np.ndarray]] = None,
     ) -> None:
         super().__init__(num_users, num_items)
         features = np.asarray(features, dtype=np.float64)
@@ -86,6 +91,10 @@ class VBPR(Recommender):
         self.config = config or VBPRConfig()
         self.features = features
         self.feature_dim = features.shape[1]
+        self.loss_history: List[float] = []
+        if state is not None:
+            self.load_state_dict(state)
+            return
 
         rng = rng_from_seed(self.config.seed)
         scale = self.config.init_scale
@@ -96,7 +105,6 @@ class VBPR(Recommender):
         self.embedding = rng.normal(0, scale / np.sqrt(self.feature_dim), (self.feature_dim, a))  # E
         self.visual_bias = np.zeros(self.feature_dim)  # β
         self.item_bias = np.zeros(num_items)
-        self.loss_history: List[float] = []
 
     #: Trained parameters behind :meth:`state_dict` / :meth:`load_state_dict`.
     STATE_FIELDS = (
@@ -107,6 +115,17 @@ class VBPR(Recommender):
         "visual_bias",
         "item_bias",
     )
+
+    def state_shapes(self) -> Dict[str, Tuple[int, ...]]:
+        k, a = self.config.factors, self.config.visual_factors
+        return {
+            "user_factors": (self.num_users, k),
+            "item_factors": (self.num_items, k),
+            "visual_user_factors": (self.num_users, a),
+            "embedding": (self.feature_dim, a),
+            "visual_bias": (self.feature_dim,),
+            "item_bias": (self.num_items,),
+        }
 
     # ------------------------------------------------------------------ #
     # Training

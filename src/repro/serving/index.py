@@ -23,7 +23,10 @@ decides every cached user with array operations: a catalog-sized mask
 of the updated ids, indexed by all heads at once, finds the head hits,
 and one comparison against the thresholds finds the rows an update
 reaches.  Only those reached rows without a head hit visit the Python
-seen-item sets.
+seen-item sets.  A batch of requests uses the same arrays:
+:meth:`lookup_many` counts its lookups, :meth:`put_many` stores the
+missing users' lists as one block and :meth:`take` gathers the served
+heads, each leaving the state its per-user loop would.
 
 Seen-item masking follows :meth:`Recommender.top_n`: entries are
 expected to be computed with train positives excluded, and the per-user
@@ -152,6 +155,85 @@ class TopNCache:
         self._length[slot] = items.size
         self._threshold[slot] = scores[-1]
         self.stats.puts += 1
+
+    def lookup_many(self, users) -> np.ndarray:
+        """Count a block of lookups as ``get``, then ``put`` on a miss, would.
+
+        The first lookup of an uncached user misses; every other lookup
+        hits, a user repeated after its miss included.  Returns the
+        users that missed — distinct, in first-occurrence order — for
+        the caller to :meth:`put_many`.
+        """
+        users = np.asarray(users, dtype=np.int64).reshape(-1)
+        slot_of = self._slot_of
+        missing = [user for user in dict.fromkeys(users.tolist()) if user not in slot_of]
+        self.stats.misses += len(missing)
+        self.stats.hits += users.size - len(missing)
+        return np.array(missing, dtype=np.int64)
+
+    def take(self, users, n: int) -> np.ndarray:
+        """The first ``n`` cached items of each of ``users``: ``(len(users), n)``.
+
+        Reads without counting lookups (:meth:`lookup_many` counts them);
+        every user must hold an entry at least ``n`` long.
+        """
+        users = np.asarray(users, dtype=np.int64).reshape(-1)
+        try:
+            slots = np.fromiter(
+                map(self._slot_of.__getitem__, users.tolist()),
+                dtype=np.int64,
+                count=users.size,
+            )
+        except KeyError as exc:
+            raise ValueError(f"user {exc.args[0]} has no cached entry") from None
+        if not 1 <= n <= self.n or (self._length[slots] < n).any():
+            raise ValueError(f"n must be in [1, {self.n}] and within every entry")
+        return self._items[slots, :n]
+
+    def put_many(self, users, items: np.ndarray, scores: np.ndarray) -> None:
+        """Store a block of lists, row ``i`` for ``users[i]``.
+
+        Leaves exactly the state a loop of :meth:`put` over the rows
+        leaves — slots handed out in first-occurrence order, a repeated
+        user's last row kept, ``puts`` counted per row — with the block
+        validated once and written into the slot arrays with one fancy
+        assignment per array.
+        """
+        users = np.asarray(users, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        scores = np.asarray(scores, dtype=np.float64)
+        if (
+            users.ndim != 1
+            or items.ndim != 2
+            or items.shape != scores.shape
+            or items.shape[0] != users.size
+        ):
+            raise ValueError(
+                "items and scores must be aligned (len(users), length) blocks"
+            )
+        if not users.size:
+            return
+        length = items.shape[1]
+        if length == 0 or length > self.n:
+            raise ValueError(f"list length must be in [1, {self.n}]")
+        if items.min() < 0 or items.max() >= self.num_items:
+            raise ValueError("items reference ids outside the catalog")
+        if np.any(np.diff(scores, axis=1) > 0):
+            raise ValueError("scores must be non-increasing (best first)")
+        last_row = {user: row for row, user in enumerate(users.tolist())}
+        slots = np.empty(len(last_row), dtype=np.int64)
+        for i, user in enumerate(last_row):
+            slot = self._slot_of.get(user)
+            if slot is None:
+                slot = self._free.pop() if self._free else self._new_slot()
+                self._slot_of[user] = slot
+            slots[i] = slot
+        rows = np.fromiter(last_row.values(), dtype=np.int64, count=slots.size)
+        self._items[slots, :length] = items[rows]
+        self._items[slots, length:] = self.num_items
+        self._length[slots] = length
+        self._threshold[slots] = scores[rows, -1]
+        self.stats.puts += users.size
 
     def _new_slot(self) -> int:
         """The next never-used slot, doubling the arrays when full."""

@@ -30,10 +30,11 @@ def build_synthetic_system(
     """A fitted VBPR universe drawn from derived RNG streams.
 
     Every tensor comes from its own :func:`derive_rng` stream keyed by
-    field name, and the state lands via ``load_state_dict`` (which is
-    what marks the model fitted) — so the benchmark scales to any user
-    count without a training loop, yet two runs with the same seed are
-    bitwise identical.  Returns ``(model, item_classes, class_names,
+    field name, and the model is built straight from that state (checked
+    as ``load_state_dict`` checks it, and marked fitted; no random init
+    is drawn only to be overwritten) — so the benchmark scales to any
+    user count without a training loop, yet two runs with the same seed
+    are bitwise identical.  Returns ``(model, item_classes, class_names,
     popularity_counts)``; the counts feed the MostPop failover ranker.
 
     Item features are *low-rank plus noise* rather than iid Gaussian:
@@ -50,12 +51,6 @@ def build_synthetic_system(
     features = latent @ mixing / np.sqrt(rank) + feature_rng.normal(
         0.0, 0.05, (num_items, feature_dim)
     )
-    model = VBPR(
-        num_users,
-        num_items,
-        features,
-        VBPRConfig(factors=factors, visual_factors=visual_factors, seed=seed),
-    )
     scale = 0.1
     shapes = {
         "user_factors": (num_users, factors),
@@ -69,7 +64,13 @@ def build_synthetic_system(
         name: derive_rng(seed, f"synthetic.{name}").normal(0.0, scale, shape)
         for name, shape in shapes.items()
     }
-    model.load_state_dict(state)
+    model = VBPR(
+        num_users,
+        num_items,
+        features,
+        VBPRConfig(factors=factors, visual_factors=visual_factors, seed=seed),
+        state=state,
+    )
     item_classes = derive_rng(seed, "synthetic.classes").integers(
         0, len(SYNTHETIC_CLASS_NAMES), size=num_items
     )

@@ -186,6 +186,12 @@ class FaultInjectingHandle:
     def call(self, op: str, payload=None, timeout_s: Optional[float] = None):
         return self.inner.call(op, payload, timeout_s=timeout_s)
 
+    def send(self, op: str, payload=None) -> int:
+        return self.inner.send(op, payload)
+
+    def collect(self, ticket: int, timeout_s: Optional[float] = None):
+        return self.inner.collect(ticket, timeout_s=timeout_s)
+
     def flush(self, timeout_s: Optional[float] = None):
         return self.inner.flush(timeout_s=timeout_s)
 

@@ -3,7 +3,8 @@
 :class:`ShardRouter` hashes each user to its owning shard
 (``user % num_shards``, see
 :class:`~repro.serving.sharded.partition.UserPartition`), serves
-recommendation calls synchronously, and fans invalidation pushes out
+recommendation calls synchronously (a batch is sent to every owning
+shard before any reply is awaited), and fans invalidation pushes out
 *asynchronously*: every push gets the next epoch number and is ``cast``
 to each healthy shard (at most ``backlog`` un-acked casts per shard);
 acks drain on :meth:`flush`.
@@ -30,7 +31,7 @@ everything down — workers ``close()``, the owner ``close()+unlink()``
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +48,9 @@ from .worker import (
     ShardError,
     ShardTimeout,
 )
+
+#: What :meth:`ShardRouter._guard` returns for a shard that just failed.
+_FAILED = object()
 
 
 class MostPopFallback:
@@ -139,6 +143,42 @@ class ShardRouter:
             if registry is not None:
                 registry.counter("serving.shard_failover").inc()
 
+    def _guard(self, shard_id: int, request: Callable):
+        """``request(handle)`` on one shard; ``_FAILED`` once it fails.
+
+        The one place a shard's ``ShardError`` / ``ShardTimeout`` turns
+        into failover: the shard is marked unhealthy and the caller
+        serves around it.
+        """
+        try:
+            return request(self.handles[shard_id])
+        except (ShardError, ShardTimeout) as exc:
+            self.mark_unhealthy(shard_id, reason=type(exc).__name__)
+            return _FAILED
+
+    def _fan_out(self, op: str, payloads: Dict[int, object]) -> Dict[int, object]:
+        """``op`` on every shard of ``payloads`` (shard id → payload).
+
+        Every request is sent before any reply is awaited, so the
+        workers run side by side; then each reply is collected.  Shards
+        whose send or reply fails are marked unhealthy and left out of
+        the returned ``{shard id: reply}``.
+        """
+        tickets = {}
+        for shard_id, payload in payloads.items():
+            ticket = self._guard(shard_id, lambda handle: handle.send(op, payload))
+            if ticket is not _FAILED:
+                tickets[shard_id] = ticket
+        replies = {}
+        for shard_id, ticket in tickets.items():
+            reply = self._guard(
+                shard_id,
+                lambda handle: handle.collect(ticket, timeout_s=self.call_timeout_s),
+            )
+            if reply is not _FAILED:
+                replies[shard_id] = reply
+        return replies
+
     def ping(self) -> List[Dict]:
         """Round-trip the ``ping`` op through every healthy shard.
 
@@ -147,15 +187,7 @@ class ShardRouter:
         shards that fail the round trip are marked unhealthy.  Used as
         the build-time health check before a fleet takes traffic.
         """
-        replies: List[Dict] = []
-        for shard_id in self.healthy_shards():
-            try:
-                replies.append(
-                    self.handles[shard_id].call("ping", timeout_s=self.call_timeout_s)
-                )
-            except (ShardError, ShardTimeout) as exc:
-                self.mark_unhealthy(shard_id, reason=type(exc).__name__)
-        return replies
+        return list(self._fan_out("ping", dict.fromkeys(self.healthy_shards())).values())
 
     # ------------------------------------------------------------------ #
     # Request path
@@ -200,12 +232,13 @@ class ShardRouter:
                 self.mark_unhealthy(shard_id, reason="worker death")
             served = self._serve_fallback(user, n)
         else:
-            try:
-                served = handle.call(
+            served = self._guard(
+                shard_id,
+                lambda handle: handle.call(
                     "recommend", {"user": user, "n": n}, timeout_s=self.call_timeout_s
-                )
-            except (ShardError, ShardTimeout) as exc:
-                self.mark_unhealthy(shard_id, reason=type(exc).__name__)
+                ),
+            )
+            if served is _FAILED:
                 served = self._serve_fallback(user, n)
         if registry is not None:
             registry.histogram("serving.recommend.latency_ms").record(
@@ -219,9 +252,12 @@ class ShardRouter:
         Users are grouped by owning shard (original order preserved
         within each group, so per-shard cache behaviour is identical to
         the per-user loop) and each group rides a single round trip
-        instead of one pipe ping-pong per user.  A shard that fails
-        mid-batch fails over per-user, same as :meth:`recommend`; a bad
-        ``n`` or user id rejects the whole batch before dispatch.
+        instead of one pipe ping-pong per user.  Every group is sent
+        before any reply is awaited, so the shards fill their misses
+        side by side.  A shard that fails mid-batch fails over per-user,
+        same as :meth:`recommend`, and the other shards' replies still
+        serve; a bad ``n`` or user id rejects the whole batch before
+        dispatch.
         """
         users = np.atleast_1d(np.asarray(user_ids, dtype=np.int64))
         n = self._check_n(n)
@@ -229,31 +265,25 @@ class ShardRouter:
             raise ValueError("user_ids must be a non-empty scalar or 1-D sequence")
         if users.min() < 0 or users.max() >= self.num_users:
             raise ValueError(f"user_ids must lie in [0, {self.num_users})")
-        results: List[Optional[np.ndarray]] = [None] * int(users.size)
-        by_shard: Dict[int, List[int]] = {}
-        for pos, user in enumerate(users.tolist()):
-            by_shard.setdefault(user % self.num_shards, []).append(pos)
-        for shard_id, positions in sorted(by_shard.items()):
-            owned = [int(users[pos]) for pos in positions]
-            handle = self.handles[shard_id]
-            served = None
-            if not self._healthy[shard_id] or not handle.alive():
-                if self._healthy[shard_id]:
-                    self.mark_unhealthy(shard_id, reason="worker death")
-            else:
-                try:
-                    served = handle.call(
-                        "recommend_many",
-                        {"users": owned, "n": n},
-                        timeout_s=self.call_timeout_s,
-                    )
-                except (ShardError, ShardTimeout) as exc:
-                    self.mark_unhealthy(shard_id, reason=type(exc).__name__)
+        owners = users % self.num_shards
+        positions = {
+            shard_id: np.flatnonzero(owners == shard_id)
+            for shard_id in np.unique(owners).tolist()
+        }
+        payloads = {}
+        for shard_id, pos in positions.items():
+            if self._healthy[shard_id] and self.handles[shard_id].alive():
+                payloads[shard_id] = {"users": users[pos], "n": n}
+            elif self._healthy[shard_id]:
+                self.mark_unhealthy(shard_id, reason="worker death")
+        replies = self._fan_out("recommend_many", payloads)
+        results = np.empty((users.size, n), dtype=np.int64)
+        for shard_id, pos in positions.items():
+            served = replies.get(shard_id)
             if served is None:
-                served = [self._serve_fallback(user, n) for user in owned]
-            for pos, row in zip(positions, served):
-                results[pos] = np.asarray(row)
-        return np.stack(results)
+                served = [self._serve_fallback(user, n) for user in users[pos].tolist()]
+            results[pos] = served
+        return results
 
     # ------------------------------------------------------------------ #
     # Update path (async fan-out)
@@ -297,13 +327,13 @@ class ShardRouter:
         ) as push_span:
             enqueued = 0
             for shard_id in self.healthy_shards():
-                try:
-                    self.handles[shard_id].cast(
+                ticket = self._guard(
+                    shard_id,
+                    lambda handle: handle.cast(
                         "update", payload, timeout_s=self.cast_timeout_s
-                    )
-                    enqueued += 1
-                except (ShardError, ShardTimeout) as exc:
-                    self.mark_unhealthy(shard_id, reason=type(exc).__name__)
+                    ),
+                )
+                enqueued += ticket is not _FAILED
             push_span.set_attrs(shards=enqueued)
             registry = active_metrics()
             if registry is not None:
@@ -348,10 +378,9 @@ class ShardRouter:
         """Drain outstanding update acks from every healthy shard."""
         reports: List[Dict] = []
         for shard_id in self.healthy_shards():
-            try:
-                reports.extend(self.handles[shard_id].flush(timeout_s=timeout_s))
-            except (ShardError, ShardTimeout) as exc:
-                self.mark_unhealthy(shard_id, reason=type(exc).__name__)
+            acks = self._guard(shard_id, lambda handle: handle.flush(timeout_s=timeout_s))
+            if acks is not _FAILED:
+                reports.extend(acks)
         registry = active_metrics()
         if registry is not None:
             invalidated = sum(r.get("invalidated_users", 0) for r in reports)
@@ -364,15 +393,7 @@ class ShardRouter:
     # ------------------------------------------------------------------ #
     def shard_stats(self) -> List[Dict]:
         """Raw per-shard stats from every healthy shard."""
-        stats = []
-        for shard_id in self.healthy_shards():
-            try:
-                stats.append(
-                    self.handles[shard_id].call("stats", timeout_s=self.call_timeout_s)
-                )
-            except (ShardError, ShardTimeout) as exc:
-                self.mark_unhealthy(shard_id, reason=type(exc).__name__)
-        return stats
+        return list(self._fan_out("stats", dict.fromkeys(self.healthy_shards())).values())
 
     def stats(self) -> Dict:
         """Cross-shard aggregate: summed cache counters, merged CHR."""

@@ -29,6 +29,10 @@ from ..index import TopNCache
 from .scorer import SharedScorer
 from .shm import ArrayBank, ShmManifest, attach_bundle
 
+#: Float64 scores one block fill holds at a time (4 MiB): bounds what a
+#: cold batch or a warm start allocates, however many users it covers.
+FILL_BLOCK_BYTES = 4 << 20
+
 
 class RollingChrMonitor:
     """CHR@N over a rolling window of served recommendation lists.
@@ -74,6 +78,35 @@ class RollingChrMonitor:
         self._slots += items.size - int(evicted.sum())
         evicted[:] = counts
         self.observed += 1
+
+    def observe_many(self, items: np.ndarray) -> None:
+        """Record a ``(lists, length)`` block of served lists, row by row.
+
+        Leaves exactly the state :meth:`observe` on each row in order
+        leaves: only the last ``window`` rows survive in the ring, and
+        the running totals move by what they add minus what they evict,
+        all in integer arithmetic.
+        """
+        items = np.asarray(items, dtype=np.int64)
+        if items.ndim != 2:
+            raise ValueError("items must be a (lists, length) block")
+        if items.size and (items.min() < 0 or items.max() >= self.item_classes.size):
+            raise ValueError("items reference ids outside the catalog")
+        lists, length = items.shape
+        classes = len(self.class_names)
+        kept = min(lists, self.window)
+        if kept == 0:
+            return
+        # Per-row class counts: one bincount over row-offset class ids.
+        keys = self.item_classes[items[lists - kept :]]
+        keys += classes * np.arange(kept)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=kept * classes).reshape(kept, classes)
+        ring_rows = (self.observed + lists - kept + np.arange(kept)) % self.window
+        evicted = self._ring[ring_rows]
+        self._counts += counts.sum(axis=0) - evicted.sum(axis=0)
+        self._slots += kept * length - int(evicted.sum())
+        self._ring[ring_rows] = counts
+        self.observed += lists
 
     def chr_percent(self, class_name: str) -> float:
         """Rolling CHR of one class, in percent (Table II units)."""
@@ -255,6 +288,61 @@ class Shard:
             self.monitor.observe(served)
         return served
 
+    def recommend_many(self, users, n: Optional[int] = None) -> np.ndarray:
+        """Top-``n`` for a batch of owned users: row ``i`` serves ``users[i]``.
+
+        Means exactly what :meth:`recommend` on each user in order
+        means — a repeated user misses once and hits after that, the
+        cache counters and the monitor move as the loop moves them —
+        but the misses are filled as blocks (:meth:`_fill`) and the
+        served rows are read and observed as one array.  Every user is
+        checked before any state changes.
+        """
+        n = self.n if n is None else n
+        if n <= 0 or n > self.n:
+            raise ValueError(f"n must be in [1, {self.n}] (the serving cutoff)")
+        users = np.asarray(users, dtype=np.int64).reshape(-1)
+        for user in users.tolist():
+            if not self.owns(user):
+                raise ValueError(f"user {user} is not owned by shard {self.shard_id}")
+        self._fill(self.index.lookup_many(users))
+        served = self.index.take(users, n)
+        if self.monitor is not None:
+            self.monitor.observe_many(served)
+        return served
+
+    def _fill(self, users: np.ndarray, scores=None, rows=None) -> None:
+        """Compute and cache the top-N lists of ``users``, a chunk at a time.
+
+        A chunk holds at most :data:`FILL_BLOCK_BYTES` of float64 scores:
+        one ``score_block`` over its users (or, for a warm start, rows
+        ``rows`` of the matrix ``scores``), seen items masked, then one
+        ``argpartition`` and one stable ``argsort`` along the rows — per
+        row exactly :meth:`_compute_entry`'s ordering — and one
+        :meth:`~repro.serving.index.TopNCache.put_many`.
+        """
+        k = self.index.n
+        step = max(1, FILL_BLOCK_BYTES // (8 * self.scorer.num_items))
+        for start in range(0, users.size, step):
+            chunk = users[start : start + step]
+            if scores is None:
+                block = self.scorer.score_block(chunk)
+            else:
+                block = np.take(scores, rows[start : start + step], axis=0)  # a copy
+            if self._train_items is not None:
+                seen = [self._train_items[user] for user in chunk.tolist()]
+                lengths = [len(items) for items in seen]
+                block[np.repeat(np.arange(chunk.size), lengths), np.concatenate(seen)] = -np.inf
+            # Rank on -scores, as _compute_entry does; negation is exact.
+            np.negative(block, out=block)
+            heads = np.argpartition(block, k - 1, axis=1)[:, :k]
+            head_scores = np.take_along_axis(block, heads, axis=1)
+            order = np.argsort(head_scores, axis=1, kind="stable")
+            items = np.take_along_axis(heads, order, axis=1)
+            self.index.put_many(
+                chunk, items, -np.take_along_axis(head_scores, order, axis=1)
+            )
+
     # ------------------------------------------------------------------ #
     # Warm start
     # ------------------------------------------------------------------ #
@@ -265,9 +353,10 @@ class Shard:
         matrix (rows for this shard's users are sliced out — e.g. a
         shared-memory view of the ``clean_scores`` artifact) or a block
         already aligned with ``user_ids`` (defaulting to every owned
-        user).  Masking and head selection mirror the request path
-        exactly, so a warmed entry is indistinguishable from a computed
-        one.
+        user).  Masking and head selection are the request path's block
+        fill (:meth:`_fill`), so a warmed entry is indistinguishable
+        from a computed one, and only one chunk of rows is copied at a
+        time.
         """
         user_ids = (
             self.user_ids
@@ -281,23 +370,15 @@ class Shard:
                 )
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape == (self.scorer.num_users, self.scorer.num_items):
-            block = scores[user_ids].copy()
+            rows = user_ids
         elif scores.shape == (user_ids.shape[0], self.scorer.num_items):
-            block = np.array(scores, copy=True)
+            rows = np.arange(user_ids.size)
         else:
             raise ValueError(
                 "warm-start scores must be (num_users, num_items) or a "
                 f"row-aligned (len(user_ids), num_items) block; got {scores.shape}"
             )
-        if self._train_items is not None:
-            for row, user in enumerate(user_ids):
-                block[row, self._train_items[int(user)]] = -np.inf
-        # One block-wise argpartition, then _compute_entry's exact ordering.
-        k = self.index.n
-        heads = np.argpartition(-block, k - 1, axis=1)[:, :k]
-        for row, head in enumerate(heads):
-            items = head[np.argsort(-block[row, head], kind="stable")]
-            self.index.put(int(user_ids[row]), items, block[row, items])
+        self._fill(user_ids, scores, rows)
         return int(user_ids.size)
 
     # ------------------------------------------------------------------ #

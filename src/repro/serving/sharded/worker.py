@@ -4,10 +4,13 @@ One shard lives in one worker process.  The protocol is deliberately
 tiny: the router sends ``(op, seq, payload)`` tuples down a simplex
 inbox pipe and the worker answers ``(seq, status, payload)`` up its
 outbox pipe, each side pickling on its own thread (no feeder threads).
-Recommendation calls are synchronous (:meth:`ProcessShardHandle.call`);
-invalidation fan-out is asynchronous (:meth:`ProcessShardHandle.cast`
-returns after sending, acks are drained later by :meth:`flush`) so an
-attack push never blocks the router behind one slow shard.
+Recommendation calls are synchronous (:meth:`ProcessShardHandle.call`),
+or split into :meth:`~ProcessShardHandle.send` and
+:meth:`~ProcessShardHandle.collect` so a batch reaches every shard
+before the router waits for any; invalidation fan-out is asynchronous
+(:meth:`ProcessShardHandle.cast` returns after sending, acks are
+drained later by :meth:`flush`) so an attack push never blocks the
+router behind one slow shard.
 
 Backpressure is explicit: a ``cast`` finding ``backlog`` acks
 outstanding waits up to its timeout for one, then raises
@@ -22,8 +25,9 @@ reader drains it.  The worker writes while the router is not reading
 only for ``update`` acks — small, at most ``backlog`` ≤
 :data:`MAX_BACKLOG` of them — so they fit and the worker gets back to
 its inbox: a large router send (``warm`` with raw scores) completes.
-Large replies (``recommend_many``, ``warm``) only answer synchronous
-calls, which the router reads while it waits.
+Large replies (``recommend_many``, ``warm``) only answer calls the
+router collects before it sends anything else: a worker blocked on such
+a reply blocks only itself, and the router reads it in turn.
 
 :class:`LocalShardHandle` runs the identical shard in-process behind
 the same interface, update acks included — it is what
@@ -36,8 +40,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import select
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from ...telemetry import monotonic
 from .race import ShmRaceError, ShmWriteSentinel
@@ -121,9 +123,7 @@ def _dispatch(shard: Shard, op: str, payload):
     if op == "recommend":
         return shard.recommend(payload["user"], n=payload.get("n"))
     if op == "recommend_many":
-        users = np.asarray(payload["users"], dtype=np.int64)
-        n = payload.get("n")
-        return [shard.recommend(int(user), n=n) for user in users]
+        return shard.recommend_many(payload["users"], n=payload.get("n"))
     if op == "warm":
         if "manifest" in payload:
             # Scores published as a throwaway shm bundle: attach, slice
@@ -269,6 +269,22 @@ class ProcessShardHandle:
             raise ShardError.from_reply(self.shard_id, result, op=op)
         return result
 
+    def send(self, op: str, payload=None) -> int:
+        """Send a request without waiting; :meth:`collect` the returned ticket.
+
+        :meth:`call` split in two, so a caller can send to every shard
+        before it waits for any and the workers run side by side.
+        """
+        return self._send(op, payload)
+
+    def collect(self, ticket: int, timeout_s: Optional[float] = None):
+        """The reply to a :meth:`send` ticket (raises as :meth:`call` would)."""
+        timeout_s = self.timeout_s if timeout_s is None else timeout_s
+        seq, status, result = self._recv(ticket, timeout_s)
+        if status != "ok":
+            raise ShardError.from_reply(self.shard_id, result)
+        return result
+
     def cast(self, op: str, payload=None, timeout_s: float = 1.0) -> int:
         """Send without waiting; the ack stays outstanding until :meth:`flush`.
 
@@ -321,6 +337,8 @@ class LocalShardHandle:
         self.user_ids = self._shard.user_ids
         self._alive = True
         self._acks: List[Dict] = []
+        self._ticket = 0
+        self._replies: Dict[int, object] = {}
         self._sentinel = ShmWriteSentinel(shard.scorer.bank) if race_check else None
 
     @property
@@ -342,6 +360,16 @@ class LocalShardHandle:
             kind = type(exc).__name__
             message = f"shard {self.shard_id} op {op}: {kind}: {exc}"
             raise ShardError(message, shard_id=self.shard_id, op=op, kind=kind) from exc
+
+    def send(self, op: str, payload=None) -> int:
+        """Run the request now and keep its reply for :meth:`collect`."""
+        self._ticket += 1
+        self._replies[self._ticket] = self.call(op, payload)
+        return self._ticket
+
+    def collect(self, ticket: int, timeout_s: Optional[float] = None):
+        """The reply kept for a :meth:`send` ticket."""
+        return self._replies.pop(ticket)
 
     def cast(self, op: str, payload=None, timeout_s: float = 1.0) -> int:
         """Apply now; an ``update`` reply is kept as an ack for :meth:`flush`."""

@@ -3,8 +3,9 @@
 Never imported; parsed by the lint self-tests.  The rule rebuilds both
 sides of the ``(op, seq, payload)`` protocol from this file alone: the
 handler table from ``_dispatch``/``shard_worker_main`` and the op
-constructions from ``call``/``cast`` sites and raw wire tuples passed to
-``send``/``put``.
+constructions from ``call``/``cast``/``send`` sites, calls of helpers
+that forward their ``op`` parameter to one of those, and raw wire tuples
+passed to ``send``/``put``.
 """
 
 
@@ -13,6 +14,13 @@ def _dispatch(shard, op, payload):
         return shard.recommend(payload["user"], payload["n"])
     if op == "warm":  # VIOLATION: dead handler, no call site constructs it
         return shard.warm_start(payload["scores"])
+    if op == "recommend_many":
+        # Kept alive, keys and all, only by the fan-out helper's callers.
+        return [shard.recommend(user, payload.get("n")) for user in payload["users"]]
+    if op == "reset":
+        return shard.reset(payload["reason"])  # VIOLATION: no fan-out payload sets "reason"
+    if op == "ping":
+        return shard.shard_id
     if op == "update":
         epoch = payload["epoch"]  # VIOLATION: no call site sets "epoch"
         if "features" in payload:
@@ -54,3 +62,32 @@ class Handle:
 
     def piped_typo(self):
         self.inbox.send(("recomend", 1, {"user": 1}))  # VIOLATION: unknown op
+
+
+class Router:
+    def _fan_out(self, op, payloads):
+        # Send-all-then-collect: forwards its op, one payload per shard.
+        tickets = {}
+        for shard, payload in payloads.items():
+            tickets[shard] = self.handles[shard].send(op, payload)
+        return {shard: self.handles[shard].collect(t) for shard, t in tickets.items()}
+
+    def batch(self, groups):
+        # A mapping built by subscript stores: every payload sets "users".
+        payloads = {}
+        for shard, users in groups.items():
+            payloads[shard] = {"users": users, "n": 10}
+        return self._fan_out("recommend_many", payloads)
+
+    def probe(self, shards):
+        return self._fan_out("ping", {shard: None for shard in shards})
+
+    def reset_all(self, shards):
+        return self._fan_out("reset", {shard: {"why": "attack"} for shard in shards})
+
+    def stats_typo(self):
+        return self._fan_out("stat", {0: None})  # VIOLATION: unknown op via the fan-out
+
+    def split_typo(self, handle):
+        ticket = handle.send("recomend_many", {"users": [1]})  # VIOLATION: unknown op
+        return handle.collect(ticket)

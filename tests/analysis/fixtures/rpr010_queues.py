@@ -2,7 +2,8 @@
 
 Never imported; parsed by the lint self-tests.  Queues, pipe ends and
 locks are recognised by the serving tier's naming conventions
-(``inbox``/``outbox``/``*queue*``, ``*lock*``/``*mutex*``).
+(``inbox``/``outbox``/``*queue*``, ``*lock*``/``*mutex*``); any other
+receiver's ``send(op, …)`` is a handle's split send.
 """
 
 import threading
@@ -52,6 +53,39 @@ class Handle:
 
     def send_outside(self, item):
         self.inbox.send(item)  # no lock held: fine
+
+
+class Router:
+    """Split send/collect: every ticket a send returns must be collected."""
+
+    def fan_out(self, handles, payload):
+        tickets = [handle.send("recommend_many", payload) for handle in handles]
+        return [handle.collect(ticket, timeout_s=5.0) for handle, ticket in zip(handles, tickets)]
+
+    def fire_and_forget(self, handle, payload):
+        handle.send("recommend_many", payload)  # VIOLATION: ticket dropped
+
+    def parked(self, handle, op, payload):
+        self.pending.append(handle.send(op, payload))  # VIOLATION: never collected here
+
+    def hand_back(self, handle, op, payload):
+        return handle.send(op, payload)  # the caller collects: fine
+
+    def pipe_send(self, op):
+        self.inbox.send((op, 1, None))  # raw pipe send, not a split send: fine
+
+
+class SplitHandle:
+    def __init__(self, outbox):
+        self.outbox = outbox
+
+    def collect(self, ticket):
+        return self.outbox.recv()  # VIOLATION: a collect polls its end with a bound too
+
+    def collect_polled(self, ticket, timeout_s):
+        if self.outbox.poll(timeout_s):
+            return self.outbox.recv()  # bounded poll on the same end: fine
+        raise TimeoutError(ticket)
 
 
 def forward():

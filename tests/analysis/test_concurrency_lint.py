@@ -88,6 +88,25 @@ class TestFixturesFireExactly:
         # message names the worker dispatch table.
         assert any("worker dispatch" in v.message for v in hot_patch)
 
+    def test_rpr008_follows_ops_through_the_fan_out_helper(self):
+        violations = _engine().run(
+            [FIXTURES / "rpr008_protocol.py"], select=["RPR008"]
+        )
+        messages = " | ".join(v.message for v in violations)
+        # "recommend_many" and "ping" live only behind _fan_out callers.
+        assert '"recommend_many"' not in messages and '"ping"' not in messages
+        assert 'op "stat" has no handler' in messages
+        assert 'requires payload key "reason"' in messages
+        assert 'op "recomend_many" has no handler' in messages  # split send
+
+    def test_rpr010_split_sends_need_a_collect(self):
+        violations = _engine().run(
+            [FIXTURES / "rpr010_queues.py"], select=["RPR010"]
+        )
+        split = [v for v in violations if "split send()" in v.message]
+        assert len(split) == 2
+        assert any("drops its ticket" in v.message for v in split)
+
     def test_rpr010_inversions_point_at_both_sites(self):
         violations = _engine().run(
             [FIXTURES / "rpr010_queues.py"], select=["RPR010"]
