@@ -2,11 +2,9 @@
 
 The sharded serving tier speaks a tiny ``(op, seq, payload)`` protocol:
 ops are string literals constructed at ``ShardHandle.call/cast/send``
-sites (``send`` is the first half of a split send/collect call), at
-calls of *op forwarders* — helpers such as the router's fan-out that
-pass their ``op`` parameter on to one of those methods — and in raw
-wire tuples such as the ``inbox.send(("stop", …))`` shutdown path, via
-``send`` or ``put``; they are consumed by string comparisons in
+sites (``send`` is the first half of a split send/collect call) and in
+raw wire tuples such as the ``inbox.send(("stop", …))`` shutdown path,
+via ``send`` or ``put``; they are consumed by string comparisons in
 ``_dispatch`` / the worker loop.  Nothing checks
 the two sides against each other — a typo'd op string fails at runtime
 with an opaque "unknown op", a removed caller leaves a dead handler, and
@@ -19,13 +17,9 @@ Payload-key semantics: a handler-side ``payload["k"]`` subscript is a
 ``"k" in payload`` membership test; ``payload.get("k")`` is optional.
 Caller-side keys are collected from dict literals at the call site and
 ``payload["k"] = …`` stores on the local payload name, transitively
-through handler helpers that receive the payload onward.  A forwarder
-that sends each value of a ``{shard: payload}`` mapping parameter (its
-payload is a ``for`` target over ``<param>.items()`` or ``.values()``)
-takes its keys from every payload of the mapping its caller passes — a
-dict literal, a dict comprehension, or a local name built from them and
-``mapping[shard] = {…}`` stores.  Ops whose payload expression is not
-statically resolvable are skipped rather than guessed at.
+through handler helpers that receive the payload onward.  Ops whose
+payload expression is not statically resolvable are skipped rather than
+guessed at.
 """
 
 from __future__ import annotations
@@ -180,40 +174,6 @@ def _caller_payload_keys(
     return None
 
 
-def _mapping_payload_keys(func: FunctionInfo, expr: ast.AST) -> Optional[Set[str]]:
-    """Keys every payload of a ``{shard: payload}`` mapping sets, or ``None``."""
-    sources: List[ast.AST] = []
-    keys: Set[str] = set()
-    if isinstance(expr, ast.Dict):
-        sources = list(expr.values)
-    elif isinstance(expr, ast.DictComp):
-        sources = [expr.value]
-    elif isinstance(expr, ast.Name):
-        for node in body_walk(func.node):
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == expr.id:
-                    sub = _mapping_payload_keys(func, node.value)
-                    if sub is None:
-                        return None
-                    keys |= sub
-                elif (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == expr.id
-                ):
-                    sources.append(node.value)
-    else:
-        return None
-    for source in sources:
-        sub = _caller_payload_keys(func, source)
-        if sub is None:
-            return None
-        keys |= sub
-    return keys
-
-
 def _payload_expr(call: ast.Call) -> Optional[ast.AST]:
     """The payload argument of a wire-method call (positional or keyword)."""
     if len(call.args) > 1:
@@ -222,82 +182,6 @@ def _payload_expr(call: ast.Call) -> Optional[ast.AST]:
         if kw.arg == "payload":
             return kw.value
     return None
-
-
-def _op_forwarders(graph: CallGraph) -> Dict[FunctionInfo, Tuple[Optional[str], bool]]:
-    """Functions that pass their ``op`` parameter on to a wire method.
-
-    Maps each to ``(payload parameter, is_mapping)``: the parameter that
-    goes out as the payload, or whose every value does when
-    ``is_mapping`` (the payload is a ``for`` target over its ``items()``
-    or ``values()``); ``None`` when the payload is not a parameter.
-    """
-    forwarders: Dict[FunctionInfo, Tuple[Optional[str], bool]] = {}
-    for func in graph.functions:
-        if "op" not in func.params or func.name in HANDLER_FUNCS:
-            continue
-        loop_of: Dict[str, str] = {}  # loop target -> mapping parameter
-        for node in body_walk(func.node):
-            if not (
-                isinstance(node, ast.For)
-                and isinstance(node.iter, ast.Call)
-                and isinstance(node.iter.func, ast.Attribute)
-                and node.iter.func.attr in ("items", "values")
-                and isinstance(node.iter.func.value, ast.Name)
-                and node.iter.func.value.id in func.params
-            ):
-                continue
-            target = node.target
-            if node.iter.func.attr == "items":
-                if not (isinstance(target, ast.Tuple) and len(target.elts) == 2):
-                    continue
-                target = target.elts[1]
-            if isinstance(target, ast.Name):
-                loop_of[target.id] = node.iter.func.value.id
-        for node in body_walk(func.node):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in WIRE_METHODS
-                and node.args
-                and isinstance(node.args[0], ast.Name)
-                and node.args[0].id == "op"
-            ):
-                payload = _payload_expr(node)
-                slot: Tuple[Optional[str], bool] = (None, False)
-                if isinstance(payload, ast.Name):
-                    if payload.id in loop_of:
-                        slot = (loop_of[payload.id], True)
-                    elif payload.id in func.params:
-                        slot = (payload.id, False)
-                forwarders[func] = slot
-                break
-    return forwarders
-
-
-def _forwarded_keys(
-    graph: CallGraph,
-    func: FunctionInfo,
-    call: ast.Call,
-    callee: FunctionInfo,
-    slot: Tuple[Optional[str], bool],
-) -> Optional[Set[str]]:
-    """Payload keys a call of the op forwarder ``callee`` sets."""
-    param, is_mapping = slot
-    if param is None:
-        return None
-    expr = None
-    for i, arg in enumerate(call.args):
-        if graph.param_for_arg(callee, call, position=i) == param:
-            expr = arg
-    for kw in call.keywords:
-        if kw.arg == param:
-            expr = kw.value
-    if expr is None:
-        return set()
-    if is_mapping:
-        return _mapping_payload_keys(func, expr)
-    return _caller_payload_keys(func, expr)
 
 
 class RpcProtocolRule(ProjectRule):
@@ -315,12 +199,9 @@ class RpcProtocolRule(ProjectRule):
     has to be maintained; a `payload["key"]` no caller sets is a
     KeyError on the next invocation.  This rule rebuilds both sides of
     the protocol from the ASTs — handler table from `_dispatch`/the
-    worker loop, op constructions from call/cast/send sites, calls of
-    helpers that forward their `op` parameter to one of those (a
-    send-all-then-collect fan-out over a {shard: payload} mapping
-    included) and raw wire tuples passed to send/put — and
-    cross-checks ops and statically resolvable payload keys in both
-    directions.
+    worker loop, op constructions from call/cast/send sites and raw
+    wire tuples passed to send/put — and cross-checks ops and
+    statically resolvable payload keys in both directions.
     """
 
     SCOPE = ("serving/",)
@@ -403,7 +284,6 @@ class RpcProtocolRule(ProjectRule):
         self, graph: CallGraph
     ) -> Dict[str, List[Tuple[ast.AST, ParsedModule, Optional[Set[str]]]]]:
         callers: Dict[str, List[Tuple[ast.AST, ParsedModule, Optional[Set[str]]]]] = {}
-        forwarders = _op_forwarders(graph)
         for func in graph.functions:
             # Handlers replying through the outbox are not op constructors.
             handler_side = func.name in HANDLER_FUNCS
@@ -418,17 +298,6 @@ class RpcProtocolRule(ProjectRule):
                 if attr in WIRE_METHODS and literal_op:
                     keys = _caller_payload_keys(func, _payload_expr(node))
                     callers.setdefault(first.value, []).append((node, func.module, keys))
-                elif literal_op and not handler_side:
-                    # A helper that forwards its op: self._fan_out("op", {...}).
-                    for callee in graph.resolve(node, func):
-                        if callee in forwarders:
-                            keys = _forwarded_keys(
-                                graph, func, node, callee, forwarders[callee]
-                            )
-                            callers.setdefault(first.value, []).append(
-                                (node, func.module, keys)
-                            )
-                            break
                 elif attr in ("put", "send") and not handler_side:
                     # Raw wire tuples: inbox.send(("stop", seq, None)).
                     if (

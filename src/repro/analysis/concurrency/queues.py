@@ -14,9 +14,10 @@ classic deadlock shape once the consumer also wants the lock.
 paths taking the same pair of locks in opposite orders deadlock the
 first time they interleave.  (4) A handle's split ``send(op, …)``
 returns a ticket that a ``collect`` in the same function must redeem
-(or that the function returns to its caller): an uncollected reply
-stays outstanding, and the next ``flush()`` drains it as if it were an
-update ack.
+(the handle's own ``_recv`` counts), or that the function hands back
+to its caller — by ``return`` or as a lambda's value: an uncollected
+reply stays outstanding, and the next ``flush()`` drains it as if it
+were an update ack.
 
 Receivers are classified by naming convention (``inbox``/``outbox``/
 ``*queue*`` for queues and pipe ends, ``*lock*`` for locks) — the
@@ -38,6 +39,9 @@ WORKER_LOOP_FUNCS = frozenset({"shard_worker_main"})
 
 QUEUE_NAME_HINTS = ("inbox", "outbox", "queue")
 LOCK_NAME_HINTS = ("lock", "mutex")
+#: Calls that redeem a split send's ticket: a handle's ``collect``, and
+#: the ``_recv`` behind it inside the handle itself.
+REDEEM_METHODS = ("collect", "_recv")
 
 
 def _is_queue_name(name: Optional[str]) -> bool:
@@ -148,15 +152,18 @@ class QueueLockHygieneRule(ProjectRule):
         collects = any(
             isinstance(call, ast.Call)
             and isinstance(call.func, ast.Attribute)
-            and call.func.attr == "collect"
+            and call.func.attr in REDEEM_METHODS
             for call in body_walk(info.node)
         )
-        returned = {
-            id(inner)
-            for ret in body_walk(info.node)
-            if isinstance(ret, ast.Return) and ret.value is not None
-            for inner in ast.walk(ret.value)
-        }
+        # Returned values and lambda bodies hand a ticket back to a
+        # caller that collects it.
+        handed_back = [
+            node.body if isinstance(node, ast.Lambda) else node.value
+            for node in body_walk(info.node)
+            if isinstance(node, ast.Lambda)
+            or (isinstance(node, ast.Return) and node.value is not None)
+        ]
+        returned = {id(inner) for value in handed_back for inner in ast.walk(value)}
 
         def walk(node: ast.AST, held_locks: Tuple[str, ...]) -> Iterator[Violation]:
             for child in ast.iter_child_nodes(node):

@@ -19,7 +19,7 @@ show (Table II) that AMR dampens but does not eliminate the attack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -56,12 +56,11 @@ class AMR(VBPR):
         num_items: int,
         features: np.ndarray,
         config: Optional[AMRConfig] = None,
-        state: Optional[Dict[str, np.ndarray]] = None,
     ) -> None:
         config = config or AMRConfig()
         if not isinstance(config, AMRConfig):
             raise TypeError("AMR requires an AMRConfig")
-        super().__init__(num_users, num_items, features, config, state=state)
+        super().__init__(num_users, num_items, features, config)
         self.config: AMRConfig = config
 
     # ------------------------------------------------------------------ #

@@ -98,13 +98,13 @@ class VBPR(Recommender):
 
         rng = rng_from_seed(self.config.seed)
         scale = self.config.init_scale
-        k, a = self.config.factors, self.config.visual_factors
-        self.user_factors = rng.normal(0, scale, (num_users, k))  # P
-        self.item_factors = rng.normal(0, scale, (num_items, k))  # Q
-        self.visual_user_factors = rng.normal(0, scale, (num_users, a))  # Θ
-        self.embedding = rng.normal(0, scale / np.sqrt(self.feature_dim), (self.feature_dim, a))  # E
-        self.visual_bias = np.zeros(self.feature_dim)  # β
-        self.item_bias = np.zeros(num_items)
+        shapes = self.state_shapes()
+        self.user_factors = rng.normal(0, scale, shapes["user_factors"])  # P
+        self.item_factors = rng.normal(0, scale, shapes["item_factors"])  # Q
+        self.visual_user_factors = rng.normal(0, scale, shapes["visual_user_factors"])  # Θ
+        self.embedding = rng.normal(0, scale / np.sqrt(self.feature_dim), shapes["embedding"])  # E
+        self.visual_bias = np.zeros(shapes["visual_bias"])  # β
+        self.item_bias = np.zeros(shapes["item_bias"])
 
     #: Trained parameters behind :meth:`state_dict` / :meth:`load_state_dict`.
     STATE_FIELDS = (
@@ -116,16 +116,23 @@ class VBPR(Recommender):
         "item_bias",
     )
 
-    def state_shapes(self) -> Dict[str, Tuple[int, ...]]:
-        k, a = self.config.factors, self.config.visual_factors
+    @staticmethod
+    def shapes_for(
+        num_users: int, num_items: int, feature_dim: int, config: VBPRConfig
+    ) -> Dict[str, Tuple[int, ...]]:
+        """The shape of each ``STATE_FIELDS`` array for these sizes and config."""
+        k, a = config.factors, config.visual_factors
         return {
-            "user_factors": (self.num_users, k),
-            "item_factors": (self.num_items, k),
-            "visual_user_factors": (self.num_users, a),
-            "embedding": (self.feature_dim, a),
-            "visual_bias": (self.feature_dim,),
-            "item_bias": (self.num_items,),
+            "user_factors": (num_users, k),
+            "item_factors": (num_items, k),
+            "visual_user_factors": (num_users, a),
+            "embedding": (feature_dim, a),
+            "visual_bias": (feature_dim,),
+            "item_bias": (num_items,),
         }
+
+    def state_shapes(self) -> Dict[str, Tuple[int, ...]]:
+        return self.shapes_for(self.num_users, self.num_items, self.feature_dim, self.config)
 
     # ------------------------------------------------------------------ #
     # Training

@@ -135,26 +135,7 @@ class TopNCache:
 
     def put(self, user: int, items: np.ndarray, scores: np.ndarray) -> None:
         """Store a freshly computed list with its aligned scores."""
-        items = np.asarray(items, dtype=np.int64)
-        scores = np.asarray(scores, dtype=np.float64)
-        if items.ndim != 1 or items.shape != scores.shape:
-            raise ValueError("items and scores must be aligned 1-D arrays")
-        if items.size == 0 or items.size > self.n:
-            raise ValueError(f"list length must be in [1, {self.n}]")
-        if items.min() < 0 or items.max() >= self.num_items:
-            raise ValueError("items reference ids outside the catalog")
-        if np.any(np.diff(scores) > 0):
-            raise ValueError("scores must be non-increasing (best first)")
-        user = int(user)
-        slot = self._slot_of.get(user)
-        if slot is None:
-            slot = self._free.pop() if self._free else self._new_slot()
-            self._slot_of[user] = slot
-        self._items[slot, : items.size] = items
-        self._items[slot, items.size :] = self.num_items
-        self._length[slot] = items.size
-        self._threshold[slot] = scores[-1]
-        self.stats.puts += 1
+        self.put_many([user], np.asarray(items)[None], np.asarray(scores)[None])
 
     def lookup_many(self, users) -> np.ndarray:
         """Count a block of lookups as ``get``, then ``put`` on a miss, would.
@@ -193,11 +174,10 @@ class TopNCache:
     def put_many(self, users, items: np.ndarray, scores: np.ndarray) -> None:
         """Store a block of lists, row ``i`` for ``users[i]``.
 
-        Leaves exactly the state a loop of :meth:`put` over the rows
-        leaves — slots handed out in first-occurrence order, a repeated
-        user's last row kept, ``puts`` counted per row — with the block
-        validated once and written into the slot arrays with one fancy
-        assignment per array.
+        Means storing the rows one after another — slots handed out in
+        first-occurrence order, a repeated user's last row kept, ``puts``
+        counted per row — with the block validated once and written into
+        the slot arrays with one fancy assignment per array.
         """
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)

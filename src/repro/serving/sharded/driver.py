@@ -52,25 +52,12 @@ def build_synthetic_system(
         0.0, 0.05, (num_items, feature_dim)
     )
     scale = 0.1
-    shapes = {
-        "user_factors": (num_users, factors),
-        "item_factors": (num_items, factors),
-        "visual_user_factors": (num_users, visual_factors),
-        "embedding": (feature_dim, visual_factors),
-        "visual_bias": (feature_dim,),
-        "item_bias": (num_items,),
-    }
+    config = VBPRConfig(factors=factors, visual_factors=visual_factors, seed=seed)
     state = {
         name: derive_rng(seed, f"synthetic.{name}").normal(0.0, scale, shape)
-        for name, shape in shapes.items()
+        for name, shape in VBPR.shapes_for(num_users, num_items, feature_dim, config).items()
     }
-    model = VBPR(
-        num_users,
-        num_items,
-        features,
-        VBPRConfig(factors=factors, visual_factors=visual_factors, seed=seed),
-        state=state,
-    )
+    model = VBPR(num_users, num_items, features, config, state=state)
     item_classes = derive_rng(seed, "synthetic.classes").integers(
         0, len(SYNTHETIC_CLASS_NAMES), size=num_items
     )

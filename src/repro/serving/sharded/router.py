@@ -156,17 +156,17 @@ class ShardRouter:
             self.mark_unhealthy(shard_id, reason=type(exc).__name__)
             return _FAILED
 
-    def _fan_out(self, op: str, payloads: Dict[int, object]) -> Dict[int, object]:
-        """``op`` on every shard of ``payloads`` (shard id → payload).
+    def _fan_out(self, sends: Dict[int, Callable]) -> Dict[int, object]:
+        """``sends[shard](handle)`` — a split ``handle.send`` — on every shard.
 
         Every request is sent before any reply is awaited, so the
-        workers run side by side; then each reply is collected.  Shards
+        workers run side by side; then each ticket is collected.  Shards
         whose send or reply fails are marked unhealthy and left out of
         the returned ``{shard id: reply}``.
         """
         tickets = {}
-        for shard_id, payload in payloads.items():
-            ticket = self._guard(shard_id, lambda handle: handle.send(op, payload))
+        for shard_id, send in sends.items():
+            ticket = self._guard(shard_id, send)
             if ticket is not _FAILED:
                 tickets[shard_id] = ticket
         replies = {}
@@ -187,7 +187,11 @@ class ShardRouter:
         shards that fail the round trip are marked unhealthy.  Used as
         the build-time health check before a fleet takes traffic.
         """
-        return list(self._fan_out("ping", dict.fromkeys(self.healthy_shards())).values())
+        sends = {
+            shard_id: lambda handle: handle.send("ping", None)
+            for shard_id in self.healthy_shards()
+        }
+        return list(self._fan_out(sends).values())
 
     # ------------------------------------------------------------------ #
     # Request path
@@ -270,13 +274,15 @@ class ShardRouter:
             shard_id: np.flatnonzero(owners == shard_id)
             for shard_id in np.unique(owners).tolist()
         }
-        payloads = {}
+        sends = {}
         for shard_id, pos in positions.items():
             if self._healthy[shard_id] and self.handles[shard_id].alive():
-                payloads[shard_id] = {"users": users[pos], "n": n}
+                sends[shard_id] = lambda handle, batch=users[pos]: handle.send(
+                    "recommend_many", {"users": batch, "n": n}
+                )
             elif self._healthy[shard_id]:
                 self.mark_unhealthy(shard_id, reason="worker death")
-        replies = self._fan_out("recommend_many", payloads)
+        replies = self._fan_out(sends)
         results = np.empty((users.size, n), dtype=np.int64)
         for shard_id, pos in positions.items():
             served = replies.get(shard_id)
@@ -393,7 +399,11 @@ class ShardRouter:
     # ------------------------------------------------------------------ #
     def shard_stats(self) -> List[Dict]:
         """Raw per-shard stats from every healthy shard."""
-        return list(self._fan_out("stats", dict.fromkeys(self.healthy_shards())).values())
+        sends = {
+            shard_id: lambda handle: handle.send("stats", None)
+            for shard_id in self.healthy_shards()
+        }
+        return list(self._fan_out(sends).values())
 
     def stats(self) -> Dict:
         """Cross-shard aggregate: summed cache counters, merged CHR."""

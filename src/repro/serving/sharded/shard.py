@@ -82,31 +82,20 @@ class RollingChrMonitor:
     def observe_many(self, items: np.ndarray) -> None:
         """Record a ``(lists, length)`` block of served lists, row by row.
 
-        Leaves exactly the state :meth:`observe` on each row in order
-        leaves: only the last ``window`` rows survive in the ring, and
-        the running totals move by what they add minus what they evict,
-        all in integer arithmetic.
+        The block is checked whole before any state moves.  Rows more
+        than a window from its end would be evicted within the block,
+        so they only advance ``observed``; the rest are observed in
+        order.
         """
         items = np.asarray(items, dtype=np.int64)
         if items.ndim != 2:
             raise ValueError("items must be a (lists, length) block")
         if items.size and (items.min() < 0 or items.max() >= self.item_classes.size):
             raise ValueError("items reference ids outside the catalog")
-        lists, length = items.shape
-        classes = len(self.class_names)
-        kept = min(lists, self.window)
-        if kept == 0:
-            return
-        # Per-row class counts: one bincount over row-offset class ids.
-        keys = self.item_classes[items[lists - kept :]]
-        keys += classes * np.arange(kept)[:, None]
-        counts = np.bincount(keys.ravel(), minlength=kept * classes).reshape(kept, classes)
-        ring_rows = (self.observed + lists - kept + np.arange(kept)) % self.window
-        evicted = self._ring[ring_rows]
-        self._counts += counts.sum(axis=0) - evicted.sum(axis=0)
-        self._slots += kept * length - int(evicted.sum())
-        self._ring[ring_rows] = counts
-        self.observed += lists
+        skipped = max(0, len(items) - self.window)
+        self.observed += skipped
+        for row in items[skipped:]:
+            self.observe(row)
 
     def chr_percent(self, class_name: str) -> float:
         """Rolling CHR of one class, in percent (Table II units)."""

@@ -230,15 +230,6 @@ class ProcessShardHandle:
         message = f"shard {self.shard_id}: worker died (exitcode={self._proc.exitcode})"
         return ShardError(message, shard_id=self.shard_id, kind="WorkerDeath")
 
-    def _send(self, op: str, payload) -> int:
-        self._seq += 1
-        try:
-            self._inbox.send((op, self._seq, payload))
-        except OSError as exc:  # BrokenPipeError, or a closed handle
-            raise self._worker_death() from exc
-        self._outstanding.add(self._seq)
-        return self._seq
-
     def _recv(self, want_seq: int, timeout_s: float):
         deadline = monotonic() + timeout_s
         while want_seq not in self._acks:
@@ -264,7 +255,7 @@ class ProcessShardHandle:
     def call(self, op: str, payload=None, timeout_s: Optional[float] = None):
         """Synchronous request/reply."""
         timeout_s = self.timeout_s if timeout_s is None else timeout_s
-        seq, status, result = self._recv(self._send(op, payload), timeout_s)
+        seq, status, result = self._recv(self.send(op, payload), timeout_s)
         if status != "ok":
             raise ShardError.from_reply(self.shard_id, result, op=op)
         return result
@@ -275,7 +266,13 @@ class ProcessShardHandle:
         :meth:`call` split in two, so a caller can send to every shard
         before it waits for any and the workers run side by side.
         """
-        return self._send(op, payload)
+        self._seq += 1
+        try:
+            self._inbox.send((op, self._seq, payload))
+        except OSError as exc:  # BrokenPipeError, or a closed handle
+            raise self._worker_death() from exc
+        self._outstanding.add(self._seq)
+        return self._seq
 
     def collect(self, ticket: int, timeout_s: Optional[float] = None):
         """The reply to a :meth:`send` ticket (raises as :meth:`call` would)."""
@@ -293,7 +290,7 @@ class ProcessShardHandle:
         if len(self._outstanding) >= self.backlog:
             oldest = min(self._outstanding)  # the worker replies in order
             self._acks[oldest] = self._recv(oldest, timeout_s)  # kept for flush
-        return self._send(op, payload)
+        return self.send(op, payload)
 
     def flush(self, timeout_s: Optional[float] = None):
         """Drain every un-drained ack; raise on the first shard error."""

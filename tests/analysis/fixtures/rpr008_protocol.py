@@ -3,8 +3,7 @@
 Never imported; parsed by the lint self-tests.  The rule rebuilds both
 sides of the ``(op, seq, payload)`` protocol from this file alone: the
 handler table from ``_dispatch``/``shard_worker_main`` and the op
-constructions from ``call``/``cast``/``send`` sites, calls of helpers
-that forward their ``op`` parameter to one of those, and raw wire tuples
+constructions from ``call``/``cast``/``send`` sites and raw wire tuples
 passed to ``send``/``put``.
 """
 
@@ -15,7 +14,7 @@ def _dispatch(shard, op, payload):
     if op == "warm":  # VIOLATION: dead handler, no call site constructs it
         return shard.warm_start(payload["scores"])
     if op == "recommend_many":
-        # Kept alive, keys and all, only by the fan-out helper's callers.
+        # Kept alive, keys and all, only by split sends inside fan-out lambdas.
         return [shard.recommend(user, payload.get("n")) for user in payload["users"]]
     if op == "reset":
         return shard.reset(payload["reason"])  # VIOLATION: no fan-out payload sets "reason"
@@ -65,28 +64,28 @@ class Handle:
 
 
 class Router:
-    def _fan_out(self, op, payloads):
-        # Send-all-then-collect: forwards its op, one payload per shard.
-        tickets = {}
-        for shard, payload in payloads.items():
-            tickets[shard] = self.handles[shard].send(op, payload)
+    def _fan_out(self, sends):
+        # Send-all-then-collect: each value is a split send, op at the site.
+        tickets = {shard: send(self.handles[shard]) for shard, send in sends.items()}
         return {shard: self.handles[shard].collect(t) for shard, t in tickets.items()}
 
     def batch(self, groups):
-        # A mapping built by subscript stores: every payload sets "users".
-        payloads = {}
-        for shard, users in groups.items():
-            payloads[shard] = {"users": users, "n": 10}
-        return self._fan_out("recommend_many", payloads)
+        sends = {
+            shard: lambda handle, users=users: handle.send(
+                "recommend_many", {"users": users, "n": 10}
+            )
+            for shard, users in groups.items()
+        }
+        return self._fan_out(sends)
 
     def probe(self, shards):
-        return self._fan_out("ping", {shard: None for shard in shards})
+        return self._fan_out({shard: lambda h: h.send("ping", None) for shard in shards})
 
     def reset_all(self, shards):
-        return self._fan_out("reset", {shard: {"why": "attack"} for shard in shards})
+        return self._fan_out({s: lambda h: h.send("reset", {"why": "attack"}) for s in shards})
 
     def stats_typo(self):
-        return self._fan_out("stat", {0: None})  # VIOLATION: unknown op via the fan-out
+        return self._fan_out({0: lambda h: h.send("stat", None)})  # VIOLATION: unknown op
 
     def split_typo(self, handle):
         ticket = handle.send("recomend_many", {"users": [1]})  # VIOLATION: unknown op

@@ -71,6 +71,10 @@ class Router:
     def hand_back(self, handle, op, payload):
         return handle.send(op, payload)  # the caller collects: fine
 
+    def fan_out_lambdas(self, shards, payload):
+        # Each lambda hands its ticket to the fan-out that collects it: fine.
+        return self._fan_out({s: lambda h: h.send("recommend_many", payload) for s in shards})
+
     def pipe_send(self, op):
         self.inbox.send((op, 1, None))  # raw pipe send, not a split send: fine
 
@@ -78,6 +82,13 @@ class Router:
 class SplitHandle:
     def __init__(self, outbox):
         self.outbox = outbox
+
+    def call(self, op, payload, timeout_s):
+        status, result = self._recv(self.send(op, payload), timeout_s)  # _recv redeems: fine
+        return result
+
+    def call_dropped(self, op, payload):
+        self.send(op, payload)  # VIOLATION: the handle's own send drops its ticket
 
     def collect(self, ticket):
         return self.outbox.recv()  # VIOLATION: a collect polls its end with a bound too

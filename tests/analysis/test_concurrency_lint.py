@@ -88,12 +88,12 @@ class TestFixturesFireExactly:
         # message names the worker dispatch table.
         assert any("worker dispatch" in v.message for v in hot_patch)
 
-    def test_rpr008_follows_ops_through_the_fan_out_helper(self):
+    def test_rpr008_reads_ops_at_split_sends_in_fan_out_lambdas(self):
         violations = _engine().run(
             [FIXTURES / "rpr008_protocol.py"], select=["RPR008"]
         )
         messages = " | ".join(v.message for v in violations)
-        # "recommend_many" and "ping" live only behind _fan_out callers.
+        # "recommend_many" and "ping" are sent only from fan-out lambdas.
         assert '"recommend_many"' not in messages and '"ping"' not in messages
         assert 'op "stat" has no handler' in messages
         assert 'requires payload key "reason"' in messages
@@ -104,7 +104,7 @@ class TestFixturesFireExactly:
             [FIXTURES / "rpr010_queues.py"], select=["RPR010"]
         )
         split = [v for v in violations if "split send()" in v.message]
-        assert len(split) == 2
+        assert len(split) == 3
         assert any("drops its ticket" in v.message for v in split)
 
     def test_rpr010_inversions_point_at_both_sites(self):

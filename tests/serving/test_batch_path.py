@@ -460,18 +460,10 @@ def test_synthetic_system_state_is_bitwise_the_load_state_dict_build():
     model, *_ = build_synthetic_system(users, items, feature_dim=feature_dim, seed=seed)
     # The previous recipe: a randomly initialised VBPR, then load_state_dict.
     old = VBPR(users, items, model.features, VBPRConfig(seed=seed))
-    shapes = {
-        "user_factors": (users, 16),
-        "item_factors": (items, 16),
-        "visual_user_factors": (users, 16),
-        "embedding": (feature_dim, 16),
-        "visual_bias": (feature_dim,),
-        "item_bias": (items,),
-    }
     old.load_state_dict(
         {
-            name: derive_rng(seed, f"synthetic.{name}").normal(0.0, 0.1, shape)
-            for name, shape in shapes.items()
+            name: derive_rng(seed, f"synthetic.{name}").normal(0.0, 0.1, value.shape)
+            for name, value in old.state_dict().items()
         }
     )
     assert model.is_fitted
