@@ -81,6 +81,33 @@ class VisualQuality:
         return {"PSNR": self.psnr, "SSIM": self.ssim, "PSM": self.psm}
 
 
+def cell_visuals(
+    cells: Sequence[LadderCell], clean_images: np.ndarray, clean_raw: np.ndarray
+) -> List[VisualQuality]:
+    """Each cell's mean PSNR / SSIM / PSM against its clean cohort.
+
+    The triple depends only on the cohort and the cell, so it is
+    memoised in ``cell.extras["visual"]``: every recommender measuring
+    the same cells (VBPR, AMR, the BPR-MF control) reuses the first
+    one's numbers.  The cohort's SSIM window statistics are computed
+    once per call, and only when some cell still lacks its triple.
+    """
+    missing = [cell for cell in cells if "visual" not in cell.extras]
+    if missing:
+        reference = ssim_reference(clean_images)
+        for cell in missing:
+            adversarial = cell.result.adversarial_images
+            with span("pipeline.visual_metrics"):
+                cell.extras["visual"] = VisualQuality(
+                    psnr=float(np.mean(batch_psnr(clean_images, adversarial))),
+                    ssim=float(
+                        np.mean(batch_ssim(clean_images, adversarial, reference=reference))
+                    ),
+                    psm=float(np.mean(psm_from_features(clean_raw, cell.raw_features))),
+                )
+    return [cell.extras["visual"] for cell in cells]
+
+
 @dataclass
 class AttackOutcome:
     """Everything Tables II–IV and Fig. 2 need about one attack run."""
@@ -269,31 +296,26 @@ class TAaMRPipeline:
         attack: GradientAttack,
         attack_name: Optional[str] = None,
     ) -> AttackOutcome:
-        """Run one TAaMR attack and measure its effect end to end."""
-        registry = self.dataset.registry
-        target_class = registry.by_name(scenario.target).category_id
+        """Run one TAaMR attack and measure its effect end to end.
+
+        The unbatched path: one attack run becomes one cell, measured
+        exactly as the grid measures ladder cells.
+        """
+        name = attack_name or type(attack).__name__
         source_items = self.category_items(scenario.source)
         if source_items.size == 0:
             raise ValueError(
                 f"classifier assigns no items to source category '{scenario.source}'"
             )
-        target_items = self.category_items(scenario.target)
-
-        clean_images = self.dataset.images[source_items]
         # The catalog was classified once at construction; slicing those
         # predictions saves the attack one full clean forward pass.
-        with span(
-            "pipeline.attack",
-            attack=attack_name or type(attack).__name__,
-            items=int(source_items.size),
-        ):
+        with span("pipeline.attack", attack=name, items=int(source_items.size)):
             result: AttackResult = invoke_attack(
                 attack,
-                clean_images,
-                target_class,
+                self.dataset.images[source_items],
+                self.dataset.registry.by_name(scenario.target).category_id,
                 original_predictions=self.item_classes[source_items],
             )
-
         # The deployed system re-extracts features from the swapped images.
         # One extraction serves both the recommender (standardised) and the
         # PSM metric (raw); the clean side comes from the cached catalog
@@ -302,43 +324,8 @@ class TAaMRPipeline:
             adversarial_raw = self.extractor.model.extract_features(
                 result.adversarial_images, batch_size=self.extractor.batch_size
             )
-        with span("pipeline.rescore"):
-            features_after = self.clean_features.copy()
-            features_after[source_items] = self.extractor.transform_raw_features(
-                adversarial_raw
-            )
-            scores_after = self.recommender.score_all(features=features_after)
-            top_after = self.recommender.top_n(
-                self.cutoff, feedback=self.dataset.feedback, scores=scores_after
-            )
-
-        with span("pipeline.visual_metrics"):
-            visual = VisualQuality(
-                psnr=float(np.mean(batch_psnr(clean_images, result.adversarial_images))),
-                ssim=float(np.mean(batch_ssim(clean_images, result.adversarial_images))),
-                psm=float(
-                    np.mean(
-                        psm_from_features(
-                            self.clean_raw_features[source_items], adversarial_raw
-                        )
-                    )
-                ),
-            )
-
-        return AttackOutcome(
-            scenario=scenario,
-            attack_name=attack_name or type(attack).__name__,
-            epsilon_255=attack.epsilon * 255.0,
-            chr_source_before=self._chr_percent_of_items(source_items, self.clean_top_n),
-            chr_target_before=self._chr_percent_of_items(target_items, self.clean_top_n),
-            chr_source_after=self._chr_percent_of_items(source_items, top_after),
-            success_rate=result.success_rate(),
-            visual=visual,
-            attacked_item_ids=source_items,
-            adversarial_images=result.adversarial_images,
-            scores_after=scores_after,
-            attack_metadata=dict(result.metadata),
-        )
+        cell = LadderCell(attack.epsilon, result, raw_features=adversarial_raw)
+        return self.outcomes_from_cells(scenario, name, [cell])[0]
 
     # ------------------------------------------------------------------ #
     # Ladder cells → outcomes (the amortised grid path)
@@ -365,28 +352,25 @@ class TAaMRPipeline:
             raise ValueError(
                 f"classifier assigns no items to source category '{scenario.source}'"
             )
+        if any(cell.result.num_images != source_items.size for cell in cells):
+            raise ValueError("ladder cell does not cover the scenario's source cohort")
         target_items = self.category_items(scenario.target)
-        clean_images = self.dataset.images[source_items]
-        # Every cell compares against the same clean cohort: its SSIM
-        # window statistics are computed once, by the first cell to need
-        # them, and the clean CHRs once for all cells.
-        reference = ssim_reference(clean_images)
+        visuals = cell_visuals(
+            cells,
+            self.dataset.images[source_items],
+            self.clean_raw_features[source_items],
+        )
         chr_source_before = self._chr_percent_of_items(source_items, self.clean_top_n)
         chr_target_before = self._chr_percent_of_items(target_items, self.clean_top_n)
 
         outcomes: List[AttackOutcome] = []
-        for cell in cells:
+        for cell, visual in zip(cells, visuals):
             result = cell.result
-            if result.num_images != source_items.size:
-                raise ValueError(
-                    "ladder cell does not cover the scenario's source cohort"
-                )
-            adversarial_raw = cell.raw_features
             # The standardised rows depend only on the shared extractor,
             # so the second recommender's pipeline reuses the memo.
             rows = cell.extras.get("features_std")
             if rows is None:
-                rows = self.extractor.transform_raw_features(adversarial_raw)
+                rows = self.extractor.transform_raw_features(cell.raw_features)
                 cell.extras["features_std"] = rows
             with span("pipeline.rescore"):
                 if scratch is None:
@@ -398,32 +382,6 @@ class TAaMRPipeline:
                 top_after = self.recommender.top_n(
                     self.cutoff, feedback=self.dataset.feedback, scores=scores_after
                 )
-            visual = cell.extras.get("visual")
-            if visual is None:
-                with span("pipeline.visual_metrics"):
-                    visual = VisualQuality(
-                        psnr=float(
-                            np.mean(batch_psnr(clean_images, result.adversarial_images))
-                        ),
-                        ssim=float(
-                            np.mean(
-                                batch_ssim(
-                                    clean_images,
-                                    result.adversarial_images,
-                                    reference=reference,
-                                )
-                            )
-                        ),
-                        psm=float(
-                            np.mean(
-                                psm_from_features(
-                                    self.clean_raw_features[source_items],
-                                    adversarial_raw,
-                                )
-                            )
-                        ),
-                    )
-                cell.extras["visual"] = visual
             outcomes.append(
                 AttackOutcome(
                     scenario=scenario,

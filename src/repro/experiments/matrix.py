@@ -15,6 +15,10 @@ upstream classifier / feature hashes, all hashed through the same
 :func:`~repro.experiments.stages.chained_fingerprint` convention as the
 static stages — so editing one defense's knob re-runs exactly that
 defense's column of cells while every other artifact loads untouched.
+The graph is declared once, by :func:`matrix_nodes`; fingerprints,
+execution order and plans all derive from that list.  Each column is
+crafted and measured by the static stage's own attack-grid loop,
+:func:`~repro.experiments.runner.grid_outcomes`.
 
 Execution semantics per axis value:
 
@@ -48,23 +52,23 @@ hit/built actions, behind ``python -m repro matrix``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..artifacts import ArtifactStore, write_json
-from ..attacks import LADDER_ATTACKS, LadderCell
+from ..attacks import LadderCell
 from ..attacks.base import AttackResult
 from ..attacks.projections import epsilon_from_255
 from ..core import (
     AttackOutcome,
     CatalogState,
-    FeatureScratch,
     TAaMRPipeline,
-    VisualQuality,
     category_hit_ratio,
     paper_scenarios,
 )
+from ..core.pipeline import cell_visuals
 from ..core.scenarios import AttackScenario
 from ..defenses import (
     AdversarialTrainer,
@@ -75,18 +79,11 @@ from ..defenses import (
     distill,
 )
 from ..features import FeatureExtractor
-from ..metrics import (
-    SSIMReference,
-    batch_psnr,
-    batch_ssim,
-    psm_from_features,
-    ssim_reference,
-)
 from ..nn import TinyResNet
 from ..recommenders import BPRMF, BPRMFConfig
 from ..telemetry import Stopwatch, span
 from .config import ExperimentConfig
-from .runner import build_ladder, fallback_ladder_cells
+from .runner import Craft, grid_outcomes, pipeline_measures
 from .stages import (
     StageOutcome,
     StagePlan,
@@ -105,7 +102,13 @@ from .stages import (
     chained_fingerprint,
     load_node,
     save_node,
+    stage_fingerprints,
 )
+
+# perfbench's layer timers wrap these names on this module by attribute
+# (the visual metrics and the per-cell fallback); they stay importable.
+from ..metrics import batch_psnr, batch_ssim, psm_from_features  # noqa: F401
+from .runner import fallback_ladder_cells  # noqa: F401
 
 MATRIX_SCHEMA_VERSION = 1
 
@@ -240,7 +243,7 @@ class MatrixConfig:
 
 
 # --------------------------------------------------------------------- #
-# The node graph and its fingerprints
+# The node graph, declared once
 # --------------------------------------------------------------------- #
 
 
@@ -277,6 +280,122 @@ _CLASSIFIER_FIELDS = (
 )
 
 
+@dataclass(frozen=True)
+class MatrixNode:
+    """One node of the matrix graph.
+
+    ``deps`` maps each fingerprint payload key to the upstream node it
+    chains off; its values are also the nodes whose content hashes a
+    stored artifact is verified against.  ``kind`` is ``None`` for the
+    identity-ingest defenses, which store nothing: the base ``features``
+    artifact is their deployed state.  A model node's ``build(base,
+    models)`` returns its ``(arrays, meta)`` payload and ``unpack(base,
+    models, arrays, meta)`` turns a payload (fresh or stored) into its
+    value; ``base`` is the run's base-stage results and ``models`` the
+    values of the nodes resolved before it.  Cells have neither — a
+    defense's column of cells is crafted and measured at once, through
+    the attack-grid loop.
+    """
+
+    name: str
+    kind: Optional[str]
+    deps: Dict[str, str]
+    payload: Dict[str, Any]
+    build: Optional[Callable[..., Tuple[Dict[str, np.ndarray], Dict[str, Any]]]] = None
+    unpack: Optional[Callable[..., Any]] = None
+
+
+def matrix_nodes(config: MatrixConfig) -> List[MatrixNode]:
+    """The configured matrix's node graph in execution order, cells last.
+
+    Model nodes come first: the TRANSFER surrogate, the shared BPR-MF
+    control, then each defense followed by the recommenders retrained
+    in its feature space.  Every defense's column of cells follows.
+    """
+    experiment = config.base
+    on_dataset = {"dataset": "dataset"}
+    nodes: List[MatrixNode] = []
+    if "TRANSFER" in config.attacks:
+        seed = config.transfer_seed
+        payload = {**experiment.field_fingerprint(_CLASSIFIER_FIELDS), "transfer_seed": seed}
+        nodes.append(
+            MatrixNode(
+                "surrogate",
+                "matrix_surrogate",
+                on_dataset,
+                payload,
+                build=lambda base, models: (
+                    _train_classifier(experiment, base.dataset, seed)[0].state_dict(),
+                    {},
+                ),
+                unpack=lambda base, models, arrays, meta: _load_classifier(
+                    experiment, base.dataset, seed, arrays
+                ),
+            )
+        )
+    if "BPRMF" in config.recommenders:
+        bprmf = BPRMFConfig(epochs=experiment.recommender_epochs, seed=experiment.seed)
+        nodes.append(
+            MatrixNode(
+                "recommender:shared/BPRMF",
+                "matrix_bprmf",
+                on_dataset,
+                experiment.field_fingerprint(("recommender_epochs", "seed")),
+                *_fitted(
+                    lambda base, models: BPRMF(
+                        base.dataset.num_users, base.dataset.num_items, bprmf
+                    )
+                ),
+            )
+        )
+    for defense in config.defenses:
+        name = f"defense:{defense}"
+        payload = {
+            "defense": defense,
+            "config": config.field_fingerprint(DEFENSE_FIELDS[defense]),
+        }
+        deps = {"dataset": "dataset", "classifier": "classifier"}
+        if defense not in RETRAINING_DEFENSES:
+            # Identity-ingest defenses consume the base feature artifacts.
+            nodes.append(MatrixNode(name, None, {**deps, "features": "features"}, payload))
+            continue
+        nodes.append(
+            MatrixNode(name, "matrix_defense", deps, payload, *_defense(config, defense))
+        )
+        for rec in config.recommenders:
+            if rec in VISUAL_RECOMMENDERS:
+                make = partial(
+                    _retrained, _make_vbpr if rec == "VBPR" else _make_amr, experiment, name
+                )
+                nodes.append(
+                    MatrixNode(
+                        f"recommender:{defense}/{rec}",
+                        "matrix_recommender",
+                        {"dataset": "dataset", "defense": name},
+                        experiment.field_fingerprint(_RECOMMENDER_CONFIG_FIELDS[rec]),
+                        *_fitted(make),
+                    )
+                )
+    eval_payload = experiment.field_fingerprint(EVAL_FIELDS)
+    for defense in config.defenses:
+        for attack in config.attacks:
+            payload = {
+                "attack": attack,
+                "attack_config": config.field_fingerprint(ATTACK_FIELDS[attack]),
+                "eval": eval_payload,
+            }
+            for rec in config.recommenders:
+                deps = {
+                    "defense": f"defense:{defense}",
+                    "recommender": recommender_node(defense, rec),
+                }
+                if attack == "TRANSFER":
+                    deps["surrogate"] = "surrogate"
+                name = cell_name(defense, attack, rec)
+                nodes.append(MatrixNode(name, "matrix_cell", deps, payload))
+    return nodes
+
+
 def matrix_fingerprints(config: MatrixConfig) -> Dict[str, str]:
     """Fingerprint of every node the configured matrix touches.
 
@@ -287,94 +406,20 @@ def matrix_fingerprints(config: MatrixConfig) -> Dict[str, str]:
     chain, only that defense's recommender nodes and cells — the
     invalidation-matrix property the tests pin down.
     """
-    from .stages import stage_fingerprints
-
     fps: Dict[str, str] = dict(stage_fingerprints(config.base))
-
-    for defense in config.defenses:
-        deps = ("dataset", "classifier")
-        if defense not in RETRAINING_DEFENSES:
-            # Identity-ingest defenses consume the base feature artifacts.
-            deps = ("dataset", "classifier", "features")
-        fps[f"defense:{defense}"] = chained_fingerprint(
-            f"defense:{defense}",
+    for node in matrix_nodes(config):
+        fps[node.name] = chained_fingerprint(
+            node.name,
             MATRIX_SCHEMA_VERSION,
-            {
-                "defense": defense,
-                "config": config.field_fingerprint(DEFENSE_FIELDS[defense]),
-            },
-            {dep: fps[dep] for dep in deps},
+            node.payload,
+            {key: fps[upstream] for key, upstream in node.deps.items()},
         )
-
-    if "BPRMF" in config.recommenders:
-        fps["recommender:shared/BPRMF"] = chained_fingerprint(
-            "recommender:shared/BPRMF",
-            MATRIX_SCHEMA_VERSION,
-            config.base.field_fingerprint(("recommender_epochs", "seed")),
-            {"dataset": fps["dataset"]},
-        )
-    for defense in config.defenses:
-        if defense not in RETRAINING_DEFENSES:
-            continue
-        for rec in config.recommenders:
-            if rec not in VISUAL_RECOMMENDERS:
-                continue
-            name = f"recommender:{defense}/{rec}"
-            fps[name] = chained_fingerprint(
-                name,
-                MATRIX_SCHEMA_VERSION,
-                config.base.field_fingerprint(_RECOMMENDER_CONFIG_FIELDS[rec]),
-                {"dataset": fps["dataset"], "defense": fps[f"defense:{defense}"]},
-            )
-
-    if "TRANSFER" in config.attacks:
-        payload = config.base.field_fingerprint(_CLASSIFIER_FIELDS)
-        payload["transfer_seed"] = config.transfer_seed
-        fps["surrogate"] = chained_fingerprint(
-            "surrogate", MATRIX_SCHEMA_VERSION, payload, {"dataset": fps["dataset"]}
-        )
-
-    eval_payload = config.base.field_fingerprint(EVAL_FIELDS)
-    for defense in config.defenses:
-        for attack in config.attacks:
-            for rec in config.recommenders:
-                deps = {
-                    "defense": fps[f"defense:{defense}"],
-                    "recommender": fps[recommender_node(defense, rec)],
-                }
-                if attack == "TRANSFER":
-                    deps["surrogate"] = fps["surrogate"]
-                fps[cell_name(defense, attack, rec)] = chained_fingerprint(
-                    cell_name(defense, attack, rec),
-                    MATRIX_SCHEMA_VERSION,
-                    {
-                        "attack": attack,
-                        "attack_config": config.field_fingerprint(ATTACK_FIELDS[attack]),
-                        "eval": eval_payload,
-                    },
-                    deps,
-                )
     return fps
 
 
 def matrix_node_order(config: MatrixConfig) -> List[Tuple[str, str]]:
-    """(node_name, artifact_kind) in execution order, cells last."""
-    nodes: List[Tuple[str, str]] = []
-    if "TRANSFER" in config.attacks:
-        nodes.append(("surrogate", "matrix_surrogate"))
-    if "BPRMF" in config.recommenders:
-        nodes.append(("recommender:shared/BPRMF", "matrix_bprmf"))
-    for defense in config.defenses:
-        if defense in RETRAINING_DEFENSES:
-            nodes.append((f"defense:{defense}", "matrix_defense"))
-            for rec in config.recommenders:
-                if rec in VISUAL_RECOMMENDERS:
-                    nodes.append((f"recommender:{defense}/{rec}", "matrix_recommender"))
-    for defense in config.defenses:
-        for attack in config.attacks:
-            for rec in config.recommenders:
-                nodes.append((cell_name(defense, attack, rec), "matrix_cell"))
-    return nodes
+    """(node_name, artifact_kind) of every stored node, in execution order."""
+    return [(node.name, node.kind) for node in matrix_nodes(config) if node.kind]
 
 
 # --------------------------------------------------------------------- #
@@ -405,32 +450,34 @@ class DefenseRuntime:
     detector: Optional[ReconstructionDetector] = None
     clean_scores: Dict[str, np.ndarray] = field(default_factory=dict)
 
-    @property
-    def derives_cells(self) -> bool:
-        """Whether crafted cells must be re-measured through ingest."""
-        return self.ingest is not None or self.detector is not None
 
-
-def _derive_deployed_cells(
+def _deliver(
     runtime: DefenseRuntime,
-    cells: Sequence[LadderCell],
+    attack_name: str,
+    cells: List[LadderCell],
     source_items: np.ndarray,
-    deployed_original: np.ndarray,
     target_class: int,
-    reuse_predictions: bool,
 ) -> List[LadderCell]:
-    """Re-measure crafted cells through the defended ingest path.
+    """Re-measure crafted cells on the deployed (defended) system.
 
-    The delivered (pre-ingest) adversarial images are kept on the
-    derived result so PSNR/SSIM measure what the adversary uploads;
-    predictions and features reflect what the deployed system extracts
-    after squeezing / detector quarantine.
+    TRANSFER cells were crafted on the surrogate, so the deployed
+    classifier re-extracts them; ``squeeze`` filters the delivered
+    images before re-extraction, and ``detector`` screens the extracted
+    feature vectors.  Other cells are delivered as crafted.  The
+    delivered (pre-ingest) adversarial images stay on the derived result
+    so PSNR/SSIM measure what the adversary uploads; predictions and
+    features reflect what the deployed system extracts after squeezing /
+    detector quarantine.
     """
+    transfer = attack_name == "TRANSFER"
+    if not transfer and runtime.ingest is None and runtime.detector is None:
+        return cells
+    deployed_original = runtime.item_classes[source_items]
     derived: List[LadderCell] = []
     for cell in cells:
         adversarial = cell.result.adversarial_images
         metadata = dict(cell.result.metadata)
-        if reuse_predictions and runtime.ingest is None:
+        if not transfer and runtime.ingest is None:
             predictions = np.asarray(cell.result.adversarial_predictions).copy()
             raw = np.array(cell.raw_features, dtype=np.float64)  # lint: allow-float64
         else:
@@ -470,83 +517,158 @@ def _derive_deployed_cells(
     return derived
 
 
-def _cell_visual(
-    cell: LadderCell,
-    clean_images: np.ndarray,
-    clean_raw: np.ndarray,
-    reference: SSIMReference,
-) -> VisualQuality:
-    """The memoised visual-quality triple of one cell.
-
-    Identical to the computation in
-    :meth:`TAaMRPipeline.outcomes_from_cells` (and shares its
-    ``extras["visual"]`` memo) so BPR-MF-only measurement produces the
-    same numbers a visual recommender's pass would have cached.
-    ``reference`` is ``ssim_reference(clean_images)``, shared by the
-    cohort's cells.
-    """
-    visual = cell.extras.get("visual")
-    if visual is None:
-        result = cell.result
-        adversarial = result.adversarial_images
-        visual = VisualQuality(
-            psnr=float(np.mean(batch_psnr(clean_images, adversarial))),
-            ssim=float(
-                np.mean(batch_ssim(clean_images, adversarial, reference=reference))
-            ),
-            psm=float(np.mean(psm_from_features(clean_raw, cell.raw_features))),
-        )
-        cell.extras["visual"] = visual
-    return visual
-
-
 def _bprmf_outcomes(
-    model: BPRMF,
-    clean_scores: np.ndarray,
-    clean_top_n: np.ndarray,
+    control: Tuple[np.ndarray, np.ndarray],
     runtime: DefenseRuntime,
     dataset,
     scenario: AttackScenario,
     attack_name: str,
     cells: Sequence[LadderCell],
-    source_items: np.ndarray,
 ) -> List[AttackOutcome]:
     """Measure cells against the attack-free BPR-MF control.
 
-    BPR-MF scores carry no visual term, so the post-attack CHR equals
-    the clean CHR by construction — the rows quantify what an adversary
-    gains against a recommender that ignores images entirely, while the
-    classifier-side success rate and visual metrics stay comparable
-    with the visual recommenders' rows.
+    ``control`` is the model's clean ``(scores, top_n)``.  BPR-MF scores
+    carry no visual term, so the post-attack CHR equals the clean CHR by
+    construction — the rows quantify what an adversary gains against a
+    recommender that ignores images entirely, while the classifier-side
+    success rate and visual metrics stay comparable with the visual
+    recommenders' rows.
     """
+    scores, top_n = control
     registry = dataset.registry
-    target_items = np.flatnonzero(
-        runtime.item_classes == registry.by_name(scenario.target).category_id
+    source_items, target_items = (
+        np.flatnonzero(runtime.item_classes == registry.by_name(name).category_id)
+        for name in (scenario.source, scenario.target)
     )
-    chr_source = 100.0 * category_hit_ratio(clean_top_n, source_items)
-    chr_target = 100.0 * category_hit_ratio(clean_top_n, target_items)
-    clean_images = dataset.images[source_items]
-    clean_raw = runtime.raw_features[source_items]
-    reference = ssim_reference(clean_images)
-    outcomes: List[AttackOutcome] = []
-    for cell in cells:
-        outcomes.append(
-            AttackOutcome(
-                scenario=scenario,
-                attack_name=attack_name,
-                epsilon_255=cell.epsilon * 255.0,
-                chr_source_before=chr_source,
-                chr_target_before=chr_target,
-                chr_source_after=chr_source,
-                success_rate=cell.result.success_rate(),
-                visual=_cell_visual(cell, clean_images, clean_raw, reference),
-                attacked_item_ids=source_items,
-                adversarial_images=cell.result.adversarial_images,
-                scores_after=clean_scores,
-                attack_metadata=dict(cell.result.metadata),
-            )
+    chr_source = 100.0 * category_hit_ratio(top_n, source_items)
+    chr_target = 100.0 * category_hit_ratio(top_n, target_items)
+    visuals = cell_visuals(
+        cells, dataset.images[source_items], runtime.raw_features[source_items]
+    )
+    return [
+        AttackOutcome(
+            scenario=scenario,
+            attack_name=attack_name,
+            epsilon_255=cell.epsilon * 255.0,
+            chr_source_before=chr_source,
+            chr_target_before=chr_target,
+            chr_source_after=chr_source,
+            success_rate=cell.result.success_rate(),
+            visual=visual,
+            attacked_item_ids=source_items,
+            adversarial_images=cell.result.adversarial_images,
+            scores_after=scores,
+            attack_metadata=dict(cell.result.metadata),
         )
-    return outcomes
+        for cell, visual in zip(cells, visuals)
+    ]
+
+
+# --------------------------------------------------------------------- #
+# Model nodes: build / unpack
+# --------------------------------------------------------------------- #
+
+
+def _fitted(make: Callable[..., Any]) -> Tuple[Callable, Callable]:
+    """A recommender node: ``make(base, models)`` fit on the feedback, or loaded."""
+
+    def build(base, models):
+        return make(base, models).fit(base.dataset.feedback).state_dict(), {}
+
+    def unpack(base, models, arrays, meta):
+        return make(base, models).load_state_dict(arrays)
+
+    return build, unpack
+
+
+def _retrained(make, experiment: ExperimentConfig, defense_node: str, base, models):
+    """VBPR or AMR (``make``) over one retraining defense's features."""
+    return make(experiment, base.dataset, models[defense_node].features)
+
+
+def _defense(config: MatrixConfig, defense: str) -> Tuple[Callable, Callable]:
+    """One retraining defense's deployed catalog."""
+    squeezer = (
+        FeatureSqueezer(
+            bits=config.squeeze_bits, median_kernel=config.squeeze_median_kernel
+        )
+        if defense == "squeeze"
+        else None
+    )
+    seed = config.base.seed + 1 if defense == "distill" else config.base.seed
+
+    def build(base, models):
+        dataset = base.dataset
+        if defense == "adv_train":
+            classifier = _make_classifier(config.base, dataset, seed)
+            classifier.load_state_dict(base.classifier.state_dict())
+            AdversarialTrainer(
+                classifier,
+                AdversarialTrainingConfig(
+                    epochs=config.adv_epochs,
+                    batch_size=config.base.classifier_batch_size,
+                    learning_rate=config.base.classifier_lr,
+                    epsilon=epsilon_from_255(config.adv_epsilon_255),
+                    attack_steps=config.adv_steps,
+                    adversarial_weight=config.adv_weight,
+                    seed=config.base.seed,
+                ),
+            ).fit(dataset.images, dataset.item_categories)
+        elif defense == "distill":
+            classifier, _ = distill(
+                base.classifier,
+                dataset.images,
+                DistillationConfig(
+                    temperature=config.distill_temperature,
+                    epochs=config.distill_epochs,
+                    batch_size=config.base.classifier_batch_size,
+                    learning_rate=config.base.classifier_lr,
+                    seed=config.base.seed,
+                ),
+                student_seed=seed,
+            )
+        else:
+            # squeeze: the base classifier deployed behind the
+            # squeezer; the clean catalog itself is ingested through it.
+            classifier = base.classifier
+        images = dataset.images if squeezer is None else squeezer(dataset.images)
+        extractor, raw, _, classes = _catalog_features(classifier, images)
+        arrays: Dict[str, np.ndarray] = {"raw_features": raw, "item_classes": classes}
+        arrays.update(
+            {f"norm__{k}": v for k, v in extractor.normalization_state().items()}
+        )
+        if squeezer is None:
+            arrays.update({f"clf__{k}": v for k, v in classifier.state_dict().items()})
+        return arrays, {"defense": defense}
+
+    def unpack(base, models, arrays, meta) -> DefenseRuntime:
+        if squeezer is None:
+            state = {
+                k[len("clf__"):]: v for k, v in arrays.items() if k.startswith("clf__")
+            }
+            classifier = _load_classifier(config.base, base.dataset, seed, state)
+        else:
+            classifier = base.classifier
+        extractor, raw, features = _load_catalog_features(
+            classifier,
+            {"mean": arrays["norm__mean"], "scale": arrays["norm__scale"]},
+            arrays["raw_features"],
+        )
+        item_classes = np.asarray(arrays["item_classes"], dtype=np.int64)
+        return DefenseRuntime(
+            name=defense,
+            classifier=classifier,
+            extractor=extractor,
+            raw_features=raw,
+            features=features,
+            item_classes=item_classes,
+            attack_item_classes=(
+                item_classes if squeezer is None else base.item_classes
+            ),
+            ingest=squeezer,
+        )
+
+    return build, unpack
 
 
 # --------------------------------------------------------------------- #
@@ -658,6 +780,7 @@ class MatrixRunner:
         self.config = config
         self.store = store
         self.verbose = verbose
+        self.nodes = matrix_nodes(config)
         self.fingerprints = matrix_fingerprints(config)
 
     def _log(self, message: str) -> None:
@@ -691,150 +814,15 @@ class MatrixRunner:
             )
         return plans
 
-    def _stored(self, name: str, kind: str, deps: Sequence[str]) -> StoredNode:
+    def _stored(self, node: MatrixNode) -> StoredNode:
         return StoredNode(
-            name=name,
-            kind=kind,
-            fingerprint=self.fingerprints[name],
+            name=node.name,
+            kind=node.kind,
+            fingerprint=self.fingerprints[node.name],
             schema_version=MATRIX_SCHEMA_VERSION,
-            deps=tuple(deps),
+            deps=tuple(node.deps.values()),
             compress=False,
         )
-
-    # -- model nodes ----------------------------------------------------- #
-    def _model_node(
-        self, name: str, kind: str, base: StageResults, models: Dict[str, Any]
-    ) -> Tuple[Tuple[str, ...], Callable[[], Any], Callable[[Dict, Dict], Any]]:
-        """``(deps, build, unpack)`` of one non-cell node.
-
-        ``build`` returns the ``(arrays, meta)`` payload; ``unpack``
-        turns a payload (fresh or stored) into the node's value.
-        """
-        config = self.config.base
-        dataset = base.dataset
-        if kind == "matrix_surrogate":
-            seed = self.config.transfer_seed
-
-            def build_surrogate():
-                model, _ = _train_classifier(config, dataset, seed)
-                return model.state_dict(), {}
-
-            return (
-                ("dataset",),
-                build_surrogate,
-                lambda arrays, meta: _load_classifier(config, dataset, seed, arrays),
-            )
-        if kind == "matrix_bprmf":
-
-            def make_bprmf() -> BPRMF:
-                return BPRMF(
-                    dataset.num_users,
-                    dataset.num_items,
-                    BPRMFConfig(epochs=config.recommender_epochs, seed=config.seed),
-                )
-
-            return (
-                ("dataset",),
-                lambda: (make_bprmf().fit(dataset.feedback).state_dict(), {}),
-                lambda arrays, meta: make_bprmf().load_state_dict(arrays),
-            )
-        if kind == "matrix_defense":
-            build, unpack = self._defense_node(name.partition(":")[2], base)
-            return ("dataset", "classifier"), build, unpack
-        # "recommender:<defense>/<VBPR|AMR>", trained on the defense's features.
-        defense, _, rec = name.partition(":")[2].partition("/")
-        make = _make_vbpr if rec == "VBPR" else _make_amr
-        features = models[f"defense:{defense}"].features
-        return (
-            ("dataset", f"defense:{defense}"),
-            lambda: (make(config, dataset, features).fit(dataset.feedback).state_dict(), {}),
-            lambda arrays, meta: make(config, dataset, features).load_state_dict(arrays),
-        )
-
-    def _defense_node(self, defense: str, base: StageResults):
-        """``(build, unpack)`` of one retraining defense's deployed catalog."""
-        config = self.config
-        dataset = base.dataset
-        squeezer = (
-            FeatureSqueezer(
-                bits=config.squeeze_bits, median_kernel=config.squeeze_median_kernel
-            )
-            if defense == "squeeze"
-            else None
-        )
-        seed = config.base.seed + 1 if defense == "distill" else config.base.seed
-
-        def build():
-            if defense == "adv_train":
-                classifier = _make_classifier(config.base, dataset, seed)
-                classifier.load_state_dict(base.classifier.state_dict())
-                AdversarialTrainer(
-                    classifier,
-                    AdversarialTrainingConfig(
-                        epochs=config.adv_epochs,
-                        batch_size=config.base.classifier_batch_size,
-                        learning_rate=config.base.classifier_lr,
-                        epsilon=epsilon_from_255(config.adv_epsilon_255),
-                        attack_steps=config.adv_steps,
-                        adversarial_weight=config.adv_weight,
-                        seed=config.base.seed,
-                    ),
-                ).fit(dataset.images, dataset.item_categories)
-            elif defense == "distill":
-                classifier, _ = distill(
-                    base.classifier,
-                    dataset.images,
-                    DistillationConfig(
-                        temperature=config.distill_temperature,
-                        epochs=config.distill_epochs,
-                        batch_size=config.base.classifier_batch_size,
-                        learning_rate=config.base.classifier_lr,
-                        seed=config.base.seed,
-                    ),
-                    student_seed=seed,
-                )
-            else:
-                # squeeze: the base classifier deployed behind the
-                # squeezer; the clean catalog itself is ingested through it.
-                classifier = base.classifier
-            images = dataset.images if squeezer is None else squeezer(dataset.images)
-            extractor, raw, _, classes = _catalog_features(classifier, images)
-            arrays: Dict[str, np.ndarray] = {"raw_features": raw, "item_classes": classes}
-            arrays.update(
-                {f"norm__{k}": v for k, v in extractor.normalization_state().items()}
-            )
-            if squeezer is None:
-                arrays.update({f"clf__{k}": v for k, v in classifier.state_dict().items()})
-            return arrays, {"defense": defense}
-
-        def unpack(arrays, meta) -> DefenseRuntime:
-            if squeezer is None:
-                state = {
-                    k[len("clf__"):]: v for k, v in arrays.items() if k.startswith("clf__")
-                }
-                classifier = _load_classifier(config.base, dataset, seed, state)
-            else:
-                classifier = base.classifier
-            extractor, raw, features = _load_catalog_features(
-                classifier,
-                {"mean": arrays["norm__mean"], "scale": arrays["norm__scale"]},
-                arrays["raw_features"],
-            )
-            item_classes = np.asarray(arrays["item_classes"], dtype=np.int64)
-            return DefenseRuntime(
-                name=defense,
-                classifier=classifier,
-                extractor=extractor,
-                raw_features=raw,
-                features=features,
-                item_classes=item_classes,
-                attack_item_classes=(
-                    item_classes if squeezer is None else base.item_classes
-                ),
-                ingest=squeezer,
-            )
-
-        return build, unpack
 
     # -- runtime assembly ------------------------------------------------ #
     def _base_runtime(self, defense: str, base: StageResults) -> DefenseRuntime:
@@ -855,56 +843,70 @@ class MatrixRunner:
             runtime.detector = detector
         return runtime
 
-    # -- crafting -------------------------------------------------------- #
-    def _craft_cells(
+    def _measure_column(
         self,
         runtime: DefenseRuntime,
-        surrogate: Optional[TinyResNet],
-        attack_name: str,
-        scenario: AttackScenario,
-        images: np.ndarray,
-        source_items: np.ndarray,
-        target_class: int,
-    ) -> List[LadderCell]:
-        base = self.config.base
-        if attack_name == "TRANSFER":
-            craft_model = surrogate
-            craft_attack = "PGD"
-            original = craft_model.predict(images)
-        else:
-            craft_model = runtime.classifier
-            craft_attack = attack_name
-            original = runtime.attack_item_classes[source_items]
-        options = self.config.attack_options(craft_attack)
-        if craft_attack in LADDER_ATTACKS:
-            ladder = build_ladder(
-                craft_attack,
-                craft_model,
-                tuple(epsilon_from_255(eps) for eps in base.epsilons_255),
-                base.ladder_mode,
-                pgd_steps=base.pgd_steps,
-                seed=base.seed,
-                options=options,
+        cells: Sequence[Tuple[str, str]],
+        base: StageResults,
+        models: Dict[str, Any],
+        control: Optional[Tuple[np.ndarray, np.ndarray]],
+    ) -> Tuple[Dict[Tuple[str, str], List[AttackOutcome]], List[AttackScenario]]:
+        """Craft and measure one defense's ``(attack, recommender)`` cells.
+
+        The matrix's own parts ride into the attack-grid loop: TRANSFER
+        crafts PGD on the surrogate, :func:`_deliver` re-measures cells
+        through squeeze / detector, and BPR-MF measures through its
+        control.  White-box attacks craft on the deployed classifier
+        from the classes the adversary sees.
+        """
+        config = self.config
+        attacks = [a for a in config.attacks if any(a == attack for attack, _ in cells)]
+        recs = [r for r in config.recommenders if any(r == rec for _, rec in cells)]
+        crafts = {
+            attack: (
+                Craft(models["surrogate"], "PGD")
+                if attack == "TRANSFER"
+                else Craft(
+                    runtime.classifier,
+                    attack,
+                    runtime.attack_item_classes,
+                    config.attack_options(attack),
+                )
             )
-            with span(
-                "matrix.ladder",
-                defense=runtime.name,
-                attack=attack_name,
-                source=scenario.source,
-                target=scenario.target,
-                items=int(source_items.size),
-            ):
-                return ladder.run(images, target_class, original_predictions=original)
-        return fallback_ladder_cells(
-            craft_model,
-            craft_attack,
-            images,
-            target_class,
-            original,
-            base.epsilons_255,
-            pgd_steps=base.pgd_steps,
-            seed=base.seed,
-            options=options,
+            for attack in attacks
+        }
+        measures = pipeline_measures(
+            {
+                rec: TAaMRPipeline(
+                    base.dataset,
+                    runtime.extractor,
+                    models[recommender_node(runtime.name, rec)],
+                    cutoff=config.base.cutoff,
+                    precomputed=CatalogState(
+                        item_classes=runtime.item_classes,
+                        raw_features=runtime.raw_features,
+                        features=runtime.features,
+                        clean_scores=runtime.clean_scores.get(rec),
+                    ),
+                )
+                for rec in recs
+                if rec in VISUAL_RECOMMENDERS
+            }
+        )
+        if "BPRMF" in recs:
+            measures["BPRMF"] = partial(_bprmf_outcomes, control, runtime, base.dataset)
+        return grid_outcomes(
+            crafts,
+            runtime.item_classes,
+            base.dataset,
+            paper_scenarios(base.dataset.name, base.dataset.registry),
+            measures,
+            config.base.epsilons_255,
+            config.base.pgd_steps,
+            config.base.seed,
+            config.base.ladder_mode,
+            deliver=partial(_deliver, runtime),
+            skip_empty=True,
         )
 
     # -- execution ------------------------------------------------------- #
@@ -915,12 +917,11 @@ class MatrixRunner:
         ``cell:none/FGSM/VBPR``, ...) that must rebuild even when a
         valid artifact exists.  Model nodes (surrogate, BPR-MF, retrained
         defenses and their recommenders) resolve first, in
-        :func:`matrix_node_order`; then each defense's column of cells.
+        :func:`matrix_nodes` order; then each defense's column of cells.
         """
         config = self.config
-        order = matrix_node_order(config)
         force_set = set(force or ())
-        unknown = force_set.difference(name for name, _ in order)
+        unknown = force_set.difference(name for name, _ in matrix_node_order(config))
         if unknown:
             raise ValueError(f"unknown matrix nodes in force={sorted(unknown)}")
 
@@ -938,73 +939,58 @@ class MatrixRunner:
             base_stages=list(base_manifest.stages),
         )
 
-        models: Dict[str, Any] = {}
-        for name, kind in order:
-            if kind == "matrix_cell":
+        # Node values by name, starting from the base recommenders the
+        # identity-ingest defenses' cells point at.
+        models: Dict[str, Any] = {"vbpr": base.vbpr, "amr": base.amr}
+        for node in self.nodes:
+            if node.build is None:
                 continue
-            deps, build, unpack = self._model_node(name, kind, base, models)
-            node = self._stored(name, kind, deps)
-            with span(f"matrix.{name}", fingerprint=node.fingerprint):
+            stored = self._stored(node)
+            with span(f"matrix.{node.name}", fingerprint=stored.fingerprint):
                 loaded, outcome, reason = load_node(
-                    self.store, node, hashes, name in force_set
+                    self.store, stored, hashes, node.name in force_set
                 )
                 if loaded is not None:
-                    models[name] = unpack(loaded.arrays, loaded.meta)
-                    self._log(f"node {name}: loaded from store ({node.fingerprint})")
+                    models[node.name] = node.unpack(
+                        base, models, loaded.arrays, loaded.meta
+                    )
+                    self._log(f"node {node.name}: loaded from store ({stored.fingerprint})")
                 else:
                     watch = Stopwatch()
-                    arrays, meta = build()
-                    models[name] = unpack(arrays, meta)
+                    arrays, meta = node.build(base, models)
+                    models[node.name] = node.unpack(base, models, arrays, meta)
                     outcome = save_node(
-                        self.store, node, hashes, arrays, meta, watch.elapsed(), reason
+                        self.store, stored, hashes, arrays, meta, watch.elapsed(), reason
                     )
-                    self._log(f"node {name}: built ({reason})")
+                    self._log(f"node {node.name}: built ({reason})")
             manifest.nodes.append(outcome)
 
-        surrogate: Optional[TinyResNet] = models.get("surrogate")
         bprmf: Optional[BPRMF] = models.get("recommender:shared/BPRMF")
-        bprmf_scores = bprmf_top_n = None
+        control = None
         if bprmf is not None:
-            bprmf_scores = bprmf.score_all()
-            bprmf_top_n = bprmf.top_n(
+            scores = bprmf.score_all()
+            top_n = bprmf.top_n(
                 min(config.base.cutoff, base.dataset.num_items),
                 feedback=base.dataset.feedback,
-                scores=bprmf_scores,
+                scores=scores,
             )
+            control = (scores, top_n)
 
-        scenarios = paper_scenarios(base.dataset.name, base.dataset.registry)
-        rows_by_cell: Dict[Tuple[str, str, str], List[Dict[str, Any]]] = {}
-
+        by_name = {node.name: node for node in self.nodes}
+        rows_by_cell: Dict[str, List[Dict[str, Any]]] = {}
         for defense in config.defenses:
-            if defense in RETRAINING_DEFENSES:
-                runtime = models[f"defense:{defense}"]
-                rec_models = {
-                    rec: models[f"recommender:{defense}/{rec}"]
-                    for rec in config.recommenders
-                    if rec in VISUAL_RECOMMENDERS
-                }
-            else:
-                runtime = self._base_runtime(defense, base)
+            if defense not in RETRAINING_DEFENSES:
                 # The deployed state of identity-ingest defenses *is* the
                 # base features artifact; chain their content identity
                 # through it.
                 hashes[f"defense:{defense}"] = hashes.get("features", "")
-                rec_models = {
-                    rec: base.recommender(rec)
-                    for rec in config.recommenders
-                    if rec in VISUAL_RECOMMENDERS
-                }
 
             # Load every still-valid cell of this defense's column first;
             # only the misses pay for crafting and measurement.
             pending: Dict[Tuple[str, str], Tuple[StoredNode, str]] = {}
             for attack in config.attacks:
                 for rec in config.recommenders:
-                    node = self._stored(
-                        cell_name(defense, attack, rec),
-                        "matrix_cell",
-                        self._cell_deps(defense, attack, rec),
-                    )
+                    node = self._stored(by_name[cell_name(defense, attack, rec)])
                     loaded, outcome, reason = load_node(
                         self.store, node, hashes, node.name in force_set
                     )
@@ -1012,7 +998,7 @@ class MatrixRunner:
                         pending[(attack, rec)] = (node, reason)
                         continue
                     self._log(f"node {node.name}: loaded from store ({node.fingerprint})")
-                    rows_by_cell[(defense, attack, rec)] = list(loaded.meta["rows"])
+                    rows_by_cell[node.name] = list(loaded.meta["rows"])
                     manifest.nodes.append(outcome)
                     skipped = list(loaded.meta.get("skipped_scenarios", []))
                     if skipped:
@@ -1021,95 +1007,28 @@ class MatrixRunner:
             if not pending:
                 continue
 
-            pipelines: Dict[str, TAaMRPipeline] = {}
-            for rec in VISUAL_RECOMMENDERS:
-                if any(r == rec for _, r in pending):
-                    pipelines[rec] = TAaMRPipeline(
-                        base.dataset,
-                        runtime.extractor,
-                        rec_models[rec],
-                        cutoff=config.base.cutoff,
-                        precomputed=CatalogState(
-                            item_classes=runtime.item_classes,
-                            raw_features=runtime.raw_features,
-                            features=runtime.features,
-                            clean_scores=runtime.clean_scores.get(rec),
-                        ),
-                    )
-            scratch = (
-                FeatureScratch(next(iter(pipelines.values())).clean_features)
-                if pipelines
-                else None
+            runtime = (
+                models[f"defense:{defense}"]
+                if defense in RETRAINING_DEFENSES
+                else self._base_runtime(defense, base)
             )
-            attacks_needed = [a for a in config.attacks if any(x == a for x, _ in pending)]
-            fresh: Dict[Tuple[str, str], List[Dict[str, Any]]] = {
-                key: [] for key in pending
-            }
-            skipped: List[str] = []
             timer = Stopwatch()
-            for scenario in scenarios:
-                registry = base.dataset.registry
-                target_class = registry.by_name(scenario.target).category_id
-                source_items = np.flatnonzero(
-                    runtime.item_classes
-                    == registry.by_name(scenario.source).category_id
-                )
-                if source_items.size == 0:
-                    skipped.append(f"{scenario.source}->{scenario.target}")
-                    continue
-                deployed_original = runtime.item_classes[source_items]
-                images = base.dataset.images[source_items]
-                for attack in attacks_needed:
-                    cells = self._craft_cells(
-                        runtime,
-                        surrogate,
-                        attack,
-                        scenario,
-                        images,
-                        source_items,
-                        target_class,
-                    )
-                    if attack == "TRANSFER" or runtime.derives_cells:
-                        cells = _derive_deployed_cells(
-                            runtime,
-                            cells,
-                            source_items,
-                            deployed_original,
-                            target_class,
-                            reuse_predictions=attack != "TRANSFER",
-                        )
-                    for rec in config.recommenders:
-                        if (attack, rec) not in fresh:
-                            continue
-                        if rec == "BPRMF":
-                            outcomes = _bprmf_outcomes(
-                                bprmf,
-                                bprmf_scores,
-                                bprmf_top_n,
-                                runtime,
-                                base.dataset,
-                                scenario,
-                                attack,
-                                cells,
-                                source_items,
-                            )
-                        else:
-                            outcomes = pipelines[rec].outcomes_from_cells(
-                                scenario, attack, cells, scratch=scratch
-                            )
-                        for outcome in outcomes:
-                            row = _grid_row(rec, outcome, config.base.ladder_mode)
-                            row["defense"] = defense
-                            row["flagged_items"] = int(
-                                outcome.attack_metadata.get("screen_flagged", 0)
-                            )
-                            fresh[(attack, rec)].append(row)
-
+            outcomes, skipped_scenarios = self._measure_column(
+                runtime, list(pending), base, models, control
+            )
+            skipped = [f"{s.source}->{s.target}" for s in skipped_scenarios]
             if skipped:
                 manifest.skipped_scenarios[defense] = skipped
             share = timer.elapsed() / len(pending)
             for (attack, rec), (node, reason) in pending.items():
-                rows = fresh[(attack, rec)]
+                rows = [
+                    {
+                        **_grid_row(rec, outcome, config.base.ladder_mode),
+                        "defense": defense,
+                        "flagged_items": int(outcome.attack_metadata.get("screen_flagged", 0)),
+                    }
+                    for outcome in outcomes[(attack, rec)]
+                ]
                 outcome = save_node(
                     self.store,
                     node,
@@ -1121,26 +1040,20 @@ class MatrixRunner:
                 )
                 self._log(f"node {node.name}: built ({reason})")
                 manifest.nodes.append(outcome)
-                rows_by_cell[(defense, attack, rec)] = rows
+                rows_by_cell[node.name] = rows
 
-        all_rows: List[Dict[str, Any]] = []
-        for defense in config.defenses:
-            for attack in config.attacks:
-                for rec in config.recommenders:
-                    all_rows.extend(rows_by_cell.get((defense, attack, rec), []))
-
+        all_rows = [
+            row
+            for node in self.nodes
+            if node.kind == "matrix_cell"
+            for row in rows_by_cell[node.name]
+        ]
         manifest.attack_stats = attack_stats_from_rows(all_rows)
         manifest.success_rates = success_rates_by_attack(all_rows)
         return (
             MatrixResults(config=config, rows=all_rows, base=base, bprmf=bprmf),
             manifest,
         )
-
-    def _cell_deps(self, defense: str, attack: str, rec: str) -> Tuple[str, ...]:
-        deps = [f"defense:{defense}", recommender_node(defense, rec)]
-        if attack == "TRANSFER":
-            deps.append("surrogate")
-        return tuple(deps)
 
 
 def run_matrix(

@@ -8,9 +8,11 @@ from one set of attack executions.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..attacks import (
     FGSM,
@@ -32,7 +34,7 @@ from ..core import (
     paper_scenarios,
 )
 from ..telemetry import active_metrics, span
-from .context import ExperimentContext
+from .stages import ExperimentContext, _pipelines
 
 GRID_ATTACK_NAMES = ("FGSM", "PGD")
 
@@ -128,7 +130,6 @@ def build_ladder(
     pgd_steps: int = 10,
     seed: int = 0,
     options: Optional[Dict[str, float]] = None,
-    batch_size: int = 32,
 ) -> EpsilonLadder:
     """The :class:`EpsilonLadder` for one attack of ``LADDER_ATTACKS``.
 
@@ -138,11 +139,9 @@ def build_ladder(
     configuration.  ``epsilons`` are on the [0, 1] pixel scale.
     """
     options = dict(options or {})
-    num_steps = pgd_steps
-    decay = 1.0
-    if name == "MIM":
-        num_steps = int(options.pop("num_steps", pgd_steps))
-        decay = float(options.pop("decay", 1.0))
+    mim = name == "MIM"
+    num_steps = int(options.pop("num_steps", pgd_steps)) if mim else pgd_steps
+    decay = float(options.pop("decay", 1.0)) if mim else 1.0
     if options:
         raise ValueError(f"unused options for attack '{name}': {sorted(options)}")
     return EpsilonLadder(
@@ -153,7 +152,6 @@ def build_ladder(
         num_steps=num_steps,
         decay=decay,
         seed=seed,
-        batch_size=batch_size,
     )
 
 
@@ -209,67 +207,92 @@ def fallback_ladder_cells(
     return cells
 
 
-def ladder_grid_outcomes(
-    classifier,
-    pipelines: "Mapping[str, TAaMRPipeline]",
+#: One recommender's measurement of crafted cells:
+#: ``measure(scenario, attack_name, cells)`` → one outcome per cell.
+Measure = Callable[[AttackScenario, str, Sequence[LadderCell]], List[AttackOutcome]]
+
+
+@dataclass(frozen=True)
+class Craft:
+    """What one grid attack crafts on.
+
+    ``attack`` runs on ``classifier`` (the matrix's TRANSFER crafts PGD
+    on a surrogate).  ``classes`` are the catalog classes the adversary
+    starts from; ``None`` asks ``classifier`` for the cohort's own
+    predictions.  ``options`` are :func:`build_cell_attack` knobs.
+    """
+
+    classifier: Any
+    attack: str
+    classes: Optional[np.ndarray] = None
+    options: Optional[Dict[str, float]] = None
+
+
+def grid_outcomes(
+    crafts: Mapping[str, Craft],
+    item_classes: np.ndarray,
+    dataset,
     scenarios: Sequence[AttackScenario],
+    measures: Mapping[str, Measure],
     epsilons_255: Sequence[float],
     pgd_steps: int,
     seed: int,
     mode: str,
-    batch_size: int = 32,
-    attack_names: Sequence[str] = GRID_ATTACK_NAMES,
-    attack_options: Optional[Mapping[str, Dict[str, float]]] = None,
-) -> Dict[str, List[AttackOutcome]]:
-    """Run the ε-ladder grid once and measure it per recommender.
+    deliver: Optional[Callable[..., List[LadderCell]]] = None,
+    skip_empty: bool = False,
+) -> Tuple[Dict[Tuple[str, str], List[AttackOutcome]], List[AttackScenario]]:
+    """Craft every (scenario, attack) once and measure it per recommender.
 
-    The attack, feature re-extraction and visual metrics of a cell
-    depend only on the classifier, so one :class:`EpsilonLadder` run per
-    (scenario, attack) serves every pipeline in ``pipelines`` — only
-    re-scoring and CHR bookkeeping execute per recommender.  Outcomes
-    come back per recommender in the canonical per-cell order
-    (scenario → ε → attack), so tables and stored grid rows are laid out
-    exactly as the legacy loop produced them.
+    The one attack-grid loop: the ``attack_grid`` stage,
+    :func:`run_attack_grids` and every defense column of the scenario
+    matrix run through it.  A scenario's cohort is the items
+    ``item_classes`` assigns to its source category.  Attacks of
+    ``LADDER_ATTACKS`` run one :class:`EpsilonLadder` per (scenario,
+    attack); CW and NES degrade per attack to one per-cell run per ε
+    (:func:`fallback_ladder_cells`).  ``deliver(attack_name, cells,
+    source_items, target_class)`` may re-measure the crafted cells on
+    the deployed system before any recommender sees them.  Crafting,
+    re-extraction and (memoised on the cells) the visual metrics run
+    once; only ``measures`` repeat per recommender.
 
-    FGSM, PGD and MIM run on the ladder.  ``attack_names`` may also
-    include the attacks without a batched ladder path (CW/NES): those
-    degrade gracefully to one per-cell run per (scenario, attack) via
-    :func:`fallback_ladder_cells` — per attack, never for the whole
-    grid — and bump the ``attack_ladder.fallback`` counter.
-    ``attack_options`` carries per-attack knobs (see
-    :func:`build_cell_attack`); MIM's ``num_steps`` and ``decay`` reach
-    its ladder, and without options MIM takes ``pgd_steps`` steps.
-
-    All pipelines must share one catalog classification (identical
-    ``item_classes``/``clean_features``), which holds for pipelines of
-    one experiment context or stage run.
+    Returns outcomes per ``(attack, recommender)`` in scenario → ε
+    order, plus the scenarios skipped for an empty cohort — without
+    ``skip_empty`` an empty cohort raises ``ValueError`` instead.
     """
     epsilons = tuple(epsilon_from_255(eps) for eps in epsilons_255)
-    first = next(iter(pipelines.values()))
-    scratch = FeatureScratch(first.clean_features)
-    outcomes: Dict[str, List[AttackOutcome]] = {name: [] for name in pipelines}
+    registry = dataset.registry
+    outcomes: Dict[Tuple[str, str], List[AttackOutcome]] = {
+        (attack, name): [] for attack in crafts for name in measures
+    }
+    skipped: List[AttackScenario] = []
     for scenario in scenarios:
-        target_class = first.dataset.registry.by_name(scenario.target).category_id
-        source_items = first.category_items(scenario.source)
+        target_class = registry.by_name(scenario.target).category_id
+        source_items = np.flatnonzero(
+            item_classes == registry.by_name(scenario.source).category_id
+        )
         if source_items.size == 0:
-            raise ValueError(
-                f"classifier assigns no items to source category '{scenario.source}'"
+            if not skip_empty:
+                raise ValueError(
+                    f"classifier assigns no items to source category '{scenario.source}'"
+                )
+            skipped.append(scenario)
+            continue
+        images = dataset.images[source_items]
+        for attack_name, craft in crafts.items():
+            original = (
+                craft.classifier.predict(images)
+                if craft.classes is None
+                else craft.classes[source_items]
             )
-        images = first.dataset.images[source_items]
-        original = first.item_classes[source_items]
-        cells_by_attack = {}
-        for attack_name in attack_names:
-            options = (attack_options or {}).get(attack_name)
-            if attack_name in LADDER_ATTACKS:
+            if craft.attack in LADDER_ATTACKS:
                 ladder = build_ladder(
-                    attack_name,
-                    classifier,
+                    craft.attack,
+                    craft.classifier,
                     epsilons,
                     mode,
                     pgd_steps=pgd_steps,
                     seed=seed,
-                    options=options,
-                    batch_size=batch_size,
+                    options=craft.options,
                 )
                 with span(
                     "attack_grid.ladder",
@@ -279,44 +302,50 @@ def ladder_grid_outcomes(
                     mode=mode,
                     items=int(source_items.size),
                 ):
-                    cells_by_attack[attack_name] = ladder.run(
-                        images, target_class, original_predictions=original
-                    )
+                    cells = ladder.run(images, target_class, original_predictions=original)
             else:
-                cells_by_attack[attack_name] = fallback_ladder_cells(
-                    classifier,
-                    attack_name,
+                cells = fallback_ladder_cells(
+                    craft.classifier,
+                    craft.attack,
                     images,
                     target_class,
                     original,
                     epsilons_255,
                     pgd_steps=pgd_steps,
                     seed=seed,
-                    options=options,
+                    options=craft.options,
                 )
-        for name, pipeline in pipelines.items():
-            measured = {
-                attack_name: pipeline.outcomes_from_cells(
-                    scenario, attack_name, cells_by_attack[attack_name], scratch=scratch
-                )
-                for attack_name in attack_names
-            }
-            for index in range(len(epsilons)):
-                for attack_name in attack_names:
-                    outcomes[name].append(measured[attack_name][index])
-    return outcomes
+            if deliver is not None:
+                cells = deliver(attack_name, cells, source_items, target_class)
+            for name, measure in measures.items():
+                outcomes[(attack_name, name)].extend(measure(scenario, attack_name, cells))
+    return outcomes, skipped
 
 
-def _build_pipeline(context: ExperimentContext, recommender_name: str) -> TAaMRPipeline:
-    return TAaMRPipeline(
-        context.dataset,
-        context.extractor,
-        context.recommender(recommender_name),
-        cutoff=context.config.cutoff,
-        # Contexts built through the stage DAG carry the catalog
-        # classifier pass; reusing it skips one full forward here.
-        precomputed=context.catalog_state(),
-    )
+def pipeline_measures(pipelines: Mapping[str, TAaMRPipeline]) -> Dict[str, Measure]:
+    """Each pipeline's ``outcomes_from_cells``, sharing one feature scratch.
+
+    All pipelines must share one catalog classification (identical
+    ``item_classes``/``clean_features``), which holds for the pipelines
+    of one stage run or one matrix defense.
+    """
+    if not pipelines:
+        return {}
+    scratch = FeatureScratch(next(iter(pipelines.values())).clean_features)
+    return {
+        name: partial(pipeline.outcomes_from_cells, scratch=scratch)
+        for name, pipeline in pipelines.items()
+    }
+
+
+def grid_order(
+    outcomes: Mapping[Tuple[str, str], List[AttackOutcome]],
+    attack_names: Sequence[str],
+    recommender_name: str,
+) -> List[AttackOutcome]:
+    """One recommender's outcomes in the grid's scenario → ε → attack order."""
+    per_attack = [outcomes[(attack, recommender_name)] for attack in attack_names]
+    return [outcome for cell in zip(*per_attack) for outcome in cell]
 
 
 def run_attack_grids(
@@ -339,30 +368,30 @@ def run_attack_grids(
     """
     config = context.config
     names = [name.upper() for name in recommender_names]
-    pipelines = OrderedDict((name, _build_pipeline(context, name)) for name in names)
+    pipelines = _pipelines(context, names, config.cutoff)
     resolved_scenarios = (
         list(scenarios)
         if scenarios is not None
         else paper_scenarios(context.dataset.name, context.dataset.registry)
     )
-    outcomes = ladder_grid_outcomes(
-        context.classifier,
-        pipelines,
+    attacks = tuple(attack_names) if attack_names is not None else GRID_ATTACK_NAMES
+    outcomes, _ = grid_outcomes(
+        {name: Craft(context.classifier, name, context.item_classes) for name in attacks},
+        context.item_classes,
+        context.dataset,
         resolved_scenarios,
+        pipeline_measures(pipelines),
         tuple(epsilons_255) if epsilons_255 is not None else config.epsilons_255,
-        pgd_steps=config.pgd_steps,
-        seed=config.seed,
-        mode=config.ladder_mode,
-        attack_names=(
-            tuple(attack_names) if attack_names is not None else GRID_ATTACK_NAMES
-        ),
+        config.pgd_steps,
+        config.seed,
+        config.ladder_mode,
     )
     return [
         AttackGrid(
             recommender_name=name,
             pipeline=pipelines[name],
             scenarios=resolved_scenarios,
-            outcomes=outcomes[name],
+            outcomes=grid_order(outcomes, attacks, name),
         )
         for name in names
     ]
@@ -390,7 +419,7 @@ def per_cell_grid(context: ExperimentContext, recommender_name: str) -> AttackGr
     engine mode: the ladder tests call it directly.
     """
     config = context.config
-    pipeline = _build_pipeline(context, recommender_name)
+    pipeline = _pipelines(context, [recommender_name], config.cutoff)[recommender_name]
     scenarios = paper_scenarios(context.dataset.name, context.dataset.registry)
     outcomes: List[AttackOutcome] = []
     for scenario in scenarios:

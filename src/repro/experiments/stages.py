@@ -265,8 +265,11 @@ class StageResults:
     clean_top_n: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     grid_rows: List[Dict[str, Any]] = field(default_factory=list, repr=False)
     tables_text: Optional[str] = None
+    #: The run's provenance record; :func:`build_context` attaches it.
+    manifest: Optional[RunManifest] = field(default=None, repr=False)
 
     def recommender(self, name: str) -> VBPR:
+        """Look up a model by the names used in the paper's tables."""
         key = name.strip().upper()
         if key == "VBPR" and self.vbpr is not None:
             return self.vbpr
@@ -538,38 +541,44 @@ def _grid_row(recommender_name: str, outcome, ladder_mode: str) -> Dict[str, Any
     }
 
 
-def _build_attack_grid(results: StageResults) -> None:
-    # Late import: runner → context → stages would cycle at module level.
-    from .runner import ladder_grid_outcomes
-
-    config = results.config
-    scenarios = paper_scenarios(results.dataset.name, results.dataset.registry)
-    pipelines = {
+def _pipelines(
+    results: StageResults, names: Sequence[str], cutoff: int
+) -> Dict[str, TAaMRPipeline]:
+    """One warm-started pipeline per named recommender of ``results``."""
+    return {
         name: TAaMRPipeline(
             results.dataset,
             results.extractor,
             results.recommender(name),
-            cutoff=config.cutoff,
+            cutoff=cutoff,
             precomputed=results.catalog_state(name),
         )
-        for name in RECOMMENDER_NAMES
+        for name in names
     }
-    # One ladder run per (scenario, attack) serves both recommenders:
-    # attacks, re-extraction and visual metrics are classifier-side work,
-    # so only re-scoring repeats per recommender.
-    outcomes_by_name = ladder_grid_outcomes(
-        results.classifier,
-        pipelines,
-        scenarios,
+
+
+def _build_attack_grid(results: StageResults) -> None:
+    from . import runner  # late import: runner imports this module
+
+    config = results.config
+    attacks = runner.GRID_ATTACK_NAMES
+    classifier, classes = results.classifier, results.item_classes
+    pipelines = _pipelines(results, RECOMMENDER_NAMES, config.cutoff)
+    outcomes, _ = runner.grid_outcomes(
+        {name: runner.Craft(classifier, name, classes) for name in attacks},
+        classes,
+        results.dataset,
+        paper_scenarios(results.dataset.name, results.dataset.registry),
+        runner.pipeline_measures(pipelines),
         config.epsilons_255,
-        pgd_steps=config.pgd_steps,
-        seed=config.seed,
-        mode=config.ladder_mode,
+        config.pgd_steps,
+        config.seed,
+        config.ladder_mode,
     )
     results.grid_rows = [
         _grid_row(name, outcome, config.ladder_mode)
         for name in RECOMMENDER_NAMES
-        for outcome in outcomes_by_name[name]
+        for outcome in runner.grid_order(outcomes, attacks, name)
     ]
 
 
@@ -616,7 +625,7 @@ def rows_to_grids(rows: Sequence[Dict[str, Any]]):
     ``scenarios``, ``cells``), so cached and freshly-built attack grids
     render byte-identical tables.
     """
-    from .runner import AttackGrid  # late import; runner pulls in context
+    from .runner import AttackGrid  # late import; runner imports this module
 
     grids = []
     for name in sorted({row["recommender"] for row in rows}, key=RECOMMENDER_NAMES.index):
@@ -955,6 +964,40 @@ def run_stages(
 ) -> Tuple[StageResults, RunManifest]:
     """One-shot convenience wrapper around :class:`StageRunner`."""
     return StageRunner(config, store=store, verbose=verbose).run(stages=stages, force=force)
+
+
+#: The trained context benchmarks and examples consume: the results of
+#: the training sub-graph, under their historical name.
+ExperimentContext = StageResults
+
+_CONTEXT_REGISTRY: Dict[str, StageResults] = {}
+
+
+def build_context(
+    config: ExperimentConfig, cache_dir: Optional[str] = None, verbose: bool = False
+) -> StageResults:
+    """Build (or fetch) the trained context for ``config``.
+
+    Runs the training sub-graph (``dataset`` through ``vbpr``/``amr``)
+    against the artifact store rooted at ``cache_dir`` and returns that
+    run's results, its manifest attached as ``context.manifest``.
+    Contexts are cached in process by config hash, so the Table II–IV
+    benchmarks share one trained system.
+    """
+    key = config.cache_key()
+    if key not in _CONTEXT_REGISTRY:
+        store = ArtifactStore(cache_dir) if cache_dir else None
+        results, manifest = run_stages(
+            config, store=store, stages=("vbpr", "amr"), verbose=verbose
+        )
+        results.manifest = manifest
+        _CONTEXT_REGISTRY[key] = results
+    return _CONTEXT_REGISTRY[key]
+
+
+def clear_context_registry() -> None:
+    """Drop all in-process cached contexts (used by tests)."""
+    _CONTEXT_REGISTRY.clear()
 
 
 def format_plan(plans: Sequence[StagePlan]) -> str:

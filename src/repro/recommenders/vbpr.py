@@ -286,22 +286,3 @@ class VBPR(Recommender):
             + self.visual_user_factors[user_ids] @ visual_items.T
             + (feats @ self.visual_bias)[None, :]
         )
-
-    def score_items(self, item_features: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
-        """Scores of selected items for all users, given replacement features.
-
-        Cheap post-attack rescoring: only the attacked columns of the
-        score matrix change, so callers can patch them in place.
-        """
-        self._require_fitted()
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        item_features = np.asarray(item_features, dtype=np.float64)
-        if item_features.shape != (item_ids.shape[0], self.feature_dim):
-            raise ValueError("item_features must have shape (len(item_ids), D)")
-        visual_items = item_features @ self.embedding
-        return (
-            self.item_bias[item_ids][None, :]
-            + self.user_factors @ self.item_factors[item_ids].T
-            + self.visual_user_factors @ visual_items.T
-            + (item_features @ self.visual_bias)[None, :]
-        )

@@ -313,30 +313,31 @@ class TestMatrixRun:
             MatrixRunner(config).run(force=("cell:nope/FGSM/VBPR",))
 
     def test_none_column_matches_attack_grid(self, cold, config, store_root):
-        """The undefended FGSM/VBPR cells must be bitwise identical to
-        the static ``attack_grid`` path — the matrix generalises the
-        stage, it must not drift from it."""
-        from repro.experiments import build_context, clear_context_registry
-        from repro.experiments.runner import run_attack_grid
-        from repro.experiments.stages import _grid_row
+        """Every undefended FGSM/PGD × VBPR/AMR cell must be bitwise
+        identical to the static ``attack_grid`` stage's rows, in the
+        stage's order (per recommender: scenario → ε → attack) — the
+        matrix generalises the stage, it must not drift from it."""
+        from repro.experiments import StageRunner
 
-        fresh, _ = cold
-        clear_context_registry()
-        try:
-            context = build_context(config.base, cache_dir=store_root)
-            grid = run_attack_grid(context, "VBPR", attack_names=("FGSM",))
-        finally:
-            clear_context_registry()
-        expected = [
-            _grid_row("VBPR", outcome, config.base.ladder_mode)
-            for outcome in grid.outcomes
-        ]
-        got = [
-            {k: v for k, v in row.items() if k not in ("defense", "flagged_items")}
-            for row in fresh.select(defense="none", attack="FGSM", recommender="VBPR")
-        ]
-        key = lambda row: (row["source"], row["target"], row["epsilon_255"])
-        assert sorted(got, key=key) == sorted(expected, key=key)
+        store = ArtifactStore(store_root)
+        grid, _ = StageRunner(config.base, store=store).run(stages=["attack_grid"])
+        undefended = make_config(
+            attacks=("FGSM", "PGD"), defenses=("none",), recommenders=("VBPR", "AMR")
+        )
+        results, _ = run_matrix(undefended, store=store)
+
+        def stage_order(rec):
+            fgsm, pgd = (
+                [
+                    {k: v for k, v in row.items() if k not in ("defense", "flagged_items")}
+                    for row in results.select("none", attack, rec)
+                ]
+                for attack in ("FGSM", "PGD")
+            )
+            return [row for pair in zip(fgsm, pgd) for row in pair]
+
+        assert grid.grid_rows
+        assert stage_order("VBPR") + stage_order("AMR") == grid.grid_rows
 
     def test_mim_cells_ride_the_ladder_with_their_options(self, cold, store_root):
         """MIM crafts through the ε-ladder with ``mim_steps``/``mim_decay``,

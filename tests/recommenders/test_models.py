@@ -88,15 +88,6 @@ class TestVBPR:
         shifted = model.score_all(features=features + 1.0)
         assert not np.allclose(clean, shifted)
 
-    def test_score_items_matches_score_all_columns(self, dataset, features):
-        model = VBPR(
-            dataset.num_users, dataset.num_items, features, VBPRConfig(epochs=5)
-        ).fit(dataset.feedback)
-        item_ids = np.array([3, 17, 40])
-        columns = model.score_items(features[item_ids], item_ids)
-        full = model.score_all()
-        np.testing.assert_allclose(columns, full[:, item_ids], atol=1e-10)
-
     def test_feature_validation(self, dataset, features):
         with pytest.raises(ValueError):
             VBPR(dataset.num_users, dataset.num_items, features[:-1])

@@ -42,15 +42,6 @@ def fitted_vbpr(draw):
 class TestScoringInvariants:
     @given(fitted_vbpr())
     @settings(max_examples=20, deadline=None)
-    def test_score_items_matches_score_all(self, case):
-        model, _, features, rng = case
-        item_ids = rng.choice(model.num_items, size=3, replace=False)
-        columns = model.score_items(features[item_ids], item_ids)
-        full = model.score_all()
-        np.testing.assert_allclose(columns, full[:, item_ids], atol=1e-9)
-
-    @given(fitted_vbpr())
-    @settings(max_examples=20, deadline=None)
     def test_scores_finite(self, case):
         model, _, _, _ = case
         assert np.isfinite(model.score_all()).all()
