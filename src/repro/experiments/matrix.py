@@ -313,7 +313,6 @@ def matrix_nodes(config: MatrixConfig) -> List[MatrixNode]:
     in its feature space.  Every defense's column of cells follows.
     """
     experiment = config.base
-    on_dataset = {"dataset": "dataset"}
     nodes: List[MatrixNode] = []
     if "TRANSFER" in config.attacks:
         seed = config.transfer_seed
@@ -322,7 +321,7 @@ def matrix_nodes(config: MatrixConfig) -> List[MatrixNode]:
             MatrixNode(
                 "surrogate",
                 "matrix_surrogate",
-                on_dataset,
+                {"dataset": "dataset"},
                 payload,
                 build=lambda base, models: (
                     _train_classifier(experiment, base.dataset, seed)[0].state_dict(),
@@ -339,7 +338,7 @@ def matrix_nodes(config: MatrixConfig) -> List[MatrixNode]:
             MatrixNode(
                 "recommender:shared/BPRMF",
                 "matrix_bprmf",
-                on_dataset,
+                {"dataset": "dataset"},
                 experiment.field_fingerprint(("recommender_epochs", "seed")),
                 *_fitted(
                     lambda base, models: BPRMF(
@@ -846,12 +845,12 @@ class MatrixRunner:
     def _measure_column(
         self,
         runtime: DefenseRuntime,
-        cells: Sequence[Tuple[str, str]],
+        pairs: Sequence[Tuple[str, str]],
         base: StageResults,
         models: Dict[str, Any],
         control: Optional[Tuple[np.ndarray, np.ndarray]],
     ) -> Tuple[Dict[Tuple[str, str], List[AttackOutcome]], List[AttackScenario]]:
-        """Craft and measure one defense's ``(attack, recommender)`` cells.
+        """Craft and measure one defense's ``(attack, recommender)`` ``pairs``.
 
         The matrix's own parts ride into the attack-grid loop: TRANSFER
         crafts PGD on the surrogate, :func:`_deliver` re-measures cells
@@ -860,21 +859,19 @@ class MatrixRunner:
         from the classes the adversary sees.
         """
         config = self.config
-        attacks = [a for a in config.attacks if any(a == attack for attack, _ in cells)]
-        recs = [r for r in config.recommenders if any(r == rec for _, rec in cells)]
+        attacks = [a for a in config.attacks if any(a == attack for attack, _ in pairs)]
+        recs = [r for r in config.recommenders if any(r == rec for _, rec in pairs)]
         crafts = {
-            attack: (
-                Craft(models["surrogate"], "PGD")
-                if attack == "TRANSFER"
-                else Craft(
-                    runtime.classifier,
-                    attack,
-                    runtime.attack_item_classes,
-                    config.attack_options(attack),
-                )
+            attack: Craft(
+                runtime.classifier,
+                attack,
+                runtime.attack_item_classes,
+                config.attack_options(attack),
             )
             for attack in attacks
         }
+        if "TRANSFER" in crafts:
+            crafts["TRANSFER"] = Craft(models["surrogate"], "PGD")
         measures = pipeline_measures(
             {
                 rec: TAaMRPipeline(
@@ -907,6 +904,7 @@ class MatrixRunner:
             config.base.ladder_mode,
             deliver=partial(_deliver, runtime),
             skip_empty=True,
+            pairs=pairs,
         )
 
     # -- execution ------------------------------------------------------- #

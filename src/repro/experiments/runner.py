@@ -240,6 +240,7 @@ def grid_outcomes(
     mode: str,
     deliver: Optional[Callable[..., List[LadderCell]]] = None,
     skip_empty: bool = False,
+    pairs: Optional[Sequence[Tuple[str, str]]] = None,
 ) -> Tuple[Dict[Tuple[str, str], List[AttackOutcome]], List[AttackScenario]]:
     """Craft every (scenario, attack) once and measure it per recommender.
 
@@ -253,17 +254,18 @@ def grid_outcomes(
     source_items, target_class)`` may re-measure the crafted cells on
     the deployed system before any recommender sees them.  Crafting,
     re-extraction and (memoised on the cells) the visual metrics run
-    once; only ``measures`` repeat per recommender.
+    once; only ``measures`` repeat per recommender, for the ``pairs``
+    of ``(attack, recommender)`` asked for (default: every pair).
 
-    Returns outcomes per ``(attack, recommender)`` in scenario → ε
-    order, plus the scenarios skipped for an empty cohort — without
-    ``skip_empty`` an empty cohort raises ``ValueError`` instead.
+    Returns outcomes per pair in scenario → ε order, plus the scenarios
+    skipped for an empty cohort; without ``skip_empty`` an empty cohort
+    raises ``ValueError`` instead.
     """
     epsilons = tuple(epsilon_from_255(eps) for eps in epsilons_255)
     registry = dataset.registry
-    outcomes: Dict[Tuple[str, str], List[AttackOutcome]] = {
-        (attack, name): [] for attack in crafts for name in measures
-    }
+    if pairs is None:
+        pairs = [(attack, name) for attack in crafts for name in measures]
+    outcomes: Dict[Tuple[str, str], List[AttackOutcome]] = {pair: [] for pair in pairs}
     skipped: List[AttackScenario] = []
     for scenario in scenarios:
         target_class = registry.by_name(scenario.target).category_id
@@ -318,7 +320,8 @@ def grid_outcomes(
             if deliver is not None:
                 cells = deliver(attack_name, cells, source_items, target_class)
             for name, measure in measures.items():
-                outcomes[(attack_name, name)].extend(measure(scenario, attack_name, cells))
+                if (attack_name, name) in outcomes:
+                    outcomes[attack_name, name] += measure(scenario, attack_name, cells)
     return outcomes, skipped
 
 

@@ -269,7 +269,6 @@ class StageResults:
     manifest: Optional[RunManifest] = field(default=None, repr=False)
 
     def recommender(self, name: str) -> VBPR:
-        """Look up a model by the names used in the paper's tables."""
         key = name.strip().upper()
         if key == "VBPR" and self.vbpr is not None:
             return self.vbpr
@@ -976,13 +975,12 @@ _CONTEXT_REGISTRY: Dict[str, StageResults] = {}
 def build_context(
     config: ExperimentConfig, cache_dir: Optional[str] = None, verbose: bool = False
 ) -> StageResults:
-    """Build (or fetch) the trained context for ``config``.
+    """The results of the training sub-graph (``dataset`` … ``vbpr``/``amr``).
 
-    Runs the training sub-graph (``dataset`` through ``vbpr``/``amr``)
-    against the artifact store rooted at ``cache_dir`` and returns that
-    run's results, its manifest attached as ``context.manifest``.
-    Contexts are cached in process by config hash, so the Table II–IV
-    benchmarks share one trained system.
+    Runs against the artifact store rooted at ``cache_dir``; the run's
+    manifest is attached as ``context.manifest``.  Contexts are cached
+    in process by config hash, so the Table II–IV benchmarks share one
+    trained system.
     """
     key = config.cache_key()
     if key not in _CONTEXT_REGISTRY:
