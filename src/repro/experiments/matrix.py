@@ -919,7 +919,7 @@ class MatrixRunner:
         """
         config = self.config
         force_set = set(force or ())
-        unknown = force_set.difference(name for name, _ in matrix_node_order(config))
+        unknown = force_set.difference(node.name for node in self.nodes if node.kind)
         if unknown:
             raise ValueError(f"unknown matrix nodes in force={sorted(unknown)}")
 
