@@ -296,26 +296,31 @@ class TAaMRPipeline:
         attack: GradientAttack,
         attack_name: Optional[str] = None,
     ) -> AttackOutcome:
-        """Run one TAaMR attack and measure its effect end to end.
-
-        The unbatched path: one attack run becomes one cell, measured
-        exactly as the grid measures ladder cells.
-        """
-        name = attack_name or type(attack).__name__
+        """Run one TAaMR attack and measure its effect end to end."""
+        registry = self.dataset.registry
+        target_class = registry.by_name(scenario.target).category_id
         source_items = self.category_items(scenario.source)
         if source_items.size == 0:
             raise ValueError(
                 f"classifier assigns no items to source category '{scenario.source}'"
             )
+        target_items = self.category_items(scenario.target)
+
+        clean_images = self.dataset.images[source_items]
         # The catalog was classified once at construction; slicing those
         # predictions saves the attack one full clean forward pass.
-        with span("pipeline.attack", attack=name, items=int(source_items.size)):
+        with span(
+            "pipeline.attack",
+            attack=attack_name or type(attack).__name__,
+            items=int(source_items.size),
+        ):
             result: AttackResult = invoke_attack(
                 attack,
-                self.dataset.images[source_items],
-                self.dataset.registry.by_name(scenario.target).category_id,
+                clean_images,
+                target_class,
                 original_predictions=self.item_classes[source_items],
             )
+
         # The deployed system re-extracts features from the swapped images.
         # One extraction serves both the recommender (standardised) and the
         # PSM metric (raw); the clean side comes from the cached catalog
@@ -324,8 +329,43 @@ class TAaMRPipeline:
             adversarial_raw = self.extractor.model.extract_features(
                 result.adversarial_images, batch_size=self.extractor.batch_size
             )
-        cell = LadderCell(attack.epsilon, result, raw_features=adversarial_raw)
-        return self.outcomes_from_cells(scenario, name, [cell])[0]
+        with span("pipeline.rescore"):
+            features_after = self.clean_features.copy()
+            features_after[source_items] = self.extractor.transform_raw_features(
+                adversarial_raw
+            )
+            scores_after = self.recommender.score_all(features=features_after)
+            top_after = self.recommender.top_n(
+                self.cutoff, feedback=self.dataset.feedback, scores=scores_after
+            )
+
+        with span("pipeline.visual_metrics"):
+            visual = VisualQuality(
+                psnr=float(np.mean(batch_psnr(clean_images, result.adversarial_images))),
+                ssim=float(np.mean(batch_ssim(clean_images, result.adversarial_images))),
+                psm=float(
+                    np.mean(
+                        psm_from_features(
+                            self.clean_raw_features[source_items], adversarial_raw
+                        )
+                    )
+                ),
+            )
+
+        return AttackOutcome(
+            scenario=scenario,
+            attack_name=attack_name or type(attack).__name__,
+            epsilon_255=attack.epsilon * 255.0,
+            chr_source_before=self._chr_percent_of_items(source_items, self.clean_top_n),
+            chr_target_before=self._chr_percent_of_items(target_items, self.clean_top_n),
+            chr_source_after=self._chr_percent_of_items(source_items, top_after),
+            success_rate=result.success_rate(),
+            visual=visual,
+            attacked_item_ids=source_items,
+            adversarial_images=result.adversarial_images,
+            scores_after=scores_after,
+            attack_metadata=dict(result.metadata),
+        )
 
     # ------------------------------------------------------------------ #
     # Ladder cells → outcomes (the amortised grid path)
@@ -335,7 +375,7 @@ class TAaMRPipeline:
         scenario: AttackScenario,
         attack_name: str,
         cells: Sequence[LadderCell],
-        scratch: Optional[FeatureScratch] = None,
+        scratch: FeatureScratch,
     ) -> List[AttackOutcome]:
         """Measure precomputed :class:`~repro.attacks.ladder.LadderCell`s.
 
@@ -343,9 +383,10 @@ class TAaMRPipeline:
         the cells) the visual-quality metrics are recommender-independent,
         so a grid driver runs the ladder once per (scenario, attack) and
         calls this per recommender — only the re-scoring GEMM and CHR
-        bookkeeping run per recommender.  ``scratch`` shares the
-        ``features_after`` buffer across cells instead of copying the
-        full clean matrix per cell.
+        bookkeeping run per recommender.  ``scratch`` (over this
+        pipeline's ``clean_features``) shares the ``features_after``
+        buffer across cells instead of copying the full clean matrix per
+        cell.
         """
         source_items = self.category_items(scenario.source)
         if source_items.size == 0:
@@ -373,11 +414,7 @@ class TAaMRPipeline:
                 rows = self.extractor.transform_raw_features(cell.raw_features)
                 cell.extras["features_std"] = rows
             with span("pipeline.rescore"):
-                if scratch is None:
-                    features_after = self.clean_features.copy()
-                    features_after[source_items] = rows
-                else:
-                    features_after = scratch.with_rows(source_items, rows)
+                features_after = scratch.with_rows(source_items, rows)
                 scores_after = self.recommender.score_all(features=features_after)
                 top_after = self.recommender.top_n(
                     self.cutoff, feedback=self.dataset.feedback, scores=scores_after

@@ -743,14 +743,9 @@ class MatrixResults:
         attack: Optional[str] = None,
         recommender: Optional[str] = None,
     ) -> List[Dict[str, Any]]:
-        selected = self.rows
-        if defense is not None:
-            selected = [r for r in selected if r["defense"] == defense]
-        if attack is not None:
-            selected = [r for r in selected if r["attack"] == attack]
-        if recommender is not None:
-            selected = [r for r in selected if r["recommender"] == recommender]
-        return selected
+        wanted = {"defense": defense, "attack": attack, "recommender": recommender}
+        wanted = {key: value for key, value in wanted.items() if value is not None}
+        return [r for r in self.rows if all(r[k] == v for k, v in wanted.items())]
 
 
 # --------------------------------------------------------------------- #
@@ -800,18 +795,11 @@ class MatrixRunner:
         plans = StageRunner(self.config.base, store=self.store).plan(
             self._base_stages_needed()
         )
-        for name, kind in matrix_node_order(self.config):
-            fingerprint = self.fingerprints[name]
-            cached = bool(self.store and self.store.exists(kind, fingerprint))
-            plans.append(
-                StagePlan(
-                    name=name,
-                    fingerprint=fingerprint,
-                    cached=cached,
-                    would="load" if cached else "build",
-                )
-            )
-        return plans
+        return plans + [
+            StagePlan.probe(self.store, node.name, node.kind, self.fingerprints[node.name])
+            for node in self.nodes
+            if node.kind
+        ]
 
     def _stored(self, node: MatrixNode) -> StoredNode:
         return StoredNode(
@@ -862,7 +850,9 @@ class MatrixRunner:
         attacks = [a for a in config.attacks if any(a == attack for attack, _ in pairs)]
         recs = [r for r in config.recommenders if any(r == rec for _, rec in pairs)]
         crafts = {
-            attack: Craft(
+            attack: Craft(models["surrogate"], "PGD")
+            if attack == "TRANSFER"
+            else Craft(
                 runtime.classifier,
                 attack,
                 runtime.attack_item_classes,
@@ -870,8 +860,6 @@ class MatrixRunner:
             )
             for attack in attacks
         }
-        if "TRANSFER" in crafts:
-            crafts["TRANSFER"] = Craft(models["surrogate"], "PGD")
         measures = pipeline_measures(
             {
                 rec: TAaMRPipeline(
@@ -949,18 +937,16 @@ class MatrixRunner:
                     self.store, stored, hashes, node.name in force_set
                 )
                 if loaded is not None:
-                    models[node.name] = node.unpack(
-                        base, models, loaded.arrays, loaded.meta
-                    )
+                    arrays, meta = loaded.arrays, loaded.meta
                     self._log(f"node {node.name}: loaded from store ({stored.fingerprint})")
                 else:
                     watch = Stopwatch()
                     arrays, meta = node.build(base, models)
-                    models[node.name] = node.unpack(base, models, arrays, meta)
                     outcome = save_node(
                         self.store, stored, hashes, arrays, meta, watch.elapsed(), reason
                     )
                     self._log(f"node {node.name}: built ({reason})")
+                models[node.name] = node.unpack(base, models, arrays, meta)
             manifest.nodes.append(outcome)
 
         bprmf: Optional[BPRMF] = models.get("recommender:shared/BPRMF")
@@ -1103,24 +1089,24 @@ def format_cube(rows: Sequence[Dict[str, Any]]) -> str:
         f"{'defense':10s} {'attack':9s} {'rec':6s} {'eps':>5s} "
         f"{'CHR_before':>10s} {'CHR_after':>10s} {'success':>8s} {'PSNR':>7s} {'flagged':>8s}"
     ]
-    for defense in sorted({k[0] for k in groups}, key=MATRIX_DEFENSES.index):
-        for attack in sorted({k[1] for k in groups if k[0] == defense}, key=MATRIX_ATTACKS.index):
-            for rec in sorted(
-                {k[2] for k in groups if k[:2] == (defense, attack)},
-                key=MATRIX_RECOMMENDERS.index,
-            ):
-                epsilons = sorted(
-                    k[3] for k in groups if k[:3] == (defense, attack, rec)
-                )
-                for eps in epsilons:
-                    selected = groups[(defense, attack, rec, eps)]
-                    before = float(np.mean([r["chr_source_before"] for r in selected]))
-                    after = float(np.mean([r["chr_source_after"] for r in selected]))
-                    success = float(np.mean([r["success_rate"] for r in selected]))
-                    psnr = float(np.mean([r["psnr"] for r in selected]))
-                    flagged = int(sum(r.get("flagged_items", 0) for r in selected))
-                    lines.append(
-                        f"{defense:10s} {attack:9s} {rec:6s} {eps:5.0f} "
-                        f"{before:10.3f} {after:10.3f} {success:8.3f} {psnr:7.2f} {flagged:8d}"
-                    )
+    for key in sorted(
+        groups,
+        key=lambda k: (
+            MATRIX_DEFENSES.index(k[0]),
+            MATRIX_ATTACKS.index(k[1]),
+            MATRIX_RECOMMENDERS.index(k[2]),
+            k[3],
+        ),
+    ):
+        defense, attack, rec, eps = key
+        selected = groups[key]
+        before = float(np.mean([r["chr_source_before"] for r in selected]))
+        after = float(np.mean([r["chr_source_after"] for r in selected]))
+        success = float(np.mean([r["success_rate"] for r in selected]))
+        psnr = float(np.mean([r["psnr"] for r in selected]))
+        flagged = int(sum(r.get("flagged_items", 0) for r in selected))
+        lines.append(
+            f"{defense:10s} {attack:9s} {rec:6s} {eps:5.0f} "
+            f"{before:10.3f} {after:10.3f} {success:8.3f} {psnr:7.2f} {flagged:8d}"
+        )
     return "\n".join(lines)

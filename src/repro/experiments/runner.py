@@ -34,7 +34,7 @@ from ..core import (
     paper_scenarios,
 )
 from ..telemetry import active_metrics, span
-from .stages import ExperimentContext, _pipelines
+from .stages import ExperimentContext
 
 GRID_ATTACK_NAMES = ("FGSM", "PGD")
 
@@ -59,12 +59,12 @@ class AttackGrid:
         scenario: Optional[AttackScenario] = None,
         attack_name: Optional[str] = None,
     ) -> List[AttackOutcome]:
-        selected = self.outcomes
-        if scenario is not None:
-            selected = [o for o in selected if o.scenario == scenario]
-        if attack_name is not None:
-            selected = [o for o in selected if o.attack_name == attack_name]
-        return selected
+        return [
+            o
+            for o in self.outcomes
+            if (scenario is None or o.scenario == scenario)
+            and (attack_name is None or o.attack_name == attack_name)
+        ]
 
 
 def build_cell_attack(
@@ -371,7 +371,7 @@ def run_attack_grids(
     """
     config = context.config
     names = [name.upper() for name in recommender_names]
-    pipelines = _pipelines(context, names, config.cutoff)
+    pipelines = context.pipelines(names, config.cutoff)
     resolved_scenarios = (
         list(scenarios)
         if scenarios is not None
@@ -422,7 +422,7 @@ def per_cell_grid(context: ExperimentContext, recommender_name: str) -> AttackGr
     engine mode: the ladder tests call it directly.
     """
     config = context.config
-    pipeline = _pipelines(context, [recommender_name], config.cutoff)[recommender_name]
+    pipeline = context.pipelines([recommender_name], config.cutoff)[recommender_name]
     scenarios = paper_scenarios(context.dataset.name, context.dataset.registry)
     outcomes: List[AttackOutcome] = []
     for scenario in scenarios:

@@ -292,6 +292,21 @@ class StageResults:
             clean_scores=scores,
         )
 
+    def pipelines(
+        self, names: Sequence[str], cutoff: int
+    ) -> Dict[str, TAaMRPipeline]:
+        """One warm-started pipeline per named recommender."""
+        return {
+            name: TAaMRPipeline(
+                self.dataset,
+                self.extractor,
+                self.recommender(name),
+                cutoff=cutoff,
+                precomputed=self.catalog_state(name),
+            )
+            for name in names
+        }
+
 
 # --------------------------------------------------------------------- #
 # Stage implementations: build / pack / unpack
@@ -540,29 +555,13 @@ def _grid_row(recommender_name: str, outcome, ladder_mode: str) -> Dict[str, Any
     }
 
 
-def _pipelines(
-    results: StageResults, names: Sequence[str], cutoff: int
-) -> Dict[str, TAaMRPipeline]:
-    """One warm-started pipeline per named recommender of ``results``."""
-    return {
-        name: TAaMRPipeline(
-            results.dataset,
-            results.extractor,
-            results.recommender(name),
-            cutoff=cutoff,
-            precomputed=results.catalog_state(name),
-        )
-        for name in names
-    }
-
-
 def _build_attack_grid(results: StageResults) -> None:
     from . import runner  # late import: runner imports this module
 
     config = results.config
     attacks = runner.GRID_ATTACK_NAMES
     classifier, classes = results.classifier, results.item_classes
-    pipelines = _pipelines(results, RECOMMENDER_NAMES, config.cutoff)
+    pipelines = results.pipelines(RECOMMENDER_NAMES, config.cutoff)
     outcomes, _ = runner.grid_outcomes(
         {name: runner.Craft(classifier, name, classes) for name in attacks},
         classes,
@@ -836,6 +835,14 @@ class StagePlan:
     cached: bool
     would: str  # "load" | "build"
 
+    @classmethod
+    def probe(
+        cls, store: Optional[ArtifactStore], name: str, kind: str, fingerprint: str
+    ) -> "StagePlan":
+        """The plan of one node: load if ``store`` holds its artifact, else build."""
+        cached = bool(store and store.exists(kind, fingerprint))
+        return cls(name, fingerprint, cached, "load" if cached else "build")
+
 
 class StageRunner:
     """Execute (a sub-DAG of) the experiment stages against a store.
@@ -870,21 +877,12 @@ class StageRunner:
     # -- planning ------------------------------------------------------- #
     def plan(self, stages: Optional[Sequence[str]] = None) -> List[StagePlan]:
         """What :meth:`run` would do, without executing anything."""
-        order = stage_closure(list(stages) if stages else list(STAGE_ORDER))
-        plans: List[StagePlan] = []
-        for name in order:
-            spec = _SPEC_BY_NAME[name]
-            fingerprint = self.fingerprints[name]
-            cached = bool(self.store and self.store.exists(spec.kind, fingerprint))
-            plans.append(
-                StagePlan(
-                    name=name,
-                    fingerprint=fingerprint,
-                    cached=cached,
-                    would="load" if cached else "build",
-                )
+        return [
+            StagePlan.probe(
+                self.store, name, _SPEC_BY_NAME[name].kind, self.fingerprints[name]
             )
-        return plans
+            for name in stage_closure(list(stages) if stages else list(STAGE_ORDER))
+        ]
 
     # -- execution ------------------------------------------------------ #
     def run(
