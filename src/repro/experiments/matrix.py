@@ -743,9 +743,14 @@ class MatrixResults:
         attack: Optional[str] = None,
         recommender: Optional[str] = None,
     ) -> List[Dict[str, Any]]:
-        wanted = {"defense": defense, "attack": attack, "recommender": recommender}
-        wanted = {key: value for key, value in wanted.items() if value is not None}
-        return [r for r in self.rows if all(r[k] == v for k, v in wanted.items())]
+        selected = self.rows
+        if defense is not None:
+            selected = [r for r in selected if r["defense"] == defense]
+        if attack is not None:
+            selected = [r for r in selected if r["attack"] == attack]
+        if recommender is not None:
+            selected = [r for r in selected if r["recommender"] == recommender]
+        return selected
 
 
 # --------------------------------------------------------------------- #
@@ -1089,24 +1094,24 @@ def format_cube(rows: Sequence[Dict[str, Any]]) -> str:
         f"{'defense':10s} {'attack':9s} {'rec':6s} {'eps':>5s} "
         f"{'CHR_before':>10s} {'CHR_after':>10s} {'success':>8s} {'PSNR':>7s} {'flagged':>8s}"
     ]
-    for key in sorted(
-        groups,
-        key=lambda k: (
-            MATRIX_DEFENSES.index(k[0]),
-            MATRIX_ATTACKS.index(k[1]),
-            MATRIX_RECOMMENDERS.index(k[2]),
-            k[3],
-        ),
-    ):
-        defense, attack, rec, eps = key
-        selected = groups[key]
-        before = float(np.mean([r["chr_source_before"] for r in selected]))
-        after = float(np.mean([r["chr_source_after"] for r in selected]))
-        success = float(np.mean([r["success_rate"] for r in selected]))
-        psnr = float(np.mean([r["psnr"] for r in selected]))
-        flagged = int(sum(r.get("flagged_items", 0) for r in selected))
-        lines.append(
-            f"{defense:10s} {attack:9s} {rec:6s} {eps:5.0f} "
-            f"{before:10.3f} {after:10.3f} {success:8.3f} {psnr:7.2f} {flagged:8d}"
-        )
+    for defense in sorted({k[0] for k in groups}, key=MATRIX_DEFENSES.index):
+        for attack in sorted({k[1] for k in groups if k[0] == defense}, key=MATRIX_ATTACKS.index):
+            for rec in sorted(
+                {k[2] for k in groups if k[:2] == (defense, attack)},
+                key=MATRIX_RECOMMENDERS.index,
+            ):
+                epsilons = sorted(
+                    k[3] for k in groups if k[:3] == (defense, attack, rec)
+                )
+                for eps in epsilons:
+                    selected = groups[(defense, attack, rec, eps)]
+                    before = float(np.mean([r["chr_source_before"] for r in selected]))
+                    after = float(np.mean([r["chr_source_after"] for r in selected]))
+                    success = float(np.mean([r["success_rate"] for r in selected]))
+                    psnr = float(np.mean([r["psnr"] for r in selected]))
+                    flagged = int(sum(r.get("flagged_items", 0) for r in selected))
+                    lines.append(
+                        f"{defense:10s} {attack:9s} {rec:6s} {eps:5.0f} "
+                        f"{before:10.3f} {after:10.3f} {success:8.3f} {psnr:7.2f} {flagged:8d}"
+                    )
     return "\n".join(lines)

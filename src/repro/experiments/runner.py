@@ -59,12 +59,12 @@ class AttackGrid:
         scenario: Optional[AttackScenario] = None,
         attack_name: Optional[str] = None,
     ) -> List[AttackOutcome]:
-        return [
-            o
-            for o in self.outcomes
-            if (scenario is None or o.scenario == scenario)
-            and (attack_name is None or o.attack_name == attack_name)
-        ]
+        selected = self.outcomes
+        if scenario is not None:
+            selected = [o for o in selected if o.scenario == scenario]
+        if attack_name is not None:
+            selected = [o for o in selected if o.attack_name == attack_name]
+        return selected
 
 
 def build_cell_attack(
