@@ -18,8 +18,9 @@ The package rebuilds the paper's entire stack from scratch on numpy:
   store every serialization path shares;
 * :mod:`repro.experiments` — configs, the stage DAG and the runners
   behind the benchmarks;
-* :mod:`repro.serving` — the online serving layer: incremental scorer,
-  invalidating top-N cache, service facade and load generator.
+* :mod:`repro.serving` — the online serving layer: sharded scorer,
+  invalidating top-N cache, the ``ShardedService`` facade and the load
+  generator.
 
 Quickstart::
 
@@ -35,7 +36,6 @@ Quickstart::
 from . import artifacts, attacks, core, data, defenses, experiments, features, metrics, nn, recommenders, serving
 from .core import AttackScenario, TAaMRPipeline
 from .experiments import ExperimentConfig, build_context, men_config, women_config
-from .serving import RecommenderService
 
 __version__ = "1.0.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "defenses",
     "experiments",
     "serving",
-    "RecommenderService",
     "TAaMRPipeline",
     "AttackScenario",
     "ExperimentConfig",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from typing import Dict, Tuple
 
 
@@ -79,11 +79,12 @@ class ExperimentConfig:
         the fields it actually reads, so unrelated config edits leave
         its artifacts valid.
         """
-        payload = asdict(self)
-        unknown = [name for name in fields if name not in payload]
+        known = {item.name for item in dataclass_fields(self)}
+        unknown = [name for name in fields if name not in known]
         if unknown:
             raise ValueError(f"unknown config fields {unknown}")
-        return {name: payload[name] for name in fields}
+        # Frozen, and every value is a scalar or a tuple: no copy needed.
+        return {name: getattr(self, name) for name in fields}
 
 
 def men_config(**overrides) -> ExperimentConfig:

@@ -51,7 +51,7 @@ hit/built actions, behind ``python -m repro matrix``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -216,12 +216,12 @@ class MatrixConfig:
 
     def field_fingerprint(self, fields: Tuple[str, ...]) -> Dict[str, Any]:
         """The named matrix fields as a canonical (JSON-safe) mapping."""
-        payload = asdict(self)
-        payload.pop("base")
-        unknown = [name for name in fields if name not in payload]
+        known = {item.name for item in dataclass_fields(self)} - {"base"}
+        unknown = [name for name in fields if name not in known]
         if unknown:
             raise ValueError(f"unknown matrix config fields {unknown}")
-        return {name: payload[name] for name in fields}
+        # Frozen, and every value is a scalar or a tuple: no copy needed.
+        return {name: getattr(self, name) for name in fields}
 
     def attack_options(self, attack_name: str) -> Optional[Dict[str, float]]:
         """Per-attack knobs in :func:`build_cell_attack` option form."""

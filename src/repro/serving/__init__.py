@@ -10,28 +10,29 @@ exposure, and a :class:`ShardRouter` fans requests and epoch-stamped
 pushes out to shards — in process or across worker processes over
 shared memory, with MostPop failover.
 
-:class:`RecommenderService` is that stack with one in-process shard,
-wired to a :class:`~repro.core.pipeline.TAaMRPipeline` (live feature
-pushes + rolling CHR monitoring); :mod:`~repro.serving.loadgen`
-draws deterministic Zipf request streams to drive either.
+:class:`ShardedService` is the one facade over that stack:
+:meth:`~ShardedService.from_pipeline` wires it to a
+:class:`~repro.core.pipeline.TAaMRPipeline` (one in-process shard by
+default; live feature pushes report an :class:`UpdateReport`, and
+``stats()`` carries the rolling CHR); :mod:`~repro.serving.loadgen`
+draws deterministic Zipf request streams to drive it.
 """
 
 from .index import CacheStats, TopNCache
 from .loadgen import ZipfLoadGenerator
 from .screen import FeatureScreen, ScreenReport
-from .service import RecommenderService, UpdateReport
 from .sharded import (
     MostPopFallback,
     Shard,
     ShardedService,
     ShardRouter,
+    UpdateReport,
 )
 from .sharded.shard import RollingChrMonitor
 
 __all__ = [
     "TopNCache",
     "CacheStats",
-    "RecommenderService",
     "RollingChrMonitor",
     "UpdateReport",
     "FeatureScreen",

@@ -4,12 +4,12 @@ The scenario matrix's ``detector`` defense quarantines adversarial
 catalog entries offline; :class:`FeatureScreen` pushes the same
 :class:`~repro.defenses.detector.ReconstructionDetector` into the
 *serving* ingest path.  Installed on a
-:class:`~repro.serving.service.RecommenderService` (or the sharded
-:class:`~repro.serving.sharded.router.ShardRouter`), it inspects every
-feature push **before** the scorer patch and cache invalidation:
-flagged items are quarantined — their previously served features stay
-live and no cached list is invalidated on their behalf — while clean
-items pass through unchanged.
+:class:`~repro.serving.sharded.router.ShardRouter` (``screen=`` of
+:meth:`~repro.serving.sharded.router.ShardedService.build`), it
+inspects every feature push **before** the scorer patch and cache
+invalidation: flagged items are quarantined — their previously served
+features stay live and no cached list is invalidated on their behalf —
+while clean items pass through unchanged.
 
 Screening happens in feature space because that is where adversarial
 perturbations are loud: a small-ε pixel change barely moves pixel-space

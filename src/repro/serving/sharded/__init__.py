@@ -18,7 +18,7 @@ from .race import (
     ShmWriteSentinel,
     race_check_enabled,
 )
-from .router import MostPopFallback, ShardedService, ShardRouter
+from .router import MostPopFallback, ShardedService, ShardRouter, UpdateReport
 from .scorer import ITEM_SIDE_KINDS, SharedScorer, compute_item_side, item_side_kind
 from .shard import Shard, ShardSpec, ShardUpdateReport
 from .shm import (
@@ -58,6 +58,7 @@ __all__ = [
     "ShmManifest",
     "ShmRaceError",
     "ShmWriteSentinel",
+    "UpdateReport",
     "UserPartition",
     "attach_bundle",
     "build_synthetic_system",

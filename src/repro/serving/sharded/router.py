@@ -16,21 +16,24 @@ dispatch, so a caller's mistake never fails a healthy shard over.
 
 **Graceful degradation.**  A shard that times out, errors, or dies is
 marked unhealthy (``serving.shard_failover`` counter + span) and its
-users are served from :class:`MostPopFallback` — most-popular is
+users are served from :class:`MostPopFallback` when the fleet has one
+(else their requests raise ``ShardError``) — most-popular is
 *attack-immune*: its ranking never reads image features, so a poisoned
 catalog cannot steer what degraded users see.  A failed shard stays out
 of rotation: it missed every epoch pushed during its outage, so putting
 it back would serve pre-outage scores.
 
-:class:`ShardedService` is the lifecycle wrapper: it publishes the
+:class:`ShardedService` is the one serving facade: it publishes the
 item side (shared memory for the process backend, an in-process
-snapshot for the local backend), builds the shard fleet, and tears
-everything down — workers ``close()``, the owner ``close()+unlink()``
-— leaving no leaked segments behind.
+snapshot for the local backend), builds the shard fleet, settles each
+push into an :class:`UpdateReport`, and tears everything down — workers
+``close()``, the owner ``close()+unlink()`` — leaving no leaked
+segments behind.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -84,6 +87,22 @@ class MostPopFallback:
                 if len(picked) == n:
                     break
         return np.asarray(picked, dtype=self._order.dtype)
+
+
+@dataclass
+class UpdateReport:
+    """What one feature push did to the serving state, summed over shards."""
+
+    item_ids: np.ndarray  # items that actually reached the scorer
+    scores_changed: bool  # False for non-visual models (attack-immune)
+    cached_users: int  # cache size when the update arrived (0 if none did)
+    num_invalidated: int = 0  # cached lists the update dropped
+    screened: bool = False  # a FeatureScreen inspected this push
+    quarantined_items: List[int] = field(default_factory=list)
+
+    @property
+    def num_quarantined(self) -> int:
+        return len(self.quarantined_items)
 
 
 class ShardRouter:
@@ -452,7 +471,13 @@ class ShardRouter:
 
 
 class ShardedService:
-    """Owner of the published item side + shard fleet + router."""
+    """The serving facade: owner of the published item side, fleet and router.
+
+    ``recommend``, ``recommend_batch``, ``flush``, ``stats``, ``ping`` and
+    ``publish_metrics`` are the :class:`ShardRouter`'s own methods, bound
+    as attributes so the request path has no facade frame on it.  Pushes
+    wait for every shard's ack and return an :class:`UpdateReport`.
+    """
 
     def __init__(
         self,
@@ -464,31 +489,41 @@ class ShardedService:
         self._bundle = bundle
         self._bank = bank
         self._closed = False
+        self.recommend = router.recommend
+        self.recommend_batch = router.recommend_batch
+        self.flush = router.flush
+        self.stats = router.stats
+        self.ping = router.ping
+        self.publish_metrics = router.publish_metrics
 
-    # Convenience delegation -------------------------------------------- #
-    def recommend(self, user: int, n: Optional[int] = None) -> np.ndarray:
-        return self.router.recommend(user, n)
+    # Synchronous pushes ------------------------------------------------ #
+    def push_item_features(self, item_ids, item_features) -> UpdateReport:
+        """Push new item features; quarantined items never reach a scorer."""
+        self.router.push_item_features(item_ids, item_features)
+        return self._settle(item_ids)
 
-    def recommend_batch(self, user_ids, n: Optional[int] = None) -> np.ndarray:
-        return self.router.recommend_batch(user_ids, n)
+    def push_attacked_images(self, item_ids, images) -> UpdateReport:
+        """New images for ``item_ids``, re-extracted once at the router."""
+        self.router.push_attacked_images(item_ids, images)
+        return self._settle(item_ids)
 
-    def push_item_features(self, item_ids, item_features) -> int:
-        return self.router.push_item_features(item_ids, item_features)
-
-    def push_attacked_images(self, item_ids, images) -> int:
-        return self.router.push_attacked_images(item_ids, images)
-
-    def flush(self, timeout_s: Optional[float] = None) -> List[Dict]:
-        return self.router.flush(timeout_s=timeout_s)
-
-    def stats(self) -> Dict:
-        return self.router.stats()
-
-    def ping(self) -> List[Dict]:
-        return self.router.ping()
-
-    def publish_metrics(self, registry) -> None:
-        self.router.publish_metrics(registry)
+    def _settle(self, item_ids) -> UpdateReport:
+        """Drain the shards' acks for the push just made into a report."""
+        acks = self.router.flush()
+        item_ids = np.atleast_1d(np.asarray(item_ids, dtype=np.int64))
+        quarantined: List[int] = []
+        verdict = self.router.last_screen
+        if verdict is not None:
+            quarantined = [int(item) for item in verdict.quarantined_item_ids]
+            item_ids = verdict.passed_item_ids
+        return UpdateReport(
+            item_ids=item_ids,
+            scores_changed=any(ack["scores_changed"] for ack in acks),
+            cached_users=sum(ack["cached_users"] for ack in acks),
+            num_invalidated=sum(ack["invalidated_users"] for ack in acks),
+            screened=self.router.screen is not None,
+            quarantined_items=quarantined,
+        )
 
     @property
     def segment_name(self) -> Optional[str]:
@@ -503,25 +538,17 @@ class ShardedService:
         pickling catalog-sized blocks through the pipes.
         """
         scores = np.ascontiguousarray(scores, dtype=np.float64)
-        total = 0
-        process_backed = any(
-            isinstance(h, ProcessShardHandle) for h in self.router.handles
-        )
-        if process_backed:
-            bundle = SharedArrayBundle({"scores": scores})
-            try:
-                for shard_id in self.router.healthy_shards():
-                    total += self.router.handles[shard_id].call(
-                        "warm", {"manifest": bundle.manifest, "key": "scores"}
-                    )
-            finally:
-                bundle.release()
-        else:
-            for shard_id in self.router.healthy_shards():
-                total += self.router.handles[shard_id].call(
-                    "warm", {"scores": scores}
-                )
-        return total
+        handles = [self.router.handles[i] for i in self.router.healthy_shards()]
+        if self._bundle is None:  # the local backend
+            return sum(handle.call("warm", {"scores": scores}) for handle in handles)
+        bundle = SharedArrayBundle({"scores": scores})
+        try:
+            return sum(
+                handle.call("warm", {"manifest": bundle.manifest, "key": "scores"})
+                for handle in handles
+            )
+        finally:
+            bundle.release()
 
     # Lifecycle --------------------------------------------------------- #
     def close(self) -> None:
@@ -571,8 +598,14 @@ class ShardedService:
         ``backend="process"`` forks one worker per shard attached to a
         shared-memory segment; ``backend="local"`` builds the identical
         shards in-process against a snapshot bank (what
-        :class:`~repro.serving.RecommenderService` and the bitwise
+        :meth:`from_pipeline`, :meth:`from_stage_results` and the bitwise
         equivalence tests run).
+
+        ``feedback`` (train interactions) makes served lists exclude
+        train positives; its universe must match the recommender's.
+        Failed shards' users fail over to a :class:`MostPopFallback` only
+        when ``fallback_counts`` is given; without it a shard failure
+        raises instead of silently degrading its users.
 
         ``race_check`` arms the runtime shm-write sentinel in every
         worker (``None`` defers to the ``REPRO_RACE_CHECK`` environment
@@ -580,6 +613,11 @@ class ShardedService:
         """
         if backend not in ("process", "local"):
             raise ValueError(f"unknown backend {backend!r}")
+        if feedback is not None and (
+            feedback.num_users != recommender.num_users
+            or feedback.num_items != recommender.num_items
+        ):
+            raise ValueError("feedback universe does not match the recommender")
         race = race_check_enabled(race_check)
         kind, arrays = compute_item_side(recommender, features=features)
         partition = UserPartition(recommender.num_users, num_shards)
@@ -661,13 +699,10 @@ class ShardedService:
                 bundle.release()
             raise
 
-        counts = fallback_counts
-        if counts is None and feedback is not None:
-            counts = feedback.item_interaction_counts()
-        if counts is None and kind == "mostpop":
-            counts = arrays["item_counts"]
         fallback = (
-            MostPopFallback(counts, seen_items=seen_all) if counts is not None else None
+            MostPopFallback(fallback_counts, seen_items=seen_all)
+            if fallback_counts is not None
+            else None
         )
         router = ShardRouter(
             handles,
@@ -693,4 +728,69 @@ class ShardedService:
                 "failed the build-time ping health check",
                 kind="BuildHealthCheck",
             )
+        return service
+
+    @classmethod
+    def from_pipeline(
+        cls,
+        pipeline,
+        n: int = 10,
+        monitor_window: int = 256,
+        warm_start: bool = False,
+        num_shards: int = 1,
+    ) -> "ShardedService":
+        """Serve the trained system inside a :class:`TAaMRPipeline`.
+
+        Reuses the pipeline's clean standardised features, extractor and
+        classifier-assigned item classes (Definition 5), so
+        ``stats()["chr"]`` reports in the units of ``clean_chr_report``.
+        ``warm_start=True`` prefills the caches from its clean scores.
+        """
+        service = cls.build(
+            pipeline.recommender,
+            num_shards,
+            backend="local",
+            feedback=pipeline.dataset.feedback,
+            features=pipeline.clean_features,
+            item_classes=pipeline.item_classes,
+            class_names=pipeline.dataset.registry.names,
+            extractor=pipeline.extractor,
+            n=n,
+            monitor_window=monitor_window,
+        )
+        if warm_start:
+            service.warm_start(pipeline.clean_scores)
+        return service
+
+    @classmethod
+    def from_stage_results(
+        cls,
+        results,
+        recommender_name: str = "VBPR",
+        n: int = 10,
+        monitor_window: int = 256,
+        warm_start: bool = True,
+        num_shards: int = 1,
+    ) -> "ShardedService":
+        """Serve directly from :class:`~repro.experiments.StageResults`.
+
+        The recommender, catalog features and clean scores all come from
+        stored stage artifacts; the caches warm-start from the
+        ``clean_scores`` stage without a single scoring GEMM.
+        """
+        service = cls.build(
+            results.recommender(recommender_name),
+            num_shards,
+            backend="local",
+            feedback=results.dataset.feedback,
+            features=results.features,
+            item_classes=results.item_classes,
+            class_names=results.dataset.registry.names,
+            extractor=results.extractor,
+            n=n,
+            monitor_window=monitor_window,
+        )
+        stored = results.clean_scores.get(recommender_name.strip().upper())
+        if warm_start and stored is not None:
+            service.warm_start(stored)
         return service

@@ -5,7 +5,7 @@ owns: a :class:`~repro.serving.index.TopNCache`, a
 :class:`RollingChrMonitor` and a
 :class:`~repro.serving.sharded.scorer.SharedScorer` over the published
 item side.  The same class runs in-process (local handles — including
-the one-shard :class:`~repro.serving.RecommenderService`) and inside
+the one-shard ``ShardedService.from_pipeline`` default) and inside
 worker processes (:meth:`from_spec` attaches the shared-memory bank).
 
 **Epoch ordering.**  The router stamps every invalidation fan-out with

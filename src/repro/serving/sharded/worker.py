@@ -31,8 +31,8 @@ a reply blocks only itself, and the router reads it in turn.
 
 :class:`LocalShardHandle` runs the identical shard in-process behind
 the same interface, update acks included — it is what
-:class:`~repro.serving.RecommenderService` and the bitwise-equivalence
-tests run on, and the process backend only adds transport.
+``ShardedService.from_pipeline`` and the bitwise-equivalence tests
+run on, and the process backend only adds transport.
 """
 
 from __future__ import annotations

@@ -337,11 +337,43 @@ class TestContextIntegration:
         clear_context_registry()
 
     def test_service_warm_start_from_stage_results(self, first_run):
-        from repro.serving import RecommenderService
+        from repro.serving import ShardedService
 
         results, _ = first_run
-        service = RecommenderService.from_stage_results(results, "VBPR", n=5)
-        hits_before = service.stats["hits"]
+        service = ShardedService.from_stage_results(results, "VBPR", n=5)
+        hits_before = service.stats()["cache"]["hits"]
         top = service.recommend(0)
         assert len(top) == 5
-        assert service.stats["hits"] >= hits_before + 1
+        assert service.stats()["cache"]["hits"] >= hits_before + 1
+
+    def test_two_shard_service_from_stage_results(self, first_run):
+        from repro.serving import ShardedService
+
+        results, _ = first_run
+        users = np.arange(results.dataset.num_users)
+        build = ShardedService.from_stage_results
+        # An identical fleet pushed through the async router: its raw acks
+        # are the oracle for the report the synchronous push sums up.
+        with build(results, "VBPR", n=5) as one, build(
+            results, "VBPR", n=5, num_shards=2
+        ) as two, build(results, "VBPR", n=5, num_shards=2) as twin:
+            np.testing.assert_array_equal(
+                two.recommend_batch(users), one.recommend_batch(users)
+            )
+            twin.recommend_batch(users)
+
+            items = np.array([1, 4, 9])
+            noise = np.random.default_rng(0).normal(
+                0.0, 5.0, (items.size, results.features.shape[1])
+            )
+            pushed = results.features[items] + noise
+            report = two.push_item_features(items, pushed)
+            one.push_item_features(items, pushed)
+            twin.router.push_item_features(items, pushed)
+            acks = twin.flush()
+            assert len(acks) == 2
+            assert report.cached_users == sum(a["cached_users"] for a in acks) == users.size
+            assert report.num_invalidated == sum(a["invalidated_users"] for a in acks) > 0
+            np.testing.assert_array_equal(
+                two.recommend_batch(users), one.recommend_batch(users)
+            )

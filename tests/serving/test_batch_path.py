@@ -86,7 +86,6 @@ def _drive(service, steps, batched):
     for users, n in steps:
         if isinstance(users, str):
             service.push_item_features(*n)
-            service.flush()
         elif batched:
             served.append(service.recommend_batch(users, n=n))
         else:
@@ -409,6 +408,11 @@ def test_sigkill_mid_batch_fails_over_only_that_shard(monkeypatch):
     model, item_classes, class_names, counts = build_synthetic_system(
         300, 40, feature_dim=8, seed=4
     )
+    users = np.arange(0, 60)
+    # The in-process reference answers before the patch below, which it
+    # would otherwise run (and sleep in) itself.
+    with ShardedService.build(model, num_shards=2, backend="local", n=5) as reference:
+        expected = reference.recommend_batch(users)
     recommend_many = Shard.recommend_many
 
     def slow_on_shard_one(self, users, n=None):
@@ -421,7 +425,6 @@ def test_sigkill_mid_batch_fails_over_only_that_shard(monkeypatch):
     service = ShardedService.build(
         model, num_shards=2, backend="process", fallback_counts=counts, n=5
     )
-    reference = ShardedService.build(model, num_shards=2, backend="local", n=5)
     router = service.router
     first, second = router.handles
     collect = first.collect
@@ -432,12 +435,10 @@ def test_sigkill_mid_batch_fails_over_only_that_shard(monkeypatch):
         return collect(ticket, timeout_s)
 
     monkeypatch.setattr(first, "collect", kill_the_other_then_collect)
-    users = np.arange(0, 60)
     try:
         started = time.monotonic()
         served = router.recommend_batch(users)
         assert time.monotonic() - started < 10.0
-        expected = reference.recommend_batch(users)
         live = users % 2 == 0
         np.testing.assert_array_equal(served[live], expected[live])
         for user, row in zip(users[~live].tolist(), served[~live]):
@@ -449,7 +450,6 @@ def test_sigkill_mid_batch_fails_over_only_that_shard(monkeypatch):
         np.testing.assert_array_equal(router.recommend_batch([2, 4]), expected[[2, 4]])
     finally:
         service.close()
-        reference.close()
 
 
 # --------------------------------------------------------------------- #

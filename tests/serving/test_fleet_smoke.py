@@ -82,12 +82,12 @@ def life(request, system):
 
         serve("cold", cold_users)
         serve("warm_cache", stream)
-        service.push_item_features(attacked, attacked_features)
-        invalidated = sum(r.get("invalidated_users", 0) for r in service.flush())
+        invalidated = service.push_item_features(
+            attacked, attacked_features
+        ).num_invalidated
         serve("post_invalidation", stream)
         service.router.screen = screen
         service.push_item_features(attacked, attacked_features)
-        service.flush()
         verdict = service.router.last_screen
         serve("defended", stream)
         stats = service.stats()

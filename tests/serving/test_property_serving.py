@@ -9,8 +9,7 @@ threshold bookkeeping (entries kept across irrelevant updates, dropped
 exactly when a score change can cross the head boundary) on all three
 recommenders of the paper; BPR-MF doubles as the attack-immune control
 whose cache must *never* be invalidated by feature pushes.  Each case
-runs on the one-shard :class:`RecommenderService` and on local fleets
-of 2 and 4 shards behind the same surface.
+runs on a local :class:`ShardedService` of 1, 2 and 4 shards.
 """
 
 import numpy as np
@@ -25,7 +24,7 @@ from repro.recommenders import (
     VBPR,
     VBPRConfig,
 )
-from repro.serving import RecommenderService, ShardedService
+from repro.serving import ShardedService
 
 N = 10
 FEATURE_DIM = 12
@@ -44,37 +43,14 @@ def shard_cases(*params):
     return {"argvalues": cases, "ids": ids}
 
 
-class LocalFleet:
-    """A local N-shard fleet behind the facade's recommend/push/stats."""
-
-    def __init__(self, fleet):
-        self.fleet = fleet
-
-    def recommend(self, user):
-        return self.fleet.recommend(user)
-
-    def push_item_features(self, item_ids, item_features):
-        self.fleet.push_item_features(item_ids, item_features)
-        self.fleet.flush()
-
-    @property
-    def stats(self):
-        aggregate = self.fleet.stats()
-        return {**aggregate["cache"], "feature_updates": aggregate["feature_updates"]}
-
-
 def build_service(model, dataset, features, num_shards):
-    if num_shards == 1:
-        return RecommenderService(model, feedback=dataset.feedback, features=features, n=N)
-    return LocalFleet(
-        ShardedService.build(
-            model,
-            num_shards=num_shards,
-            backend="local",
-            feedback=dataset.feedback,
-            features=features,
-            n=N,
-        )
+    return ShardedService.build(
+        model,
+        num_shards=num_shards,
+        backend="local",
+        feedback=dataset.feedback,
+        features=features,
+        n=N,
     )
 
 
@@ -161,16 +137,17 @@ def test_interleaved_serving_matches_brute_force(
                 err_msg=f"{model_name}: user {user} diverged at step {step}",
             )
 
-    stats = service.stats
-    assert stats["hits"] + stats["misses"] > 0
+    stats = service.stats()
+    cache = stats["cache"]
+    assert cache["hits"] + cache["misses"] > 0
     if visual:
         # The point of fine-grained invalidation: across ~30 update batches
         # some cached lists must survive untouched (hits after updates) and
         # some must be dropped.
-        assert stats["invalidations"] > 0
+        assert cache["invalidations"] > 0
     else:
         # Attack-immune control: feature pushes never invalidate BPR-MF.
-        assert stats["invalidations"] == 0
+        assert cache["invalidations"] == 0
         assert stats["feature_updates"] > 0
 
 
@@ -202,6 +179,6 @@ def test_cache_actually_serves_across_updates(
         service.push_item_features([item], nudged[None, :])
     for user in users:
         service.recommend(user)
-    stats = service.stats
-    assert stats["invalidations"] == 0
-    assert stats["hits"] == len(users)
+    cache = service.stats()["cache"]
+    assert cache["invalidations"] == 0
+    assert cache["hits"] == len(users)

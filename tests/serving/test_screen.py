@@ -1,5 +1,5 @@
 """Unit tests for the ingest-path feature screen and its quarantine
-semantics on the single-process service and the sharded router."""
+semantics on the one-shard service and the sharded router."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.defenses import ReconstructionDetector
 from repro.rng import rng_from_seed
 from repro.serving import (
     FeatureScreen,
-    RecommenderService,
     ScreenReport,
     ShardedService,
 )
@@ -84,7 +83,7 @@ class TestFeatureScreen:
 
 class TestServiceQuarantine:
     def _service(self, model, screen=None):
-        return RecommenderService(model, screen=screen, n=6)
+        return ShardedService.build(model, 1, backend="local", screen=screen, n=6)
 
     def test_quarantined_push_is_a_recorded_noop(self, system, screen):
         model, *_ = system
@@ -99,11 +98,11 @@ class TestServiceQuarantine:
         # Nothing reached the scorer: no rescore, no invalidation.
         assert not report.scores_changed
         assert report.num_invalidated == 0
-        assert service.stats["feature_updates"] == 0
+        assert service.stats()["feature_updates"] == 0
         for user, served in before.items():
             np.testing.assert_array_equal(service.recommend(user), served)
-        assert service.last_screen is not None
-        assert service.last_screen.num_flagged == 3
+        assert service.router.last_screen is not None
+        assert service.router.last_screen.num_flagged == 3
 
     def test_partial_push_applies_only_passed_items(self, system, screen):
         model, *_ = system
@@ -147,7 +146,7 @@ class TestServiceQuarantine:
         assert not report.screened
         assert report.quarantined_items == []
         assert report.scores_changed
-        assert service.last_screen is None
+        assert service.router.last_screen is None
 
 
 class TestRouterQuarantine:
@@ -165,7 +164,7 @@ class TestRouterQuarantine:
         before = {user: service.recommend(user).copy() for user in range(10)}
         epoch = service.router.epoch
         items = np.array([2, 9, 17])
-        returned = service.push_item_features(items, _garbage(model, items))
+        returned = service.router.push_item_features(items, _garbage(model, items))
         assert returned == epoch
         assert service.router.epoch == epoch
         verdict = service.router.last_screen
@@ -181,7 +180,7 @@ class TestRouterQuarantine:
         targets, donors = calm[:3], calm[3:]
         items = np.concatenate([targets, [7]])
         features = np.vstack([model.features[donors], _garbage(model, [7])])
-        returned = service.push_item_features(items, features)
+        returned = service.router.push_item_features(items, features)
         assert returned == epoch + 1
         service.flush()
         verdict = service.router.last_screen
@@ -191,7 +190,6 @@ class TestRouterQuarantine:
         twin = ShardedService.build(model, num_shards=2, backend="local", n=6)
         try:
             twin.push_item_features(targets, model.features[donors])
-            twin.flush()
             for user in range(model.num_users):
                 np.testing.assert_array_equal(
                     service.recommend(user), twin.recommend(user)

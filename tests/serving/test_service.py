@@ -1,4 +1,4 @@
-"""Unit tests for the RecommenderService facade and the CHR monitor."""
+"""Unit tests for the one-shard ShardedService facade and the CHR monitor."""
 
 from collections import deque
 
@@ -9,7 +9,8 @@ from repro.core import TAaMRPipeline
 from repro.data import tiny_dataset
 from repro.features import ClassifierConfig, FeatureExtractor, train_catalog_classifier
 from repro.recommenders import BPRMF, BPRMFConfig, VBPR, VBPRConfig
-from repro.serving import RecommenderService, RollingChrMonitor
+from repro.serving import RollingChrMonitor, ShardedService
+from repro.serving.sharded import ShardError
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +34,8 @@ def pipeline():
 
 @pytest.fixture()
 def service(pipeline):
-    return RecommenderService.from_pipeline(pipeline, n=10)
+    with ShardedService.from_pipeline(pipeline, n=10) as service:
+        yield service
 
 
 class TestRecommend:
@@ -49,8 +51,8 @@ class TestRecommend:
         first = service.recommend(5)
         second = service.recommend(5)
         np.testing.assert_array_equal(first, second)
-        assert service.stats["hits"] == 1
-        assert service.stats["misses"] == 1
+        assert service.stats()["cache"]["hits"] == 1
+        assert service.stats()["cache"]["misses"] == 1
 
     def test_prefix_for_smaller_n(self, service):
         full = service.recommend(2)
@@ -66,7 +68,7 @@ class TestRecommend:
         with pytest.raises(ValueError):
             service.recommend(0, n=0)
         with pytest.raises(ValueError):
-            service.recommend(0, n=service.n + 1)
+            service.recommend(0, n=service.router.n + 1)
         with pytest.raises(ValueError):
             service.recommend(-1)
 
@@ -74,6 +76,14 @@ class TestRecommend:
         block = service.recommend_batch([4, 7], n=5)
         assert block.shape == (2, 5)
         np.testing.assert_array_equal(block[0], service.recommend(4, n=5))
+
+    def test_shard_failure_raises_without_fallback(self, service):
+        # The builders pass no fallback_counts, so although the train
+        # feedback is known, a failed shard raises instead of serving MostPop.
+        assert service.router.fallback is None
+        service.router.handles[0].stop()
+        with pytest.raises(ShardError, match="unhealthy"):
+            service.recommend(0)
 
 
 class TestFeaturePush:
@@ -104,7 +114,7 @@ class TestFeaturePush:
 
     def test_push_attacked_images_roundtrip(self, pipeline):
         """Pushing the *clean* images must be a no-op on every served list."""
-        service = RecommenderService.from_pipeline(pipeline, n=10)
+        service = ShardedService.from_pipeline(pipeline, n=10)
         ds = pipeline.dataset
         before = {user: service.recommend(user) for user in range(8)}
         item_ids = np.arange(5)
@@ -114,8 +124,10 @@ class TestFeaturePush:
             np.testing.assert_array_equal(service.recommend(user), served)
 
     def test_push_requires_extractor(self, pipeline):
-        service = RecommenderService(
+        service = ShardedService.build(
             pipeline.recommender,
+            1,
+            backend="local",
             feedback=pipeline.dataset.feedback,
             features=pipeline.clean_features,
         )
@@ -127,22 +139,24 @@ class TestFeaturePush:
         model = BPRMF(ds.num_users, ds.num_items, BPRMFConfig(epochs=3, seed=0)).fit(
             ds.feedback
         )
-        service = RecommenderService(model, feedback=ds.feedback, n=10)
+        service = ShardedService.build(
+            model, 1, backend="local", feedback=ds.feedback, n=10
+        )
         before = service.recommend(2)
         report = service.push_item_features([0], np.ones((1, 7)))
         assert not report.scores_changed
         assert report.num_invalidated == 0
         np.testing.assert_array_equal(service.recommend(2), before)
-        assert service.stats["hits"] == 1
+        assert service.stats()["cache"]["hits"] == 1
 
 
 class TestMonitor:
     def test_rolling_snapshot_sums_to_100(self, service):
         for user in range(20):
             service.recommend(user)
-        snapshot = service.monitor.snapshot()
-        assert sum(snapshot.values()) == pytest.approx(100.0)
-        assert service.monitor.observed == 20
+        stats = service.stats()
+        assert sum(stats["chr"].values()) == pytest.approx(100.0)
+        assert stats["chr_observed"] == 20
 
     def test_window_eviction(self):
         monitor = RollingChrMonitor(np.array([0, 1]), ["a", "b"], window=2)
@@ -190,8 +204,10 @@ class TestMonitor:
         with pytest.raises(ValueError):
             RollingChrMonitor(np.array([5]), ["a"], window=2)
         with pytest.raises(ValueError):
-            RecommenderService(
+            ShardedService.build(
                 pipeline.recommender,
+                1,
+                backend="local",
                 features=pipeline.clean_features,
                 item_classes=pipeline.item_classes,
                 class_names=None,
@@ -203,4 +219,4 @@ class TestUniverseValidation:
         other = tiny_dataset(seed=1, image_size=16)
         model = BPRMF(3, 5, BPRMFConfig(epochs=1))
         with pytest.raises(ValueError):
-            RecommenderService(model, feedback=other.feedback)
+            ShardedService.build(model, 1, backend="local", feedback=other.feedback)

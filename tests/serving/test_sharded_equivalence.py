@@ -1,8 +1,8 @@
 """Sharded-vs-single-process equivalence, bit for bit.
 
 The sharded tier's contract: a :class:`ShardedService` over 1, 2 or 4
-shards returns **bitwise-identical** recommendations to one
-:class:`RecommenderService` on the same model, under arbitrary
+shards returns **bitwise-identical** recommendations to a one-shard
+in-process :class:`ShardedService` on the same model, under arbitrary
 interleavings of ``recommend`` and ``push_item_features`` — the shards
 score against the published shared item side with the same float64
 expressions in the same order, so there is no tolerance here, only
@@ -24,7 +24,7 @@ from repro.recommenders import (
     VBPR,
     VBPRConfig,
 )
-from repro.serving import RecommenderService, ShardedService
+from repro.serving import ShardedService
 from repro.serving.sharded import segment_exists
 
 N = 10
@@ -70,8 +70,8 @@ def _build_pair(model_name, models, dataset, features, num_shards, backend):
     model = models[model_name]
     visual = model_name != "bprmf"
     feats = np.array(features, copy=True) if visual else None
-    single = RecommenderService(
-        model, feedback=dataset.feedback, features=feats, n=N
+    single = ShardedService.build(
+        model, 1, backend="local", feedback=dataset.feedback, features=feats, n=N
     )
     sharded = ShardedService.build(
         model,
@@ -97,7 +97,6 @@ def _random_interleaving(
             )
             single.push_item_features(item_ids, new_features)
             sharded.push_item_features(item_ids, new_features)
-            sharded.flush()
         else:
             user = int(rng.integers(0, dataset.num_users))
             np.testing.assert_array_equal(
@@ -124,7 +123,7 @@ def test_sharded_matches_single_process(
     try:
         _random_interleaving(single, sharded, dataset, visual, trial_seed=num_shards)
         aggregate = sharded.stats()
-        expected = single.stats
+        expected = single.stats()["cache"]
         # The fleet's summed cache counters must equal the single cache's:
         # same requests, same invalidation decisions, just partitioned.
         for key in ("hits", "misses", "puts", "invalidations"):
@@ -158,8 +157,13 @@ def test_warm_started_shards_match_single_process(models, dataset, features):
     """Warm entries must be indistinguishable from computed entries."""
     model = models["vbpr"]
     scores = model.score_all(features=features)
-    single = RecommenderService(
-        model, feedback=dataset.feedback, features=np.array(features, copy=True), n=N
+    single = ShardedService.build(
+        model,
+        1,
+        backend="local",
+        feedback=dataset.feedback,
+        features=np.array(features, copy=True),
+        n=N,
     )
     single.warm_start(scores)
     sharded = ShardedService.build(

@@ -5,8 +5,8 @@ resurrect stale cache entries), shared-memory bundle round-trips and
 teardown, partition invariance, derived load-generator streams,
 failover to the MostPop fallback, the process transport's failure
 contracts (backpressure, worker death, no pipe deadlock, clean
-shutdown), and the block-shaped warm-start slice on
-:class:`RecommenderService`.
+shutdown), and the block-shaped warm-start slice of a one-shard
+:class:`ShardedService`.
 """
 
 import multiprocessing as mp
@@ -20,7 +20,6 @@ import pytest
 from repro.rng import derive_rng, rng_from_seed
 from repro.serving import (
     MostPopFallback,
-    RecommenderService,
     ShardedService,
     ZipfLoadGenerator,
 )
@@ -262,7 +261,6 @@ class TestFailover:
             service.push_item_features(
                 np.array([0]), model.features[[0]] + 0.1
             )
-            service.flush()
             service.recommend(1)
             assert service.router.failovers == 1
             snapshot = registry.snapshot()
@@ -432,7 +430,7 @@ class TestMalformedInput:
         model, *_ = system
         for user in range(model.num_users):
             service.recommend(user)
-        epoch = service.push_item_features([3], model.features[[3]] + 5.0)
+        epoch = service.router.push_item_features([3], model.features[[3]] + 5.0)
         acks = service.flush()
         assert epoch == 1
         assert len(acks) == 2
@@ -442,7 +440,7 @@ class TestMalformedInput:
 
 
 # --------------------------------------------------------------------- #
-# Warm-start slice (RecommenderService satellite)
+# Warm-start slice of a one-shard service
 # --------------------------------------------------------------------- #
 class TestWarmStartSlice:
     def test_block_shaped_scores_prefill_only_the_slice(self, system):
@@ -450,22 +448,23 @@ class TestWarmStartSlice:
         full = model.score_all()
         user_ids = np.array([1, 5, 9, 33])
 
-        sliced = RecommenderService(model, n=6)
-        assert sliced.warm_start(full[user_ids], user_ids=user_ids) == 4
-        reference = RecommenderService(model, n=6)
+        sliced = ShardedService.build(model, 1, backend="local", n=6)
+        shard = sliced.router.handles[0].shard
+        assert shard.warm_start(full[user_ids], user_ids=user_ids) == 4
+        reference = ShardedService.build(model, 1, backend="local", n=6)
         reference.warm_start(full)
         for user in user_ids:
             np.testing.assert_array_equal(
                 sliced.recommend(int(user)), reference.recommend(int(user))
             )
-        stats = sliced.stats
-        assert stats["hits"] == 4 and stats["misses"] == 0
+        cache = sliced.stats()["cache"]
+        assert cache["hits"] == 4 and cache["misses"] == 0
 
     def test_shape_mismatch_is_rejected(self, system):
         model, *_ = system
-        service = RecommenderService(model, n=6)
+        service = ShardedService.build(model, 1, backend="local", n=6)
         with pytest.raises(ValueError, match="row-aligned"):
-            service.warm_start(
+            service.router.handles[0].shard.warm_start(
                 np.zeros((3, model.num_items)), user_ids=np.array([0, 1])
             )
 
@@ -473,7 +472,7 @@ class TestWarmStartSlice:
 class TestServiceFacade:
     def test_runs_one_local_shard_without_fallback(self, system):
         model, *_ = system
-        service = RecommenderService(model, n=6)
+        service = ShardedService.build(model, 1, backend="local", n=6)
         assert len(service.router.handles) == 1
         assert service.router.fallback is None
         service.router.handles[0].stop()
