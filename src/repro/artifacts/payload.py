@@ -84,7 +84,6 @@ def write_payload(
     arrays: Mapping[str, np.ndarray],
     fingerprint: Optional[str] = None,
     meta: Optional[Dict[str, Any]] = None,
-    compress: bool = False,
 ) -> str:
     """Write one artifact; returns its payload ``content_hash``.
 
@@ -110,11 +109,10 @@ def write_payload(
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"
-    writer = np.savez_compressed if compress else np.savez
     # Writing through an open handle stops numpy appending ``.npz`` to
     # the temporary name.
     with _replacing(path, "xb") as stream:
-        writer(stream, **{_HEADER_KEY: np.array(json.dumps(header))}, **dict(arrays))
+        np.savez(stream, **{_HEADER_KEY: np.array(json.dumps(header))}, **dict(arrays))
     return digest
 
 

@@ -73,7 +73,6 @@ class ArtifactStore:
         *,
         schema_version: int = 1,
         meta: Optional[Dict[str, Any]] = None,
-        compress: bool = False,
     ) -> ArtifactRef:
         path = self.path_for(kind, fingerprint)
         digest = write_payload(
@@ -83,7 +82,6 @@ class ArtifactStore:
             arrays=arrays,
             fingerprint=fingerprint,
             meta=meta,
-            compress=compress,
         )
         return ArtifactRef(
             kind=kind,

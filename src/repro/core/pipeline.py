@@ -59,14 +59,15 @@ class CatalogState:
 
     Produced by the ``features`` / ``clean_scores`` stages of the
     experiment DAG (or by a previous pipeline) so a new
-    :class:`TAaMRPipeline` skips the full-catalog classifier pass and
-    the clean scoring GEMM in ``__init__``.
+    :class:`TAaMRPipeline` skips the full-catalog classifier pass, the
+    clean scoring GEMM and the clean ranking in ``__init__``.
     """
 
     item_classes: np.ndarray  # classifier-assigned classes, (|I|,)
     raw_features: np.ndarray  # un-standardised layer-e features, (|I|, D)
     features: Optional[np.ndarray] = None  # standardised; derived when None
     clean_scores: Optional[np.ndarray] = None  # (|U|, |I|); recomputed when None
+    clean_top_n: Optional[np.ndarray] = None  # (|U|, cutoff); recomputed when None
 
 
 @dataclass
@@ -255,9 +256,15 @@ class TAaMRPipeline:
             self.clean_scores = scores
         else:
             self.clean_scores = recommender.score_all(features=self.clean_features)
-        self.clean_top_n = recommender.top_n(
-            self.cutoff, feedback=dataset.feedback, scores=self.clean_scores
-        )
+        if precomputed is not None and precomputed.clean_top_n is not None:
+            top_n = np.asarray(precomputed.clean_top_n, dtype=np.int64)
+            if top_n.shape != (dataset.num_users, self.cutoff):
+                raise ValueError("precomputed clean_top_n have the wrong shape")
+            self.clean_top_n = top_n
+        else:
+            self.clean_top_n = recommender.top_n(
+                self.cutoff, feedback=dataset.feedback, scores=self.clean_scores
+            )
         self._category_items_cache: Dict[str, np.ndarray] = {}
         self._category_items_for = self.item_classes
 

@@ -3,9 +3,11 @@
 Rendering tens of thousands of images and sampling interactions is the
 slowest part of large-scale runs; persisting the assembled dataset lets
 benchmark sessions and notebooks reload it instantly.  The format is a
-single compressed ``.npz`` archive in the :mod:`repro.artifacts`
-envelope — schema-version stamp, optional config fingerprint, payload
-content hash — so loading refuses foreign, outdated or corrupted files.
+single ``.npz`` archive in the :mod:`repro.artifacts` envelope —
+schema-version stamp, optional config fingerprint, payload content
+hash — so loading refuses foreign, outdated or corrupted files.  It is
+written uncompressed; compressed archives from older versions still
+load.
 No pickle, so files are portable across Python versions and safe to
 share.
 
@@ -92,7 +94,6 @@ def save_dataset(
         arrays=arrays,
         fingerprint=fingerprint,
         meta=meta,
-        compress=True,
     )
 
 

@@ -448,6 +448,7 @@ class DefenseRuntime:
     ingest: Optional[FeatureSqueezer] = None
     detector: Optional[ReconstructionDetector] = None
     clean_scores: Dict[str, np.ndarray] = field(default_factory=dict)
+    clean_top_n: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def _deliver(
@@ -813,7 +814,6 @@ class MatrixRunner:
             fingerprint=self.fingerprints[node.name],
             schema_version=MATRIX_SCHEMA_VERSION,
             deps=tuple(node.deps.values()),
-            compress=False,
         )
 
     # -- runtime assembly ------------------------------------------------ #
@@ -827,6 +827,7 @@ class MatrixRunner:
             item_classes=base.item_classes,
             attack_item_classes=base.item_classes,
             clean_scores=dict(base.clean_scores),
+            clean_top_n=dict(base.clean_top_n),
         )
         if defense == "detector":
             detector = ReconstructionDetector(self.config.detector_components)
@@ -877,6 +878,7 @@ class MatrixRunner:
                         raw_features=runtime.raw_features,
                         features=runtime.features,
                         clean_scores=runtime.clean_scores.get(rec),
+                        clean_top_n=runtime.clean_top_n.get(rec),
                     ),
                 )
                 for rec in recs

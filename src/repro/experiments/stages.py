@@ -280,16 +280,13 @@ class StageResults:
         """The precomputed-state bundle a TAaMRPipeline warm-starts from."""
         if self.item_classes is None or self.raw_features is None:
             raise RuntimeError("features stage has not run; no catalog state")
-        scores = (
-            self.clean_scores.get(recommender_name.strip().upper())
-            if recommender_name is not None
-            else None
-        )
+        key = recommender_name.strip().upper() if recommender_name is not None else None
         return CatalogState(
             item_classes=self.item_classes,
             raw_features=self.raw_features,
             features=self.features,
-            clean_scores=scores,
+            clean_scores=self.clean_scores.get(key),
+            clean_top_n=self.clean_top_n.get(key),
         )
 
     def pipelines(
@@ -716,10 +713,6 @@ _UNPACKERS: Dict[str, Callable[[StageResults, Dict[str, np.ndarray], Dict[str, A
     "tables": _unpack_tables,
 }
 
-# Stages whose artifacts benefit from compression (large image/float blobs).
-_COMPRESSED_STAGES = frozenset({"dataset"})
-
-
 # --------------------------------------------------------------------- #
 # The node protocol: load-verify-or-build, shared with the matrix
 # --------------------------------------------------------------------- #
@@ -734,7 +727,6 @@ class StoredNode:
     fingerprint: str
     schema_version: int
     deps: Tuple[str, ...]
-    compress: bool
 
 
 def load_node(
@@ -804,7 +796,6 @@ def save_node(
             arrays,
             schema_version=node.schema_version,
             meta=meta,
-            compress=node.compress,
         )
         digest, path = ref.content_hash, ref.path
     else:
@@ -930,7 +921,6 @@ class StageRunner:
             fingerprint=self.fingerprints[name],
             schema_version=spec.schema_version,
             deps=spec.deps,
-            compress=name in _COMPRESSED_STAGES,
         )
         with span(f"stage.{name}", fingerprint=node.fingerprint) as stage_span:
             watch = Stopwatch()

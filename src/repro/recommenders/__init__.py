@@ -1,7 +1,7 @@
 """``repro.recommenders`` — BPR-MF, VBPR and AMR plus ranking evaluation."""
 
 from .amr import AMR, AMRConfig
-from .base import BPRTripletSampler, Recommender, sigmoid
+from .base import BPRTripletSampler, Recommender, factor_scores, sigmoid
 from .bprmf import BPRMF, BPRMFConfig
 from .mostpop import MostPop
 from .exposure import catalog_coverage, gini_exposure, item_exposure
@@ -10,6 +10,7 @@ from .vbpr import VBPR, VBPRConfig
 
 __all__ = [
     "Recommender",
+    "factor_scores",
     "BPRTripletSampler",
     "sigmoid",
     "BPRMF",

@@ -9,7 +9,7 @@ three models differ only in their preference predictor and update rule.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -62,6 +62,45 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
+#: The item-side arrays :func:`factor_scores` reads, one entry per item:
+#: slicing these scores a subset of the catalog's columns.
+COLUMN_ARRAYS = (
+    "item_counts",
+    "item_bias",
+    "item_factors",
+    "visual_items",
+    "visual_bias_scores",
+)
+
+
+def factor_scores(
+    user_side: Mapping[str, np.ndarray],
+    item_side: Mapping[str, np.ndarray],
+    num_users: int,
+) -> np.ndarray:
+    """The one scoring kernel: ``(num_users, |columns|)`` preference scores.
+
+    ``item_side`` holds one entry per scored column (the catalog, or any
+    slice of :data:`COLUMN_ARRAYS`) and ``user_side`` one row per scored
+    user, as :meth:`Recommender.item_side` / :meth:`Recommender.user_side`
+    give them.  BPR-MF scores ``b_i + p_u·q_i``; with the visual arrays
+    present VBPR/AMR add ``θ_u·(F·E)_i + (F·β)_i`` (paper eq. 6); MostPop,
+    which has no user factors, tiles its popularity counts.  Every
+    caller shares these expression shapes and this addition order.
+    """
+    if "item_counts" in item_side:
+        counts = item_side["item_counts"]
+        return np.broadcast_to(counts[None, :], (num_users, counts.shape[0])).copy()
+    scores = (
+        item_side["item_bias"][None, :]
+        + user_side["user_factors"] @ item_side["item_factors"].T
+    )
+    if "visual_items" in item_side:
+        scores += user_side["visual_user_factors"] @ item_side["visual_items"].T
+        scores += item_side["visual_bias_scores"][None, :]
+    return scores
+
+
 class Recommender(ABC):
     """Abstract top-N recommender over a fixed user/item universe.
 
@@ -71,6 +110,10 @@ class Recommender(ABC):
     """
 
     STATE_FIELDS: Tuple[str, ...]
+    #: User-indexed arrays of the scoring kernel (see :meth:`user_side`).
+    USER_FIELDS: Tuple[str, ...] = ()
+    #: Item-indexed arrays of the scoring kernel (see :meth:`item_side`).
+    ITEM_FIELDS: Tuple[str, ...] = ()
 
     def __init__(self, num_users: int, num_items: int) -> None:
         if num_users <= 0 or num_items <= 0:
@@ -145,17 +188,34 @@ class Recommender(ABC):
             )
         return user_ids
 
-    def score_users(self, user_ids) -> np.ndarray:
+    def user_side(self, user_ids) -> Dict[str, np.ndarray]:
+        """Rows ``user_ids`` of every ``USER_FIELDS`` array (the kernel's user side)."""
+        return {name: getattr(self, name)[user_ids] for name in self.USER_FIELDS}
+
+    def item_side(self, features: Optional[np.ndarray] = None) -> Dict[str, np.ndarray]:
+        """The model's own ``ITEM_FIELDS`` arrays (the kernel's item side).
+
+        Only visual models accept replacement ``features``.
+        """
+        if features is not None:
+            raise ValueError(
+                f"{type(self).__name__} has no visual pathway; features must be None"
+            )
+        return {name: getattr(self, name) for name in self.ITEM_FIELDS}
+
+    def score_users(self, user_ids, features: Optional[np.ndarray] = None) -> np.ndarray:
         """Scores of shape ``(len(user_ids), num_items)`` for a user block.
 
-        The base implementation slices :meth:`score_all`; models whose
-        predictor factorises over users (all of BPR-MF / VBPR / MostPop)
-        override it with a direct small-GEMM path so serving a handful
-        of users never materialises the full user×item matrix.
+        One :func:`factor_scores` call over this block's user side, so
+        serving a handful of users never materialises the full user×item
+        matrix.  ``features`` replaces a visual model's item features, as
+        in its ``score_all``.
         """
         self._require_fitted()
         user_ids = self._validate_user_ids(user_ids)
-        return self.score_all()[user_ids]
+        return factor_scores(
+            self.user_side(user_ids), self.item_side(features), user_ids.size
+        )
 
     @staticmethod
     def _head_of(score_matrix: np.ndarray, n: int) -> np.ndarray:

@@ -60,6 +60,8 @@ class BPRMF(Recommender):
 
     #: Trained parameters behind :meth:`state_dict` / :meth:`load_state_dict`.
     STATE_FIELDS = ("user_factors", "item_factors", "item_bias")
+    USER_FIELDS = ("user_factors",)
+    ITEM_FIELDS = ("item_bias", "item_factors")
 
     # ------------------------------------------------------------------ #
     def fit(self, feedback: ImplicitFeedback) -> "BPRMF":
@@ -113,8 +115,3 @@ class BPRMF(Recommender):
         self._require_fitted()
         return self.item_bias[None, :] + self.user_factors @ self.item_factors.T
 
-    def score_users(self, user_ids) -> np.ndarray:
-        """Block scoring without the full user×item matrix (serving path)."""
-        self._require_fitted()
-        user_ids = self._validate_user_ids(user_ids)
-        return self.item_bias[None, :] + self.user_factors[user_ids] @ self.item_factors.T

@@ -21,6 +21,7 @@ class MostPop(Recommender):
     """Popularity-ranking recommender (user-independent scores)."""
 
     STATE_FIELDS = ("item_counts",)
+    ITEM_FIELDS = ("item_counts",)
 
     def __init__(self, num_users: int, num_items: int) -> None:
         super().__init__(num_users, num_items)
@@ -39,10 +40,3 @@ class MostPop(Recommender):
             self.item_counts[None, :], (self.num_users, self.num_items)
         ).copy()
 
-    def score_users(self, user_ids) -> np.ndarray:
-        """Block scoring: popularity is user-independent, so just tile."""
-        self._require_fitted()
-        user_ids = self._validate_user_ids(user_ids)
-        return np.broadcast_to(
-            self.item_counts[None, :], (user_ids.shape[0], self.num_items)
-        ).copy()

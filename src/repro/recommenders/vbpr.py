@@ -56,6 +56,19 @@ class VBPRConfig:
             raise ValueError("regularizations must be non-negative")
 
 
+def visual_item_terms(
+    features: np.ndarray, embedding: np.ndarray, visual_bias: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(F·E, F·β)``: the per-item visual terms of eq. 6 for features ``F``.
+
+    The one place they are computed outside training and the
+    :meth:`VBPR.score_all` oracle: :meth:`VBPR.item_side` calls it for
+    the catalog, the serving scorer for each pushed batch of items.
+    """
+    features = np.ascontiguousarray(features, dtype=np.float64)
+    return features @ embedding, features @ visual_bias
+
+
 class VBPR(Recommender):
     """Visual BPR over fixed CNN item features.
 
@@ -115,6 +128,7 @@ class VBPR(Recommender):
         "visual_bias",
         "item_bias",
     )
+    USER_FIELDS = ("user_factors", "visual_user_factors")
 
     @staticmethod
     def shapes_for(
@@ -265,24 +279,27 @@ class VBPR(Recommender):
             + (feats @ self.visual_bias)[None, :]
         )
 
-    def score_users(self, user_ids, features: Optional[np.ndarray] = None) -> np.ndarray:
-        """Block scoring without the full user×item matrix (serving path).
+    def item_side(self, features: Optional[np.ndarray] = None) -> Dict[str, np.ndarray]:
+        """The kernel's item side; ``features`` replaces the clean item features.
 
-        ``features`` replaces the clean item features, as in
-        :meth:`score_all`; the visual projection ``feats @ E`` still
-        spans the whole catalog, so callers serving many small blocks
-        should precompute it once (see
-        ``repro.serving.sharded.compute_item_side``).
+        Besides the BPR-MF arrays it carries the features, their visual
+        terms ``F·E`` / ``F·β`` (:func:`visual_item_terms`), and ``E`` /
+        ``β`` themselves, which fold later feature updates in.
         """
-        self._require_fitted()
-        user_ids = self._validate_user_ids(user_ids)
-        feats = self.features if features is None else np.asarray(features, dtype=np.float64)
+        feats = np.ascontiguousarray(
+            self.features if features is None else features, dtype=np.float64
+        )
         if feats.shape != (self.num_items, self.feature_dim):
             raise ValueError("features must have shape (num_items, D)")
-        visual_items = feats @ self.embedding
-        return (
-            self.item_bias[None, :]
-            + self.user_factors[user_ids] @ self.item_factors.T
-            + self.visual_user_factors[user_ids] @ visual_items.T
-            + (feats @ self.visual_bias)[None, :]
+        visual_items, visual_bias_scores = visual_item_terms(
+            feats, self.embedding, self.visual_bias
         )
+        return {
+            "item_bias": self.item_bias,
+            "item_factors": self.item_factors,
+            "features": feats,
+            "visual_items": visual_items,  # F·E, (|I|, A)
+            "visual_bias_scores": visual_bias_scores,  # F·β, (|I|,)
+            "embedding": self.embedding,
+            "visual_bias": self.visual_bias,
+        }

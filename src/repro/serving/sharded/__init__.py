@@ -19,7 +19,7 @@ from .race import (
     race_check_enabled,
 )
 from .router import MostPopFallback, ShardedService, ShardRouter, UpdateReport
-from .scorer import ITEM_SIDE_KINDS, SharedScorer, compute_item_side, item_side_kind
+from .scorer import ITEM_SIDE_KINDS, SharedScorer, compute_item_side
 from .shard import Shard, ShardSpec, ShardUpdateReport
 from .shm import (
     ArrayBank,
@@ -63,7 +63,6 @@ __all__ = [
     "attach_bundle",
     "build_synthetic_system",
     "compute_item_side",
-    "item_side_kind",
     "race_check_enabled",
     "segment_exists",
     "shard_worker_main",

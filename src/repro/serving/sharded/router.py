@@ -455,28 +455,14 @@ class ShardRouter:
             aggregate["chr_observed"] = int(sum(m["observed"] for m in monitors))
         return aggregate
 
-    def publish_metrics(self, registry) -> None:
-        """Mirror the cross-shard aggregate into a metrics registry."""
-        aggregate = self.stats()
-        for key, value in aggregate["cache"].items():
-            registry.gauge(f"serving.cache.lifetime.{key}").set(value)
-        registry.gauge("serving.cache.size").set(aggregate["cache_size"])
-        registry.gauge("serving.scorer.feature_updates").set(
-            aggregate["feature_updates"]
-        )
-        registry.gauge("serving.sharded.healthy_shards").set(
-            aggregate["healthy_shards"]
-        )
-        registry.gauge("serving.sharded.epoch").set(aggregate["epoch"])
-
 
 class ShardedService:
     """The serving facade: owner of the published item side, fleet and router.
 
-    ``recommend``, ``recommend_batch``, ``flush``, ``stats``, ``ping`` and
-    ``publish_metrics`` are the :class:`ShardRouter`'s own methods, bound
-    as attributes so the request path has no facade frame on it.  Pushes
-    wait for every shard's ack and return an :class:`UpdateReport`.
+    ``recommend``, ``recommend_batch``, ``flush``, ``stats`` and ``ping``
+    are the :class:`ShardRouter`'s own methods, bound as attributes so the
+    request path has no facade frame on it.  Pushes wait for every
+    shard's ack and return an :class:`UpdateReport` of that push alone.
     """
 
     def __init__(
@@ -494,22 +480,28 @@ class ShardedService:
         self.flush = router.flush
         self.stats = router.stats
         self.ping = router.ping
-        self.publish_metrics = router.publish_metrics
 
     # Synchronous pushes ------------------------------------------------ #
     def push_item_features(self, item_ids, item_features) -> UpdateReport:
         """Push new item features; quarantined items never reach a scorer."""
-        self.router.push_item_features(item_ids, item_features)
-        return self._settle(item_ids)
+        return self._settle(self.router.push_item_features, item_ids, item_features)
 
     def push_attacked_images(self, item_ids, images) -> UpdateReport:
         """New images for ``item_ids``, re-extracted once at the router."""
-        self.router.push_attacked_images(item_ids, images)
-        return self._settle(item_ids)
+        return self._settle(self.router.push_attacked_images, item_ids, images)
 
-    def _settle(self, item_ids) -> UpdateReport:
-        """Drain the shards' acks for the push just made into a report."""
-        acks = self.router.flush()
+    def _settle(self, push, item_ids, payload) -> UpdateReport:
+        """Make a router ``push`` and report its own epoch's acks.
+
+        Every shard's acks are drained, but those of earlier unflushed
+        router pushes are not counted; an empty or fully quarantined
+        push spends no epoch and reports nothing changed.
+        """
+        before = self.router.epoch
+        epoch = push(item_ids, payload)
+        acks = [
+            ack for ack in self.router.flush() if epoch != before and ack["epoch"] == epoch
+        ]
         item_ids = np.atleast_1d(np.asarray(item_ids, dtype=np.int64))
         quarantined: List[int] = []
         verdict = self.router.last_screen
@@ -636,16 +628,6 @@ class ShardedService:
 
         for shard_id in range(num_shards):
             user_ids = partition.users_of(shard_id)
-            user_factors = None
-            visual_user_factors = None
-            if kind != "mostpop":
-                user_factors = np.array(
-                    recommender.user_factors[user_ids], dtype=np.float64
-                )
-            if kind == "vbpr":
-                visual_user_factors = np.array(
-                    recommender.visual_user_factors[user_ids], dtype=np.float64
-                )
             train_items = None
             seen_sets = None
             if feedback is not None:
@@ -662,8 +644,7 @@ class ShardedService:
                     kind=kind,
                     manifest=manifest,
                     user_ids=user_ids,
-                    user_factors=user_factors,
-                    visual_user_factors=visual_user_factors,
+                    user_side=recommender.user_side(user_ids),
                     n=n,
                     train_items=train_items,
                     seen_sets=seen_sets,
@@ -714,7 +695,7 @@ class ShardedService:
             n=n,
             cast_timeout_s=cast_timeout_s,
             call_timeout_s=call_timeout_s,
-            feature_dim=arrays["embedding"].shape[0] if kind == "vbpr" else None,
+            feature_dim=arrays["features"].shape[1] if "features" in arrays else None,
         )
         service = cls(router, bundle=bundle, bank=bank)
         # Build-time health check: every worker must answer a ping over

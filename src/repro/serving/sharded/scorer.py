@@ -2,43 +2,43 @@
 
 The one serving-time scorer.  Offline evaluation calls ``score_all()``
 and materialises the full user×item matrix; a running service cannot.
-:func:`compute_item_side` derives, once per deployment, the item-side
-state of a fitted BPR-family model — the visual projection ``F·E``, the
-visual-bias column ``F·β``, item biases/factors (and ``E``/``β``
-themselves, needed to fold feature *updates* in), or MostPop's
-popularity vector.  :class:`SharedScorer` then answers per-user-block
-requests for one shard with small ``(B, K) @ (K, |I|)`` GEMMs against
-read-only views of that bank (shared memory in worker processes, an
-in-process snapshot for local shards) plus the shard's own slice of
-the user-side factors.
+:func:`compute_item_side` takes, once per deployment, the item side of
+a fitted BPR-family model (:meth:`~repro.recommenders.Recommender.item_side`:
+item biases/factors, and for VBPR/AMR the features, ``F·E``, ``F·β``
+and ``E``/``β`` themselves, needed to fold feature *updates* in; or
+MostPop's popularity vector).  :class:`SharedScorer` then answers
+per-user-block requests for one shard through the recommenders' one
+scoring kernel, :func:`~repro.recommenders.factor_scores`, with small
+``(B, K) @ (K, |I|)`` GEMMs against read-only views of that bank
+(shared memory in worker processes, an in-process snapshot for local
+shards) plus the shard's own rows of the user side.
 
 Attack-driven updates never write the shared bank — it is immutable by
 construction.  Instead each shard keeps a sparse *overlay* of updated
 item rows: sorted, C-contiguous arrays of the overlaid ids and their
 features, ``F·E`` rows and ``F·β`` values, merged in place by each push
-(last write wins).  Scoring patches exactly the overlaid columns from
-those arrays with the same arithmetic (same expression shapes, same
-addition order) as the dense path, so a fleet of any shard count serves
-bitwise-identical lists.
+(last write wins).  Scoring patches exactly the overlaid columns by
+running the same kernel over an item side sliced to those columns, so
+a fleet of any shard count serves bitwise-identical lists.
 Non-visual models (BPR-MF, MostPop) accept updates as recorded no-ops:
 image perturbations cannot move their scores, the attack-immune control
 of the paper (§III-A).
 When an overlay grows past ``escalate_fraction`` of the catalog the
-shard *escalates*: it materialises a private dense copy of the item
-side (base ⊕ overlay) and continues with plain dense scoring — the
+shard *escalates*: it materialises a private dense copy of the visual
+item side (base ⊕ overlay) and continues with plain dense scoring — the
 copy-on-write backstop that keeps heavily-churned shards from paying a
 per-request patch over half the catalog.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from collections import ChainMap
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ...recommenders.bprmf import BPRMF
-from ...recommenders.mostpop import MostPop
-from ...recommenders.vbpr import VBPR
+from ...recommenders.base import COLUMN_ARRAYS, Recommender, factor_scores
+from ...recommenders.vbpr import visual_item_terms
 from .shm import ArrayBank
 
 #: scorer kinds a shard can host; AMR is a VBPR subclass and maps to "vbpr".
@@ -70,54 +70,28 @@ def check_item_features(item_features, num_rows: int, feature_dim: int) -> np.nd
     return item_features
 
 
-def item_side_kind(recommender) -> str:
-    """Classify a fitted recommender for item-side publication."""
-    if isinstance(recommender, MostPop):
-        return "mostpop"
-    if isinstance(recommender, VBPR):  # covers AMR
-        return "vbpr"
-    if isinstance(recommender, BPRMF):
-        return "bprmf"
-    raise TypeError(
-        "sharded serving supports BPRMF, VBPR/AMR and MostPop; "
-        f"got {type(recommender).__name__}"
-    )
-
-
 def compute_item_side(
     recommender, features: Optional[np.ndarray] = None
 ) -> Tuple[str, Dict[str, np.ndarray]]:
-    """The publish-once item-side arrays for ``recommender``.
+    """``(kind, item side)`` of a fitted ``recommender``, ready to publish.
 
-    Float64 copies throughout — the bank is a snapshot, isolated from
+    The arrays are :meth:`~repro.recommenders.Recommender.item_side`'s,
+    the model's own: :meth:`ArrayBank.snapshot` and the shared-memory
+    bundle make the one publication copy, which isolates the bank from
     later writes to the model or to ``features`` (which defaults to the
-    features the model trained on).
+    features the model trained on).  The kind is read off the arrays.
     """
-    kind = item_side_kind(recommender)
+    if not isinstance(recommender, Recommender):
+        raise TypeError(
+            "sharded serving supports BPRMF, VBPR/AMR and MostPop; "
+            f"got {type(recommender).__name__}"
+        )
     if not recommender.is_fitted:
         raise RuntimeError("recommender must be fitted before publication")
-    if kind == "mostpop":
-        if features is not None:
-            raise ValueError("MostPop has no visual pathway; features must be None")
-        return kind, {"item_counts": np.array(recommender.item_counts, dtype=np.float64)}
-    arrays = {
-        "item_bias": np.array(recommender.item_bias, dtype=np.float64),
-        "item_factors": np.array(recommender.item_factors, dtype=np.float64),
-    }
-    if kind == "bprmf":
-        if features is not None:
-            raise ValueError("BPRMF has no visual pathway; features must be None")
-        return kind, arrays
-    feats = recommender.features if features is None else features
-    feats = np.array(feats, dtype=np.float64, copy=True)
-    if feats.shape != (recommender.num_items, recommender.feature_dim):
-        raise ValueError("features must have shape (num_items, D)")
-    arrays["features"] = feats
-    arrays["visual_items"] = feats @ recommender.embedding  # F·E, (|I|, A)
-    arrays["visual_bias_scores"] = feats @ recommender.visual_bias  # F·β, (|I|,)
-    arrays["embedding"] = np.array(recommender.embedding, dtype=np.float64)
-    arrays["visual_bias"] = np.array(recommender.visual_bias, dtype=np.float64)
-    return kind, arrays
+    arrays = recommender.item_side(features)
+    if "item_counts" in arrays:
+        return "mostpop", arrays
+    return ("vbpr" if "visual_items" in arrays else "bprmf"), arrays
 
 
 class SharedScorer:
@@ -134,9 +108,10 @@ class SharedScorer:
         Global universe sizes (user ids stay global everywhere).
     user_ids:
         The global user ids this shard owns.
-    user_factors / visual_user_factors:
-        The owned rows of the user-side matrices, aligned with
-        ``user_ids`` (None where the model kind has none).
+    user_side:
+        The owned rows of the model's user side
+        (:meth:`~repro.recommenders.Recommender.user_side`), each array
+        aligned with ``user_ids``; empty for MostPop.
     escalate_fraction:
         Overlay size (as a fraction of the catalog) beyond which the
         shard materialises a private dense item side.
@@ -149,8 +124,7 @@ class SharedScorer:
         num_users: int,
         num_items: int,
         user_ids: np.ndarray,
-        user_factors: Optional[np.ndarray] = None,
-        visual_user_factors: Optional[np.ndarray] = None,
+        user_side: Optional[Mapping[str, np.ndarray]] = None,
         escalate_fraction: float = 0.25,
     ) -> None:
         if kind not in ITEM_SIDE_KINDS:
@@ -161,7 +135,7 @@ class SharedScorer:
         self.bank = bank
         self.num_users = num_users
         self.num_items = num_items
-        self.is_visual = kind == "vbpr"
+        self.is_visual = "visual_items" in bank
         self.escalate_fraction = escalate_fraction
         self.feature_updates = 0  # update calls, including non-visual no-ops
 
@@ -173,25 +147,13 @@ class SharedScorer:
         self._row_of = np.full(num_users, -1, dtype=np.int64)
         self._row_of[user_ids] = np.arange(user_ids.size, dtype=np.int64)
 
-        if kind == "mostpop":
-            if user_factors is not None or visual_user_factors is not None:
-                raise ValueError("MostPop shards carry no user factors")
-            self._user_factors = None
-            self._visual_user_factors = None
-        else:
-            user_factors = np.asarray(user_factors, dtype=np.float64)
-            if user_factors.shape[0] != user_ids.size:
-                raise ValueError("user_factors rows must align with user_ids")
-            self._user_factors = user_factors
-            if self.is_visual:
-                visual_user_factors = np.asarray(visual_user_factors, dtype=np.float64)
-                if visual_user_factors.shape[0] != user_ids.size:
-                    raise ValueError("visual_user_factors rows must align with user_ids")
-                self._visual_user_factors = visual_user_factors
-            else:
-                if visual_user_factors is not None:
-                    raise ValueError("BPRMF shards carry no visual user factors")
-                self._visual_user_factors = None
+        self._user_side = {
+            name: np.asarray(array, dtype=np.float64)
+            for name, array in (user_side or {}).items()
+        }
+        for name, array in self._user_side.items():
+            if array.shape[0] != user_ids.size:
+                raise ValueError(f"user-side {name!r} rows must align with user_ids")
 
         self._clear_overlay()
         # Escalated (copy-on-write) dense item side; None until needed.
@@ -229,11 +191,13 @@ class SharedScorer:
     def overlay_size(self) -> int:
         return int(self._overlay_ids.size)
 
-    def _visual_state(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Current ``(F·E, F·β)`` — dense copy when escalated, base bank otherwise."""
-        if self._dense is not None:
-            return self._dense["visual_items"], self._dense["visual_bias_scores"]
-        return self.bank["visual_items"], self.bank["visual_bias_scores"]
+    def _item_side(self) -> Mapping[str, np.ndarray]:
+        """The current item side: the escalated dense copy over the base bank."""
+        return self.bank if self._dense is None else ChainMap(self._dense, self.bank)
+
+    def _user_rows(self, rows: np.ndarray) -> Dict[str, np.ndarray]:
+        """The user side of the owned local ``rows``."""
+        return {name: array[rows] for name, array in self._user_side.items()}
 
     def _clear_overlay(self) -> None:
         """Empty the sparse overlay of updated items.
@@ -273,62 +237,41 @@ class SharedScorer:
     # ------------------------------------------------------------------ #
     def score_block(self, user_ids) -> np.ndarray:
         """Scores ``(len(user_ids), num_items)`` for owned users."""
-        if self.kind == "mostpop":
-            rows = self._rows(user_ids)
-            return np.broadcast_to(
-                self.bank["item_counts"][None, :], (rows.shape[0], self.num_items)
-            ).copy()
         rows = self._rows(user_ids)
-        scores = (
-            self.bank["item_bias"][None, :]
-            + self._user_factors[rows] @ self.bank["item_factors"].T
-        )
-        if self.is_visual:
-            visual_items, visual_bias_scores = self._visual_state()
-            scores += self._visual_user_factors[rows] @ visual_items.T
-            scores += visual_bias_scores[None, :]
-            if self._overlay_ids.size:
-                scores[:, self._overlay_ids] = self._score_overlaid_columns(rows)
+        users = self._user_rows(rows)
+        scores = factor_scores(users, self._item_side(), rows.size)
+        if self._overlay_ids.size:
+            scores[:, self._overlay_ids] = self._score_overlaid_columns(users, rows.size)
         return scores
 
-    def _score_overlaid_columns(self, rows: np.ndarray) -> np.ndarray:
-        """Recompute the overlaid columns with the dense scorer's addition order."""
+    def _score_overlaid_columns(
+        self, users: Dict[str, np.ndarray], num_rows: int
+    ) -> np.ndarray:
+        """Score the overlaid columns from the overlay's own visual rows."""
         ids = self._overlay_ids
-        cols = (
-            self.bank["item_bias"][ids][None, :]
-            + self._user_factors[rows] @ self.bank["item_factors"][ids].T
-        )
-        cols += self._visual_user_factors[rows] @ self._overlay_visual.T
-        cols += self._overlay_bias[None, :]
-        return cols
+        overlaid = {
+            "item_bias": self.bank["item_bias"][ids],
+            "item_factors": self.bank["item_factors"][ids],
+            "visual_items": self._overlay_visual,
+            "visual_bias_scores": self._overlay_bias,
+        }
+        return factor_scores(users, overlaid, num_rows)
 
     def score_items(self, user_ids, item_ids) -> np.ndarray:
         """Scores of selected columns (the cache-invalidation path)."""
         item_ids = check_item_ids(item_ids, self.num_items)
-        if self.kind == "mostpop":
-            rows = self._rows(user_ids)
-            return np.broadcast_to(
-                self.bank["item_counts"][item_ids][None, :],
-                (rows.shape[0], item_ids.shape[0]),
-            ).copy()
         rows = self._rows(user_ids)
-        scores = (
-            self.bank["item_bias"][item_ids][None, :]
-            + self._user_factors[rows] @ self.bank["item_factors"][item_ids].T
-        )
-        if self.is_visual:
-            visual_items, visual_bias_scores = self._visual_state()
-            visual_sel = np.array(visual_items[item_ids], copy=True)
-            bias_sel = np.array(visual_bias_scores[item_ids], copy=True)
-            ids = self._overlay_ids
-            if ids.size:
-                pos = np.minimum(np.searchsorted(ids, item_ids), ids.size - 1)
-                hit = ids[pos] == item_ids
-                visual_sel[hit] = self._overlay_visual[pos[hit]]
-                bias_sel[hit] = self._overlay_bias[pos[hit]]
-            scores += self._visual_user_factors[rows] @ visual_sel.T
-            scores += bias_sel[None, :]
-        return scores
+        item_side = self._item_side()
+        columns = {
+            name: item_side[name][item_ids] for name in COLUMN_ARRAYS if name in item_side
+        }
+        ids = self._overlay_ids
+        if ids.size:
+            pos = np.minimum(np.searchsorted(ids, item_ids), ids.size - 1)
+            hit = ids[pos] == item_ids
+            columns["visual_items"][hit] = self._overlay_visual[pos[hit]]
+            columns["visual_bias_scores"][hit] = self._overlay_bias[pos[hit]]
+        return factor_scores(self._user_rows(rows), columns, rows.size)
 
     # ------------------------------------------------------------------ #
     # Incremental updates
@@ -348,8 +291,9 @@ class SharedScorer:
         item_features = check_item_features(
             item_features, item_ids.size, self.bank["embedding"].shape[0]
         )
-        visual_rows = item_features @ self.bank["embedding"]
-        bias_rows = item_features @ self.bank["visual_bias"]
+        visual_rows, bias_rows = visual_item_terms(
+            item_features, self.bank["embedding"], self.bank["visual_bias"]
+        )
         if self._dense is not None:
             # Sanctioned writer: the escalated copy is published read-only
             # (see _escalate), so open the narrowest possible write window

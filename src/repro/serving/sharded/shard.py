@@ -137,8 +137,8 @@ class ShardSpec:
     kind: str
     manifest: ShmManifest
     user_ids: np.ndarray
-    user_factors: Optional[np.ndarray] = None
-    visual_user_factors: Optional[np.ndarray] = None
+    #: The owned users' rows of the model's user side (empty for MostPop).
+    user_side: Dict[str, np.ndarray] = field(default_factory=dict)
     n: int = 10
     train_items: Optional[Dict[int, np.ndarray]] = None
     seen_sets: Optional[Dict[int, Set[int]]] = None
@@ -227,8 +227,7 @@ class Shard:
             num_users=spec.num_users,
             num_items=spec.num_items,
             user_ids=spec.user_ids,
-            user_factors=spec.user_factors,
-            visual_user_factors=spec.visual_user_factors,
+            user_side=spec.user_side,
             escalate_fraction=spec.escalate_fraction,
         )
         return cls(

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from repro.artifacts import ArtifactStore
+from repro.core import TAaMRPipeline
+from repro.recommenders import Recommender
 from repro.experiments import (
     STAGE_ORDER,
     StageRunner,
@@ -215,6 +217,29 @@ class TestRoundTripIdentity:
         state = results.catalog_state("VBPR")
         assert state.clean_scores is results.clean_scores["VBPR"]
         assert state.features is results.features
+
+    def test_pipelines_reuse_stored_clean_top_n(self, config, warm_run, monkeypatch):
+        results, _ = warm_run
+        calls = []
+        top_n = Recommender.top_n
+
+        def counting_top_n(self, *args, **kwargs):
+            calls.append(type(self).__name__)
+            return top_n(self, *args, **kwargs)
+
+        monkeypatch.setattr(Recommender, "top_n", counting_top_n)
+        pipelines = results.pipelines(["VBPR", "AMR"], config.cutoff)
+        assert calls == []
+        for name, pipeline in pipelines.items():
+            np.testing.assert_array_equal(pipeline.clean_top_n, results.clean_top_n[name])
+        with pytest.raises(ValueError, match="clean_top_n"):
+            TAaMRPipeline(
+                results.dataset,
+                results.extractor,
+                results.vbpr,
+                cutoff=config.cutoff - 1,
+                precomputed=results.catalog_state("VBPR"),
+            )
 
 
 class TestManifest:

@@ -5,7 +5,17 @@ import pytest
 
 from repro.data import tiny_dataset
 from repro.data.interactions import ImplicitFeedback
-from repro.recommenders import BPRMF, BPRMFConfig, BPRTripletSampler, sigmoid
+from repro.recommenders import (
+    AMR,
+    AMRConfig,
+    BPRMF,
+    BPRMFConfig,
+    BPRTripletSampler,
+    MostPop,
+    VBPR,
+    VBPRConfig,
+    sigmoid,
+)
 
 
 @pytest.fixture(scope="module")
@@ -150,10 +160,17 @@ class TestBlockScoring:
             feedback.num_users, feedback.num_items, BPRMFConfig(epochs=5, seed=0)
         ).fit(feedback)
 
-    def test_score_users_matches_score_all_rows(self, model):
+    @pytest.fixture(scope="class")
+    def score_kwargs(self):
+        """Extra arguments of both ``score_users`` and ``score_all``."""
+        return {}
+
+    def test_score_users_matches_score_all_rows(self, model, score_kwargs):
         users = [0, 7, 21]
         np.testing.assert_allclose(
-            model.score_users(users), model.score_all()[users], rtol=1e-10
+            model.score_users(users, **score_kwargs),
+            model.score_all(**score_kwargs)[users],
+            rtol=1e-10,
         )
 
     def test_score_users_accepts_scalar(self, model):
@@ -204,3 +221,35 @@ class TestBlockScoring:
     def test_top_n_block_invalid_users(self, model):
         with pytest.raises(ValueError):
             model.top_n(5, user_ids=[model.num_users])
+
+
+class TestBlockScoringAllModels(TestBlockScoring):
+    """The same cases for VBPR (scoring replacement features), AMR and MostPop.
+
+    ``score_users`` runs the one scoring kernel; each model's own
+    ``score_all`` stays the independent oracle it is checked against.
+    """
+
+    @pytest.fixture(scope="class", params=["vbpr", "amr", "mostpop"])
+    def case(self, request, feedback):
+        rng = np.random.default_rng(5)
+        features = rng.normal(0, 1, (feedback.num_items, 12))
+        if request.param == "mostpop":
+            return MostPop(feedback.num_users, feedback.num_items).fit(feedback), {}
+        if request.param == "amr":
+            config = AMRConfig(epochs=4, pretrain_epochs=2, seed=0)
+            return AMR(feedback.num_users, feedback.num_items, features, config).fit(
+                feedback
+            ), {}
+        model = VBPR(
+            feedback.num_users, feedback.num_items, features, VBPRConfig(epochs=5, seed=0)
+        ).fit(feedback)
+        return model, {"features": rng.normal(0, 2, features.shape)}
+
+    @pytest.fixture(scope="class")
+    def model(self, case):
+        return case[0]
+
+    @pytest.fixture(scope="class")
+    def score_kwargs(self, case):
+        return case[1]

@@ -39,8 +39,7 @@ def _local_shard(model, n=6, escalate_fraction=0.25):
         num_users=model.num_users,
         num_items=model.num_items,
         user_ids=np.arange(model.num_users, dtype=np.int64),
-        user_factors=model.user_factors,
-        visual_user_factors=model.visual_user_factors,
+        user_side=model.user_side(np.arange(model.num_users)),
         escalate_fraction=escalate_fraction,
     )
     return Shard(0, scorer, n=n)

@@ -24,14 +24,14 @@ from repro.serving.sharded import ArrayBank, SharedScorer, compute_item_side
 
 def make_scorer(model, features=None, escalate_fraction=0.25):
     kind, arrays = compute_item_side(model, features=features)
+    users = np.arange(model.num_users)
     return SharedScorer(
         kind,
         ArrayBank.snapshot(arrays),
         num_users=model.num_users,
         num_items=model.num_items,
-        user_ids=np.arange(model.num_users),
-        user_factors=None if kind == "mostpop" else model.user_factors,
-        visual_user_factors=model.visual_user_factors if kind == "vbpr" else None,
+        user_ids=users,
+        user_side=model.user_side(users),
         escalate_fraction=escalate_fraction,
     )
 
@@ -213,8 +213,9 @@ class DictOverlay:
 
     def __init__(self, model):
         _, self.bank = compute_item_side(model)
-        self.user_factors = model.user_factors
-        self.visual_user_factors = model.visual_user_factors
+        user_side = model.user_side(np.arange(model.num_users))
+        self.user_factors = user_side["user_factors"]
+        self.visual_user_factors = user_side["visual_user_factors"]
         self.rows = {}
 
     def update(self, item_ids, item_features):

@@ -46,8 +46,7 @@ def _local_shard(model, user_ids, n=6, max_pending=8):
         num_users=model.num_users,
         num_items=model.num_items,
         user_ids=np.asarray(user_ids, dtype=np.int64),
-        user_factors=model.user_factors[user_ids],
-        visual_user_factors=model.visual_user_factors[user_ids],
+        user_side=model.user_side(user_ids),
     )
     return Shard(0, scorer, n=n, max_pending=max_pending)
 
@@ -478,6 +477,39 @@ class TestServiceFacade:
         service.router.handles[0].stop()
         with pytest.raises(ShardError, match="unhealthy"):
             service.recommend(0)
+
+    def test_push_report_counts_only_its_own_epoch(self):
+        model, _, _, counts = build_synthetic_system(40, 30)
+
+        def fleet():
+            service = ShardedService.build(
+                model, 2, backend="local", fallback_counts=counts, n=6
+            )
+            for user in range(model.num_users):
+                service.recommend(user)
+            service.router.push_item_features([3], model.features[[3]] + 5.0)
+            return service
+
+        service, twin = fleet(), fleet()
+        # An empty push spends no epoch: the earlier router push's acks
+        # are drained, not reported.
+        report = service.push_item_features([], np.zeros((0, model.feature_dim)))
+        assert not report.scores_changed
+        assert (report.cached_users, report.num_invalidated) == (0, 0)
+        assert service.flush() == []
+        # A real push reports the acks of its own epoch only.
+        service.router.push_item_features([4], model.features[[4]] + 5.0)
+        report = service.push_item_features([5], model.features[[5]] + 5.0)
+        twin.flush()
+        twin.router.push_item_features([4], model.features[[4]] + 5.0)
+        twin.flush()
+        twin.router.push_item_features([5], model.features[[5]] + 5.0)
+        acks = twin.flush()
+        assert report.scores_changed
+        assert report.cached_users == sum(ack["cached_users"] for ack in acks)
+        assert report.num_invalidated == sum(ack["invalidated_users"] for ack in acks)
+        service.close()
+        twin.close()
 
 
 class TestLocalHandle:
