@@ -16,7 +16,10 @@ Everything else keeps serving from cache: a perturbation that moves a
 sock's score from rank 900 to rank 500 of a user's ranking costs that
 user nothing.  This is the serving-layer mirror of the paper's CHR
 mechanics — only score changes that cross top-N boundaries shift
-category exposure.
+category exposure.  The invalidated users are returned for the owner
+to refresh: a serving shard refills their lists in one block before it
+acks the push, so a push refreshes the lists it invalidates and
+:attr:`CacheStats.puts` counts those refills.
 
 Entries are rows of slot arrays, not per-user objects, so one push
 decides every cached user with array operations: a catalog-sized mask
@@ -49,7 +52,7 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    puts: int = 0
+    puts: int = 0  # lists stored, refills after a push included
     invalidations: int = 0  # entries dropped by feature updates
     update_batches: int = 0  # apply_update calls
 
@@ -265,9 +268,10 @@ class TopNCache:
             row-aligned with ``users`` (from
             :meth:`~repro.serving.sharded.scorer.SharedScorer.score_items`).
 
-        Returns the list of invalidated user ids, in ``users`` order
-        (their entries are dropped; the next ``get`` misses and
-        triggers a fresh compute).
+        Returns the list of invalidated user ids, in ``users`` order.
+        Their entries are dropped here; the caller refreshes them (a
+        serving shard refills them with :meth:`put_many` before it acks
+        the push).
         """
         item_ids = np.asarray(item_ids, dtype=np.int64)
         new_scores = np.asarray(new_scores, dtype=np.float64)

@@ -19,7 +19,7 @@ from .race import (
     race_check_enabled,
 )
 from .router import MostPopFallback, ShardedService, ShardRouter, UpdateReport
-from .scorer import ITEM_SIDE_KINDS, SharedScorer, compute_item_side
+from .scorer import SharedScorer, compute_item_side
 from .shard import Shard, ShardSpec, ShardUpdateReport
 from .shm import (
     ArrayBank,
@@ -40,7 +40,6 @@ from .worker import (
 __all__ = [
     "ArrayBank",
     "FaultInjectingHandle",
-    "ITEM_SIDE_KINDS",
     "LocalShardHandle",
     "MostPopFallback",
     "ProcessShardHandle",

@@ -611,7 +611,7 @@ class ShardedService:
         ):
             raise ValueError("feedback universe does not match the recommender")
         race = race_check_enabled(race_check)
-        kind, arrays = compute_item_side(recommender, features=features)
+        arrays = compute_item_side(recommender, features=features)
         partition = UserPartition(recommender.num_users, num_shards)
         n = min(n, recommender.num_items)  # the cache's effective cutoff
 
@@ -641,7 +641,6 @@ class ShardedService:
                     num_shards=num_shards,
                     num_users=recommender.num_users,
                     num_items=recommender.num_items,
-                    kind=kind,
                     manifest=manifest,
                     user_ids=user_ids,
                     user_side=recommender.user_side(user_ids),

@@ -33,16 +33,13 @@ per-request patch over half the catalog.
 from __future__ import annotations
 
 from collections import ChainMap
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
 from ...recommenders.base import COLUMN_ARRAYS, Recommender, factor_scores
 from ...recommenders.vbpr import visual_item_terms
 from .shm import ArrayBank
-
-#: scorer kinds a shard can host; AMR is a VBPR subclass and maps to "vbpr".
-ITEM_SIDE_KINDS = ("bprmf", "vbpr", "mostpop")
 
 
 def check_item_ids(item_ids, num_items: int) -> np.ndarray:
@@ -72,14 +69,14 @@ def check_item_features(item_features, num_rows: int, feature_dim: int) -> np.nd
 
 def compute_item_side(
     recommender, features: Optional[np.ndarray] = None
-) -> Tuple[str, Dict[str, np.ndarray]]:
-    """``(kind, item side)`` of a fitted ``recommender``, ready to publish.
+) -> Dict[str, np.ndarray]:
+    """The item side of a fitted ``recommender``, ready to publish.
 
     The arrays are :meth:`~repro.recommenders.Recommender.item_side`'s,
     the model's own: :meth:`ArrayBank.snapshot` and the shared-memory
     bundle make the one publication copy, which isolates the bank from
     later writes to the model or to ``features`` (which defaults to the
-    features the model trained on).  The kind is read off the arrays.
+    features the model trained on).
     """
     if not isinstance(recommender, Recommender):
         raise TypeError(
@@ -88,10 +85,7 @@ def compute_item_side(
         )
     if not recommender.is_fitted:
         raise RuntimeError("recommender must be fitted before publication")
-    arrays = recommender.item_side(features)
-    if "item_counts" in arrays:
-        return "mostpop", arrays
-    return ("vbpr" if "visual_items" in arrays else "bprmf"), arrays
+    return recommender.item_side(features)
 
 
 class SharedScorer:
@@ -99,8 +93,6 @@ class SharedScorer:
 
     Parameters
     ----------
-    kind:
-        One of :data:`ITEM_SIDE_KINDS`.
     bank:
         Read-only item-side arrays (from :func:`compute_item_side`, via
         shm or an in-process snapshot).
@@ -119,7 +111,6 @@ class SharedScorer:
 
     def __init__(
         self,
-        kind: str,
         bank: ArrayBank,
         num_users: int,
         num_items: int,
@@ -127,11 +118,8 @@ class SharedScorer:
         user_side: Optional[Mapping[str, np.ndarray]] = None,
         escalate_fraction: float = 0.25,
     ) -> None:
-        if kind not in ITEM_SIDE_KINDS:
-            raise ValueError(f"unknown scorer kind {kind!r}")
         if not 0.0 < escalate_fraction <= 1.0:
             raise ValueError("escalate_fraction must lie in (0, 1]")
-        self.kind = kind
         self.bank = bank
         self.num_users = num_users
         self.num_items = num_items

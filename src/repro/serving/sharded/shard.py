@@ -16,6 +16,14 @@ replayed delivery can neither apply updates backwards nor resurrect a
 cache entry that a later epoch already invalidated.  The pending buffer
 is bounded (``max_pending``); overflowing it is a hard error that the
 worker surfaces and the router answers by failing the shard over.
+
+**Refill on push.**  A push drops exactly the cached lists it can
+change (:meth:`~repro.serving.index.TopNCache.apply_update`) and the
+shard refreshes them before it acks: once the delivery's contiguous
+epochs are applied, the users they invalidated are recomputed as one
+block fill (:meth:`_fill`, the path cold batches and warm starts take),
+so requests after a push stay on the cache and ``puts`` counts the
+refills.
 """
 
 from __future__ import annotations
@@ -134,7 +142,6 @@ class ShardSpec:
     num_shards: int
     num_users: int
     num_items: int
-    kind: str
     manifest: ShmManifest
     user_ids: np.ndarray
     #: The owned users' rows of the model's user side (empty for MostPop).
@@ -222,7 +229,6 @@ class Shard:
         the owner's snapshot bank and keep its lifetime to themselves.
         """
         scorer = SharedScorer(
-            spec.kind,
             bank,
             num_users=spec.num_users,
             num_items=spec.num_items,
@@ -302,6 +308,9 @@ class Shard:
     def _fill(self, users: np.ndarray, scores=None, rows=None) -> None:
         """Compute and cache the top-N lists of ``users``, a chunk at a time.
 
+        The one block path: batch misses, warm starts and the refill
+        after a push all cache their lists through it.
+
         A chunk holds at most :data:`FILL_BLOCK_BYTES` of float64 scores:
         one ``score_block`` over its users (or, for a warm start, rows
         ``rows`` of the matrix ``scores``), seen items masked, then one
@@ -375,7 +384,15 @@ class Shard:
     def submit_update(
         self, epoch: int, item_ids, item_features
     ) -> ShardUpdateReport:
-        """Deliver one epoch-stamped feature push (may arrive out of order)."""
+        """Deliver one epoch-stamped feature push (may arrive out of order).
+
+        Applies every epoch that is now contiguous, then refills the
+        users those epochs invalidated — their union, in invalidation
+        order, as one :meth:`_fill` over the final item side — so each
+        refreshed entry is what its next miss would compute (the block
+        path's ordering; scores within its BLAS rounding).
+        A buffered or stale delivery changes no cache entry.
+        """
         epoch = int(epoch)
         if epoch <= 0:
             raise ValueError("epochs are 1-based and positive")
@@ -400,26 +417,32 @@ class Shard:
                 f"{self.max_pending} buffered epochs (next expected "
                 f"{self.applied_epoch + 1}, got {epoch})"
             )
+        invalidated: List[int] = []
         while (self.applied_epoch + 1) in self._pending:
             next_epoch = self.applied_epoch + 1
             ids, feats = self._pending.pop(next_epoch)
-            changed, invalidated = self._apply_update(ids, feats)
+            changed, dropped = self._apply_update(ids, feats)
             self.applied_epoch = next_epoch
             report.applied_epochs.append(next_epoch)
-            report.invalidated_users += invalidated
             report.scores_changed = report.scores_changed or changed
+            invalidated.extend(dropped)
         report.buffered = epoch not in report.applied_epochs
+        report.invalidated_users = len(invalidated)
+        # Refill what the applied epochs dropped, as one block over the
+        # final item side.
+        refill = [user for user in dict.fromkeys(invalidated) if user not in self.index]
+        self._fill(np.array(refill, dtype=np.int64))
         return report
 
-    def _apply_update(self, item_ids: np.ndarray, item_features) -> Tuple[bool, int]:
+    def _apply_update(self, item_ids: np.ndarray, item_features) -> Tuple[bool, List[int]]:
+        """Fold one epoch in; returns ``(scores changed, invalidated users)``."""
         # One int64 array serves both the re-score and the invalidation.
         cached = np.array(self.index.cached_users(), dtype=np.int64)
         changed = self.scorer.update_item_features(item_ids, item_features)
         if not (changed and cached.size):
-            return changed, 0
+            return changed, []
         new_columns = self.scorer.score_items(cached, item_ids)
-        invalidated = self.index.apply_update(cached, item_ids, new_columns)
-        return changed, len(invalidated)
+        return changed, self.index.apply_update(cached, item_ids, new_columns)
 
     @property
     def pending_epochs(self) -> List[int]:

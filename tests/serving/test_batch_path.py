@@ -114,7 +114,7 @@ def test_local_batches_match_the_per_user_loop(model, dataset, features, num_sha
             np.testing.assert_array_equal(got, want)
         loop_stats, batch_stats = looped.stats(), batched.stats()
         assert batch_stats["cache"] == loop_stats["cache"]
-        assert batch_stats["cache"]["invalidations"] > 0  # the push re-opened misses
+        assert batch_stats["cache"]["invalidations"] > 0  # the push dropped lists
         for want, got in zip(loop_stats["per_shard"], batch_stats["per_shard"]):
             assert got["cache"] == want["cache"]
             assert got["cache_size"] == want["cache_size"]
@@ -225,6 +225,56 @@ def test_fill_chunks_stay_within_the_byte_budget(model, dataset, features, monke
         users = np.arange(0, 20)
         shard.recommend_many(users)
         assert max(blocks) == rows_per_chunk and sum(blocks) == users.size
+    finally:
+        service.close()
+
+
+def test_push_refill_chunks_cover_every_invalidated_user(
+    model, dataset, features, monkeypatch
+):
+    from repro.serving.sharded import shard as shard_module
+
+    service = _fleet(model, dataset, features, 1)
+    shard = service.router.handles[0].shard
+    rows_per_chunk = 2
+    monkeypatch.setattr(
+        shard_module, "FILL_BLOCK_BYTES", rows_per_chunk * 8 * dataset.num_items
+    )
+    users = np.arange(dataset.num_users)
+    try:
+        shard.recommend_many(users)
+        blocks = []
+        score_block = shard.scorer.score_block
+        monkeypatch.setattr(
+            shard.scorer,
+            "score_block",
+            lambda chunk: blocks.append(len(chunk)) or score_block(chunk),
+        )
+        items = np.arange(6)
+        pushed = features[items] + np.random.default_rng(3).normal(0, 2.0, (6, FEATURE_DIM))
+        report = service.push_item_features(items, pushed)
+        assert report.num_invalidated > rows_per_chunk
+        assert max(blocks) == rows_per_chunk and sum(blocks) == report.num_invalidated
+        assert len(shard.index) == dataset.num_users
+        assert shard.index.stats.puts == dataset.num_users + report.num_invalidated
+    finally:
+        service.close()
+
+
+def test_nonvisual_push_refills_nothing(dataset):
+    from repro.recommenders import BPRMF, BPRMFConfig
+
+    bprmf = BPRMF(dataset.num_users, dataset.num_items, BPRMFConfig(epochs=2, seed=0))
+    bprmf.fit(dataset.feedback)
+    service = ShardedService.build(
+        bprmf, num_shards=1, backend="local", feedback=dataset.feedback, n=N
+    )
+    try:
+        service.recommend_batch(np.arange(dataset.num_users))
+        before = service.stats()["cache"]
+        report = service.push_item_features([0, 1], None)
+        assert not report.scores_changed and report.num_invalidated == 0
+        assert service.stats()["cache"]["puts"] == before["puts"] == dataset.num_users
     finally:
         service.close()
 

@@ -5,9 +5,10 @@ and without the runtime race sentinel: serve a cold fill and three
 passes of a Zipf stream around an attack push and a screened replay of
 it, then tear down.  Checks what a unit test cannot: every request is
 served by its owning worker, the push invalidates cached lists, the
-router-side screen quarantines the noisy attack features, and teardown
-leaves no worker process and no shared-memory segment behind.  CI runs
-this module with ``REPRO_RACE_CHECK=1`` as well.
+pushes refill the lists they invalidate (only the cold pass misses),
+the router-side screen quarantines the noisy attack features, and
+teardown leaves no worker process and no shared-memory segment behind.
+CI runs this module with ``REPRO_RACE_CHECK=1`` as well.
 """
 
 import multiprocessing as mp
@@ -95,6 +96,7 @@ def life(request, system):
         service.close()
     return {
         "requests": np.concatenate([cold_users, stream, stream, stream]),
+        "cold_users": cold_users,
         "served": served,
         "invalidated": invalidated,
         "verdict": verdict,
@@ -122,6 +124,13 @@ class TestFleetSmoke:
 
     def test_push_invalidates_cached_lists(self, life):
         assert life["invalidated"] > 0
+
+    def test_pushes_refill_what_they_invalidate(self, life):
+        # Only the cold pass misses: each push refills the lists it drops,
+        # so the passes after it are served from the cache.
+        cold = np.bincount(life["cold_users"] % WORKERS, minlength=WORKERS)
+        misses = [s["cache"]["misses"] for s in life["stats"]["per_shard"]]
+        assert misses == cold.tolist()
 
     def test_screen_quarantines_the_replayed_push(self, life):
         verdict = life["verdict"]

@@ -31,10 +31,9 @@ def system():
 
 
 def _local_shard(model, n=6, escalate_fraction=0.25):
-    kind, arrays = compute_item_side(model)
+    arrays = compute_item_side(model)
     bank = ArrayBank.snapshot(arrays)
     scorer = SharedScorer(
-        kind,
         bank,
         num_users=model.num_users,
         num_items=model.num_items,

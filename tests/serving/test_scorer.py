@@ -23,10 +23,9 @@ from repro.serving.sharded import ArrayBank, SharedScorer, compute_item_side
 
 
 def make_scorer(model, features=None, escalate_fraction=0.25):
-    kind, arrays = compute_item_side(model, features=features)
+    arrays = compute_item_side(model, features=features)
     users = np.arange(model.num_users)
     return SharedScorer(
-        kind,
         ArrayBank.snapshot(arrays),
         num_users=model.num_users,
         num_items=model.num_items,
@@ -68,18 +67,9 @@ class TestConstruction:
         with pytest.raises(RuntimeError):
             make_scorer(model)
 
-    def test_rejects_unknown_model(self, vbpr):
+    def test_rejects_unknown_model(self):
         with pytest.raises(TypeError):
             make_scorer(object())
-        _, arrays = compute_item_side(vbpr)
-        with pytest.raises(ValueError):
-            SharedScorer(
-                "ncf",
-                ArrayBank.snapshot(arrays),
-                num_users=vbpr.num_users,
-                num_items=vbpr.num_items,
-                user_ids=np.arange(vbpr.num_users),
-            )
 
     def test_rejects_features_for_nonvisual(self, bprmf, features):
         with pytest.raises(ValueError):
@@ -212,7 +202,7 @@ class DictOverlay:
     """
 
     def __init__(self, model):
-        _, self.bank = compute_item_side(model)
+        self.bank = compute_item_side(model)
         user_side = model.user_side(np.arange(model.num_users))
         self.user_factors = user_side["user_factors"]
         self.visual_user_factors = user_side["visual_user_factors"]

@@ -1,7 +1,8 @@
 """Unit coverage for the sharded serving tier.
 
 Epoch-ordered update application (out-of-order delivery cannot
-resurrect stale cache entries), shared-memory bundle round-trips and
+resurrect stale cache entries), the refill of the lists a push
+invalidates, shared-memory bundle round-trips and
 teardown, partition invariance, derived load-generator streams,
 failover to the MostPop fallback, the process transport's failure
 contracts (backpressure, worker death, no pipe deadlock, clean
@@ -38,10 +39,9 @@ from repro.telemetry import MetricsRegistry, install_metrics
 
 
 def _local_shard(model, user_ids, n=6, max_pending=8):
-    kind, arrays = compute_item_side(model)
+    arrays = compute_item_side(model)
     bank = ArrayBank.snapshot(arrays)
     scorer = SharedScorer(
-        kind,
         bank,
         num_users=model.num_users,
         num_items=model.num_items,
@@ -123,6 +123,83 @@ class TestEpochOrdering:
             shard.submit_update(epoch, items, feats)
         with pytest.raises(RuntimeError, match="backlog"):
             shard.submit_update(5, items, feats)
+
+
+# --------------------------------------------------------------------- #
+# Refill on push
+# --------------------------------------------------------------------- #
+def _recording(monkeypatch, obj, name):
+    """Record ``(first argument, result)`` of every call of ``obj.name``."""
+    calls = []
+    method = getattr(obj, name)
+
+    def wrapped(*args, **kwargs):
+        result = method(*args, **kwargs)
+        calls.append((args[0], result))
+        return result
+
+    monkeypatch.setattr(obj, name, wrapped)
+    return calls
+
+
+class TestRefillOnPush:
+    def test_invalidated_users_are_refilled_with_their_computed_entries(
+        self, system, monkeypatch
+    ):
+        model, *_ = system
+        users = np.arange(model.num_users)
+        shard = _local_shard(model, users)
+        shard.recommend_many(users)
+        dropped = _recording(monkeypatch, shard.index, "apply_update")
+        items = np.array([3, 8, 11])
+        report = shard.submit_update(1, items, model.features[items] + 3.0)
+        ((_, invalidated),) = dropped
+        assert report.invalidated_users == len(invalidated) > 0
+        assert len(shard.index) == model.num_users
+        # The refill is a block fill, so its threshold may differ from the
+        # one-row score by BLAS rounding: the block path's 1e-15 bound.
+        for user in invalidated:
+            items_now, scores_now = shard._compute_entry(user)
+            np.testing.assert_array_equal(shard.index.take([user], shard.n)[0], items_now)
+            slot = shard.index._slot_of[user]
+            assert abs(shard.index._threshold[slot] - scores_now[-1]) <= 1e-15
+        before = shard.index.stats.as_dict()
+        for user in invalidated:
+            shard.recommend(user)
+        after = shard.index.stats.as_dict()
+        assert after["misses"] == before["misses"]
+        assert after["hits"] == before["hits"] + len(invalidated)
+
+    def test_out_of_order_epochs_refill_once_over_the_union(self, system, monkeypatch):
+        model, *_ = system
+        users = np.arange(model.num_users)
+        shard = _local_shard(model, users)
+        shard.recommend_many(users)
+        dropped = _recording(monkeypatch, shard.index, "apply_update")
+        filled = _recording(monkeypatch, shard, "_fill")
+        features = np.array(model.features, copy=True)
+        rng = rng_from_seed(5)
+        items_1, items_2 = np.array([2, 9]), np.array([9, 14, 20])
+        feats_1 = features[items_1] + rng.normal(0, 2.0, (2, model.feature_dim))
+        feats_2 = features[items_2] + rng.normal(0, 2.0, (3, model.feature_dim))
+
+        puts = shard.index.stats.puts
+        assert shard.submit_update(2, items_2, feats_2).buffered
+        assert shard.index.stats.puts == puts and len(shard.index) == model.num_users
+        assert shard.submit_update(1, items_1, feats_1).applied_epochs == [1, 2]
+        (_, first), (_, second) = dropped
+        assert first and second
+        refills = [block.tolist() for block, _ in filled if block.size]
+        assert refills == [first + second]
+
+        features[items_1] = feats_1
+        features[items_2] = feats_2
+        expected = model.score_users(users, features=features)
+        misses = shard.index.stats.misses
+        for user, row in zip(users.tolist(), expected):
+            top = np.argsort(-row, kind="stable")[: shard.n]
+            np.testing.assert_array_equal(shard.recommend(user), top)
+        assert shard.index.stats.misses == misses
 
 
 # --------------------------------------------------------------------- #
