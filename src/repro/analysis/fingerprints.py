@@ -1,7 +1,8 @@
 """RPR003 — static stage-fingerprint completeness check.
 
-PR 3's staged pipeline invalidates cached artifacts from *declared*
-config fields: each :class:`StageSpec` lists the ``config_fields`` its
+The stage DAG invalidates cached artifacts from *declared* config
+fields: each ``stage(name, deps, config_fields, build, unpack)``
+declaration in ``experiments/stages.py`` lists the ``config_fields`` its
 stage reads, and the stage fingerprint hashes exactly those values.  The
 contract only holds if the declaration is complete — a stage function
 that reads ``config.cutoff`` without declaring it will happily serve a
@@ -9,13 +10,12 @@ stale artifact after ``cutoff`` changes (and a declared-but-unread field
 forces spurious rebuilds).  Nothing at runtime can catch this: the stale
 path produces *valid-looking* artifacts.
 
-This rule cross-checks the declarations statically.  For every stage it
-gathers the build/pack/unpack functions (from the ``_BUILDERS`` /
-``_PACKERS`` / ``_UNPACKERS`` dispatch dicts), collects every attribute
-read off the config object — including through local aliases
-(``config = results.config``) and transitively through module-level
-helpers the stage functions call — and diffs that set against the
-``config_fields`` tuple in ``STAGE_SPECS``.
+This rule cross-checks the declarations statically.  For every
+``stage(...)`` call it collects every attribute read off the config
+object in the call itself and in the module-level functions the call
+names — including through local aliases (``config = results.config``)
+and transitively through the module-level helpers those functions name
+— and diffs that set against the call's ``config_fields`` tuple.
 """
 
 from __future__ import annotations
@@ -26,29 +26,8 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from .engine import ParsedModule, Violation
 from .rules import Rule
 
-_DISPATCH_DICTS = ("_BUILDERS", "_PACKERS", "_UNPACKERS")
-
-
-def _assigned_value(tree: ast.Module, name: str) -> Optional[ast.expr]:
-    """The value expression of a module-level ``name = ...`` assignment."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    return node.value
-        elif isinstance(node, ast.AnnAssign):
-            if isinstance(node.target, ast.Name) and node.target.id == name:
-                return node.value
-    return None
-
-
-def _call_arg(call: ast.Call, position: int, keyword: str) -> Optional[ast.expr]:
-    for kw in call.keywords:
-        if kw.arg == keyword:
-            return kw.value
-    if len(call.args) > position:
-        return call.args[position]
-    return None
+#: The stage declaration: ``stage(name, deps, config_fields, build, unpack)``.
+_DECLARATION = "stage"
 
 
 def _string_elements(node: Optional[ast.expr]) -> Optional[Set[str]]:
@@ -63,13 +42,14 @@ def _string_elements(node: Optional[ast.expr]) -> Optional[Set[str]]:
 
 
 class _ConfigReadCollector(ast.NodeVisitor):
-    """Attribute reads off the config object inside one function.
+    """Attribute reads off the config object inside one function or call.
 
     Recognises reads through the conventional alias (``config =
     results.config`` then ``config.field``) and direct chains ending in
     ``.config`` (``results.config.field``).  Method calls on the config
     (``config.cache_key()``) are not field reads.  Also records which
-    module-level functions this function calls, for the transitive pass.
+    module-level functions the code names (calls or passes on), for the
+    transitive pass.
     """
 
     def __init__(self, module_functions: Set[str]) -> None:
@@ -83,8 +63,8 @@ class _ConfigReadCollector(ast.NodeVisitor):
         for node in ast.walk(function):
             if isinstance(node, ast.Call):
                 self._call_funcs.add(id(node.func))
-                if isinstance(node.func, ast.Name) and node.func.id in self.module_functions:
-                    self.calls.add(node.func.id)
+            elif isinstance(node, ast.Name) and node.id in self.module_functions:
+                self.calls.add(node.id)
         # Alias pass before the read pass so order of statements cannot
         # hide a read (aliases are conventionally bound first anyway).
         for node in ast.walk(function):
@@ -108,27 +88,28 @@ class _ConfigReadCollector(ast.NodeVisitor):
 
 
 class StageFingerprintRule(Rule):
-    """RPR003 — StageSpec.config_fields must match actual config reads."""
+    """RPR003 — a stage's declared config_fields must match its config reads."""
 
     id = "RPR003"
     title = "stage fingerprint / config-read mismatch"
     rationale = """
-    Stage artifact caching (PR 3) fingerprints each stage from its
-    declared `config_fields`.  A stage function reading an undeclared
-    field means the fingerprint misses it: edit that field and the stage
-    serves a stale cached artifact — a silent wrong-results bug no test
-    can see because the artifact itself is well-formed.  The inverse
-    (declared but never read) causes spurious rebuilds.  This rule
-    statically collects every config attribute read in each stage's
-    build/pack/unpack functions (following local aliases and calls into
-    module-level helpers) and requires exact agreement with STAGE_SPECS.
+    Stage artifact caching fingerprints each stage from its declared
+    `config_fields`.  A stage function reading an undeclared field means
+    the fingerprint misses it: edit that field and the stage serves a
+    stale cached artifact — a silent wrong-results bug no test can see
+    because the artifact itself is well-formed.  The inverse (declared
+    but never read) causes spurious rebuilds.  For every
+    `stage(name, deps, config_fields, build, unpack)` declaration this
+    rule statically collects every config attribute read in the call and
+    in the functions it names (following local aliases and references to
+    module-level helpers) and requires exact agreement with
+    `config_fields`.
     """
 
     def check(self, module: ParsedModule) -> Iterator[Violation]:
         specs = self._parse_specs(module.tree)
         if specs is None:
-            return  # module does not define STAGE_SPECS — rule not applicable
-        stage_functions = self._parse_dispatch(module.tree)
+            return  # module declares no stages — rule not applicable
         functions: Dict[str, ast.AST] = {
             node.name: node
             for node in module.tree.body
@@ -136,25 +117,24 @@ class StageFingerprintRule(Rule):
         }
         reads_cache: Dict[str, Dict[str, int]] = {}
 
-        def function_reads(name: str, seen: Tuple[str, ...] = ()) -> Dict[str, int]:
-            if name in reads_cache:
-                return reads_cache[name]
-            if name in seen or name not in functions:
-                return {}
+        def reads_of(node: ast.AST, seen: Tuple[str, ...]) -> Dict[str, int]:
             collector = _ConfigReadCollector(set(functions))
-            collector.collect(functions[name])
+            collector.collect(node)
             merged = dict(collector.reads)
             for callee in sorted(collector.calls):
-                for attr, line in function_reads(callee, seen + (name,)).items():
+                for attr, line in function_reads(callee, seen).items():
                     merged.setdefault(attr, line)
-            reads_cache[name] = merged
             return merged
 
-        for stage, declared, spec_node in specs:
-            reads: Dict[str, int] = {}
-            for function_name in sorted(stage_functions.get(stage, ())):
-                for attr, line in function_reads(function_name).items():
-                    reads.setdefault(attr, line)
+        def function_reads(name: str, seen: Tuple[str, ...]) -> Dict[str, int]:
+            if name in seen:
+                return {}
+            if name not in reads_cache:
+                reads_cache[name] = reads_of(functions[name], seen + (name,))
+            return reads_cache[name]
+
+        for stage, declared, call in specs:
+            reads = reads_of(call, ())
             for attr in sorted(set(reads) - declared):
                 yield Violation(
                     rule=self.id,
@@ -170,7 +150,7 @@ class StageFingerprintRule(Rule):
             for attr in sorted(declared - set(reads)):
                 yield self.violation(
                     module,
-                    spec_node,
+                    call,
                     f"stage '{stage}' declares config field '{attr}' in "
                     "config_fields but never reads it — fingerprint churn forces "
                     "needless rebuilds",
@@ -179,35 +159,23 @@ class StageFingerprintRule(Rule):
     # -- parsing helpers --------------------------------------------------- #
     def _parse_specs(
         self, tree: ast.Module
-    ) -> Optional[List[Tuple[str, Set[str], ast.expr]]]:
-        container = _assigned_value(tree, "STAGE_SPECS")
-        if not isinstance(container, (ast.Tuple, ast.List)):
-            return None
-        specs: List[Tuple[str, Set[str], ast.expr]] = []
-        for element in container.elts:
-            if not isinstance(element, ast.Call):
+    ) -> Optional[List[Tuple[str, Set[str], ast.Call]]]:
+        """Each ``stage(name, deps, config_fields, ...)`` call with a literal
+        name and field tuple, in source order; ``None`` if there is none."""
+        specs: List[Tuple[str, Set[str], ast.Call]] = []
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == _DECLARATION
+                and len(node.args) >= 3
+            ):
                 continue
-            name_node = _call_arg(element, 0, "name")
-            fields_node = _call_arg(element, 2, "config_fields")
-            if not (isinstance(name_node, ast.Constant) and isinstance(name_node.value, str)):
+            name = node.args[0]
+            fields = _string_elements(node.args[2])
+            if not (isinstance(name, ast.Constant) and isinstance(name.value, str)):
                 continue
-            fields = _string_elements(fields_node)
             if fields is None:
                 continue  # dynamic declaration — out of static reach
-            specs.append((name_node.value, fields, element))
-        return specs
-
-    def _parse_dispatch(self, tree: ast.Module) -> Dict[str, Set[str]]:
-        mapping: Dict[str, Set[str]] = {}
-        for dict_name in _DISPATCH_DICTS:
-            value = _assigned_value(tree, dict_name)
-            if not isinstance(value, ast.Dict):
-                continue
-            for key, val in zip(value.keys, value.values):
-                if (
-                    isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                    and isinstance(val, ast.Name)
-                ):
-                    mapping.setdefault(key.value, set()).add(val.id)
-        return mapping
+            specs.append((name.value, fields, node))
+        return sorted(specs, key=lambda spec: spec[2].lineno) or None

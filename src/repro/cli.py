@@ -230,7 +230,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(format_plan(runner.plan(stages)))
         return 0
 
-    results, manifest = runner.run(stages=stages, force=force)
+    try:
+        results, manifest = runner.run(stages=stages, force=force)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     from .telemetry.session import current_report
 
     manifest.telemetry = current_report()
@@ -303,7 +307,11 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         print(format_plan(runner.plan()))
         return 0
 
-    results, manifest = runner.run(force=force)
+    try:
+        results, manifest = runner.run(force=force)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     built, hits = len(manifest.built), len(manifest.cache_hits)
     print(
         f"scenario matrix — {len(config.defenses)} defense(s) x "

@@ -77,7 +77,10 @@ def unpack_dataset(arrays: Dict[str, np.ndarray], meta: Dict[str, Any]) -> Multi
         name=str(meta["name"]),
         registry=registry,
         item_categories=arrays["item_categories"].astype(np.int64),
-        images=arrays["images"].astype(np.float64),
+        # A freshly packed dataset keeps its own pixels; a loaded one gets
+        # an owned copy rather than a view into the archive's read buffer
+        # (attacking such a view measured ~4% slower).
+        images=np.require(arrays["images"], np.float64, ["OWNDATA"]),
         feedback=feedback,
     )
 

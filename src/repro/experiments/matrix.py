@@ -12,13 +12,17 @@ ladder attacks.  The matrix generalises that terminal node into a
 Every ``cell:<defense>/<attack>/<recommender>`` is its own DAG node
 with a chained fingerprint — attack config + defense config + the
 upstream classifier / feature hashes, all hashed through the same
-:func:`~repro.experiments.stages.chained_fingerprint` convention as the
-static stages — so editing one defense's knob re-runs exactly that
-defense's column of cells while every other artifact loads untouched.
-The graph is declared once, by :func:`matrix_nodes`; fingerprints,
-execution order and plans all derive from that list.  Each column is
+:func:`~repro.experiments.stages.node_fingerprints` loop as the static
+stages — so editing one defense's knob re-runs exactly that defense's
+column of cells while every other artifact loads untouched.  The graph
+is declared once, by :func:`matrix_nodes`, as
+:class:`~repro.experiments.stages.Node` objects, the stages' own type;
+fingerprints, execution order and plans all derive from that list.  The
+base stages and the model nodes run as one list through the stages'
+:class:`~repro.experiments.stages.NodeExecutor`, and each column is
 crafted and measured by the static stage's own attack-grid loop,
-:func:`~repro.experiments.runner.grid_outcomes`.
+:func:`~repro.experiments.runner.grid_outcomes`, its cells loaded and
+saved through the same executor.
 
 Execution semantics per axis value:
 
@@ -81,36 +85,35 @@ from ..defenses import (
 from ..features import FeatureExtractor
 from ..nn import TinyResNet
 from ..recommenders import BPRMF, BPRMFConfig
-from ..telemetry import Stopwatch, span
+from ..telemetry import Stopwatch
 from .config import ExperimentConfig
 from .runner import Craft, grid_outcomes, pipeline_measures
 from .stages import (
+    STAGE_ORDER,
+    Node,
+    NodeExecutor,
     StageOutcome,
     StagePlan,
     StageResults,
-    StageRunner,
-    StoredNode,
     _catalog_features,
+    _classifier,
+    _fitted,
     _grid_row,
     _load_catalog_features,
     _load_classifier,
     _make_amr,
     _make_classifier,
     _make_vbpr,
-    _train_classifier,
     attack_stats_from_rows,
-    chained_fingerprint,
-    load_node,
-    save_node,
-    stage_fingerprints,
+    node_closure,
+    node_fingerprints,
+    stage_nodes,
 )
 
 # perfbench's layer timers wrap these names on this module by attribute
 # (the visual metrics and the per-cell fallback); they stay importable.
 from ..metrics import batch_psnr, batch_ssim, psm_from_features  # noqa: F401
 from .runner import fallback_ladder_cells  # noqa: F401
-
-MATRIX_SCHEMA_VERSION = 1
 
 MATRIX_ATTACKS = ("FGSM", "PGD", "CW", "MIM", "NES", "TRANSFER")
 MATRIX_DEFENSES = ("none", "adv_train", "distill", "squeeze", "detector")
@@ -266,83 +269,42 @@ def recommender_node(defense: str, recommender: str) -> str:
     return recommender.lower()  # base stage name: "vbpr" / "amr"
 
 
-_RECOMMENDER_CONFIG_FIELDS = {
-    "VBPR": ("recommender_epochs", "seed"),
-    "AMR": ("recommender_epochs", "amr_pretrain_epochs", "amr_gamma", "amr_eta", "seed"),
-}
-
-_CLASSIFIER_FIELDS = (
-    "classifier_widths",
-    "classifier_blocks",
-    "classifier_epochs",
-    "classifier_lr",
-    "classifier_batch_size",
-)
-
-
-@dataclass(frozen=True)
-class MatrixNode:
-    """One node of the matrix graph.
-
-    ``deps`` maps each fingerprint payload key to the upstream node it
-    chains off; its values are also the nodes whose content hashes a
-    stored artifact is verified against.  ``kind`` is ``None`` for the
-    identity-ingest defenses, which store nothing: the base ``features``
-    artifact is their deployed state.  A model node's ``build(base,
-    models)`` returns its ``(arrays, meta)`` payload and ``unpack(base,
-    models, arrays, meta)`` turns a payload (fresh or stored) into its
-    value; ``base`` is the run's base-stage results and ``models`` the
-    values of the nodes resolved before it.  Cells have neither — a
-    defense's column of cells is crafted and measured at once, through
-    the attack-grid loop.
-    """
-
-    name: str
-    kind: Optional[str]
-    deps: Dict[str, str]
-    payload: Dict[str, Any]
-    build: Optional[Callable[..., Tuple[Dict[str, np.ndarray], Dict[str, Any]]]] = None
-    unpack: Optional[Callable[..., Any]] = None
-
-
-def matrix_nodes(config: MatrixConfig) -> List[MatrixNode]:
+def matrix_nodes(config: MatrixConfig) -> List[Node]:
     """The configured matrix's node graph in execution order, cells last.
 
     Model nodes come first: the TRANSFER surrogate, the shared BPR-MF
     control, then each defense followed by the recommenders retrained
     in its feature space.  Every defense's column of cells follows.
+    The surrogate and the retrained recommenders fingerprint over the
+    config fields their stage counterparts declare (the surrogate
+    swaps ``seed`` for ``transfer_seed``).
     """
     experiment = config.base
-    nodes: List[MatrixNode] = []
+    stages = {node.name: node for node in stage_nodes(experiment)}
+    nodes: List[Node] = []
     if "TRANSFER" in config.attacks:
         seed = config.transfer_seed
-        payload = {**experiment.field_fingerprint(_CLASSIFIER_FIELDS), "transfer_seed": seed}
+        payload = {key: v for key, v in stages["classifier"].payload.items() if key != "seed"}
         nodes.append(
-            MatrixNode(
+            Node(
                 "surrogate",
                 "matrix_surrogate",
                 {"dataset": "dataset"},
-                payload,
-                build=lambda base, models: (
-                    _train_classifier(experiment, base.dataset, seed)[0].state_dict(),
-                    {},
-                ),
-                unpack=lambda base, models, arrays, meta: _load_classifier(
-                    experiment, base.dataset, seed, arrays
-                ),
+                {**payload, "transfer_seed": seed},
+                *_classifier(seed),
             )
         )
     if "BPRMF" in config.recommenders:
         bprmf = BPRMFConfig(epochs=experiment.recommender_epochs, seed=experiment.seed)
         nodes.append(
-            MatrixNode(
+            Node(
                 "recommender:shared/BPRMF",
                 "matrix_bprmf",
                 {"dataset": "dataset"},
                 experiment.field_fingerprint(("recommender_epochs", "seed")),
                 *_fitted(
-                    lambda base, models: BPRMF(
-                        base.dataset.num_users, base.dataset.num_items, bprmf
+                    lambda results: BPRMF(
+                        results.dataset.num_users, results.dataset.num_items, bprmf
                     )
                 ),
             )
@@ -356,22 +318,18 @@ def matrix_nodes(config: MatrixConfig) -> List[MatrixNode]:
         deps = {"dataset": "dataset", "classifier": "classifier"}
         if defense not in RETRAINING_DEFENSES:
             # Identity-ingest defenses consume the base feature artifacts.
-            nodes.append(MatrixNode(name, None, {**deps, "features": "features"}, payload))
+            nodes.append(Node(name, None, {**deps, "features": "features"}, payload))
             continue
-        nodes.append(
-            MatrixNode(name, "matrix_defense", deps, payload, *_defense(config, defense))
-        )
+        nodes.append(Node(name, "matrix_defense", deps, payload, *_defense(config, defense)))
         for rec in config.recommenders:
             if rec in VISUAL_RECOMMENDERS:
-                make = partial(
-                    _retrained, _make_vbpr if rec == "VBPR" else _make_amr, experiment, name
-                )
+                make = partial(_retrained, _make_vbpr if rec == "VBPR" else _make_amr, name)
                 nodes.append(
-                    MatrixNode(
+                    Node(
                         f"recommender:{defense}/{rec}",
                         "matrix_recommender",
                         {"dataset": "dataset", "defense": name},
-                        experiment.field_fingerprint(_RECOMMENDER_CONFIG_FIELDS[rec]),
+                        stages[rec.lower()].payload,
                         *_fitted(make),
                     )
                 )
@@ -391,7 +349,7 @@ def matrix_nodes(config: MatrixConfig) -> List[MatrixNode]:
                 if attack == "TRANSFER":
                     deps["surrogate"] = "surrogate"
                 name = cell_name(defense, attack, rec)
-                nodes.append(MatrixNode(name, "matrix_cell", deps, payload))
+                nodes.append(Node(name, "matrix_cell", deps, payload))
     return nodes
 
 
@@ -405,15 +363,7 @@ def matrix_fingerprints(config: MatrixConfig) -> Dict[str, str]:
     chain, only that defense's recommender nodes and cells — the
     invalidation-matrix property the tests pin down.
     """
-    fps: Dict[str, str] = dict(stage_fingerprints(config.base))
-    for node in matrix_nodes(config):
-        fps[node.name] = chained_fingerprint(
-            node.name,
-            MATRIX_SCHEMA_VERSION,
-            node.payload,
-            {key: fps[upstream] for key, upstream in node.deps.items()},
-        )
-    return fps
+    return node_fingerprints(stage_nodes(config.base) + matrix_nodes(config))
 
 
 def matrix_node_order(config: MatrixConfig) -> List[Tuple[str, str]]:
@@ -569,21 +519,9 @@ def _bprmf_outcomes(
 # --------------------------------------------------------------------- #
 
 
-def _fitted(make: Callable[..., Any]) -> Tuple[Callable, Callable]:
-    """A recommender node: ``make(base, models)`` fit on the feedback, or loaded."""
-
-    def build(base, models):
-        return make(base, models).fit(base.dataset.feedback).state_dict(), {}
-
-    def unpack(base, models, arrays, meta):
-        return make(base, models).load_state_dict(arrays)
-
-    return build, unpack
-
-
-def _retrained(make, experiment: ExperimentConfig, defense_node: str, base, models):
+def _retrained(make, defense_node: str, results: StageResults):
     """VBPR or AMR (``make``) over one retraining defense's features."""
-    return make(experiment, base.dataset, models[defense_node].features)
+    return make(results.config, results.dataset, results.values[defense_node].features)
 
 
 def _defense(config: MatrixConfig, defense: str) -> Tuple[Callable, Callable]:
@@ -597,11 +535,11 @@ def _defense(config: MatrixConfig, defense: str) -> Tuple[Callable, Callable]:
     )
     seed = config.base.seed + 1 if defense == "distill" else config.base.seed
 
-    def build(base, models):
-        dataset = base.dataset
+    def build(results: StageResults):
+        dataset = results.dataset
         if defense == "adv_train":
             classifier = _make_classifier(config.base, dataset, seed)
-            classifier.load_state_dict(base.classifier.state_dict())
+            classifier.load_state_dict(results.classifier.state_dict())
             AdversarialTrainer(
                 classifier,
                 AdversarialTrainingConfig(
@@ -616,7 +554,7 @@ def _defense(config: MatrixConfig, defense: str) -> Tuple[Callable, Callable]:
             ).fit(dataset.images, dataset.item_categories)
         elif defense == "distill":
             classifier, _ = distill(
-                base.classifier,
+                results.classifier,
                 dataset.images,
                 DistillationConfig(
                     temperature=config.distill_temperature,
@@ -630,9 +568,9 @@ def _defense(config: MatrixConfig, defense: str) -> Tuple[Callable, Callable]:
         else:
             # squeeze: the base classifier deployed behind the
             # squeezer; the clean catalog itself is ingested through it.
-            classifier = base.classifier
+            classifier = results.classifier
         images = dataset.images if squeezer is None else squeezer(dataset.images)
-        extractor, raw, _, classes = _catalog_features(classifier, images)
+        extractor, raw, classes = _catalog_features(classifier, images)
         arrays: Dict[str, np.ndarray] = {"raw_features": raw, "item_classes": classes}
         arrays.update(
             {f"norm__{k}": v for k, v in extractor.normalization_state().items()}
@@ -641,14 +579,14 @@ def _defense(config: MatrixConfig, defense: str) -> Tuple[Callable, Callable]:
             arrays.update({f"clf__{k}": v for k, v in classifier.state_dict().items()})
         return arrays, {"defense": defense}
 
-    def unpack(base, models, arrays, meta) -> DefenseRuntime:
+    def unpack(results: StageResults, arrays, meta) -> DefenseRuntime:
         if squeezer is None:
             state = {
                 k[len("clf__"):]: v for k, v in arrays.items() if k.startswith("clf__")
             }
-            classifier = _load_classifier(config.base, base.dataset, seed, state)
+            classifier = _load_classifier(config.base, results.dataset, seed, state)
         else:
-            classifier = base.classifier
+            classifier = results.classifier
         extractor, raw, features = _load_catalog_features(
             classifier,
             {"mean": arrays["norm__mean"], "scale": arrays["norm__scale"]},
@@ -663,7 +601,7 @@ def _defense(config: MatrixConfig, defense: str) -> Tuple[Callable, Callable]:
             features=features,
             item_classes=item_classes,
             attack_item_classes=(
-                item_classes if squeezer is None else base.item_classes
+                item_classes if squeezer is None else results.item_classes
             ),
             ingest=squeezer,
         )
@@ -762,13 +700,13 @@ class MatrixResults:
 class MatrixRunner:
     """Execute the configured scenario matrix against an artifact store.
 
-    Every node goes through the stage DAG's load-verify-or-build
-    protocol (:func:`~repro.experiments.stages.load_node` /
-    :func:`~repro.experiments.stages.save_node`): an artifact load keyed
-    by its chained fingerprint, verified against the content hashes of
-    the upstream nodes of *this* run, and a rebuild on any mismatch.
-    Base stages run first through the static DAG, so both layers share
-    one store.
+    The base stages the matrix needs and its model nodes run as one node
+    list through the stage DAG's :class:`~repro.experiments.stages.NodeExecutor`:
+    each is loaded by its chained fingerprint, verified against the
+    content hashes of the upstream nodes of *this* run, and rebuilt on
+    any mismatch.  The cell columns load and save each cell through the
+    same executor, so stages and matrix nodes share one store and one
+    manifest bookkeeping.
     """
 
     def __init__(
@@ -780,12 +718,9 @@ class MatrixRunner:
         self.config = config
         self.store = store
         self.verbose = verbose
-        self.nodes = matrix_nodes(config)
-        self.fingerprints = matrix_fingerprints(config)
-
-    def _log(self, message: str) -> None:
-        if self.verbose:
-            print(f"[repro] {message}", flush=True)
+        stages, matrix = stage_nodes(config.base), matrix_nodes(config)
+        self.nodes = node_closure(stages, self._base_stages_needed()) + matrix
+        self.fingerprints = node_fingerprints(stages + matrix)
 
     # -- shared stage selection ---------------------------------------- #
     def _base_stages_needed(self) -> List[str]:
@@ -798,23 +733,7 @@ class MatrixRunner:
     # -- planning ------------------------------------------------------- #
     def plan(self) -> List[StagePlan]:
         """What :meth:`run` would do, without executing anything."""
-        plans = StageRunner(self.config.base, store=self.store).plan(
-            self._base_stages_needed()
-        )
-        return plans + [
-            StagePlan.probe(self.store, node.name, node.kind, self.fingerprints[node.name])
-            for node in self.nodes
-            if node.kind
-        ]
-
-    def _stored(self, node: MatrixNode) -> StoredNode:
-        return StoredNode(
-            name=node.name,
-            kind=node.kind,
-            fingerprint=self.fingerprints[node.name],
-            schema_version=MATRIX_SCHEMA_VERSION,
-            deps=tuple(node.deps.values()),
-        )
+        return StagePlan.of(self.store, self.nodes, self.fingerprints)
 
     # -- runtime assembly ------------------------------------------------ #
     def _base_runtime(self, defense: str, base: StageResults) -> DefenseRuntime:
@@ -841,7 +760,6 @@ class MatrixRunner:
         runtime: DefenseRuntime,
         pairs: Sequence[Tuple[str, str]],
         base: StageResults,
-        models: Dict[str, Any],
         control: Optional[Tuple[np.ndarray, np.ndarray]],
     ) -> Tuple[Dict[Tuple[str, str], List[AttackOutcome]], List[AttackScenario]]:
         """Craft and measure one defense's ``(attack, recommender)`` ``pairs``.
@@ -852,7 +770,7 @@ class MatrixRunner:
         control.  White-box attacks craft on the deployed classifier
         from the classes the adversary sees.
         """
-        config = self.config
+        config, models = self.config, base.values
         attacks = [a for a in config.attacks if any(a == attack for attack, _ in pairs)]
         recs = [r for r in config.recommenders if any(r == rec for _, rec in pairs)]
         crafts = {
@@ -906,57 +824,21 @@ class MatrixRunner:
     def run(self, force: Sequence[str] = ()) -> Tuple[MatrixResults, MatrixManifest]:
         """Run every configured cell, loading whatever is still valid.
 
-        ``force`` names matrix nodes (``defense:squeeze``,
-        ``cell:none/FGSM/VBPR``, ...) that must rebuild even when a
-        valid artifact exists.  Model nodes (surrogate, BPR-MF, retrained
-        defenses and their recommenders) resolve first, in
-        :func:`matrix_nodes` order; then each defense's column of cells.
+        ``force`` names nodes of :meth:`plan` (``classifier``,
+        ``defense:squeeze``, ``cell:none/FGSM/VBPR``, ...) that must
+        rebuild even when a valid artifact exists.  The base stages and
+        the model nodes (surrogate, BPR-MF, retrained defenses and their
+        recommenders) resolve first, in :attr:`nodes` order; then each
+        defense's column of cells.
         """
         config = self.config
-        force_set = set(force or ())
-        unknown = force_set.difference(node.name for node in self.nodes if node.kind)
-        if unknown:
-            raise ValueError(f"unknown matrix nodes in force={sorted(unknown)}")
-
-        base, base_manifest = StageRunner(
-            config.base, store=self.store, verbose=self.verbose
-        ).run(stages=self._base_stages_needed())
-        hashes: Dict[str, str] = {
-            outcome.name: outcome.content_hash
-            for outcome in base_manifest.stages
-            if outcome.content_hash
-        }
-        manifest = MatrixManifest(
-            config={**asdict(config), "base": asdict(config.base)},
-            store_root=self.store.root if self.store else None,
-            base_stages=list(base_manifest.stages),
+        executor = NodeExecutor(
+            self.store, self.fingerprints, self.nodes, force, "matrix nodes", self.verbose
         )
+        base = StageResults(config=config.base)
+        executor.run([node for node in self.nodes if node.build], base)
 
-        # Node values by name, starting from the base recommenders the
-        # identity-ingest defenses' cells point at.
-        models: Dict[str, Any] = {"vbpr": base.vbpr, "amr": base.amr}
-        for node in self.nodes:
-            if node.build is None:
-                continue
-            stored = self._stored(node)
-            with span(f"matrix.{node.name}", fingerprint=stored.fingerprint):
-                loaded, outcome, reason = load_node(
-                    self.store, stored, hashes, node.name in force_set
-                )
-                if loaded is not None:
-                    arrays, meta = loaded.arrays, loaded.meta
-                    self._log(f"node {node.name}: loaded from store ({stored.fingerprint})")
-                else:
-                    watch = Stopwatch()
-                    arrays, meta = node.build(base, models)
-                    outcome = save_node(
-                        self.store, stored, hashes, arrays, meta, watch.elapsed(), reason
-                    )
-                    self._log(f"node {node.name}: built ({reason})")
-                models[node.name] = node.unpack(base, models, arrays, meta)
-            manifest.nodes.append(outcome)
-
-        bprmf: Optional[BPRMF] = models.get("recommender:shared/BPRMF")
+        bprmf: Optional[BPRMF] = base.values.get("recommender:shared/BPRMF")
         control = None
         if bprmf is not None:
             scores = bprmf.score_all()
@@ -969,49 +851,46 @@ class MatrixRunner:
 
         by_name = {node.name: node for node in self.nodes}
         rows_by_cell: Dict[str, List[Dict[str, Any]]] = {}
+        skipped_by_defense: Dict[str, List[str]] = {}
         for defense in config.defenses:
             if defense not in RETRAINING_DEFENSES:
                 # The deployed state of identity-ingest defenses *is* the
                 # base features artifact; chain their content identity
                 # through it.
-                hashes[f"defense:{defense}"] = hashes.get("features", "")
+                executor.hashes[f"defense:{defense}"] = executor.hashes["features"]
 
             # Load every still-valid cell of this defense's column first;
             # only the misses pay for crafting and measurement.
-            pending: Dict[Tuple[str, str], Tuple[StoredNode, str]] = {}
+            pending: Dict[Tuple[str, str], Node] = {}
             for attack in config.attacks:
                 for rec in config.recommenders:
-                    node = self._stored(by_name[cell_name(defense, attack, rec)])
-                    loaded, outcome, reason = load_node(
-                        self.store, node, hashes, node.name in force_set
-                    )
+                    node = by_name[cell_name(defense, attack, rec)]
+                    loaded = executor.load_node(node)
                     if loaded is None:
-                        pending[(attack, rec)] = (node, reason)
+                        pending[(attack, rec)] = node
                         continue
-                    self._log(f"node {node.name}: loaded from store ({node.fingerprint})")
                     rows_by_cell[node.name] = list(loaded.meta["rows"])
-                    manifest.nodes.append(outcome)
                     skipped = list(loaded.meta.get("skipped_scenarios", []))
                     if skipped:
-                        manifest.skipped_scenarios.setdefault(defense, skipped)
+                        skipped_by_defense.setdefault(defense, skipped)
 
             if not pending:
                 continue
 
             runtime = (
-                models[f"defense:{defense}"]
+                base.values[f"defense:{defense}"]
                 if defense in RETRAINING_DEFENSES
                 else self._base_runtime(defense, base)
             )
             timer = Stopwatch()
             outcomes, skipped_scenarios = self._measure_column(
-                runtime, list(pending), base, models, control
+                runtime, list(pending), base, control
             )
             skipped = [f"{s.source}->{s.target}" for s in skipped_scenarios]
             if skipped:
-                manifest.skipped_scenarios[defense] = skipped
+                skipped_by_defense[defense] = skipped
             share = timer.elapsed() / len(pending)
-            for (attack, rec), (node, reason) in pending.items():
+            for (attack, rec), node in pending.items():
                 rows = [
                     {
                         **_grid_row(rec, outcome, config.base.ladder_mode),
@@ -1020,17 +899,8 @@ class MatrixRunner:
                     }
                     for outcome in outcomes[(attack, rec)]
                 ]
-                outcome = save_node(
-                    self.store,
-                    node,
-                    hashes,
-                    {},
-                    {"rows": rows, "skipped_scenarios": skipped},
-                    share,
-                    reason,
-                )
-                self._log(f"node {node.name}: built ({reason})")
-                manifest.nodes.append(outcome)
+                meta = {"rows": rows, "skipped_scenarios": skipped}
+                executor.save_node(node, {}, meta, share)
                 rows_by_cell[node.name] = rows
 
         all_rows = [
@@ -1039,8 +909,15 @@ class MatrixRunner:
             if node.kind == "matrix_cell"
             for row in rows_by_cell[node.name]
         ]
-        manifest.attack_stats = attack_stats_from_rows(all_rows)
-        manifest.success_rates = success_rates_by_attack(all_rows)
+        manifest = MatrixManifest(
+            config={**asdict(config), "base": asdict(config.base)},
+            store_root=self.store.root if self.store else None,
+            base_stages=[o for o in executor.outcomes if o.name in STAGE_ORDER],
+            nodes=[o for o in executor.outcomes if o.name not in STAGE_ORDER],
+            attack_stats=attack_stats_from_rows(all_rows),
+            success_rates=success_rates_by_attack(all_rows),
+            skipped_scenarios=skipped_by_defense,
+        )
         return (
             MatrixResults(config=config, rows=all_rows, base=base, bprmf=bprmf),
             manifest,

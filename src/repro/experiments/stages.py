@@ -1,13 +1,18 @@
-"""Explicit experiment stage DAG with selective invalidation.
+"""The experiment DAG: one node type and one load-verify-or-build executor.
 
 The paper's Fig. 1 pipeline is an acyclic chain of expensive stages::
 
     dataset ─→ classifier ─→ features ─┬─→ vbpr ─┬─→ clean_scores ─→ attack_grid ─→ tables
                                        └─→ amr ──┘
 
-Each :class:`StageSpec` declares the upstream stages it consumes and the
-:class:`~repro.experiments.config.ExperimentConfig` fields it actually
-reads.  A stage's *fingerprint* hashes exactly those two things, so:
+Every node of the DAG — each stage here and each scenario-matrix node
+(:mod:`repro.experiments.matrix`) — is a :class:`Node`: its name, its
+artifact kind, the upstream nodes it chains off, the config payload it
+reads, and how it is built and unpacked.  :func:`stage_nodes` declares
+each stage over exactly the
+:class:`~repro.experiments.config.ExperimentConfig` fields it reads, and
+a node's *fingerprint* hashes that payload with its upstream
+fingerprints (:func:`node_fingerprints`), so:
 
 * editing ``epsilons_255`` re-fingerprints only ``attack_grid`` and
   ``tables`` — dataset, classifier, features and both recommenders load
@@ -17,11 +22,13 @@ reads.  A stage's *fingerprint* hashes exactly those two things, so:
   the classifier, as it must.
 
 Every artifact additionally records the *content hashes* of the inputs
-it was built from; :func:`load_node` verifies them on load and the
-runner rebuilds instead of silently consuming a stale chain.  The
-scenario matrix (:mod:`repro.experiments.matrix`) stores its nodes
-through the same :func:`load_node` / :func:`save_node` pair.  A run emits a
-:class:`RunManifest` — per-stage fingerprints, artifact hashes,
+it was built from; :class:`NodeExecutor` verifies them on load and
+rebuilds instead of silently consuming a stale chain.  The executor is
+the one loop every node runs through: :class:`StageRunner` drives it over
+the stages, the matrix runner over the base stages and its model nodes
+as one list, and the matrix's cell columns load and save through its
+:meth:`~NodeExecutor.load_node` / :meth:`~NodeExecutor.save_node`.  A run
+emits a :class:`RunManifest` — per-stage fingerprints, artifact hashes,
 hit/built actions and wall-clock timings — the JSON trail behind
 ``python -m repro run``.
 """
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -55,117 +62,80 @@ from .config import ExperimentConfig
 
 RECOMMENDER_NAMES = ("VBPR", "AMR")
 
+#: Schema stamp of every node artifact and fingerprint.
+SCHEMA_VERSION = 1
+
+Payload = Tuple[Dict[str, np.ndarray], Dict[str, Any]]
+
 
 # --------------------------------------------------------------------- #
-# Stage declarations
+# The node declaration
 # --------------------------------------------------------------------- #
 
 
 @dataclass(frozen=True)
-class StageSpec:
-    """One node of the DAG: dependencies + the config fields it reads."""
+class Node:
+    """One node of the DAG.
+
+    ``kind`` names its artifact; ``None`` marks a node that stores
+    nothing (an identity-ingest defense, whose deployed state is the
+    base ``features`` artifact).  ``deps`` maps each fingerprint payload
+    key to the upstream node it chains off; its values are also the
+    nodes whose content hashes a stored artifact is verified against.
+    ``payload`` is the node's own configuration, hashed into its
+    fingerprint.  ``build(results)`` returns the node's ``(arrays,
+    meta)`` and ``unpack(results, arrays, meta)`` turns that payload,
+    fresh or stored, into the node's value, which the executor files
+    under the node's name in ``results.values``.  Nodes without them
+    (the matrix cells) are crafted and measured a defense column at a
+    time.
+    """
 
     name: str
-    deps: Tuple[str, ...]
-    config_fields: Tuple[str, ...]
-    schema_version: int = 1
-
-    @property
-    def kind(self) -> str:
-        return f"stage_{self.name}"
+    kind: Optional[str]
+    deps: Dict[str, str]
+    payload: Dict[str, Any]
+    build: Optional[Callable[["StageResults"], Payload]] = None
+    unpack: Optional[Callable[..., Any]] = None
 
 
-STAGE_SPECS: Tuple[StageSpec, ...] = (
-    StageSpec("dataset", (), ("dataset", "scale", "image_size", "seed")),
-    StageSpec(
-        "classifier",
-        ("dataset",),
-        (
-            "classifier_widths",
-            "classifier_blocks",
-            "classifier_epochs",
-            "classifier_lr",
-            "classifier_batch_size",
-            "seed",
-        ),
-    ),
-    StageSpec("features", ("dataset", "classifier"), ()),
-    StageSpec("vbpr", ("dataset", "features"), ("recommender_epochs", "seed")),
-    StageSpec(
-        "amr",
-        ("dataset", "features"),
-        ("recommender_epochs", "amr_pretrain_epochs", "amr_gamma", "amr_eta", "seed"),
-    ),
-    StageSpec("clean_scores", ("dataset", "features", "vbpr", "amr"), ("cutoff",)),
-    StageSpec(
-        "attack_grid",
-        ("dataset", "classifier", "features", "vbpr", "amr", "clean_scores"),
-        ("epsilons_255", "pgd_steps", "cutoff", "seed", "ladder_mode"),
-    ),
-    StageSpec("tables", ("attack_grid",), ("epsilons_255",)),
-)
+def node_fingerprints(nodes: Sequence[Node]) -> Dict[str, str]:
+    """Each node's fingerprint: its own payload + its upstream fingerprints.
 
-STAGE_ORDER: Tuple[str, ...] = tuple(spec.name for spec in STAGE_SPECS)
-_SPEC_BY_NAME: Dict[str, StageSpec] = {spec.name: spec for spec in STAGE_SPECS}
-
-
-def chained_fingerprint(
-    name: str,
-    schema_version: int,
-    config_payload: Dict[str, Any],
-    dep_fingerprints: Dict[str, str],
-) -> str:
-    """One node's fingerprint: its own config + upstream fingerprints.
-
-    The single hashing convention of the DAG — static stages and the
-    dynamic scenario-matrix cells (:mod:`repro.experiments.matrix`)
-    both chain through it, so invalidation semantics cannot diverge
-    between the two layers.
-    """
-    payload = {
-        "stage": name,
-        "schema": schema_version,
-        "config": config_payload,
-        "deps": dict(dep_fingerprints),
-    }
-    canonical = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def stage_fingerprints(config: ExperimentConfig) -> Dict[str, str]:
-    """Per-stage fingerprints: own config fields + upstream fingerprints.
-
+    The single hashing convention of the DAG, for stages and matrix
+    nodes alike, so invalidation semantics cannot diverge between them.
     Purely config-derived (no artifact needed), so plans and
     ``--explain`` work before anything has ever been built.
     """
     fingerprints: Dict[str, str] = {}
-    for spec in STAGE_SPECS:
-        fingerprints[spec.name] = chained_fingerprint(
-            spec.name,
-            spec.schema_version,
-            config.field_fingerprint(spec.config_fields),
-            {dep: fingerprints[dep] for dep in spec.deps},
+    for node in nodes:
+        canonical = json.dumps(
+            {
+                "stage": node.name,
+                "schema": SCHEMA_VERSION,
+                "config": node.payload,
+                "deps": {key: fingerprints[dep] for key, dep in node.deps.items()},
+            },
+            sort_keys=True,
         )
+        fingerprints[node.name] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
     return fingerprints
 
 
-def stage_closure(stages: Sequence[str]) -> List[str]:
-    """The requested stages plus every transitive dependency, topo-ordered."""
-    unknown = [name for name in stages if name not in _SPEC_BY_NAME]
+def node_closure(nodes: Sequence[Node], targets: Sequence[str]) -> List[Node]:
+    """The ``targets`` plus every transitive dependency, in ``nodes`` order."""
+    by_name = {node.name: node for node in nodes}
+    unknown = [name for name in targets if name not in by_name]
     if unknown:
-        raise ValueError(f"unknown stages {unknown}; available: {list(STAGE_ORDER)}")
+        raise ValueError(f"unknown stages {unknown}; available: {list(by_name)}")
     needed = set()
-
-    def visit(name: str) -> None:
-        if name in needed:
-            return
-        needed.add(name)
-        for dep in _SPEC_BY_NAME[name].deps:
-            visit(dep)
-
-    for name in stages:
-        visit(name)
-    return [name for name in STAGE_ORDER if name in needed]
+    pending = list(targets)
+    while pending:
+        name = pending.pop()
+        if name not in needed:
+            needed.add(name)
+            pending.extend(by_name[name].deps.values())
+    return [node for node in nodes if node.name in needed]
 
 
 # --------------------------------------------------------------------- #
@@ -249,18 +219,17 @@ class RunManifest:
 
 @dataclass
 class StageResults:
-    """Deserialized outputs of every stage touched by a run."""
+    """Deserialized outputs of every node touched by a run."""
 
     config: ExperimentConfig
-    dataset: Optional[MultimediaDataset] = None
-    classifier: Optional[TinyResNet] = None
+    #: Each resolved node's value by node name: the dataset, the
+    #: classifier, the recommenders, and the matrix's model nodes.
+    values: Dict[str, Any] = field(default_factory=dict, repr=False)
     classifier_accuracy: Optional[float] = None
     extractor: Optional[FeatureExtractor] = None
     raw_features: Optional[np.ndarray] = field(default=None, repr=False)
     features: Optional[np.ndarray] = field(default=None, repr=False)
     item_classes: Optional[np.ndarray] = field(default=None, repr=False)
-    vbpr: Optional[VBPR] = None
-    amr: Optional[AMR] = None
     clean_scores: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     clean_top_n: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     grid_rows: List[Dict[str, Any]] = field(default_factory=list, repr=False)
@@ -268,13 +237,28 @@ class StageResults:
     #: The run's provenance record; :func:`build_context` attaches it.
     manifest: Optional[RunManifest] = field(default=None, repr=False)
 
+    @property
+    def dataset(self) -> Optional[MultimediaDataset]:
+        return self.values.get("dataset")
+
+    @property
+    def classifier(self) -> Optional[TinyResNet]:
+        return self.values.get("classifier")
+
+    @property
+    def vbpr(self) -> Optional[VBPR]:
+        return self.values.get("vbpr")
+
+    @property
+    def amr(self) -> Optional[AMR]:
+        return self.values.get("amr")
+
     def recommender(self, name: str) -> VBPR:
         key = name.strip().upper()
-        if key == "VBPR" and self.vbpr is not None:
-            return self.vbpr
-        if key == "AMR" and self.amr is not None:
-            return self.amr
-        raise KeyError(f"recommender '{name}' is not part of these results")
+        model = self.values.get(key.lower()) if key in RECOMMENDER_NAMES else None
+        if model is None:
+            raise KeyError(f"recommender '{name}' is not part of these results")
+        return model
 
     def catalog_state(self, recommender_name: Optional[str] = None) -> CatalogState:
         """The precomputed-state bundle a TAaMRPipeline warm-starts from."""
@@ -306,24 +290,20 @@ class StageResults:
 
 
 # --------------------------------------------------------------------- #
-# Stage implementations: build / pack / unpack
+# Stage implementations: build / unpack
 # --------------------------------------------------------------------- #
 
 
-def _build_dataset(results: StageResults) -> None:
+def _build_dataset(results: StageResults) -> Payload:
     config = results.config
     builder = amazon_men_like if config.dataset == "amazon_men_like" else amazon_women_like
-    results.dataset = builder(
-        scale=config.scale, image_size=config.image_size, seed=config.seed
+    return pack_dataset(
+        builder(scale=config.scale, image_size=config.image_size, seed=config.seed)
     )
 
 
-def _pack_dataset(results: StageResults):
-    return pack_dataset(results.dataset)
-
-
-def _unpack_dataset(results: StageResults, arrays, meta) -> None:
-    results.dataset = unpack_dataset(arrays, meta)
+def _unpack_dataset(results: StageResults, arrays, meta) -> MultimediaDataset:
+    return unpack_dataset(arrays, meta)
 
 
 def _make_classifier(
@@ -367,38 +347,35 @@ def _load_classifier(
     return classifier
 
 
-def _build_classifier(results: StageResults) -> None:
-    results.classifier, results.classifier_accuracy = _train_classifier(
-        results.config, results.dataset, results.config.seed
-    )
+def _classifier(seed: int, record_accuracy: bool = False) -> Tuple[Callable, Callable]:
+    """A catalog classifier node trained with ``seed``.
 
+    The ``classifier`` stage records its train accuracy (into
+    ``results.classifier_accuracy``); the matrix's TRANSFER surrogate,
+    an independently seeded copy, does not.
+    """
 
-def _pack_classifier(results: StageResults):
-    return results.classifier.state_dict(), {"accuracy": results.classifier_accuracy}
+    def build(results: StageResults) -> Payload:
+        classifier, accuracy = _train_classifier(results.config, results.dataset, seed)
+        return classifier.state_dict(), {"accuracy": accuracy} if record_accuracy else {}
 
+    def unpack(results: StageResults, arrays, meta) -> TinyResNet:
+        if "accuracy" in meta:
+            results.classifier_accuracy = float(meta["accuracy"])
+        return _load_classifier(results.config, results.dataset, seed, arrays)
 
-def _unpack_classifier(results: StageResults, arrays, meta) -> None:
-    results.classifier = _load_classifier(
-        results.config, results.dataset, results.config.seed, arrays
-    )
-    accuracy = meta.get("accuracy")
-    results.classifier_accuracy = None if accuracy is None else float(accuracy)
+    return build, unpack
 
 
 def _catalog_features(
     classifier: TinyResNet, images: np.ndarray
-) -> Tuple[FeatureExtractor, np.ndarray, np.ndarray, np.ndarray]:
-    """One catalog pass: fitted extractor, raw and standardized features, classes."""
+) -> Tuple[FeatureExtractor, np.ndarray, np.ndarray]:
+    """One catalog pass: fitted extractor, raw features, classes."""
     extractor = FeatureExtractor(classifier)
     classes, raw = classifier.predict_with_features(images, batch_size=extractor.batch_size)
     raw = np.asarray(raw, dtype=np.float64)
     extractor.fit_from_raw(raw)
-    return (
-        extractor,
-        raw,
-        extractor.transform_raw_features(raw),
-        np.asarray(classes, dtype=np.int64),
-    )
+    return extractor, raw, np.asarray(classes, dtype=np.int64)
 
 
 def _load_catalog_features(
@@ -411,22 +388,9 @@ def _load_catalog_features(
     return extractor, raw, extractor.transform_raw_features(raw)
 
 
-def _build_features(results: StageResults) -> None:
-    (
-        results.extractor,
-        results.raw_features,
-        results.features,
-        results.item_classes,
-    ) = _catalog_features(results.classifier, results.dataset.images)
-
-
-def _pack_features(results: StageResults):
-    arrays = {
-        "raw_features": results.raw_features,
-        "item_classes": results.item_classes,
-    }
-    arrays.update(results.extractor.normalization_state())
-    return arrays, {}
+def _build_features(results: StageResults) -> Payload:
+    extractor, raw, classes = _catalog_features(results.classifier, results.dataset.images)
+    return {"raw_features": raw, "item_classes": classes, **extractor.normalization_state()}, {}
 
 
 def _unpack_features(results: StageResults, arrays, meta) -> None:
@@ -466,54 +430,28 @@ def _make_amr(
     )
 
 
-def _build_vbpr(results: StageResults) -> None:
-    results.vbpr = _make_vbpr(results.config, results.dataset, results.features).fit(
-        results.dataset.feedback
-    )
+def _fitted(make: Callable[[StageResults], Any]) -> Tuple[Callable, Callable]:
+    """A recommender node: ``make(results)`` fit on the feedback, or loaded."""
+
+    def build(results: StageResults) -> Payload:
+        return make(results).fit(results.dataset.feedback).state_dict(), {}
+
+    def unpack(results: StageResults, arrays, meta):
+        return make(results).load_state_dict(arrays)
+
+    return build, unpack
 
 
-def _pack_vbpr(results: StageResults):
-    return results.vbpr.state_dict(), {}
-
-
-def _unpack_vbpr(results: StageResults, arrays, meta) -> None:
-    results.vbpr = _make_vbpr(
-        results.config, results.dataset, results.features
-    ).load_state_dict(arrays)
-
-
-def _build_amr(results: StageResults) -> None:
-    results.amr = _make_amr(results.config, results.dataset, results.features).fit(
-        results.dataset.feedback
-    )
-
-
-def _pack_amr(results: StageResults):
-    return results.amr.state_dict(), {}
-
-
-def _unpack_amr(results: StageResults, arrays, meta) -> None:
-    results.amr = _make_amr(
-        results.config, results.dataset, results.features
-    ).load_state_dict(arrays)
-
-
-def _build_clean_scores(results: StageResults) -> None:
+def _build_clean_scores(results: StageResults) -> Payload:
     cutoff = min(results.config.cutoff, results.dataset.num_items)
+    arrays = {}
     for name in RECOMMENDER_NAMES:
         model = results.recommender(name)
         scores = model.score_all(features=results.features)
-        results.clean_scores[name] = scores
-        results.clean_top_n[name] = model.top_n(
+        arrays[f"{name.lower()}_scores"] = scores
+        arrays[f"{name.lower()}_top_n"] = model.top_n(
             cutoff, feedback=results.dataset.feedback, scores=scores
         )
-
-
-def _pack_clean_scores(results: StageResults):
-    arrays = {}
-    for name in RECOMMENDER_NAMES:
-        arrays[f"{name.lower()}_scores"] = results.clean_scores[name]
-        arrays[f"{name.lower()}_top_n"] = results.clean_top_n[name]
     return arrays, {"cutoff": results.config.cutoff}
 
 
@@ -552,7 +490,7 @@ def _grid_row(recommender_name: str, outcome, ladder_mode: str) -> Dict[str, Any
     }
 
 
-def _build_attack_grid(results: StageResults) -> None:
+def _build_attack_grid(results: StageResults) -> Payload:
     from . import runner  # late import: runner imports this module
 
     config = results.config
@@ -570,15 +508,12 @@ def _build_attack_grid(results: StageResults) -> None:
         config.seed,
         config.ladder_mode,
     )
-    results.grid_rows = [
+    rows = [
         _grid_row(name, outcome, config.ladder_mode)
         for name in RECOMMENDER_NAMES
         for outcome in runner.grid_order(outcomes, attacks, name)
     ]
-
-
-def _pack_attack_grid(results: StageResults):
-    return {}, {"rows": results.grid_rows}
+    return {}, {"rows": rows}
 
 
 def _unpack_attack_grid(results: StageResults, arrays, meta) -> None:
@@ -662,7 +597,7 @@ def rows_to_grids(rows: Sequence[Dict[str, Any]]):
     return grids
 
 
-def _build_tables(results: StageResults) -> None:
+def _build_tables(results: StageResults) -> Payload:
     from .runner import format_table2, format_table3, format_table4
 
     grids = rows_to_grids(results.grid_rows)
@@ -671,145 +606,230 @@ def _build_tables(results: StageResults) -> None:
     if grids:
         sections.append(format_table3(grids[:1], epsilons))
         sections.append(format_table4(grids[0], epsilons))
-    results.tables_text = "\n\n".join(sections)
-
-
-def _pack_tables(results: StageResults):
-    return {}, {"text": results.tables_text}
+    return {}, {"text": "\n\n".join(sections)}
 
 
 def _unpack_tables(results: StageResults, arrays, meta) -> None:
     results.tables_text = str(meta["text"])
 
 
-_BUILDERS: Dict[str, Callable[[StageResults], None]] = {
-    "dataset": _build_dataset,
-    "classifier": _build_classifier,
-    "features": _build_features,
-    "vbpr": _build_vbpr,
-    "amr": _build_amr,
-    "clean_scores": _build_clean_scores,
-    "attack_grid": _build_attack_grid,
-    "tables": _build_tables,
-}
-_PACKERS: Dict[str, Callable[[StageResults], Tuple[Dict[str, np.ndarray], Dict[str, Any]]]] = {
-    "dataset": _pack_dataset,
-    "classifier": _pack_classifier,
-    "features": _pack_features,
-    "vbpr": _pack_vbpr,
-    "amr": _pack_amr,
-    "clean_scores": _pack_clean_scores,
-    "attack_grid": _pack_attack_grid,
-    "tables": _pack_tables,
-}
-_UNPACKERS: Dict[str, Callable[[StageResults, Dict[str, np.ndarray], Dict[str, Any]], None]] = {
-    "dataset": _unpack_dataset,
-    "classifier": _unpack_classifier,
-    "features": _unpack_features,
-    "vbpr": _unpack_vbpr,
-    "amr": _unpack_amr,
-    "clean_scores": _unpack_clean_scores,
-    "attack_grid": _unpack_attack_grid,
-    "tables": _unpack_tables,
-}
-
 # --------------------------------------------------------------------- #
-# The node protocol: load-verify-or-build, shared with the matrix
+# Stage declarations
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class StoredNode:
-    """Where one DAG node's artifact lives and which nodes it consumes."""
+def stage_nodes(config: ExperimentConfig) -> List[Node]:
+    """The eight stages in execution order.
 
-    name: str
-    kind: str
-    fingerprint: str
-    schema_version: int
-    deps: Tuple[str, ...]
-
-
-def load_node(
-    store: Optional[ArtifactStore],
-    node: StoredNode,
-    hashes: Dict[str, str],
-    forced: bool,
-) -> Tuple[Optional[LoadedArtifact], Optional[StageOutcome], str]:
-    """Load ``node``'s artifact if it is still valid for this run.
-
-    Valid means stored under the node's fingerprint *and* built from the
-    upstream content this run holds: the recorded ``__inputs__`` must
-    equal ``hashes`` (node name → content hash) for every dependency.
-    A hit adds the node's content hash to ``hashes`` and returns the
-    artifact with a ``"hit"`` outcome; a miss returns ``(None, None,
-    reason)`` so the caller builds and hands the reason to
-    :func:`save_node`.
+    Each ``stage(name, deps, config_fields, build, unpack)`` call
+    declares the upstream stages a stage consumes and the config fields
+    its build/unpack functions read — lint rule RPR003 checks the two
+    agree, since a field read but not declared would let a config edit
+    serve a stale artifact.
     """
-    if forced:
-        return None, None, "forced rebuild"
-    if store is None:
-        return None, None, "no store configured"
-    watch = Stopwatch()
-    try:
-        loaded = store.load(node.kind, node.fingerprint, schema_version=node.schema_version)
-        recorded = loaded.meta.get("__inputs__", {})
-        stale = sorted(dep for dep in node.deps if recorded.get(dep) != hashes.get(dep))
-        if stale:
-            raise ArtifactError(f"inputs changed since the artifact was built: {stale}")
-    except ArtifactError as error:
-        if isinstance(error, FileNotFoundError):
-            return None, None, "no stored artifact"
-        return None, None, f"refused stored artifact: {error}"
-    hashes[node.name] = loaded.ref.content_hash
-    outcome = StageOutcome(
-        name=node.name,
-        fingerprint=node.fingerprint,
-        action="hit",
-        seconds=watch.elapsed(),
-        content_hash=loaded.ref.content_hash,
-        path=loaded.ref.path,
-    )
-    return loaded, outcome, ""
+
+    def stage(name, deps, config_fields, build, unpack) -> Node:
+        payload = config.field_fingerprint(config_fields)
+        return Node(name, f"stage_{name}", {dep: dep for dep in deps}, payload, build, unpack)
+
+    return [
+        stage(
+            "dataset",
+            (),
+            ("dataset", "scale", "image_size", "seed"),
+            _build_dataset,
+            _unpack_dataset,
+        ),
+        stage(
+            "classifier",
+            ("dataset",),
+            (
+                "classifier_widths",
+                "classifier_blocks",
+                "classifier_epochs",
+                "classifier_lr",
+                "classifier_batch_size",
+                "seed",
+            ),
+            *_classifier(config.seed, record_accuracy=True),
+        ),
+        stage("features", ("dataset", "classifier"), (), _build_features, _unpack_features),
+        stage(
+            "vbpr",
+            ("dataset", "features"),
+            ("recommender_epochs", "seed"),
+            *_fitted(
+                lambda results: _make_vbpr(results.config, results.dataset, results.features)
+            ),
+        ),
+        stage(
+            "amr",
+            ("dataset", "features"),
+            ("recommender_epochs", "amr_pretrain_epochs", "amr_gamma", "amr_eta", "seed"),
+            *_fitted(
+                lambda results: _make_amr(results.config, results.dataset, results.features)
+            ),
+        ),
+        stage(
+            "clean_scores",
+            ("dataset", "features", "vbpr", "amr"),
+            ("cutoff",),
+            _build_clean_scores,
+            _unpack_clean_scores,
+        ),
+        stage(
+            "attack_grid",
+            ("dataset", "classifier", "features", "vbpr", "amr", "clean_scores"),
+            ("epsilons_255", "pgd_steps", "cutoff", "seed", "ladder_mode"),
+            _build_attack_grid,
+            _unpack_attack_grid,
+        ),
+        stage("tables", ("attack_grid",), ("epsilons_255",), _build_tables, _unpack_tables),
+    ]
 
 
-def save_node(
-    store: Optional[ArtifactStore],
-    node: StoredNode,
-    hashes: Dict[str, str],
-    arrays: Dict[str, np.ndarray],
-    meta: Dict[str, Any],
-    seconds: float,
-    reason: str,
-) -> StageOutcome:
-    """Store a freshly built node with the ``__inputs__`` it was built from.
+STAGE_ORDER: Tuple[str, ...] = tuple(node.name for node in stage_nodes(ExperimentConfig()))
 
-    Without a store the content hash is still computed, so downstream
-    nodes chain off it exactly as they would off a stored artifact.
+
+def stage_fingerprints(config: ExperimentConfig) -> Dict[str, str]:
+    """Per-stage fingerprints: own config fields + upstream fingerprints."""
+    return node_fingerprints(stage_nodes(config))
+
+
+def stage_closure(stages: Sequence[str]) -> List[str]:
+    """The requested stages plus every transitive dependency, topo-ordered."""
+    return [node.name for node in node_closure(stage_nodes(ExperimentConfig()), stages)]
+
+
+# --------------------------------------------------------------------- #
+# The executor: load-verify-or-build, for every node
+# --------------------------------------------------------------------- #
+
+
+class NodeExecutor:
+    """Load-verify-or-build for one run over one (optional) store.
+
+    A node loads when the store holds an artifact under its fingerprint
+    that was built from the upstream content this run holds: the
+    recorded ``__inputs__`` must equal :attr:`hashes` (node name →
+    content hash) for every dependency.  Otherwise it builds and is
+    stored with those inputs; without a store the content hash is still
+    computed, so downstream nodes chain off it exactly as they would off
+    a stored artifact.  :attr:`outcomes` records each node's hit or
+    build, in order.
+
+    ``force`` names nodes that must rebuild even when a valid artifact
+    exists.  It must name stored nodes of ``nodes`` — the run's plan,
+    what ``--explain`` lists — or ``ValueError`` reports the unknown
+    ``what``.
     """
-    meta = dict(meta)
-    meta["__inputs__"] = {dep: hashes[dep] for dep in node.deps}
-    path = None
-    if store is not None:
-        ref = store.save(
-            node.kind,
-            node.fingerprint,
-            arrays,
-            schema_version=node.schema_version,
-            meta=meta,
+
+    def __init__(
+        self,
+        store: Optional[ArtifactStore],
+        fingerprints: Dict[str, str],
+        nodes: Sequence[Node],
+        force: Sequence[str],
+        what: str,
+        verbose: bool = False,
+    ) -> None:
+        self.forced = set(force or ())
+        unknown = self.forced.difference(node.name for node in nodes if node.kind)
+        if unknown:
+            raise ValueError(f"unknown {what} in force={sorted(unknown)}")
+        self.store = store
+        self.fingerprints = fingerprints
+        self.verbose = verbose
+        self.hashes: Dict[str, str] = {}
+        self.outcomes: List[StageOutcome] = []
+        self._reasons: Dict[str, str] = {}
+
+    def _log(self, message: str) -> None:
+        if self.verbose:
+            print(f"[repro] {message}", flush=True)
+
+    def run(self, nodes: Sequence[Node], results: StageResults) -> None:
+        """Load or build each node in order; file its value in ``results.values``."""
+        for node in nodes:
+            fingerprint = self.fingerprints[node.name]
+            layer = node.kind.partition("_")[0]  # "stage" or "matrix"
+            with span(f"{layer}.{node.name}", fingerprint=fingerprint) as node_span:
+                watch = Stopwatch()
+                loaded = self.load_node(node)
+                if loaded is None:
+                    arrays, meta = node.build(results)
+                    self.save_node(node, arrays, meta, seconds=0.0)
+                else:
+                    arrays, meta = loaded.arrays, loaded.meta
+                results.values[node.name] = node.unpack(results, arrays, meta)
+                # The node's time covers loading or building, storing and unpacking.
+                outcome = self.outcomes[-1]
+                outcome.seconds = watch.elapsed()
+                node_span.set_attrs(action=outcome.action, reason=outcome.reason)
+
+    def load_node(self, node: Node) -> Optional[LoadedArtifact]:
+        """``node``'s artifact if it is still valid for this run, recorded as a hit.
+
+        A miss returns ``None`` and keeps the reason for
+        :meth:`save_node`: ``forced rebuild``, ``no store configured``,
+        ``no stored artifact``, or ``refused stored artifact: …`` for a
+        corrupt or stale one.
+        """
+        fingerprint = self.fingerprints[node.name]
+        if node.name in self.forced:
+            self._reasons[node.name] = "forced rebuild"
+            return None
+        if self.store is None:
+            self._reasons[node.name] = "no store configured"
+            return None
+        watch = Stopwatch()
+        try:
+            loaded = self.store.load(node.kind, fingerprint, schema_version=SCHEMA_VERSION)
+            recorded = loaded.meta.get("__inputs__", {})
+            stale = sorted(
+                dep for dep in node.deps.values() if recorded.get(dep) != self.hashes.get(dep)
+            )
+            if stale:
+                raise ArtifactError(f"inputs changed since the artifact was built: {stale}")
+        except ArtifactError as error:
+            self._reasons[node.name] = (
+                "no stored artifact"
+                if isinstance(error, FileNotFoundError)
+                else f"refused stored artifact: {error}"
+            )
+            return None
+        digest = loaded.ref.content_hash
+        self.hashes[node.name] = digest
+        self.outcomes.append(
+            StageOutcome(node.name, fingerprint, "hit", watch.elapsed(), digest, loaded.ref.path)
         )
-        digest, path = ref.content_hash, ref.path
-    else:
-        digest = content_hash(arrays, meta)
-    hashes[node.name] = digest
-    return StageOutcome(
-        name=node.name,
-        fingerprint=node.fingerprint,
-        action="built",
-        seconds=seconds,
-        content_hash=digest,
-        path=path,
-        reason=reason,
-    )
+        self._log(f"{node.name}: loaded from store ({fingerprint})")
+        return loaded
+
+    def save_node(
+        self,
+        node: Node,
+        arrays: Dict[str, np.ndarray],
+        meta: Dict[str, Any],
+        seconds: float,
+    ) -> None:
+        """Store a node :meth:`load_node` missed, with the ``__inputs__`` it was built from."""
+        fingerprint = self.fingerprints[node.name]
+        reason = self._reasons.pop(node.name)
+        meta = {**meta, "__inputs__": {dep: self.hashes[dep] for dep in node.deps.values()}}
+        path = None
+        if self.store is not None:
+            ref = self.store.save(
+                node.kind, fingerprint, arrays, schema_version=SCHEMA_VERSION, meta=meta
+            )
+            digest, path = ref.content_hash, ref.path
+        else:
+            digest = content_hash(arrays, meta)
+        self.hashes[node.name] = digest
+        self.outcomes.append(
+            StageOutcome(node.name, fingerprint, "built", seconds, digest, path, reason)
+        )
+        self._log(f"{node.name}: built ({reason})")
 
 
 # --------------------------------------------------------------------- #
@@ -827,12 +847,17 @@ class StagePlan:
     would: str  # "load" | "build"
 
     @classmethod
-    def probe(
-        cls, store: Optional[ArtifactStore], name: str, kind: str, fingerprint: str
-    ) -> "StagePlan":
-        """The plan of one node: load if ``store`` holds its artifact, else build."""
-        cached = bool(store and store.exists(kind, fingerprint))
-        return cls(name, fingerprint, cached, "load" if cached else "build")
+    def of(
+        cls, store: Optional[ArtifactStore], nodes: Sequence[Node], fingerprints: Dict[str, str]
+    ) -> List["StagePlan"]:
+        """The plan of each stored node: load if ``store`` holds its artifact, else build."""
+        plans = []
+        for node in nodes:
+            if node.kind:
+                fingerprint = fingerprints[node.name]
+                cached = bool(store and store.exists(node.kind, fingerprint))
+                plans.append(cls(node.name, fingerprint, cached, "load" if cached else "build"))
+        return plans
 
 
 class StageRunner:
@@ -859,23 +884,16 @@ class StageRunner:
         self.config = config
         self.store = store
         self.verbose = verbose
-        self.fingerprints = stage_fingerprints(config)
+        self.nodes = stage_nodes(config)
+        self.fingerprints = node_fingerprints(self.nodes)
 
-    def _log(self, message: str) -> None:
-        if self.verbose:
-            print(f"[repro] {message}", flush=True)
+    def _closure(self, stages: Optional[Sequence[str]]) -> List[Node]:
+        return node_closure(self.nodes, list(stages) if stages else list(STAGE_ORDER))
 
-    # -- planning ------------------------------------------------------- #
     def plan(self, stages: Optional[Sequence[str]] = None) -> List[StagePlan]:
         """What :meth:`run` would do, without executing anything."""
-        return [
-            StagePlan.probe(
-                self.store, name, _SPEC_BY_NAME[name].kind, self.fingerprints[name]
-            )
-            for name in stage_closure(list(stages) if stages else list(STAGE_ORDER))
-        ]
+        return StagePlan.of(self.store, self._closure(stages), self.fingerprints)
 
-    # -- execution ------------------------------------------------------ #
     def run(
         self,
         stages: Optional[Sequence[str]] = None,
@@ -883,63 +901,25 @@ class StageRunner:
     ) -> Tuple[StageResults, RunManifest]:
         """Run the closure of ``stages`` (default: the whole DAG).
 
-        ``force`` names stages that must rebuild even when a valid
-        artifact exists; their downstream consumers still load as long
-        as the rebuilt content hashes match the recorded inputs (true
-        for deterministic, seeded stages).
+        ``force`` names stages of that closure that must rebuild even
+        when a valid artifact exists; their downstream consumers still
+        load as long as the rebuilt content hashes match the recorded
+        inputs (true for deterministic, seeded stages).
         """
-        order = stage_closure(list(stages) if stages else list(STAGE_ORDER))
-        force_set = set(force or ())
-        unknown = force_set.difference(STAGE_ORDER)
-        if unknown:
-            raise ValueError(f"unknown stages in force={sorted(unknown)}")
-
+        nodes = self._closure(stages)
+        executor = NodeExecutor(
+            self.store, self.fingerprints, nodes, force, "stages", self.verbose
+        )
         results = StageResults(config=self.config)
+        executor.run(nodes, results)
         manifest = RunManifest(
             config_key=self.config.cache_key(),
             config=asdict(self.config),
             store_root=self.store.root if self.store else None,
+            stages=executor.outcomes,
+            attack_stats=attack_stats_from_rows(results.grid_rows),
         )
-        hashes: Dict[str, str] = {}
-        for name in order:
-            outcome = self._run_stage(name, results, hashes, forced=name in force_set)
-            manifest.stages.append(outcome)
-        manifest.attack_stats = attack_stats_from_rows(results.grid_rows)
         return results, manifest
-
-    def _run_stage(
-        self,
-        name: str,
-        results: StageResults,
-        hashes: Dict[str, str],
-        forced: bool,
-    ) -> StageOutcome:
-        spec = _SPEC_BY_NAME[name]
-        node = StoredNode(
-            name=name,
-            kind=spec.kind,
-            fingerprint=self.fingerprints[name],
-            schema_version=spec.schema_version,
-            deps=spec.deps,
-        )
-        with span(f"stage.{name}", fingerprint=node.fingerprint) as stage_span:
-            watch = Stopwatch()
-            loaded, outcome, reason = load_node(self.store, node, hashes, forced)
-            if loaded is not None:
-                _UNPACKERS[name](results, loaded.arrays, loaded.meta)
-                self._log(f"stage {name}: loaded from store ({node.fingerprint})")
-                stage_span.set_attrs(action="hit")
-                # A hit's time covers deserializing into the results too.
-                return replace(outcome, seconds=watch.elapsed())
-
-            _BUILDERS[name](results)
-            arrays, meta = _PACKERS[name](results)
-            outcome = save_node(
-                self.store, node, hashes, arrays, meta, watch.elapsed(), reason
-            )
-            self._log(f"stage {name}: built ({reason})")
-            stage_span.set_attrs(action="built", reason=reason)
-            return outcome
 
 
 def run_stages(

@@ -1,20 +1,21 @@
 """RPR003 fixture — a stages.py-shaped module with fingerprint bugs.
 
-Mirrors the structure of ``repro/experiments/stages.py``: STAGE_SPECS
-declarations plus _BUILDERS/_PACKERS/_UNPACKERS dispatch dicts.  Two
-deliberate defects:
+Mirrors the structure of ``repro/experiments/stages.py``: ``stage_nodes``
+declares each stage with a ``stage(name, deps, config_fields, build,
+unpack)`` call naming its build/unpack functions.  Two deliberate
+defects:
 
-* ``_helper`` (called from ``_build_dataset``) reads
-  ``config.image_size``, which the 'dataset' spec does not declare —
-  the stale-cache bug RPR003 exists to catch, reached transitively.
-* the 'dataset' spec declares ``unused_knob``, which nothing reads.
+* ``_helper`` (named by ``_build_dataset``) reads ``config.image_size``,
+  which the 'dataset' declaration does not declare — the stale-cache bug
+  RPR003 exists to catch, reached transitively.
+* the 'dataset' declaration declares ``unused_knob``, which nothing reads.
 
 Never imported; parsed by the lint self-tests.
 """
 
 from collections import namedtuple
 
-StageSpec = namedtuple("StageSpec", "name deps config_fields")
+Node = namedtuple("Node", "name kind deps payload build unpack")
 
 
 def _helper(results):
@@ -25,23 +26,20 @@ def _helper(results):
 def _build_dataset(results):
     config = results.config
     size = _helper(results)
-    return config.scale, config.seed, size
-
-
-def _pack_dataset(results):
     key = results.config.cache_key()  # clean: method call, not a field read
-    return {"key": key}, {}
+    return {"size": size}, {"key": key, "scale": config.scale, "seed": config.seed}
 
 
 def _unpack_dataset(results, arrays, meta):
-    results.dataset = arrays
+    return arrays
 
 
-STAGE_SPECS = (
-    # VIOLATION (this call): declares 'unused_knob', which is never read.
-    StageSpec("dataset", (), ("scale", "seed", "unused_knob")),
-)
+def stage_nodes(config):
+    def stage(name, deps, config_fields, build, unpack):
+        payload = config.field_fingerprint(config_fields)
+        return Node(name, f"stage_{name}", deps, payload, build, unpack)
 
-_BUILDERS = {"dataset": _build_dataset}
-_PACKERS = {"dataset": _pack_dataset}
-_UNPACKERS = {"dataset": _unpack_dataset}
+    return [
+        # VIOLATION (this call): declares 'unused_knob', which is never read.
+        stage("dataset", (), ("scale", "seed", "unused_knob"), _build_dataset, _unpack_dataset),
+    ]

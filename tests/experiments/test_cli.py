@@ -190,6 +190,14 @@ class TestRunCommand:
         assert code == 2
         assert "unknown stages" in capsys.readouterr().err
 
+    def test_unknown_force_is_graceful(self, capsys):
+        for force in ("nope", "vbpr"):  # vbpr is outside the run's plan
+            code = main(
+                ["run", "--dataset", "men", *FAST, "--stages", "dataset", "--force", force]
+            )
+            assert code == 2
+            assert "unknown stages" in capsys.readouterr().err
+
     def test_bad_epsilons_is_graceful(self, capsys):
         code = main(["run", "--dataset", "men", *FAST, "--epsilons", "8,oops"])
         assert code == 2
@@ -201,3 +209,27 @@ class TestRunCommand:
         assert args.stages is None
         assert not args.explain
         assert not args.force
+
+
+class TestMatrixCommand:
+    def test_explain_trains_nothing(self, capsys, tmp_path):
+        code = main(["matrix", "--dataset", "men", *FAST,
+                     "--cache-dir", str(tmp_path), "--explain"])
+        assert code == 0
+        out = capsys.readouterr().out
+        for node in ("dataset", "clean_scores", "cell:none/FGSM/VBPR", "cell:none/PGD/AMR"):
+            assert node in out
+        assert "build" in out
+        assert not any(tmp_path.iterdir())
+
+    def test_unknown_set_field_exits_2(self, capsys):
+        code = main(["matrix", "--dataset", "men", *FAST, "--set", "warp_factor=9"])
+        assert code == 2
+        assert "unknown matrix field 'warp_factor'" in capsys.readouterr().err
+
+    def test_unknown_force_node_exits_2(self, capsys, tmp_path):
+        code = main(["matrix", "--dataset", "men", *FAST,
+                     "--cache-dir", str(tmp_path), "--force", "nope"])
+        assert code == 2
+        assert "unknown matrix nodes" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())  # refused before anything ran

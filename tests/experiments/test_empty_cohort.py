@@ -40,14 +40,17 @@ CONFIG = men_config(
 EMPTY = "sock"
 
 
+build_features = stages._build_features
+
+
 def forged_features(results):
-    stages._build_features(results)
+    arrays, meta = build_features(results)
     registry = results.dataset.registry
     classes = np.array(results.dataset.item_categories, dtype=np.int64)
     classes[classes == registry.by_name(EMPTY).category_id] = registry.by_name(
         "sandal"
     ).category_id
-    results.item_classes = classes
+    return {**arrays, "item_classes": classes}, meta
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +58,7 @@ def store(tmp_path_factory):
     """A store whose ``features`` artifact assigns no item to ``sock``."""
     store = ArtifactStore(str(tmp_path_factory.mktemp("forged-store")))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(stages._BUILDERS, "features", forged_features)
+        patch.setattr(stages, "_build_features", forged_features)
         results, _ = StageRunner(CONFIG, store=store).run(stages=["clean_scores"])
     registry = results.dataset.registry
     assert not np.any(results.item_classes == registry.by_name(EMPTY).category_id)

@@ -312,6 +312,39 @@ class TestMatrixRun:
         with pytest.raises(ValueError, match="unknown matrix nodes"):
             MatrixRunner(config).run(force=("cell:nope/FGSM/VBPR",))
 
+    def test_force_names_exactly_the_planned_nodes(self, cold, config, store_root):
+        """``force`` accepts what ``plan()`` lists — base stages included —
+        and nothing else; a forced deterministic stage rebuilds to the
+        same content, so every consumer still loads."""
+        store = ArtifactStore(store_root)
+        planned = [p.name for p in MatrixRunner(config, store=store).plan()]
+        assert "classifier" in planned and "defense:none" not in planned
+        with pytest.raises(ValueError, match="unknown matrix nodes"):
+            MatrixRunner(config, store=store).run(force=("defense:none",))
+        fresh, _ = cold
+        results, manifest = run_matrix(config, store=store, force=("classifier",))
+        assert manifest.built == ["classifier"]
+        assert results.rows == fresh.rows
+
+    def test_stored_payload_layout_is_pinned(self, cold, config, store_root):
+        """Each stored matrix kind's sorted (array keys, meta keys): a
+        renamed payload key would orphan every stored artifact
+        downstream.  The surrogate stores its ``state_dict`` and, unlike
+        the ``classifier`` stage, no accuracy."""
+        results, _ = cold
+        store = ArtifactStore(store_root)
+        fingerprints = matrix_fingerprints(config)
+        layout = {
+            "matrix_surrogate": (sorted(results.base.classifier.state_dict()), ["__inputs__"]),
+            "matrix_bprmf": (["item_bias", "item_factors", "user_factors"], ["__inputs__"]),
+            "matrix_cell": ([], ["__inputs__", "rows", "skipped_scenarios"]),
+        }
+        stored = matrix_node_order(config)
+        assert {kind for _, kind in stored} == set(layout)
+        for name, kind in stored:
+            loaded = store.load(kind, fingerprints[name])
+            assert (sorted(loaded.arrays), sorted(loaded.meta)) == layout[kind], name
+
     def test_none_column_matches_attack_grid(self, cold, config, store_root):
         """Every undefended FGSM/PGD × VBPR/AMR cell must be bitwise
         identical to the static ``attack_grid`` stage's rows, in the

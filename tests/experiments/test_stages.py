@@ -135,6 +135,14 @@ class TestRunCaching:
         assert outcome.reason == "forced rebuild"
         assert set(manifest.cache_hits) == set(STAGE_ORDER) - {"features"}
 
+    def test_force_names_only_nodes_of_the_run(self, config):
+        """``force`` accepts exactly what ``plan()`` lists for the run."""
+        plans = StageRunner(config).plan(stages=("dataset",))
+        assert [p.name for p in plans] == ["dataset"]
+        for force in (("vbpr",), ("nope",)):
+            with pytest.raises(ValueError, match="unknown stages"):
+                run_stages(config, stages=("dataset",), force=force)
+
     def test_corrupted_artifact_triggers_rebuild_not_silent_load(
         self, config, store_root, first_run
     ):
@@ -164,6 +172,49 @@ class TestRunCaching:
         assert manifest.built == ["dataset"]
         assert manifest.store_root is None
         assert results.dataset is not None
+
+
+#: Each stored stage kind's sorted (array keys, meta keys); the
+#: classifier's arrays are its ``state_dict`` keys.  Renaming a payload
+#: key changes the artifact's content hash: every downstream
+#: ``__inputs__`` check then refuses the old artifacts and a user's store
+#: silently rebuilds.
+STAGE_LAYOUT = {
+    "dataset": (
+        ["images", "item_categories", "test_items", "train_flat", "train_offsets"],
+        ["__inputs__", "name", "registry"],
+    ),
+    "classifier": (None, ["__inputs__", "accuracy"]),
+    "features": (["item_classes", "mean", "raw_features", "scale"], ["__inputs__"]),
+    "vbpr": (
+        ["embedding", "item_bias", "item_factors", "user_factors", "visual_bias",
+         "visual_user_factors"],
+        ["__inputs__"],
+    ),
+    "amr": (
+        ["embedding", "item_bias", "item_factors", "user_factors", "visual_bias",
+         "visual_user_factors"],
+        ["__inputs__"],
+    ),
+    "clean_scores": (
+        ["amr_scores", "amr_top_n", "vbpr_scores", "vbpr_top_n"],
+        ["__inputs__", "cutoff"],
+    ),
+    "attack_grid": ([], ["__inputs__", "rows"]),
+    "tables": ([], ["__inputs__", "text"]),
+}
+
+
+def test_stored_payload_layout_is_pinned(store_root, first_run):
+    results, manifest = first_run
+    store = ArtifactStore(store_root)
+    assert [o.name for o in manifest.stages] == list(STAGE_LAYOUT)
+    for outcome in manifest.stages:
+        arrays, meta = STAGE_LAYOUT[outcome.name]
+        if arrays is None:
+            arrays = sorted(results.classifier.state_dict())
+        loaded = store.load(f"stage_{outcome.name}", outcome.fingerprint)
+        assert (sorted(loaded.arrays), sorted(loaded.meta)) == (arrays, meta), outcome.name
 
 
 class TestRoundTripIdentity:
