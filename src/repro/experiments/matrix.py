@@ -724,11 +724,17 @@ class MatrixRunner:
 
     # -- shared stage selection ---------------------------------------- #
     def _base_stages_needed(self) -> List[str]:
-        visual = any(r in VISUAL_RECOMMENDERS for r in self.config.recommenders)
+        """Identity-defense cells read the base ``vbpr`` / ``amr`` stages.
+
+        The ``clean_scores`` stage scores both, so it runs only when
+        both are on the axis; a cube with one visual recommender loads
+        that stage alone and its pipeline scores the clean catalog.
+        """
         identity = any(d not in RETRAINING_DEFENSES for d in self.config.defenses)
-        if visual and identity:
-            return ["clean_scores"]
-        return ["features"]
+        visual = [r.lower() for r in VISUAL_RECOMMENDERS if r in self.config.recommenders]
+        if not (identity and visual):
+            return ["features"]
+        return ["clean_scores"] if len(visual) == len(VISUAL_RECOMMENDERS) else visual
 
     # -- planning ------------------------------------------------------- #
     def plan(self) -> List[StagePlan]:

@@ -579,7 +579,6 @@ class ShardedService:
         max_pending: int = 64,
         backlog: int = 64,
         start_method: str = "fork",
-        escalate_fraction: float = 0.25,
         fallback_counts: Optional[np.ndarray] = None,
         cast_timeout_s: float = 5.0,
         call_timeout_s: Optional[float] = None,
@@ -615,7 +614,6 @@ class ShardedService:
         partition = UserPartition(recommender.num_users, num_shards)
         n = min(n, recommender.num_items)  # the cache's effective cutoff
 
-        seen_all = feedback.positive_sets() if feedback is not None else None
         specs: List[ShardSpec] = []
         bundle: Optional[SharedArrayBundle] = None
         bank: Optional[ArrayBank] = None
@@ -629,16 +627,13 @@ class ShardedService:
         for shard_id in range(num_shards):
             user_ids = partition.users_of(shard_id)
             train_items = None
-            seen_sets = None
             if feedback is not None:
                 train_items = {
                     int(user): feedback.train_items[user] for user in user_ids
                 }
-                seen_sets = {int(user): seen_all[user] for user in user_ids}
             specs.append(
                 ShardSpec(
                     shard_id=shard_id,
-                    num_shards=num_shards,
                     num_users=recommender.num_users,
                     num_items=recommender.num_items,
                     manifest=manifest,
@@ -646,12 +641,10 @@ class ShardedService:
                     user_side=recommender.user_side(user_ids),
                     n=n,
                     train_items=train_items,
-                    seen_sets=seen_sets,
                     item_classes=item_classes,
                     class_names=tuple(class_names) if class_names else None,
                     monitor_window=monitor_window,
                     max_pending=max_pending,
-                    escalate_fraction=escalate_fraction,
                     race_check=race,
                 )
             )
@@ -679,11 +672,10 @@ class ShardedService:
                 bundle.release()
             raise
 
-        fallback = (
-            MostPopFallback(fallback_counts, seen_items=seen_all)
-            if fallback_counts is not None
-            else None
-        )
+        fallback = None
+        if fallback_counts is not None:
+            seen = feedback.positive_sets() if feedback is not None else None
+            fallback = MostPopFallback(fallback_counts, seen_items=seen)
         router = ShardRouter(
             handles,
             num_users=recommender.num_users,

@@ -16,23 +16,18 @@ shards) plus the shard's own rows of the user side.
 Attack-driven updates never write the shared bank — it is immutable by
 construction.  Instead each shard keeps a sparse *overlay* of updated
 item rows: sorted, C-contiguous arrays of the overlaid ids and their
-features, ``F·E`` rows and ``F·β`` values, merged in place by each push
-(last write wins).  Scoring patches exactly the overlaid columns by
-running the same kernel over an item side sliced to those columns, so
-a fleet of any shard count serves bitwise-identical lists.
+``F·E`` rows and ``F·β`` values (all that scoring reads of a pushed
+feature row), merged in place by each push (last write wins).  Scoring
+patches exactly the overlaid columns by running the same kernel over an
+item side sliced to those columns, so a fleet of any shard count serves
+bitwise-identical lists.
 Non-visual models (BPR-MF, MostPop) accept updates as recorded no-ops:
 image perturbations cannot move their scores, the attack-immune control
 of the paper (§III-A).
-When an overlay grows past ``escalate_fraction`` of the catalog the
-shard *escalates*: it materialises a private dense copy of the visual
-item side (base ⊕ overlay) and continues with plain dense scoring — the
-copy-on-write backstop that keeps heavily-churned shards from paying a
-per-request patch over half the catalog.
 """
 
 from __future__ import annotations
 
-from collections import ChainMap
 from typing import Dict, Mapping, Optional
 
 import numpy as np
@@ -104,9 +99,6 @@ class SharedScorer:
         The owned rows of the model's user side
         (:meth:`~repro.recommenders.Recommender.user_side`), each array
         aligned with ``user_ids``; empty for MostPop.
-    escalate_fraction:
-        Overlay size (as a fraction of the catalog) beyond which the
-        shard materialises a private dense item side.
     """
 
     def __init__(
@@ -116,15 +108,11 @@ class SharedScorer:
         num_items: int,
         user_ids: np.ndarray,
         user_side: Optional[Mapping[str, np.ndarray]] = None,
-        escalate_fraction: float = 0.25,
     ) -> None:
-        if not 0.0 < escalate_fraction <= 1.0:
-            raise ValueError("escalate_fraction must lie in (0, 1]")
         self.bank = bank
         self.num_users = num_users
         self.num_items = num_items
         self.is_visual = "visual_items" in bank
-        self.escalate_fraction = escalate_fraction
         self.feature_updates = 0  # update calls, including non-visual no-ops
 
         user_ids = np.asarray(user_ids, dtype=np.int64)
@@ -143,9 +131,12 @@ class SharedScorer:
             if array.shape[0] != user_ids.size:
                 raise ValueError(f"user-side {name!r} rows must align with user_ids")
 
-        self._clear_overlay()
-        # Escalated (copy-on-write) dense item side; None until needed.
-        self._dense: Optional[Dict[str, np.ndarray]] = None
+        # The sparse overlay of updated items: sorted ids and, for visual
+        # kinds, row-aligned with them, ``F·E`` rows and ``F·β`` values.
+        self._overlay_ids = np.empty(0, dtype=np.int64)
+        if self.is_visual:
+            self._overlay_visual = np.empty((0, bank["embedding"].shape[1]))
+            self._overlay_bias = np.empty(0)
 
     # ------------------------------------------------------------------ #
     # Validation / translation
@@ -167,58 +158,13 @@ class SharedScorer:
             )
         return rows
 
-    # ------------------------------------------------------------------ #
-    # Item-side state resolution (bank / overlay / escalated dense)
-    # ------------------------------------------------------------------ #
-    @property
-    def escalated(self) -> bool:
-        """Has this shard gone copy-on-write on the item side?"""
-        return self._dense is not None
-
     @property
     def overlay_size(self) -> int:
         return int(self._overlay_ids.size)
 
-    def _item_side(self) -> Mapping[str, np.ndarray]:
-        """The current item side: the escalated dense copy over the base bank."""
-        return self.bank if self._dense is None else ChainMap(self._dense, self.bank)
-
     def _user_rows(self, rows: np.ndarray) -> Dict[str, np.ndarray]:
         """The user side of the owned local ``rows``."""
         return {name: array[rows] for name, array in self._user_side.items()}
-
-    def _clear_overlay(self) -> None:
-        """Empty the sparse overlay of updated items.
-
-        It is sorted ids and, for visual kinds, row-aligned with them,
-        features, ``F·E`` rows and ``F·β`` values.
-        """
-        self._overlay_ids = np.empty(0, dtype=np.int64)
-        if self.is_visual:
-            feature_dim, visual_dim = self.bank["embedding"].shape
-            self._overlay_features = np.empty((0, feature_dim))
-            self._overlay_visual = np.empty((0, visual_dim))
-            self._overlay_bias = np.empty(0)
-
-    def _escalate(self) -> None:
-        """Materialise a private dense item side (base ⊕ overlay)."""
-        dense = {
-            "features": np.array(self.bank["features"], copy=True),
-            "visual_items": np.array(self.bank["visual_items"], copy=True),
-            "visual_bias_scores": np.array(self.bank["visual_bias_scores"], copy=True),
-        }
-        ids = self._overlay_ids
-        dense["features"][ids] = self._overlay_features
-        dense["visual_items"][ids] = self._overlay_visual
-        dense["visual_bias_scores"][ids] = self._overlay_bias
-        # Publish read-only: once the dense side starts serving it gets
-        # the same write protection as the shared bank, so a scoring-path
-        # bug cannot silently corrupt the escalated copy either.  The one
-        # sanctioned writer (update_item_features) brackets its writes.
-        for array in dense.values():
-            array.flags.writeable = False
-        self._dense = dense
-        self._clear_overlay()
 
     # ------------------------------------------------------------------ #
     # Scoring
@@ -227,7 +173,7 @@ class SharedScorer:
         """Scores ``(len(user_ids), num_items)`` for owned users."""
         rows = self._rows(user_ids)
         users = self._user_rows(rows)
-        scores = factor_scores(users, self._item_side(), rows.size)
+        scores = factor_scores(users, self.bank, rows.size)
         if self._overlay_ids.size:
             scores[:, self._overlay_ids] = self._score_overlaid_columns(users, rows.size)
         return scores
@@ -249,9 +195,8 @@ class SharedScorer:
         """Scores of selected columns (the cache-invalidation path)."""
         item_ids = check_item_ids(item_ids, self.num_items)
         rows = self._rows(user_ids)
-        item_side = self._item_side()
         columns = {
-            name: item_side[name][item_ids] for name in COLUMN_ARRAYS if name in item_side
+            name: self.bank[name][item_ids] for name in COLUMN_ARRAYS if name in self.bank
         }
         ids = self._overlay_ids
         if ids.size:
@@ -282,30 +227,13 @@ class SharedScorer:
         visual_rows, bias_rows = visual_item_terms(
             item_features, self.bank["embedding"], self.bank["visual_bias"]
         )
-        if self._dense is not None:
-            # Sanctioned writer: the escalated copy is published read-only
-            # (see _escalate), so open the narrowest possible write window
-            # and close it again even if a store raises.
-            for array in self._dense.values():
-                array.setflags(write=True)  # lint: disable=RPR007
-            try:
-                self._dense["features"][item_ids] = item_features
-                self._dense["visual_items"][item_ids] = visual_rows
-                self._dense["visual_bias_scores"][item_ids] = bias_rows
-            finally:
-                for array in self._dense.values():
-                    array.setflags(write=False)
-            return True
         # Last write wins: keep each pushed id's final row only.
         last = item_ids.size - 1 - np.unique(item_ids[::-1], return_index=True)[1]
         item_ids = item_ids[last]
         self._grow_overlay(item_ids)
         pos = np.searchsorted(self._overlay_ids, item_ids)
-        self._overlay_features[pos] = item_features[last]
         self._overlay_visual[pos] = visual_rows[last]
         self._overlay_bias[pos] = bias_rows[last]
-        if self._overlay_ids.size > self.escalate_fraction * self.num_items:
-            self._escalate()
         return True
 
     def _grow_overlay(self, item_ids: np.ndarray) -> None:
@@ -317,7 +245,7 @@ class SharedScorer:
         if ids.size == self._overlay_ids.size:
             return
         keep = np.searchsorted(ids, self._overlay_ids)
-        for name in ("_overlay_features", "_overlay_visual", "_overlay_bias"):
+        for name in ("_overlay_visual", "_overlay_bias"):
             old = getattr(self, name)
             grown = np.empty((ids.size,) + old.shape[1:])
             grown[keep] = old

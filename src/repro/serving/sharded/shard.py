@@ -29,7 +29,7 @@ refills.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,7 +139,6 @@ class ShardSpec:
     """
 
     shard_id: int
-    num_shards: int
     num_users: int
     num_items: int
     manifest: ShmManifest
@@ -148,12 +147,10 @@ class ShardSpec:
     user_side: Dict[str, np.ndarray] = field(default_factory=dict)
     n: int = 10
     train_items: Optional[Dict[int, np.ndarray]] = None
-    seen_sets: Optional[Dict[int, Set[int]]] = None
     item_classes: Optional[np.ndarray] = None
     class_names: Optional[Tuple[str, ...]] = None
     monitor_window: int = 256
     max_pending: int = 64
-    escalate_fraction: float = 0.25
     #: Arm the runtime shm-write sentinel around worker dispatch (race
     #: check mode — see :mod:`repro.serving.sharded.race`).
     race_check: bool = False
@@ -184,7 +181,6 @@ class Shard:
         scorer: SharedScorer,
         n: int = 10,
         train_items=None,
-        seen_sets=None,
         item_classes: Optional[np.ndarray] = None,
         class_names: Optional[Sequence[str]] = None,
         monitor_window: int = 256,
@@ -196,7 +192,12 @@ class Shard:
         self.shard_id = shard_id
         self.scorer = scorer
         self.user_ids = scorer.user_ids
-        self.index = TopNCache(n, scorer.num_items, seen_items=seen_sets)
+        seen = (
+            None
+            if train_items is None
+            else {user: set(items.tolist()) for user, items in train_items.items()}
+        )
+        self.index = TopNCache(n, scorer.num_items, seen_items=seen)
         self.n = self.index.n
         self._train_items = train_items
         self.max_pending = max_pending
@@ -234,14 +235,12 @@ class Shard:
             num_items=spec.num_items,
             user_ids=spec.user_ids,
             user_side=spec.user_side,
-            escalate_fraction=spec.escalate_fraction,
         )
         return cls(
             spec.shard_id,
             scorer,
             n=spec.n,
             train_items=spec.train_items,
-            seen_sets=spec.seen_sets,
             item_classes=spec.item_classes,
             class_names=spec.class_names,
             monitor_window=spec.monitor_window,
@@ -463,7 +462,8 @@ class Shard:
             "pending_epochs": self.pending_epochs,
             "stale_updates": self.stale_updates,
             "overlay_items": self.scorer.overlay_size,
-            "escalated": self.scorer.escalated,
+            # Read by perfbench/serve.py's serving.scorer.escalated layer.
+            "escalated": False,
         }
         if self.monitor is not None:
             counts, slots = self.monitor.counts_snapshot()

@@ -215,6 +215,18 @@ class TestMatrixRun:
         for fingerprint in manifest.cells.values():
             assert len(fingerprint) == 16
 
+    def test_one_visual_recommender_builds_only_its_base_stage(
+        self, cold, config, store_root
+    ):
+        """A VBPR (+BPRMF) cube neither trains AMR nor runs the
+        ``clean_scores`` stage, which scores both visual models."""
+        _, manifest = cold
+        assert [o.name for o in manifest.base_stages] == [
+            "dataset", "classifier", "features", "vbpr",
+        ]
+        planned = {p.name for p in MatrixRunner(config, store=ArtifactStore(store_root)).plan()}
+        assert not planned & {"amr", "clean_scores"}
+
     def test_cube_covers_every_cell_with_schema_rows(self, cold, config):
         results, manifest = cold
         scenarios_run = None

@@ -22,7 +22,7 @@ from repro.recommenders import (
 from repro.serving.sharded import ArrayBank, SharedScorer, compute_item_side
 
 
-def make_scorer(model, features=None, escalate_fraction=0.25):
+def make_scorer(model, features=None):
     arrays = compute_item_side(model, features=features)
     users = np.arange(model.num_users)
     return SharedScorer(
@@ -31,7 +31,6 @@ def make_scorer(model, features=None, escalate_fraction=0.25):
         num_items=model.num_items,
         user_ids=users,
         user_side=model.user_side(users),
-        escalate_fraction=escalate_fraction,
     )
 
 
@@ -245,14 +244,11 @@ class DictOverlay:
 
 
 class TestOverlayOracle:
-    """Overlaid scores against a per-item dict overlay and the dense paths.
+    """Overlaid scores against a per-item dict overlay and a fresh scorer.
 
     Over a run of pushes that repeat ids across pushes and within one
     push (the last row wins), the overlay scorer must equal, byte for
-    byte, the dict-overlay oracle at every block shape, and a scorer
-    that escalates on its first push (dense item side, written in place)
-    at multi-user block shapes.  A one-user block is a matrix-vector
-    product, whose rounding BLAS may vary with the column count.
+    byte, the dict-overlay oracle at every block shape.
     Against a fresh scorer published from the pushed feature state it
     agrees to rounding only: a push computes ``F·E`` and ``F·β`` for its
     own rows, and BLAS may round a row of a k-row product differently
@@ -267,32 +263,26 @@ class TestOverlayOracle:
             yield item_ids, rng.normal(0, 2, (5, feature_dim))
 
     def test_matches_dict_overlay_and_dense_item_sides(self, dataset, vbpr, features):
-        overlaid = make_scorer(vbpr, escalate_fraction=1.0)
-        escalated = make_scorer(vbpr, escalate_fraction=0.5 / vbpr.num_items)
+        overlaid = make_scorer(vbpr)
         oracle = DictOverlay(vbpr)
         shadow = np.array(features, copy=True)
         users = np.arange(dataset.num_users)
         for item_ids, new in self.pushes(vbpr.num_items, features.shape[1]):
             overlaid.update_item_features(item_ids, new)
-            escalated.update_item_features(item_ids, new)
             oracle.update(item_ids, new)
             for item, row in zip(item_ids, new):
                 shadow[item] = row
             fresh = make_scorer(vbpr, features=shadow)
-            assert escalated.escalated and not overlaid.escalated
             assert overlaid.overlay_size == len(oracle.rows)
             for block in (users, users[3:9], users[:1]):
                 scores = overlaid.score_block(block)
                 np.testing.assert_array_equal(scores, oracle.score_block(block))
-                if block.size > 1:
-                    np.testing.assert_array_equal(scores, escalated.score_block(block))
                 np.testing.assert_allclose(
                     scores, fresh.score_block(block), rtol=1e-12, atol=0
                 )
             columns = np.concatenate([item_ids, [0, vbpr.num_items - 1]])
             scores = overlaid.score_items(users, columns)
             np.testing.assert_array_equal(scores, oracle.score_items(users, columns))
-            np.testing.assert_array_equal(scores, escalated.score_items(users, columns))
             np.testing.assert_allclose(
                 scores, fresh.score_items(users, columns), rtol=1e-12, atol=0
             )
@@ -312,5 +302,5 @@ class TestOverlayOracle:
                 rtol=1e-12,
                 atol=0,
             )
-        # The default fraction escalates once the overlay passes a quarter.
-        assert scorer.escalated and scorer.overlay_size == 0
+        # Every item is pushed: the overlay covers the whole catalog.
+        assert scorer.overlay_size == vbpr.num_items
