@@ -3,8 +3,8 @@
 The single persistence layer of the repo: one envelope protocol
 (:mod:`repro.artifacts.payload`) used by module weights, datasets,
 recommender state and every experiment-stage output, plus the
-content-addressed :class:`ArtifactStore` the stage DAG reads and
-writes.
+content-addressed stores the stage DAG reads and writes: the on-disk
+:class:`ArtifactStore` and the in-process :class:`MemoryArtifactStore`.
 """
 
 from .payload import (
@@ -20,7 +20,7 @@ from .payload import (
     write_json,
     write_payload,
 )
-from .store import ArtifactRef, ArtifactStore, LoadedArtifact
+from .store import ArtifactRef, ArtifactStore, LoadedArtifact, MemoryArtifactStore, Store
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -35,6 +35,8 @@ __all__ = [
     "write_payload",
     "write_json",
     "ArtifactStore",
+    "MemoryArtifactStore",
+    "Store",
     "ArtifactRef",
     "LoadedArtifact",
 ]

@@ -16,10 +16,13 @@ a plain ``.npz`` archive containing:
 * the payload arrays under their own (non-dunder) names.
 
 :func:`read_payload` *refuses* to load on any mismatch — missing
-header, wrong kind, wrong schema version, wrong fingerprint, or a
+header, wrong kind, wrong schema version, wrong fingerprint
+(:func:`check_envelope`, which the in-memory store runs too), or a
 payload whose bytes no longer hash to the recorded ``content_hash`` —
 instead of silently handing stale or corrupted state to the caller.
-No pickle is involved anywhere, so files stay portable and safe.
+The arrays it returns are read-only, so no consumer can change a value
+after its hash was checked.  No pickle is involved anywhere, so files
+stay portable and safe.
 """
 
 from __future__ import annotations
@@ -76,6 +79,64 @@ def content_hash(arrays: Mapping[str, np.ndarray], meta: Optional[Dict[str, Any]
     return digest.hexdigest()
 
 
+def envelope(
+    kind: str,
+    schema_version: int,
+    arrays: Mapping[str, np.ndarray],
+    fingerprint: Optional[str] = None,
+    meta: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
+    """The JSON header recorded beside ``arrays``, ``content_hash`` included."""
+    for name in arrays:
+        if name.startswith("__"):
+            raise ValueError(f"payload array name '{name}' is reserved")
+    meta = dict(meta or {})
+    return {
+        "protocol": PROTOCOL_VERSION,
+        "kind": kind,
+        "schema_version": int(schema_version),
+        "fingerprint": fingerprint,
+        "content_hash": content_hash(arrays, meta),
+        "meta": meta,
+    }
+
+
+def check_envelope(
+    header: Mapping[str, Any],
+    source: str,
+    *,
+    kind: str,
+    schema_version: int,
+    fingerprint: Optional[str] = None,
+) -> None:
+    """Refuse a header of another protocol, kind, schema version or fingerprint.
+
+    ``source`` names the artifact in the error.  ``fingerprint=None``
+    skips the fingerprint check (callers that key files by path only).
+    """
+    if header.get("protocol") != PROTOCOL_VERSION:
+        raise ArtifactSchemaError(
+            f"{source}: artifact protocol {header.get('protocol')} "
+            f"(this build reads protocol {PROTOCOL_VERSION})"
+        )
+    if header["kind"] != kind:
+        raise ArtifactSchemaError(
+            f"{source}: artifact kind '{header['kind']}' (expected '{kind}')"
+        )
+    if header.get("schema_version") != int(schema_version):
+        raise ArtifactSchemaError(
+            f"{source}: schema version {header.get('schema_version')} for kind "
+            f"'{kind}' (this build reads version {schema_version}); re-run the "
+            "producing stage instead of loading stale state"
+        )
+    if fingerprint is not None and header.get("fingerprint") != fingerprint:
+        raise FingerprintMismatchError(
+            f"{source}: produced under fingerprint {header.get('fingerprint')}, "
+            f"expected {fingerprint}; the config that built it differs from "
+            "the current one"
+        )
+
+
 def write_payload(
     path: str,
     *,
@@ -93,19 +154,7 @@ def write_payload(
     :func:`numpy.savez`, a ``path`` without the ``.npz`` suffix gets it
     appended.
     """
-    for name in arrays:
-        if name.startswith("__"):
-            raise ValueError(f"payload array name '{name}' is reserved")
-    meta = dict(meta or {})
-    digest = content_hash(arrays, meta)
-    header = {
-        "protocol": PROTOCOL_VERSION,
-        "kind": kind,
-        "schema_version": int(schema_version),
-        "fingerprint": fingerprint,
-        "content_hash": digest,
-        "meta": meta,
-    }
+    header = envelope(kind, schema_version, arrays, fingerprint, meta)
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"
@@ -113,7 +162,7 @@ def write_payload(
     # the temporary name.
     with _replacing(path, "xb") as stream:
         np.savez(stream, **{_HEADER_KEY: np.array(json.dumps(header))}, **dict(arrays))
-    return digest
+    return header["content_hash"]
 
 
 def write_json(path: str, payload: Any) -> None:
@@ -168,44 +217,27 @@ def read_payload(
     kind: str,
     schema_version: int,
     fingerprint: Optional[str] = None,
-    verify_integrity: bool = True,
 ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any], str]:
     """Load one artifact, refusing on any mismatch.
 
-    Returns ``(arrays, meta, content_hash)``.  ``fingerprint=None``
-    skips the fingerprint check (callers that key files by path only).
+    Returns ``(arrays, meta, content_hash)``; the arrays are read-only.
+    ``fingerprint=None`` skips the fingerprint check (callers that key
+    files by path only).
     """
     header = read_header(path)
-    if header.get("protocol") != PROTOCOL_VERSION:
-        raise ArtifactSchemaError(
-            f"{path}: artifact protocol {header.get('protocol')} "
-            f"(this build reads protocol {PROTOCOL_VERSION})"
-        )
-    if header["kind"] != kind:
-        raise ArtifactSchemaError(
-            f"{path}: artifact kind '{header['kind']}' (expected '{kind}')"
-        )
-    if header.get("schema_version") != int(schema_version):
-        raise ArtifactSchemaError(
-            f"{path}: schema version {header.get('schema_version')} for kind "
-            f"'{kind}' (this build reads version {schema_version}); re-run the "
-            "producing stage instead of loading stale state"
-        )
-    if fingerprint is not None and header.get("fingerprint") != fingerprint:
-        raise FingerprintMismatchError(
-            f"{path}: produced under fingerprint {header.get('fingerprint')}, "
-            f"expected {fingerprint}; the config that built it differs from "
-            "the current one"
-        )
+    check_envelope(
+        header, path, kind=kind, schema_version=schema_version, fingerprint=fingerprint
+    )
     with np.load(path, allow_pickle=False) as archive:
         arrays = {name: archive[name] for name in archive.files if name != _HEADER_KEY}
     meta = dict(header.get("meta") or {})
     recorded = header.get("content_hash")
-    if verify_integrity:
-        actual = content_hash(arrays, meta)
-        if actual != recorded:
-            raise ArtifactIntegrityError(
-                f"{path}: payload hash {actual[:12]} does not match the "
-                f"recorded {str(recorded)[:12]} (file corrupted or edited)"
-            )
+    actual = content_hash(arrays, meta)
+    if actual != recorded:
+        raise ArtifactIntegrityError(
+            f"{path}: payload hash {actual[:12]} does not match the "
+            f"recorded {str(recorded)[:12]} (file corrupted or edited)"
+        )
+    for value in arrays.values():
+        value.setflags(write=False)
     return arrays, meta, str(recorded)

@@ -1,7 +1,11 @@
-"""Content-addressed artifact store backing the experiment stage DAG.
+"""Content-addressed artifact stores backing the experiment stage DAG.
 
 One :class:`ArtifactStore` roots a directory of artifacts laid out as
-``<root>/<kind>/<fingerprint>.npz``.  The *fingerprint* is the lookup
+``<root>/<kind>/<fingerprint>.npz``; a :class:`MemoryArtifactStore`
+keeps the same envelopes in process, for runs without a cache
+directory.  Both address artifacts by ``(kind, fingerprint)``, refuse
+through the same envelope checks, record the same ``content_hash`` and
+hand out read-only arrays.  The *fingerprint* is the lookup
 key — a deterministic hash of everything that produced the artifact
 (the config fields the producing stage reads plus the fingerprints of
 its upstream stages) — so two configs that agree on a stage's inputs
@@ -13,15 +17,18 @@ downstream stages use to verify the exact bytes they were built from.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from .payload import (
     ArtifactMissingError,
+    check_envelope,
+    envelope,
     read_header,
     read_payload,
     write_payload,
@@ -36,7 +43,7 @@ class ArtifactRef:
 
     kind: str
     fingerprint: str
-    path: str
+    path: Optional[str]  # None in a memory store
     content_hash: str
     meta: Dict[str, Any] = field(default_factory=dict)
 
@@ -99,21 +106,11 @@ class ArtifactStore:
         schema_version: int = 1,
     ) -> "LoadedArtifact":
         path = self.path_for(kind, fingerprint)
-        if not os.path.exists(path):
-            raise ArtifactMissingError(
-                f"no '{kind}' artifact for fingerprint {fingerprint} under {self.root}"
-            )
         arrays, meta, digest = read_payload(
             path, kind=kind, schema_version=schema_version, fingerprint=fingerprint
         )
-        ref = ArtifactRef(
-            kind=kind, fingerprint=fingerprint, path=path, content_hash=digest, meta=meta
-        )
+        ref = ArtifactRef(kind, fingerprint, path, digest, meta)
         return LoadedArtifact(ref=ref, arrays=arrays, meta=meta)
-
-    def header(self, kind: str, fingerprint: str) -> Dict[str, Any]:
-        """Envelope of a stored artifact without loading its payload."""
-        return read_header(self.path_for(kind, fingerprint))
 
     def list(self, kind: Optional[str] = None) -> List[ArtifactRef]:
         """Refs of every stored artifact (header-only scan)."""
@@ -141,6 +138,68 @@ class ArtifactStore:
                     )
                 )
         return refs
+
+
+class MemoryArtifactStore:
+    """:class:`ArtifactStore`'s ``exists``/``save``/``load`` without files.
+
+    ``save`` keeps a frozen copy of each array, never the caller's own,
+    with the JSON envelope a file would carry; ``load`` re-checks that
+    envelope and hands out read-only views of the copies, which cannot
+    be made writable again.  ``root`` is ``None``: nothing persists
+    beyond the store object.
+    """
+
+    root: Optional[str] = None
+
+    def __init__(self) -> None:
+        self._entries: Dict[Tuple[str, str], Tuple[str, Dict[str, np.ndarray]]] = {}
+
+    def exists(self, kind: str, fingerprint: str) -> bool:
+        return (kind, fingerprint) in self._entries
+
+    def save(
+        self,
+        kind: str,
+        fingerprint: str,
+        arrays: Mapping[str, np.ndarray],
+        *,
+        schema_version: int = 1,
+        meta: Optional[Dict[str, Any]] = None,
+    ) -> ArtifactRef:
+        frozen = {name: np.array(value) for name, value in arrays.items()}
+        for value in frozen.values():
+            value.setflags(write=False)
+        header = envelope(kind, schema_version, frozen, fingerprint, meta)
+        self._entries[(kind, fingerprint)] = (json.dumps(header), frozen)
+        return ArtifactRef(kind, fingerprint, None, header["content_hash"], header["meta"])
+
+    def load(
+        self,
+        kind: str,
+        fingerprint: str,
+        *,
+        schema_version: int = 1,
+    ) -> "LoadedArtifact":
+        if (kind, fingerprint) not in self._entries:
+            raise ArtifactMissingError(
+                f"no '{kind}' artifact for fingerprint {fingerprint} in memory"
+            )
+        text, frozen = self._entries[(kind, fingerprint)]
+        # Parsed afresh on every load, like a file's: each caller owns its meta.
+        header = json.loads(text)
+        source = f"memory:{kind}/{fingerprint}"
+        check_envelope(
+            header, source, kind=kind, schema_version=schema_version, fingerprint=fingerprint
+        )
+        meta = header["meta"]
+        ref = ArtifactRef(kind, fingerprint, None, header["content_hash"], meta)
+        arrays = {name: value.view() for name, value in frozen.items()}
+        return LoadedArtifact(ref=ref, arrays=arrays, meta=meta)
+
+
+#: Either backend; the stage DAG reads and writes through this interface.
+Store = Union[ArtifactStore, MemoryArtifactStore]
 
 
 @dataclass

@@ -26,8 +26,7 @@ autograd sanitizer (:mod:`repro.nn.sanitizer`), plus the observability
 switches ``--profile`` (autograd op profiler + metrics registry, hot-op
 table on exit) and ``--trace-out PATH`` (record telemetry spans and
 write a Chrome ``chrome://tracing`` trace, or JSON-lines for ``.jsonl``
-paths); ``python -m repro profile`` runs a self-contained profiling
-workload and prints the hot-op table.
+paths).
 """
 
 from __future__ import annotations
@@ -336,62 +335,6 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Self-contained profiling workload: train a tiny classifier, attack it.
-
-    Everything runs under the op profiler (plus tracing when
-    ``--trace-out`` is given), so the hot-op table covers forward,
-    backward, FGSM and PGD on one small catalog — the quickest way to
-    see where the engine spends its time.
-    """
-    from .attacks import FGSM, PGD
-    from .data import amazon_men_like
-    from .features import ClassifierConfig, train_catalog_classifier
-    from .telemetry import format_hot_ops, format_metrics, span, telemetry_session
-
-    with telemetry_session(
-        trace=args.trace_out is not None, metrics=True, profile=True
-    ) as session:
-        dataset = amazon_men_like(
-            scale=args.scale, image_size=args.image_size, seed=args.seed
-        )
-        model, report = train_catalog_classifier(
-            dataset.images,
-            dataset.item_categories,
-            dataset.num_categories,
-            widths=(8, 16),
-            blocks_per_stage=(1, 1),
-            config=ClassifierConfig(
-                epochs=args.epochs, batch_size=32, learning_rate=0.08, seed=args.seed
-            ),
-        )
-        batch = dataset.images[:32]
-        target = int(dataset.item_categories[0])
-        epsilon = epsilon_from_255(8.0)
-        with span("profile.fgsm"):
-            FGSM(model, epsilon).attack(batch, target_class=target)
-        with span("profile.pgd"):
-            PGD(model, epsilon, num_steps=args.steps, seed=args.seed).attack(
-                batch, target_class=target
-            )
-
-    if not args.quiet:
-        print(
-            f"workload: {dataset.images.shape[0]} images, "
-            f"classifier accuracy {report.final_train_accuracy:.3f}, "
-            f"FGSM + {args.steps}-step PGD on a {batch.shape[0]}-image batch"
-        )
-        print()
-    print(format_hot_ops(session.profiler))
-    if not args.quiet and len(session.metrics):
-        print()
-        print(format_metrics(session.metrics))
-    if args.trace_out:
-        session.recorder.write(args.trace_out)
-        print(f"trace written to {args.trace_out}")
-    return 0
-
-
 def cmd_tables(args: argparse.Namespace) -> int:
     import dataclasses
 
@@ -581,26 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix.set_defaults(handler=cmd_matrix)
 
-    profile = subparsers.add_parser(
-        "profile",
-        help="profile the autograd engine on a small attack workload",
-        description="Train a tiny classifier and run FGSM + PGD against it "
-        "under the autograd op profiler; prints the hot-op table (per-op "
-        "calls, forward/backward wall time, output bytes) and optionally "
-        "writes a Chrome trace.",
-    )
-    profile.add_argument("--scale", type=float, default=0.002, help="dataset scale factor")
-    profile.add_argument("--image-size", type=int, default=16, help="catalog image size")
-    profile.add_argument("--epochs", type=int, default=2, help="classifier epochs")
-    profile.add_argument("--steps", type=int, default=10, help="PGD iterations")
-    profile.add_argument("--seed", type=int, default=0, help="experiment seed")
-    profile.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="also record spans and write the trace to PATH",
-    )
-    profile.add_argument("--quiet", action="store_true", help="hot-op table only")
-    profile.set_defaults(handler=cmd_profile, _owns_telemetry=True)
-
     lint = subparsers.add_parser(
         "lint",
         help="run the repo-specific static analysis (rules RPR001-RPR010)",
@@ -648,9 +571,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     profile = bool(getattr(args, "profile", False))
     trace_out = getattr(args, "trace_out", None)
-    # ``repro profile`` manages its own session (the report *is* the
-    # command's output); everything else is wrapped here.
-    if getattr(args, "_owns_telemetry", False) or not (profile or trace_out):
+    if not (profile or trace_out):
         return _run_handler(args)
 
     from .telemetry import format_hot_ops, format_metrics, telemetry_session

@@ -61,7 +61,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..artifacts import ArtifactStore, write_json
+from ..artifacts import MemoryArtifactStore, Store, write_json
 from ..attacks import LadderCell
 from ..attacks.base import AttackResult
 from ..attacks.projections import epsilon_from_255
@@ -706,17 +706,18 @@ class MatrixRunner:
     content hashes of the upstream nodes of *this* run, and rebuilt on
     any mismatch.  The cell columns load and save each cell through the
     same executor, so stages and matrix nodes share one store and one
-    manifest bookkeeping.
+    manifest bookkeeping.  Without a ``store`` the runner keeps its
+    artifacts in a fresh :class:`~repro.artifacts.MemoryArtifactStore`.
     """
 
     def __init__(
         self,
         config: MatrixConfig,
-        store: Optional[ArtifactStore] = None,
+        store: Optional[Store] = None,
         verbose: bool = False,
     ) -> None:
         self.config = config
-        self.store = store
+        self.store = store or MemoryArtifactStore()
         self.verbose = verbose
         stages, matrix = stage_nodes(config.base), matrix_nodes(config)
         self.nodes = node_closure(stages, self._base_stages_needed()) + matrix
@@ -917,7 +918,7 @@ class MatrixRunner:
         ]
         manifest = MatrixManifest(
             config={**asdict(config), "base": asdict(config.base)},
-            store_root=self.store.root if self.store else None,
+            store_root=self.store.root,
             base_stages=[o for o in executor.outcomes if o.name in STAGE_ORDER],
             nodes=[o for o in executor.outcomes if o.name not in STAGE_ORDER],
             attack_stats=attack_stats_from_rows(all_rows),
@@ -932,7 +933,7 @@ class MatrixRunner:
 
 def run_matrix(
     config: MatrixConfig,
-    store: Optional[ArtifactStore] = None,
+    store: Optional[Store] = None,
     force: Sequence[str] = (),
     verbose: bool = False,
 ) -> Tuple[MatrixResults, MatrixManifest]:

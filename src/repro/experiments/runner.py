@@ -34,7 +34,7 @@ from ..core import (
     paper_scenarios,
 )
 from ..telemetry import active_metrics, span
-from .stages import ExperimentContext
+from .stages import StageResults
 
 GRID_ATTACK_NAMES = ("FGSM", "PGD")
 
@@ -352,7 +352,7 @@ def grid_order(
 
 
 def run_attack_grids(
-    context: ExperimentContext,
+    context: StageResults,
     recommender_names: Sequence[str] = ("VBPR", "AMR"),
     scenarios: Optional[Sequence[AttackScenario]] = None,
     epsilons_255: Optional[Sequence[float]] = None,
@@ -401,7 +401,7 @@ def run_attack_grids(
 
 
 def run_attack_grid(
-    context: ExperimentContext,
+    context: StageResults,
     recommender_name: str,
     scenarios: Optional[Sequence[AttackScenario]] = None,
     epsilons_255: Optional[Sequence[float]] = None,
@@ -413,7 +413,7 @@ def run_attack_grid(
     )[0]
 
 
-def per_cell_grid(context: ExperimentContext, recommender_name: str) -> AttackGrid:
+def per_cell_grid(context: StageResults, recommender_name: str) -> AttackGrid:
     """The per-cell oracle: one attack per (scenario, ε, FGSM/PGD) cell.
 
     Each cell builds its own FGSM/PGD instance and runs it through

@@ -47,7 +47,8 @@ from ..artifacts import (
     ArtifactError,
     ArtifactStore,
     LoadedArtifact,
-    content_hash,
+    MemoryArtifactStore,
+    Store,
     write_json,
 )
 from ..core import CatalogState, TAaMRPipeline, VisualQuality, paper_scenarios
@@ -707,16 +708,15 @@ def stage_closure(stages: Sequence[str]) -> List[str]:
 
 
 class NodeExecutor:
-    """Load-verify-or-build for one run over one (optional) store.
+    """Load-verify-or-build for one run over one store.
 
     A node loads when the store holds an artifact under its fingerprint
     that was built from the upstream content this run holds: the
     recorded ``__inputs__`` must equal :attr:`hashes` (node name →
     content hash) for every dependency.  Otherwise it builds and is
-    stored with those inputs; without a store the content hash is still
-    computed, so downstream nodes chain off it exactly as they would off
-    a stored artifact.  :attr:`outcomes` records each node's hit or
-    build, in order.
+    stored with those inputs, on disk or in memory alike, and
+    downstream nodes chain off its content hash.  :attr:`outcomes`
+    records each node's hit or build, in order.
 
     ``force`` names nodes that must rebuild even when a valid artifact
     exists.  It must name stored nodes of ``nodes`` — the run's plan,
@@ -726,7 +726,7 @@ class NodeExecutor:
 
     def __init__(
         self,
-        store: Optional[ArtifactStore],
+        store: Store,
         fingerprints: Dict[str, str],
         nodes: Sequence[Node],
         force: Sequence[str],
@@ -771,16 +771,12 @@ class NodeExecutor:
         """``node``'s artifact if it is still valid for this run, recorded as a hit.
 
         A miss returns ``None`` and keeps the reason for
-        :meth:`save_node`: ``forced rebuild``, ``no store configured``,
-        ``no stored artifact``, or ``refused stored artifact: …`` for a
-        corrupt or stale one.
+        :meth:`save_node`: ``forced rebuild``, ``no stored artifact``, or
+        ``refused stored artifact: …`` for a corrupt or stale one.
         """
         fingerprint = self.fingerprints[node.name]
         if node.name in self.forced:
             self._reasons[node.name] = "forced rebuild"
-            return None
-        if self.store is None:
-            self._reasons[node.name] = "no store configured"
             return None
         watch = Stopwatch()
         try:
@@ -817,17 +813,14 @@ class NodeExecutor:
         fingerprint = self.fingerprints[node.name]
         reason = self._reasons.pop(node.name)
         meta = {**meta, "__inputs__": {dep: self.hashes[dep] for dep in node.deps.values()}}
-        path = None
-        if self.store is not None:
-            ref = self.store.save(
-                node.kind, fingerprint, arrays, schema_version=SCHEMA_VERSION, meta=meta
-            )
-            digest, path = ref.content_hash, ref.path
-        else:
-            digest = content_hash(arrays, meta)
-        self.hashes[node.name] = digest
+        ref = self.store.save(
+            node.kind, fingerprint, arrays, schema_version=SCHEMA_VERSION, meta=meta
+        )
+        self.hashes[node.name] = ref.content_hash
         self.outcomes.append(
-            StageOutcome(node.name, fingerprint, "built", seconds, digest, path, reason)
+            StageOutcome(
+                node.name, fingerprint, "built", seconds, ref.content_hash, ref.path, reason
+            )
         )
         self._log(f"{node.name}: built ({reason})")
 
@@ -848,14 +841,14 @@ class StagePlan:
 
     @classmethod
     def of(
-        cls, store: Optional[ArtifactStore], nodes: Sequence[Node], fingerprints: Dict[str, str]
+        cls, store: Store, nodes: Sequence[Node], fingerprints: Dict[str, str]
     ) -> List["StagePlan"]:
         """The plan of each stored node: load if ``store`` holds its artifact, else build."""
         plans = []
         for node in nodes:
             if node.kind:
                 fingerprint = fingerprints[node.name]
-                cached = bool(store and store.exists(node.kind, fingerprint))
+                cached = store.exists(node.kind, fingerprint)
                 plans.append(cls(node.name, fingerprint, cached, "load" if cached else "build"))
         return plans
 
@@ -869,8 +862,9 @@ class StageRunner:
         The experiment configuration; each stage fingerprints only the
         fields it declares.
     store:
-        Optional :class:`ArtifactStore`.  Without one every requested
-        stage builds in memory and nothing persists.
+        An :class:`ArtifactStore` or :class:`MemoryArtifactStore`; by
+        default a fresh memory store, which keeps this runner's
+        artifacts for its own lifetime only.
     verbose:
         Print one line per stage action.
     """
@@ -878,11 +872,11 @@ class StageRunner:
     def __init__(
         self,
         config: ExperimentConfig,
-        store: Optional[ArtifactStore] = None,
+        store: Optional[Store] = None,
         verbose: bool = False,
     ) -> None:
         self.config = config
-        self.store = store
+        self.store = store or MemoryArtifactStore()
         self.verbose = verbose
         self.nodes = stage_nodes(config)
         self.fingerprints = node_fingerprints(self.nodes)
@@ -915,7 +909,7 @@ class StageRunner:
         manifest = RunManifest(
             config_key=self.config.cache_key(),
             config=asdict(self.config),
-            store_root=self.store.root if self.store else None,
+            store_root=self.store.root,
             stages=executor.outcomes,
             attack_stats=attack_stats_from_rows(results.grid_rows),
         )
@@ -924,7 +918,7 @@ class StageRunner:
 
 def run_stages(
     config: ExperimentConfig,
-    store: Optional[ArtifactStore] = None,
+    store: Optional[Store] = None,
     stages: Optional[Sequence[str]] = None,
     force: Sequence[str] = (),
     verbose: bool = False,
@@ -933,11 +927,9 @@ def run_stages(
     return StageRunner(config, store=store, verbose=verbose).run(stages=stages, force=force)
 
 
-#: The trained context benchmarks and examples consume: the results of
-#: the training sub-graph, under their historical name.
-ExperimentContext = StageResults
-
-_CONTEXT_REGISTRY: Dict[str, StageResults] = {}
+#: The store :func:`build_context` runs against without a ``cache_dir``:
+#: one per process, so a second context of one config builds nothing.
+PROCESS_STORE = MemoryArtifactStore()
 
 
 def build_context(
@@ -945,25 +937,14 @@ def build_context(
 ) -> StageResults:
     """The results of the training sub-graph (``dataset`` … ``vbpr``/``amr``).
 
-    Runs against the artifact store rooted at ``cache_dir``; the run's
-    manifest is attached as ``context.manifest``.  Contexts are cached
-    in process by config hash, so the Table II–IV benchmarks share one
-    trained system.
+    Runs against the artifact store rooted at ``cache_dir``, or else
+    against :data:`PROCESS_STORE`; the run's manifest is attached as
+    ``context.manifest``.
     """
-    key = config.cache_key()
-    if key not in _CONTEXT_REGISTRY:
-        store = ArtifactStore(cache_dir) if cache_dir else None
-        results, manifest = run_stages(
-            config, store=store, stages=("vbpr", "amr"), verbose=verbose
-        )
-        results.manifest = manifest
-        _CONTEXT_REGISTRY[key] = results
-    return _CONTEXT_REGISTRY[key]
-
-
-def clear_context_registry() -> None:
-    """Drop all in-process cached contexts (used by tests)."""
-    _CONTEXT_REGISTRY.clear()
+    store = ArtifactStore(cache_dir) if cache_dir else PROCESS_STORE
+    results, manifest = run_stages(config, store, stages=("vbpr", "amr"), verbose=verbose)
+    results.manifest = manifest
+    return results
 
 
 def format_plan(plans: Sequence[StagePlan]) -> str:
@@ -979,7 +960,7 @@ def format_manifest(manifest: RunManifest) -> str:
     """Human-readable run summary (the JSON manifest's sibling)."""
     lines = [
         f"run manifest — config {manifest.config_key}"
-        + (f" (store: {manifest.store_root})" if manifest.store_root else " (no store)")
+        + (f" (store: {manifest.store_root})" if manifest.store_root else " (in memory)")
     ]
     lines.append(f"{'stage':14s} {'action':7s} {'seconds':>9s}  artifact")
     for outcome in manifest.stages:

@@ -282,9 +282,9 @@ class VBPR(Recommender):
     def item_side(self, features: Optional[np.ndarray] = None) -> Dict[str, np.ndarray]:
         """The kernel's item side; ``features`` replaces the clean item features.
 
-        Besides the BPR-MF arrays it carries the features, their visual
-        terms ``F·E`` / ``F·β`` (:func:`visual_item_terms`), and ``E`` /
-        ``β`` themselves, which fold later feature updates in.
+        Besides the BPR-MF arrays it carries the features' visual terms
+        ``F·E`` / ``F·β`` (:func:`visual_item_terms`), and ``E`` / ``β``
+        themselves, which fold later feature updates in.
         """
         feats = np.ascontiguousarray(
             self.features if features is None else features, dtype=np.float64
@@ -297,7 +297,6 @@ class VBPR(Recommender):
         return {
             "item_bias": self.item_bias,
             "item_factors": self.item_factors,
-            "features": feats,
             "visual_items": visual_items,  # F·E, (|I|, A)
             "visual_bias_scores": visual_bias_scores,  # F·β, (|I|,)
             "embedding": self.embedding,

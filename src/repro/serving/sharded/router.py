@@ -686,7 +686,7 @@ class ShardedService:
             n=n,
             cast_timeout_s=cast_timeout_s,
             call_timeout_s=call_timeout_s,
-            feature_dim=arrays["features"].shape[1] if "features" in arrays else None,
+            feature_dim=arrays["embedding"].shape[0] if "embedding" in arrays else None,
         )
         service = cls(router, bundle=bundle, bank=bank)
         # Build-time health check: every worker must answer a ping over

@@ -4,7 +4,7 @@ The one serving-time scorer.  Offline evaluation calls ``score_all()``
 and materialises the full user×item matrix; a running service cannot.
 :func:`compute_item_side` takes, once per deployment, the item side of
 a fitted BPR-family model (:meth:`~repro.recommenders.Recommender.item_side`:
-item biases/factors, and for VBPR/AMR the features, ``F·E``, ``F·β``
+item biases/factors, and for VBPR/AMR the features' ``F·E``, ``F·β``
 and ``E``/``β`` themselves, needed to fold feature *updates* in; or
 MostPop's popularity vector).  :class:`SharedScorer` then answers
 per-user-block requests for one shard through the recommenders' one

@@ -12,6 +12,7 @@ from repro.artifacts import (
     ArtifactSchemaError,
     ArtifactStore,
     FingerprintMismatchError,
+    MemoryArtifactStore,
     content_hash,
     read_header,
     read_payload,
@@ -22,6 +23,20 @@ ARRAYS = {
     "weights": np.arange(12, dtype=np.float64).reshape(3, 4),
     "bias": np.zeros(3),
 }
+
+
+@pytest.fixture(params=["disk", "memory"])
+def store(request, tmp_path):
+    """A fresh store of each backend."""
+    return ArtifactStore(str(tmp_path)) if request.param == "disk" else MemoryArtifactStore()
+
+
+def misfile(store, kind, fingerprint, new_kind, new_fingerprint):
+    """Move a stored artifact to another address, as a renamed file would be."""
+    if isinstance(store, ArtifactStore):
+        os.renames(store.path_for(kind, fingerprint), store.path_for(new_kind, new_fingerprint))
+    else:
+        store._entries[(new_kind, new_fingerprint)] = store._entries.pop((kind, fingerprint))
 
 
 class TestPayloadProtocol:
@@ -175,19 +190,53 @@ class TestArtifactStore:
         }
         assert [r.fingerprint for r in store.list("stage_x")] == ["aaaa"]
 
-    def test_schema_version_refusal_through_store(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
+    def test_schema_version_refusal_through_store(self, store):
         store.save("stage_x", "aaaa", ARRAYS, schema_version=1)
         with pytest.raises(ArtifactSchemaError):
             store.load("stage_x", "aaaa", schema_version=2)
 
-    def test_wrong_fingerprint_in_file_refused(self, tmp_path):
+    def test_wrong_fingerprint_in_file_refused(self, store):
         """A file renamed to another fingerprint's address must not load."""
-        store = ArtifactStore(str(tmp_path))
-        ref = store.save("stage_x", "aaaa", ARRAYS)
-        os.rename(ref.path, store.path_for("stage_x", "bbbb"))
+        store.save("stage_x", "aaaa", ARRAYS)
+        misfile(store, "stage_x", "aaaa", "stage_x", "bbbb")
         with pytest.raises(FingerprintMismatchError):
             store.load("stage_x", "bbbb")
+
+    def test_wrong_kind_in_file_refused(self, store):
+        """A file moved under another kind's address must not load."""
+        store.save("stage_x", "aaaa", ARRAYS)
+        misfile(store, "stage_x", "aaaa", "stage_y", "aaaa")
+        with pytest.raises(ArtifactSchemaError, match="kind 'stage_x'"):
+            store.load("stage_y", "aaaa")
+
+    def test_loaded_values_are_read_only(self, store):
+        store.save("stage_x", "aaaa", ARRAYS)
+        loaded = store.load("stage_x", "aaaa")
+        for name in ARRAYS:
+            with pytest.raises(ValueError, match="read-only"):
+                loaded.arrays[name][0] = 1.0
+        np.testing.assert_array_equal(store.load("stage_x", "aaaa").arrays["bias"], ARRAYS["bias"])
+
+
+class TestMemoryArtifactStore:
+    def test_same_content_hash_as_disk(self, tmp_path):
+        meta = {"rows": [{"chr": 0.5}], "note": "x"}
+        disk = ArtifactStore(str(tmp_path)).save("stage_x", "aaaa", ARRAYS, meta=meta)
+        memory = MemoryArtifactStore().save("stage_x", "aaaa", ARRAYS, meta=meta)
+        assert memory.content_hash == disk.content_hash
+        assert memory.path is None and MemoryArtifactStore.root is None
+
+    def test_keeps_its_own_frozen_copy(self):
+        store = MemoryArtifactStore()
+        weights = np.arange(4, dtype=np.float64)
+        store.save("stage_x", "aaaa", {"weights": weights}, meta={"rows": [1]})
+        weights[0] = 99.0  # the caller's array stays writable and its own
+        loaded = store.load("stage_x", "aaaa")
+        np.testing.assert_array_equal(loaded.arrays["weights"], np.arange(4.0))
+        with pytest.raises(ValueError):
+            loaded.arrays["weights"].setflags(write=True)
+        loaded.meta["rows"].append(2)
+        assert store.load("stage_x", "aaaa").meta["rows"] == [1]
 
 
 class TestUnifiedSerializationPaths:

@@ -19,7 +19,6 @@ from repro.core import make_scenario
 from repro.experiments import (
     StageRunner,
     build_context,
-    clear_context_registry,
     matrix,
     men_config,
     run_attack_grid,
@@ -66,13 +65,9 @@ def store(tmp_path_factory):
 
 
 def test_run_attack_grid_names_the_empty_category(store):
-    clear_context_registry()
-    try:
-        context = build_context(CONFIG, cache_dir=store.root)
-        with pytest.raises(ValueError, match=f"source category '{EMPTY}'"):
-            run_attack_grid(context, "VBPR")
-    finally:
-        clear_context_registry()
+    context = build_context(CONFIG, cache_dir=store.root)
+    with pytest.raises(ValueError, match=f"source category '{EMPTY}'"):
+        run_attack_grid(context, "VBPR")
 
 
 def test_attack_grid_stage_names_the_empty_category(store):

@@ -7,7 +7,6 @@ from repro.core import make_scenario
 from repro.experiments import (
     ExperimentConfig,
     build_context,
-    clear_context_registry,
     format_table1,
     format_table2,
     format_table3,
@@ -30,7 +29,6 @@ TINY = dict(
 
 @pytest.fixture(scope="module")
 def context():
-    clear_context_registry()
     return build_context(men_config(**TINY))
 
 
@@ -73,9 +71,9 @@ class TestContext:
         assert context.vbpr.is_fitted
         assert context.amr.is_fitted
 
-    def test_in_process_cache_returns_same_object(self, context):
+    def test_second_context_builds_nothing(self, context):
         again = build_context(men_config(**TINY))
-        assert again is context
+        assert again.manifest.all_hits
 
     def test_recommender_lookup(self, context):
         assert context.recommender("vbpr") is context.vbpr
@@ -84,10 +82,8 @@ class TestContext:
             context.recommender("NCF")
 
     def test_disk_cache_roundtrip(self, tmp_path):
-        clear_context_registry()
         config = men_config(**{**TINY, "seed": 99})
         first = build_context(config, cache_dir=str(tmp_path))
-        clear_context_registry()
         second = build_context(config, cache_dir=str(tmp_path))
         assert second is not first
         np.testing.assert_allclose(

@@ -16,7 +16,6 @@ from repro.experiments import (
     StageRunner,
     attack_stats_from_rows,
     build_context,
-    clear_context_registry,
     format_manifest,
     men_config,
     run_attack_grid,
@@ -42,7 +41,6 @@ TINY = dict(
 
 @pytest.fixture(scope="module")
 def context():
-    clear_context_registry()
     return build_context(men_config(**TINY))
 
 

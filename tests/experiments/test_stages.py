@@ -173,6 +173,14 @@ class TestRunCaching:
         assert manifest.store_root is None
         assert results.dataset is not None
 
+    def test_memory_store_records_the_disk_hashes(self, config, first_run):
+        _, disk = first_run
+        _, memory = run_stages(config)
+        assert memory.built == disk.built == list(STAGE_ORDER)
+        assert [(o.fingerprint, o.content_hash) for o in memory.stages] == [
+            (o.fingerprint, o.content_hash) for o in disk.stages
+        ]
+
 
 #: Each stored stage kind's sorted (array keys, meta keys); the
 #: classifier's arrays are its ``state_dict`` keys.  Renaming a payload
@@ -402,15 +410,13 @@ class TestPlan:
 
 class TestContextIntegration:
     def test_build_context_uses_store(self, config, store_root, first_run):
-        from repro.experiments import build_context, clear_context_registry
+        from repro.experiments import build_context
 
-        clear_context_registry()
         context = build_context(config, cache_dir=store_root)
         assert context.manifest is not None
         assert context.manifest.all_hits
         assert context.classifier_accuracy is None or context.classifier_accuracy >= 0
         assert context.catalog_state() is not None
-        clear_context_registry()
 
     def test_service_warm_start_from_stage_results(self, first_run):
         from repro.serving import ShardedService

@@ -82,16 +82,16 @@ class TestConstruction:
         feats = np.array(features, copy=True)
         scorer = make_scorer(vbpr, features=feats)
         feats[0, 0] += 100.0
-        assert scorer.bank["features"][0, 0] != feats[0, 0]
+        assert scorer.bank["visual_items"][0, 0] != (feats @ vbpr.embedding)[0, 0]
 
     def test_features_view_readonly(self, vbpr):
         scorer = make_scorer(vbpr)
         with pytest.raises(ValueError):
-            scorer.bank["features"][0, 0] = 1.0
+            scorer.bank["visual_items"][0, 0] = 1.0
 
     def test_nonvisual_has_no_features(self, bprmf):
         with pytest.raises(KeyError):
-            make_scorer(bprmf).bank["features"]
+            make_scorer(bprmf).bank["visual_items"]
 
 
 class TestScoring:
