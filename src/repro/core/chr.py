@@ -23,6 +23,22 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 
+def _members(top_n_lists: np.ndarray, category_items) -> np.ndarray:
+    """Which recommended ids lie in ``category_items``: one boolean item mask.
+
+    Equal to ``np.isin(top_n_lists, category_items)`` for integer ids;
+    the mask spans the ids present, offset when any is negative.
+    """
+    category_items = np.asarray(category_items).reshape(-1)
+    if top_n_lists.size == 0 or category_items.size == 0:
+        return np.zeros(top_n_lists.shape, dtype=bool)
+    low = min(int(top_n_lists.min()), int(category_items.min()), 0)
+    high = max(int(top_n_lists.max()), int(category_items.max()))
+    mask = np.zeros(high - low + 1, dtype=bool)
+    mask[category_items - low] = True
+    return mask[top_n_lists - low] if low else mask[top_n_lists]
+
+
 def category_hit_ratio(
     top_n_lists: np.ndarray,
     category_items: np.ndarray,
@@ -50,7 +66,7 @@ def category_hit_ratio(
     num_users = users if num_users is None else num_users
     if num_users <= 0:
         raise ValueError("num_users must be positive")
-    member = np.isin(top_n_lists, np.asarray(category_items))
+    member = _members(top_n_lists, category_items)
     return float(member.sum() / (cutoff * num_users))
 
 
@@ -116,7 +132,7 @@ def weighted_category_hit_ratio(
     num_users = users if num_users is None else num_users
     if num_users <= 0:
         raise ValueError("num_users must be positive")
-    member = np.isin(top_n_lists, np.asarray(category_items))
+    member = _members(top_n_lists, category_items)
     discounts = 1.0 / np.log2(np.arange(2, cutoff + 2))
     ideal = discounts.sum() * num_users
     return float((member * discounts[None, :]).sum() / ideal)

@@ -22,7 +22,8 @@ ranking evaluation used by BPR-family models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set
+from functools import cached_property
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from ..rng import rng_from_seed
@@ -57,6 +58,33 @@ class ImplicitFeedback:
     @property
     def num_train_interactions(self) -> int:
         return int(sum(len(items) for items in self.train_items))
+
+    @cached_property
+    def _train_flat(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(offsets, users, items)``: every train positive, user-major."""
+        counts = np.array([items.size for items in self.train_items], dtype=np.int64)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        users = np.repeat(np.arange(self.num_users), counts)
+        items = np.concatenate([np.empty(0, dtype=np.int64), *self.train_items])
+        return offsets, users, items
+
+    def train_positions(
+        self, user_ids: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, items)`` of the train positives, for one fancy-index write.
+
+        Without ``user_ids`` the rows are user ids (a full ``|U|×|I|``
+        matrix); with them, row ``r`` is user ``user_ids[r]`` (a block).
+        The flat index is built once per feedback object.
+        """
+        offsets, users, items = self._train_flat
+        if user_ids is None:
+            return users, items
+        starts = offsets[user_ids]
+        counts = offsets[np.asarray(user_ids) + 1] - starts
+        rows = np.repeat(np.arange(counts.size), counts)
+        picks = np.arange(rows.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        return rows, items[picks]
 
     def positive_sets(self) -> List[Set[int]]:
         """Per-user sets of train-positive item ids (I_u^+)."""

@@ -34,6 +34,7 @@ from ..core import (
     paper_scenarios,
 )
 from ..telemetry import active_metrics, span
+from .parallel import forked_map
 from .stages import StageResults
 
 GRID_ATTACK_NAMES = ("FGSM", "PGD")
@@ -252,10 +253,17 @@ def grid_outcomes(
     attack); CW and NES degrade per attack to one per-cell run per ε
     (:func:`fallback_ladder_cells`).  ``deliver(attack_name, cells,
     source_items, target_class)`` may re-measure the crafted cells on
-    the deployed system before any recommender sees them.  Crafting,
-    re-extraction and (memoised on the cells) the visual metrics run
-    once; only ``measures`` repeat per recommender, for the ``pairs``
-    of ``(attack, recommender)`` asked for (default: every pair).
+    the deployed system before any recommender sees them.
+
+    Two phases.  *Craft*: one job per (scenario, attack) crafts its
+    cells and delivers them; the jobs run side by side on every CPU
+    this process may use (:func:`~repro.experiments.parallel.forked_map`),
+    serially under any active telemetry collector.  *Measure*: in this
+    process, in scenario → attack order, only ``measures`` repeat per
+    recommender (the visual metrics are memoised on the cells), for the
+    ``pairs`` of ``(attack, recommender)`` asked for (default: every
+    pair).  Each job is a pure function of its inputs, so the outcomes
+    are bitwise identical however the jobs were spread.
 
     Returns outcomes per pair in scenario → ε order, plus the scenarios
     skipped for an empty cohort; without ``skip_empty`` an empty cohort
@@ -265,8 +273,8 @@ def grid_outcomes(
     registry = dataset.registry
     if pairs is None:
         pairs = [(attack, name) for attack in crafts for name in measures]
-    outcomes: Dict[Tuple[str, str], List[AttackOutcome]] = {pair: [] for pair in pairs}
     skipped: List[AttackScenario] = []
+    jobs: List[Tuple[AttackScenario, str, np.ndarray, int]] = []
     for scenario in scenarios:
         target_class = registry.by_name(scenario.target).category_id
         source_items = np.flatnonzero(
@@ -279,49 +287,62 @@ def grid_outcomes(
                 )
             skipped.append(scenario)
             continue
+        jobs += [(scenario, attack, source_items, target_class) for attack in crafts]
+
+    def craft_job(index: int) -> List[LadderCell]:
+        scenario, attack_name, source_items, target_class = jobs[index]
+        craft = crafts[attack_name]
         images = dataset.images[source_items]
-        for attack_name, craft in crafts.items():
-            original = (
-                craft.classifier.predict(images)
-                if craft.classes is None
-                else craft.classes[source_items]
+        original = (
+            craft.classifier.predict(images)
+            if craft.classes is None
+            else craft.classes[source_items]
+        )
+        if craft.attack in LADDER_ATTACKS:
+            ladder = build_ladder(
+                craft.attack,
+                craft.classifier,
+                epsilons,
+                mode,
+                pgd_steps=pgd_steps,
+                seed=seed,
+                options=craft.options,
             )
-            if craft.attack in LADDER_ATTACKS:
-                ladder = build_ladder(
-                    craft.attack,
-                    craft.classifier,
-                    epsilons,
-                    mode,
-                    pgd_steps=pgd_steps,
-                    seed=seed,
-                    options=craft.options,
-                )
-                with span(
-                    "attack_grid.ladder",
-                    source=scenario.source,
-                    target=scenario.target,
-                    attack=attack_name,
-                    mode=mode,
-                    items=int(source_items.size),
-                ):
-                    cells = ladder.run(images, target_class, original_predictions=original)
-            else:
-                cells = fallback_ladder_cells(
-                    craft.classifier,
-                    craft.attack,
-                    images,
-                    target_class,
-                    original,
-                    epsilons_255,
-                    pgd_steps=pgd_steps,
-                    seed=seed,
-                    options=craft.options,
-                )
-            if deliver is not None:
-                cells = deliver(attack_name, cells, source_items, target_class)
-            for name, measure in measures.items():
-                if (attack_name, name) in outcomes:
-                    outcomes[attack_name, name] += measure(scenario, attack_name, cells)
+            with span(
+                "attack_grid.ladder",
+                source=scenario.source,
+                target=scenario.target,
+                attack=attack_name,
+                mode=mode,
+                items=int(source_items.size),
+            ):
+                cells = ladder.run(images, target_class, original_predictions=original)
+        else:
+            cells = fallback_ladder_cells(
+                craft.classifier,
+                craft.attack,
+                images,
+                target_class,
+                original,
+                epsilons_255,
+                pgd_steps=pgd_steps,
+                seed=seed,
+                options=craft.options,
+            )
+        if deliver is not None:
+            cells = deliver(attack_name, cells, source_items, target_class)
+        return cells
+
+    def describe(index: int) -> str:
+        scenario, attack_name = jobs[index][:2]
+        return f"crafting {attack_name} on {scenario.source} -> {scenario.target}"
+
+    crafted = forked_map(craft_job, len(jobs), describe)
+    outcomes: Dict[Tuple[str, str], List[AttackOutcome]] = {pair: [] for pair in pairs}
+    for (scenario, attack_name, _, _), cells in zip(jobs, crafted):
+        for name, measure in measures.items():
+            if (attack_name, name) in outcomes:
+                outcomes[attack_name, name] += measure(scenario, attack_name, cells)
     return outcomes, skipped
 
 

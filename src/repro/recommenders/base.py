@@ -254,8 +254,7 @@ class Recommender(ABC):
             if score_matrix.shape != (self.num_users, self.num_items):
                 raise ValueError("scores have wrong shape")
             if feedback is not None:
-                for user, items in enumerate(feedback.train_items):
-                    score_matrix[user, items] = -np.inf
+                score_matrix[feedback.train_positions()] = -np.inf
             return self._head_of(score_matrix, min(n, self.num_items))
 
         user_ids = self._validate_user_ids(user_ids)
@@ -273,6 +272,5 @@ class Recommender(ABC):
                     "(len(user_ids), num_items)"
                 )
         if feedback is not None:
-            for row, user in enumerate(user_ids):
-                score_matrix[row, feedback.train_items[user]] = -np.inf
+            score_matrix[feedback.train_positions(user_ids)] = -np.inf
         return self._head_of(score_matrix, min(n, self.num_items))

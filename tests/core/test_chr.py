@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import category_hit_ratio, chr_by_category, chr_percent, chr_report
+from repro.core import (
+    category_hit_ratio,
+    chr_by_category,
+    chr_percent,
+    chr_report,
+    weighted_category_hit_ratio,
+)
 
 
 class TestCategoryHitRatio:
@@ -85,3 +91,42 @@ class TestChrByCategory:
         report = chr_report(lists, item_classes, ["sock", "shoe"])
         assert report["sock"] == pytest.approx(50.0)
         assert report["shoe"] == pytest.approx(50.0)
+
+
+class TestMembershipMask:
+    """Category membership is a boolean item mask; the CHR floats equal
+    those of the ``np.isin`` membership it replaced, bit for bit."""
+
+    @staticmethod
+    def isin_chr(lists, items, num_users=None):
+        users, cutoff = lists.shape
+        member = np.isin(lists, items)
+        return float(member.sum() / (cutoff * (users if num_users is None else num_users)))
+
+    @staticmethod
+    def isin_weighted(lists, items):
+        users, cutoff = lists.shape
+        member = np.isin(lists, items)
+        discounts = 1.0 / np.log2(np.arange(2, cutoff + 2))
+        return float((member * discounts[None, :]).sum() / (discounts.sum() * users))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_lists_match_isin(self, seed):
+        rng = np.random.default_rng(seed)
+        num_items = int(rng.integers(5, 300))
+        lists = rng.integers(0, num_items, size=(int(rng.integers(1, 40)), 10))
+        # Category ids inside and outside the recommended range, unsorted,
+        # with duplicates.
+        items = rng.integers(0, 2 * num_items, size=int(rng.integers(1, 30)))
+        assert category_hit_ratio(lists, items) == self.isin_chr(lists, items)
+        assert category_hit_ratio(lists, items, num_users=97) == self.isin_chr(
+            lists, items, 97
+        )
+        assert weighted_category_hit_ratio(lists, items) == self.isin_weighted(
+            lists, items
+        )
+
+    def test_negative_and_empty_ids_match_isin(self):
+        lists = np.array([[0, 3, -1], [2, -1, 5]])
+        for items in (np.array([-1, 5]), np.array([-7, 9]), np.zeros(0, dtype=int)):
+            assert category_hit_ratio(lists, items) == self.isin_chr(lists, items)

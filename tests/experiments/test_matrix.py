@@ -5,8 +5,13 @@ which nodes — the column-selective property), and one tiny end-to-end
 run crossing FGSM/NES/TRANSFER × none/detector × VBPR/BPRMF against an
 artifact store — pinning cube semantics, warm-cache identity,
 column-selective rebuilds, and bitwise parity of the undefended column
-with the static ``attack_grid`` stage.
+with the static ``attack_grid`` stage.  A wider cube pins forked crafting
+to the rows of one-CPU and instrumented (serial) crafting.
 """
+
+import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -30,6 +35,7 @@ from repro.experiments.matrix import (
 from repro.experiments.runner import build_cell_attack
 from repro.metrics import batch_ssim
 from repro.telemetry import telemetry_session
+from tests.helpers import count_forks
 
 TINY = dict(
     scale=0.002,
@@ -419,3 +425,60 @@ class TestMatrixRun:
             assert row["ssim"] == float(
                 np.mean(batch_ssim(images, oracle.adversarial_images))
             )
+
+
+class TestForkedCrafting:
+    """The craft phase forks across CPUs; the cube's rows must equal, as
+    exact floats, the rows of a one-CPU run and of a run under telemetry
+    (both craft serially, in-process)."""
+
+    @pytest.fixture(scope="class")
+    def cube(self, cold, store_root, tmp_path_factory):
+        """none/squeeze/detector × FGSM/PGD/MIM/CW/TRANSFER × VBPR/AMR/BPRMF
+        in a copy of the module store, every model node built."""
+        root = str(tmp_path_factory.mktemp("forked-cube"))
+        shutil.copytree(store_root, root, dirs_exist_ok=True)
+        config = make_config(
+            attacks=("FGSM", "PGD", "MIM", "CW", "TRANSFER"),
+            defenses=("none", "squeeze", "detector"),
+            recommenders=("VBPR", "AMR", "BPRMF"),
+            cw_steps=3,
+            mim_steps=2,
+        )
+        run_matrix(config, store=ArtifactStore(root))
+        return config, root
+
+    @staticmethod
+    def rerun(cube):
+        """Re-craft every cell of the cube; the rows as exact JSON text."""
+        config, root = cube
+        cells = [name for name, _ in matrix_node_order(config) if name.startswith("cell:")]
+        results, manifest = MatrixRunner(config, ArtifactStore(root)).run(force=cells)
+        assert sorted(manifest.built) == sorted(cells)
+        assert len(results.rows) > 0
+        return json.dumps(results.rows)
+
+    @staticmethod
+    def count_forks(patch, cpus):
+        """Child pids forked from here on, with ``cpus`` CPUs in the mask."""
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return count_forks(patch)
+
+    @pytest.fixture(scope="class")
+    def parallel_rows(self, cube):
+        with pytest.MonkeyPatch.context() as patch:
+            forks = self.count_forks(patch, cpus=2)
+            rows = self.rerun(cube)
+        assert len(forks) == 3  # one worker per defense column
+        return rows
+
+    def test_parallel_rows_equal_one_cpu_rows(self, cube, parallel_rows, monkeypatch):
+        forks = self.count_forks(monkeypatch, cpus=1)
+        assert self.rerun(cube) == parallel_rows
+        assert forks == []
+
+    def test_rows_under_telemetry_equal_plain_rows(self, cube, parallel_rows, monkeypatch):
+        forks = self.count_forks(monkeypatch, cpus=2)
+        with telemetry_session(metrics=True):
+            assert self.rerun(cube) == parallel_rows
+        assert forks == []

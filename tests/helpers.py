@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from typing import Callable
 
 import numpy as np
@@ -46,3 +47,19 @@ def check_gradient(
 
     expected = numerical_gradient(scalar, value)
     np.testing.assert_allclose(x.grad, expected, atol=atol, rtol=rtol)
+
+
+def count_forks(patch) -> list:
+    """Wrap ``os.fork`` through ``patch`` (a pytest ``MonkeyPatch``); the
+    returned list collects the pid of every child forked from then on."""
+    children = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    patch.setattr(os, "fork", counting_fork)
+    return children

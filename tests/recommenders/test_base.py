@@ -253,3 +253,56 @@ class TestBlockScoringAllModels(TestBlockScoring):
     @pytest.fixture(scope="class")
     def score_kwargs(self, case):
         return case[1]
+
+
+class TestTrainMask:
+    """``top_n`` masks train positives with one flat-index write; the lists
+    equal those of the per-user masking loop it replaced."""
+
+    @staticmethod
+    def loop_top_n(n, feedback, scores, user_ids=None):
+        users = np.arange(feedback.num_users) if user_ids is None else np.asarray(user_ids)
+        masked = np.array(scores[users], copy=True)
+        for row, user in enumerate(users):
+            masked[row, feedback.train_items[user]] = -np.inf
+        return BPRMF._head_of(masked, min(n, feedback.num_items))
+
+    @pytest.fixture(scope="class")
+    def gappy(self):
+        """Random feedback with users that have no train positives."""
+        rng = np.random.default_rng(7)
+        train = [
+            np.sort(rng.choice(40, size=size, replace=False)).astype(np.int64)
+            for size in rng.integers(0, 9, size=25)
+        ]
+        train[0] = np.zeros(0, dtype=np.int64)
+        train[-1] = np.zeros(0, dtype=np.int64)
+        return ImplicitFeedback(
+            num_users=25, num_items=40, train_items=train, test_items=np.full(25, -1)
+        )
+
+    @pytest.mark.parametrize("fixture", ["feedback", "gappy"])
+    def test_lists_equal_the_masking_loop(self, fixture, request):
+        feedback = request.getfixturevalue(fixture)
+        model = MostPop(feedback.num_users, feedback.num_items).fit(feedback)
+        scores = np.random.default_rng(3).standard_normal(
+            (feedback.num_users, feedback.num_items)
+        )
+        np.testing.assert_array_equal(
+            model.top_n(12, feedback=feedback, scores=scores),
+            self.loop_top_n(12, feedback, scores),
+        )
+        users = np.array([feedback.num_users - 1, 0, 3, 3, 1])
+        np.testing.assert_array_equal(
+            model.top_n(12, feedback=feedback, scores=scores, user_ids=users),
+            self.loop_top_n(12, feedback, scores, users),
+        )
+
+    def test_train_positions_cover_exactly_the_positives(self, gappy):
+        rows, items = gappy.train_positions()
+        expected = [(u, i) for u, its in enumerate(gappy.train_items) for i in its]
+        assert list(zip(rows.tolist(), items.tolist())) == expected
+        users = np.array([24, 2, 0, 2])
+        rows, items = gappy.train_positions(users)
+        expected = [(r, i) for r, u in enumerate(users) for i in gappy.train_items[u]]
+        assert list(zip(rows.tolist(), items.tolist())) == expected
