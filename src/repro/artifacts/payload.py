@@ -194,18 +194,28 @@ def _replacing(path: str, mode: str):
 
 def read_header(path: str) -> Dict[str, Any]:
     """The JSON envelope of an artifact, without loading its payload."""
+    with _open_archive(path) as archive:
+        return _header(archive, path)
+
+
+def _open_archive(path: str):
+    """The open ``.npz`` archive at ``path``; refuses a missing file."""
     if not os.path.exists(path):
         raise ArtifactMissingError(f"no artifact at {path}")
-    with np.load(path, allow_pickle=False) as archive:
-        if _HEADER_KEY not in archive.files:
-            raise ArtifactSchemaError(
-                f"{path} has no artifact envelope (pre-protocol or foreign file); "
-                "refusing to load unversioned state"
-            )
-        try:
-            header = json.loads(str(archive[_HEADER_KEY]))
-        except json.JSONDecodeError as error:
-            raise ArtifactSchemaError(f"{path} has a corrupted envelope: {error}") from error
+    return np.load(path, allow_pickle=False)
+
+
+def _header(archive, path: str) -> Dict[str, Any]:
+    """The envelope of an open archive; refuses a missing or malformed one."""
+    if _HEADER_KEY not in archive.files:
+        raise ArtifactSchemaError(
+            f"{path} has no artifact envelope (pre-protocol or foreign file); "
+            "refusing to load unversioned state"
+        )
+    try:
+        header = json.loads(str(archive[_HEADER_KEY]))
+    except json.JSONDecodeError as error:
+        raise ArtifactSchemaError(f"{path} has a corrupted envelope: {error}") from error
     if not isinstance(header, dict) or "kind" not in header:
         raise ArtifactSchemaError(f"{path} has a malformed artifact envelope")
     return header
@@ -222,13 +232,14 @@ def read_payload(
 
     Returns ``(arrays, meta, content_hash)``; the arrays are read-only.
     ``fingerprint=None`` skips the fingerprint check (callers that key
-    files by path only).
+    files by path only).  The archive is opened once: the envelope is
+    checked before any payload array is read.
     """
-    header = read_header(path)
-    check_envelope(
-        header, path, kind=kind, schema_version=schema_version, fingerprint=fingerprint
-    )
-    with np.load(path, allow_pickle=False) as archive:
+    with _open_archive(path) as archive:
+        header = _header(archive, path)
+        check_envelope(
+            header, path, kind=kind, schema_version=schema_version, fingerprint=fingerprint
+        )
         arrays = {name: archive[name] for name in archive.files if name != _HEADER_KEY}
     meta = dict(header.get("meta") or {})
     recorded = header.get("content_hash")

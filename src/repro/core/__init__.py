@@ -11,6 +11,7 @@ from .chr import (
 from .pipeline import (
     AttackOutcome,
     CatalogState,
+    CohortReferences,
     FeatureScratch,
     ItemReport,
     TAaMRPipeline,
@@ -31,6 +32,7 @@ __all__ = [
     "paper_scenarios",
     "TAaMRPipeline",
     "CatalogState",
+    "CohortReferences",
     "FeatureScratch",
     "AttackOutcome",
     "invoke_attack",

@@ -23,7 +23,13 @@ from ..attacks.base import AttackResult, GradientAttack
 from ..attacks.ladder import LadderCell
 from ..data.datasets import MultimediaDataset
 from ..features.extractor import FeatureExtractor
-from ..metrics import batch_psnr, batch_ssim, psm_from_features, ssim_reference
+from ..metrics import (
+    SSIMReference,
+    batch_psnr,
+    batch_ssim,
+    psm_from_features,
+    ssim_reference,
+)
 from ..recommenders.evaluation import recommendation_rank_of_item
 from ..recommenders.vbpr import VBPR
 from ..telemetry import span
@@ -82,20 +88,48 @@ class VisualQuality:
         return {"PSNR": self.psnr, "SSIM": self.ssim, "PSM": self.psm}
 
 
+class CohortReferences:
+    """One SSIM clean side (:func:`~repro.metrics.ssim_reference`) per cohort.
+
+    Keyed by the cohort's item ids within one catalog ``images``, so
+    every job and recommender measuring one cohort reuses one set of
+    clean window statistics: both paper scenarios of a defense start
+    from the ``sock`` cohort.  Each process fills its own copy (a forked
+    worker starts from the parent's as it stood at the fork).
+    """
+
+    def __init__(self, images: np.ndarray) -> None:
+        self._images = images
+        self._references: Dict[bytes, SSIMReference] = {}
+
+    def __call__(self, item_ids: np.ndarray) -> SSIMReference:
+        key = np.asarray(item_ids, dtype=np.int64).tobytes()
+        reference = self._references.get(key)
+        if reference is None:
+            reference = ssim_reference(self._images[item_ids])
+            self._references[key] = reference
+        return reference
+
+
 def cell_visuals(
-    cells: Sequence[LadderCell], clean_images: np.ndarray, clean_raw: np.ndarray
+    cells: Sequence[LadderCell],
+    references: CohortReferences,
+    item_ids: np.ndarray,
+    clean_raw: np.ndarray,
 ) -> List[VisualQuality]:
     """Each cell's mean PSNR / SSIM / PSM against its clean cohort.
 
+    ``item_ids`` is the cohort, ``clean_raw`` its clean raw features.
     The triple depends only on the cohort and the cell, so it is
     memoised in ``cell.extras["visual"]``: every recommender measuring
     the same cells (VBPR, AMR, the BPR-MF control) reuses the first
-    one's numbers.  The cohort's SSIM window statistics are computed
-    once per call, and only when some cell still lacks its triple.
+    one's numbers.  The cohort's SSIM window statistics come from
+    ``references``, and only when some cell still lacks its triple.
     """
     missing = [cell for cell in cells if "visual" not in cell.extras]
     if missing:
-        reference = ssim_reference(clean_images)
+        reference = references(item_ids)
+        clean_images = reference.images
         for cell in missing:
             adversarial = cell.result.adversarial_images
             with span("pipeline.visual_metrics"):
@@ -383,6 +417,7 @@ class TAaMRPipeline:
         attack_name: str,
         cells: Sequence[LadderCell],
         scratch: FeatureScratch,
+        references: CohortReferences,
     ) -> List[AttackOutcome]:
         """Measure precomputed :class:`~repro.attacks.ladder.LadderCell`s.
 
@@ -393,7 +428,8 @@ class TAaMRPipeline:
         bookkeeping run per recommender.  ``scratch`` (over this
         pipeline's ``clean_features``) shares the ``features_after``
         buffer across cells instead of copying the full clean matrix per
-        cell.
+        cell; ``references`` (over this pipeline's catalog images) shares
+        each cohort's SSIM clean side.
         """
         source_items = self.category_items(scenario.source)
         if source_items.size == 0:
@@ -404,9 +440,7 @@ class TAaMRPipeline:
             raise ValueError("ladder cell does not cover the scenario's source cohort")
         target_items = self.category_items(scenario.target)
         visuals = cell_visuals(
-            cells,
-            self.dataset.images[source_items],
-            self.clean_raw_features[source_items],
+            cells, references, source_items, self.clean_raw_features[source_items]
         )
         chr_source_before = self._chr_percent_of_items(source_items, self.clean_top_n)
         chr_target_before = self._chr_percent_of_items(target_items, self.clean_top_n)

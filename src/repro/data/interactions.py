@@ -207,6 +207,12 @@ def generate_feedback(
                 continue
             item = int(rng.choice(pool, p=category_weights[category]))
             chosen.add(item)
+        if len(chosen) < target:
+            # Rejection sampling ran out of attempts (a small catalog whose
+            # rare items the affinity barely reaches): top up uniformly so
+            # the ≥5 filter holds.  No draw is made when sampling succeeds.
+            unchosen = np.setdiff1d(np.arange(num_items), list(chosen))
+            chosen.update(rng.choice(unchosen, size=target - len(chosen), replace=False).tolist())
         chosen_array = np.array(sorted(chosen), dtype=np.int64)
 
         # Leave-one-out: hold out one random positive as the test item.

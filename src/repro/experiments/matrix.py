@@ -19,10 +19,10 @@ is declared once, by :func:`matrix_nodes`, as
 :class:`~repro.experiments.stages.Node` objects, the stages' own type;
 fingerprints, execution order and plans all derive from that list.  The
 base stages and the model nodes run as one list through the stages'
-:class:`~repro.experiments.stages.NodeExecutor`, and each column is
-crafted and measured by the static stage's own attack-grid loop,
-:func:`~repro.experiments.runner.grid_outcomes`, its cells loaded and
-saved through the same executor.
+:class:`~repro.experiments.stages.NodeExecutor`.  The cells load and
+save through the same executor, and the pending cells of every column
+are crafted and measured in one pass of the static stage's own
+attack-grid loop, :func:`~repro.experiments.runner.grid_outcomes`.
 
 Execution semantics per axis value:
 
@@ -68,6 +68,7 @@ from ..attacks.projections import epsilon_from_255
 from ..core import (
     AttackOutcome,
     CatalogState,
+    CohortReferences,
     TAaMRPipeline,
     category_hit_ratio,
     paper_scenarios,
@@ -87,7 +88,7 @@ from ..nn import TinyResNet
 from ..recommenders import BPRMF, BPRMFConfig
 from ..telemetry import Stopwatch
 from .config import ExperimentConfig
-from .runner import Craft, grid_outcomes, pipeline_measures
+from .runner import Column, Craft, grid_outcomes, pipeline_measures, row_measures
 from .stages import (
     STAGE_ORDER,
     Node,
@@ -471,6 +472,7 @@ def _bprmf_outcomes(
     control: Tuple[np.ndarray, np.ndarray],
     runtime: DefenseRuntime,
     dataset,
+    references: CohortReferences,
     scenario: AttackScenario,
     attack_name: str,
     cells: Sequence[LadderCell],
@@ -493,7 +495,7 @@ def _bprmf_outcomes(
     chr_source = 100.0 * category_hit_ratio(top_n, source_items)
     chr_target = 100.0 * category_hit_ratio(top_n, target_items)
     visuals = cell_visuals(
-        cells, dataset.images[source_items], runtime.raw_features[source_items]
+        cells, references, source_items, runtime.raw_features[source_items]
     )
     return [
         AttackOutcome(
@@ -512,6 +514,17 @@ def _bprmf_outcomes(
         )
         for cell, visual in zip(cells, visuals)
     ]
+
+
+def _cube_row(
+    defense: str, ladder_mode: str, recommender: str, outcome: AttackOutcome
+) -> Dict[str, Any]:
+    """One cube row: the ``attack_grid`` row plus the defense columns."""
+    return {
+        **_grid_row(recommender, outcome, ladder_mode),
+        "defense": defense,
+        "flagged_items": int(outcome.attack_metadata.get("screen_flagged", 0)),
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -762,20 +775,22 @@ class MatrixRunner:
             runtime.detector = detector
         return runtime
 
-    def _measure_column(
+    def _column(
         self,
         runtime: DefenseRuntime,
         pairs: Sequence[Tuple[str, str]],
         base: StageResults,
         control: Optional[Tuple[np.ndarray, np.ndarray]],
-    ) -> Tuple[Dict[Tuple[str, str], List[AttackOutcome]], List[AttackScenario]]:
-        """Craft and measure one defense's ``(attack, recommender)`` ``pairs``.
+        references: CohortReferences,
+    ) -> Column:
+        """One defense's grid column: its ``(attack, recommender)`` ``pairs``.
 
         The matrix's own parts ride into the attack-grid loop: TRANSFER
         crafts PGD on the surrogate, :func:`_deliver` re-measures cells
         through squeeze / detector, and BPR-MF measures through its
         control.  White-box attacks craft on the deployed classifier
-        from the classes the adversary sees.
+        from the classes the adversary sees.  Every measure reduces its
+        outcomes to cube rows inside the job.
         """
         config, models = self.config, base.values
         attacks = [a for a in config.attacks if any(a == attack for attack, _ in pairs)]
@@ -808,23 +823,22 @@ class MatrixRunner:
                 )
                 for rec in recs
                 if rec in VISUAL_RECOMMENDERS
-            }
+            },
+            references,
         )
         if "BPRMF" in recs:
-            measures["BPRMF"] = partial(_bprmf_outcomes, control, runtime, base.dataset)
-        return grid_outcomes(
+            measures["BPRMF"] = partial(
+                _bprmf_outcomes, control, runtime, base.dataset, references
+            )
+        return Column(
             crafts,
             runtime.item_classes,
-            base.dataset,
-            paper_scenarios(base.dataset.name, base.dataset.registry),
-            measures,
-            config.base.epsilons_255,
-            config.base.pgd_steps,
-            config.base.seed,
-            config.base.ladder_mode,
+            row_measures(
+                measures, partial(_cube_row, runtime.name, config.base.ladder_mode)
+            ),
             deliver=partial(_deliver, runtime),
-            skip_empty=True,
             pairs=pairs,
+            name=runtime.name,
         )
 
     # -- execution ------------------------------------------------------- #
@@ -835,8 +849,12 @@ class MatrixRunner:
         ``defense:squeeze``, ``cell:none/FGSM/VBPR``, ...) that must
         rebuild even when a valid artifact exists.  The base stages and
         the model nodes (surrogate, BPR-MF, retrained defenses and their
-        recommenders) resolve first, in :attr:`nodes` order; then each
-        defense's column of cells.
+        recommenders) resolve first, in :attr:`nodes` order; then the
+        cells: every still-valid cell loads, and the others of every
+        defense column are crafted and measured in one
+        :func:`~repro.experiments.runner.grid_outcomes` pass whose jobs
+        send back only cube rows.  Each built cell's ``seconds`` is the
+        pass's time over the cells it built.
         """
         config = self.config
         executor = NodeExecutor(
@@ -859,6 +877,7 @@ class MatrixRunner:
         by_name = {node.name: node for node in self.nodes}
         rows_by_cell: Dict[str, List[Dict[str, Any]]] = {}
         skipped_by_defense: Dict[str, List[str]] = {}
+        pending: Dict[str, Dict[Tuple[str, str], Node]] = {}
         for defense in config.defenses:
             if defense not in RETRAINING_DEFENSES:
                 # The deployed state of identity-ingest defenses *is* the
@@ -866,49 +885,57 @@ class MatrixRunner:
                 # through it.
                 executor.hashes[f"defense:{defense}"] = executor.hashes["features"]
 
-            # Load every still-valid cell of this defense's column first;
-            # only the misses pay for crafting and measurement.
-            pending: Dict[Tuple[str, str], Node] = {}
+            # Load every still-valid cell first; only the misses pay for
+            # crafting and measurement.
             for attack in config.attacks:
                 for rec in config.recommenders:
                     node = by_name[cell_name(defense, attack, rec)]
                     loaded = executor.load_node(node)
                     if loaded is None:
-                        pending[(attack, rec)] = node
+                        pending.setdefault(defense, {})[(attack, rec)] = node
                         continue
                     rows_by_cell[node.name] = list(loaded.meta["rows"])
                     skipped = list(loaded.meta.get("skipped_scenarios", []))
                     if skipped:
                         skipped_by_defense.setdefault(defense, skipped)
 
-            if not pending:
-                continue
-
-            runtime = (
-                base.values[f"defense:{defense}"]
-                if defense in RETRAINING_DEFENSES
-                else self._base_runtime(defense, base)
-            )
+        if pending:
+            # Every pending cell of every column in one forked pass.
             timer = Stopwatch()
-            outcomes, skipped_scenarios = self._measure_column(
-                runtime, list(pending), base, control
+            references = CohortReferences(base.dataset.images)
+            columns = [
+                self._column(
+                    base.values[f"defense:{defense}"]
+                    if defense in RETRAINING_DEFENSES
+                    else self._base_runtime(defense, base),
+                    list(cells),
+                    base,
+                    control,
+                    references,
+                )
+                for defense, cells in pending.items()
+            ]
+            measured = grid_outcomes(
+                columns,
+                base.dataset,
+                paper_scenarios(base.dataset.name, base.dataset.registry),
+                config.base.epsilons_255,
+                config.base.pgd_steps,
+                config.base.seed,
+                config.base.ladder_mode,
+                skip_empty=True,
             )
-            skipped = [f"{s.source}->{s.target}" for s in skipped_scenarios]
-            if skipped:
-                skipped_by_defense[defense] = skipped
-            share = timer.elapsed() / len(pending)
-            for (attack, rec), node in pending.items():
-                rows = [
-                    {
-                        **_grid_row(rec, outcome, config.base.ladder_mode),
-                        "defense": defense,
-                        "flagged_items": int(outcome.attack_metadata.get("screen_flagged", 0)),
-                    }
-                    for outcome in outcomes[(attack, rec)]
-                ]
-                meta = {"rows": rows, "skipped_scenarios": skipped}
-                executor.save_node(node, {}, meta, share)
-                rows_by_cell[node.name] = rows
+            share = timer.elapsed() / sum(len(cells) for cells in pending.values())
+            for (defense, cells), (rows, skipped_scenarios) in zip(
+                pending.items(), measured
+            ):
+                skipped = [f"{s.source}->{s.target}" for s in skipped_scenarios]
+                if skipped:
+                    skipped_by_defense[defense] = skipped
+                for pair, node in cells.items():
+                    meta = {"rows": rows[pair], "skipped_scenarios": skipped}
+                    executor.save_node(node, {}, meta, share)
+                    rows_by_cell[node.name] = rows[pair]
 
         all_rows = [
             row

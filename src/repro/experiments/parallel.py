@@ -1,22 +1,25 @@
 """Run independent jobs on every CPU this process may use.
 
-:func:`forked_map` is how the attack grid crafts its (scenario, attack)
-jobs side by side.  Workers are forked *after* the caller has built
-everything the jobs read (classifier, dataset, defense runtime), so
-nothing is pickled in: each worker inherits the parent's memory, claims
-jobs from one shared counter, and sends its results back pickled over
-one simplex pipe when the counter runs dry.  The parent claims jobs
-too, then puts every result back in job order.  A job must be a pure
-function of its index, so the results are identical bit for bit to a
-serial run.
+:func:`forked_map` is how the attack grid runs its (column, scenario,
+attack) jobs side by side: each job crafts, delivers and measures, and
+a whole scenario cube is one call.  Workers are forked *after* the
+caller has built everything the jobs read (classifier, dataset, defense
+runtimes, recommender pipelines), so nothing is pickled in: each worker
+inherits the parent's memory, claims jobs from one shared counter, and
+sends its results back pickled over one simplex pipe when the counter
+runs dry.  The matrix and the ``attack_grid`` stage keep those results
+small: their jobs return table rows, not scores or image stacks.  The
+parent claims jobs too, then puts every result back in job order.  A
+job must be a pure function of its index, so the results are identical
+bit for bit to a serial run.
 
 Jobs run with every OpenBLAS the process has loaded held to one thread
 (:func:`one_blas_thread`), however they are spread.  Forked processes
 then do not oversubscribe the CPUs with their BLAS pools (with two
 pools of two threads on two CPUs, a tiny cube's forced rerun took
-14-25 s instead of 5 s), and a job's values do not depend on the
-thread count: OpenBLAS splits a GEMM's long inner sums across threads,
-which can change their rounding.
+14-25 s instead of 5 s), and a job's values, re-scoring included, do
+not depend on the thread count: OpenBLAS splits a GEMM's long inner
+sums across threads, which can change their rounding.
 
 Jobs run serially, in the caller's process, when there is only one job,
 when the affinity mask holds one CPU, or when any telemetry collector

@@ -3,7 +3,10 @@
 One grid run per recommender covers every (scenario × attack × ε) cell;
 Table II reads the CHR columns, Table III the success rates, Table IV
 the visual metrics — exactly how the paper derives all three tables
-from one set of attack executions.
+from one set of attack executions.  Every grid, and every defense
+column of a scenario cube, runs through :func:`grid_outcomes`: one job
+per (column, scenario, attack) crafts, delivers and measures, and all
+jobs of one call run in one forked pass.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from ..attacks.projections import epsilon_from_255
 from ..core import (
     AttackOutcome,
     AttackScenario,
+    CohortReferences,
     FeatureScratch,
     TAaMRPipeline,
     invoke_attack,
@@ -209,8 +213,9 @@ def fallback_ladder_cells(
 
 
 #: One recommender's measurement of crafted cells:
-#: ``measure(scenario, attack_name, cells)`` → one outcome per cell.
-Measure = Callable[[AttackScenario, str, Sequence[LadderCell]], List[AttackOutcome]]
+#: ``measure(scenario, attack_name, cells)`` → one result per cell, an
+#: :class:`AttackOutcome` or a smaller record made from one (:func:`row_measures`).
+Measure = Callable[[AttackScenario, str, Sequence[LadderCell]], List[Any]]
 
 
 @dataclass(frozen=True)
@@ -229,69 +234,103 @@ class Craft:
     options: Optional[Dict[str, float]] = None
 
 
+@dataclass(frozen=True)
+class Column:
+    """One attack grid of a :func:`grid_outcomes` pass.
+
+    ``crafts`` maps each attack to what it crafts on; ``item_classes``
+    assign each scenario its cohort (the items of its source category).
+    ``measures`` maps each recommender to its :data:`Measure`, run for
+    the ``pairs`` of ``(attack, recommender)`` asked for (default: every
+    pair).  ``deliver(attack_name, cells, source_items, target_class)``
+    may re-measure the crafted cells on the deployed system before any
+    recommender sees them.  ``name`` (a matrix column's defense) names
+    the column in a failing job's error.
+    """
+
+    crafts: Mapping[str, Craft]
+    item_classes: np.ndarray
+    measures: Mapping[str, Measure]
+    deliver: Optional[Callable[..., List[LadderCell]]] = None
+    pairs: Optional[Sequence[Tuple[str, str]]] = None
+    name: str = ""
+
+
+#: One column's results: ``(attack, recommender)`` → one result per cell
+#: in scenario → ε order, and the scenarios skipped for an empty cohort.
+ColumnOutcomes = Tuple[Dict[Tuple[str, str], List[Any]], List[AttackScenario]]
+
+
 def grid_outcomes(
-    crafts: Mapping[str, Craft],
-    item_classes: np.ndarray,
+    columns: Sequence[Column],
     dataset,
     scenarios: Sequence[AttackScenario],
-    measures: Mapping[str, Measure],
     epsilons_255: Sequence[float],
     pgd_steps: int,
     seed: int,
     mode: str,
-    deliver: Optional[Callable[..., List[LadderCell]]] = None,
     skip_empty: bool = False,
-    pairs: Optional[Sequence[Tuple[str, str]]] = None,
-) -> Tuple[Dict[Tuple[str, str], List[AttackOutcome]], List[AttackScenario]]:
-    """Craft every (scenario, attack) once and measure it per recommender.
+) -> List[ColumnOutcomes]:
+    """Craft every (column, scenario, attack) once and measure it per recommender.
 
     The one attack-grid loop: the ``attack_grid`` stage,
-    :func:`run_attack_grids` and every defense column of the scenario
-    matrix run through it.  A scenario's cohort is the items
-    ``item_classes`` assigns to its source category.  Attacks of
+    :func:`run_attack_grids` and the scenario matrix (one
+    :class:`Column` per defense) run through it.  Attacks of
     ``LADDER_ATTACKS`` run one :class:`EpsilonLadder` per (scenario,
     attack); CW and NES degrade per attack to one per-cell run per ε
-    (:func:`fallback_ladder_cells`).  ``deliver(attack_name, cells,
-    source_items, target_class)`` may re-measure the crafted cells on
-    the deployed system before any recommender sees them.
+    (:func:`fallback_ladder_cells`).
 
-    Two phases.  *Craft*: one job per (scenario, attack) crafts its
-    cells and delivers them; the jobs run side by side on every CPU
-    this process may use (:func:`~repro.experiments.parallel.forked_map`),
-    serially under any active telemetry collector.  *Measure*: in this
-    process, in scenario → attack order, only ``measures`` repeat per
-    recommender (the visual metrics are memoised on the cells), for the
-    ``pairs`` of ``(attack, recommender)`` asked for (default: every
-    pair).  Each job is a pure function of its inputs, so the outcomes
-    are bitwise identical however the jobs were spread.
+    One job per (column, scenario, attack) crafts its cells, delivers
+    them and runs every asked-for measure on them, so a job returns its
+    measured results, not its cells.  All jobs of all columns run in
+    one pass over every CPU this process may use
+    (:func:`~repro.experiments.parallel.forked_map`), serially under
+    any active telemetry collector; the visual metrics run once per job
+    (memoised on its cells), whichever recommender measures first.
+    Each job is a pure function of its inputs, so the results are
+    bitwise identical however the jobs were spread.
 
-    Returns outcomes per pair in scenario → ε order, plus the scenarios
-    skipped for an empty cohort; without ``skip_empty`` an empty cohort
-    raises ``ValueError`` instead.
+    Returns, per column, its results per pair in scenario → ε order and
+    the scenarios it skipped for an empty cohort; without
+    ``skip_empty`` an empty cohort raises ``ValueError`` instead.
     """
     epsilons = tuple(epsilon_from_255(eps) for eps in epsilons_255)
     registry = dataset.registry
-    if pairs is None:
-        pairs = [(attack, name) for attack in crafts for name in measures]
-    skipped: List[AttackScenario] = []
-    jobs: List[Tuple[AttackScenario, str, np.ndarray, int]] = []
-    for scenario in scenarios:
-        target_class = registry.by_name(scenario.target).category_id
-        source_items = np.flatnonzero(
-            item_classes == registry.by_name(scenario.source).category_id
-        )
-        if source_items.size == 0:
-            if not skip_empty:
-                raise ValueError(
-                    f"classifier assigns no items to source category '{scenario.source}'"
-                )
-            skipped.append(scenario)
-            continue
-        jobs += [(scenario, attack, source_items, target_class) for attack in crafts]
+    outcomes: List[Dict[Tuple[str, str], List[Any]]] = [
+        {
+            pair: []
+            for pair in (
+                column.pairs
+                if column.pairs is not None
+                else [(a, name) for a in column.crafts for name in column.measures]
+            )
+        }
+        for column in columns
+    ]
+    skipped: List[List[AttackScenario]] = [[] for _ in columns]
+    jobs: List[Tuple[int, AttackScenario, str, np.ndarray, int]] = []
+    for index, column in enumerate(columns):
+        for scenario in scenarios:
+            target_class = registry.by_name(scenario.target).category_id
+            source_items = np.flatnonzero(
+                column.item_classes == registry.by_name(scenario.source).category_id
+            )
+            if source_items.size == 0:
+                if not skip_empty:
+                    raise ValueError(
+                        f"classifier assigns no items to source category '{scenario.source}'"
+                    )
+                skipped[index].append(scenario)
+                continue
+            jobs += [
+                (index, scenario, attack, source_items, target_class)
+                for attack in column.crafts
+            ]
 
-    def craft_job(index: int) -> List[LadderCell]:
-        scenario, attack_name, source_items, target_class = jobs[index]
-        craft = crafts[attack_name]
+    def job(index: int) -> Dict[str, List[Any]]:
+        column_index, scenario, attack_name, source_items, target_class = jobs[index]
+        column = columns[column_index]
+        craft = column.crafts[attack_name]
         images = dataset.images[source_items]
         original = (
             craft.classifier.predict(images)
@@ -329,45 +368,76 @@ def grid_outcomes(
                 seed=seed,
                 options=craft.options,
             )
-        if deliver is not None:
-            cells = deliver(attack_name, cells, source_items, target_class)
-        return cells
+        if column.deliver is not None:
+            cells = column.deliver(attack_name, cells, source_items, target_class)
+        return {
+            name: measure(scenario, attack_name, cells)
+            for name, measure in column.measures.items()
+            if (attack_name, name) in outcomes[column_index]
+        }
 
     def describe(index: int) -> str:
-        scenario, attack_name = jobs[index][:2]
-        return f"crafting {attack_name} on {scenario.source} -> {scenario.target}"
+        column_index, scenario, attack_name = jobs[index][:3]
+        name = columns[column_index].name
+        where = f" under {name}" if name else ""
+        return (
+            f"crafting and measuring {attack_name} on "
+            f"{scenario.source} -> {scenario.target}{where}"
+        )
 
-    crafted = forked_map(craft_job, len(jobs), describe)
-    outcomes: Dict[Tuple[str, str], List[AttackOutcome]] = {pair: [] for pair in pairs}
-    for (scenario, attack_name, _, _), cells in zip(jobs, crafted):
-        for name, measure in measures.items():
-            if (attack_name, name) in outcomes:
-                outcomes[attack_name, name] += measure(scenario, attack_name, cells)
-    return outcomes, skipped
+    for (column_index, _, attack_name, _, _), measured in zip(
+        jobs, forked_map(job, len(jobs), describe)
+    ):
+        for name, results in measured.items():
+            outcomes[column_index][attack_name, name] += results
+    return list(zip(outcomes, skipped))
 
 
-def pipeline_measures(pipelines: Mapping[str, TAaMRPipeline]) -> Dict[str, Measure]:
+def pipeline_measures(
+    pipelines: Mapping[str, TAaMRPipeline],
+    references: Optional[CohortReferences] = None,
+) -> Dict[str, Measure]:
     """Each pipeline's ``outcomes_from_cells``, sharing one feature scratch.
 
     All pipelines must share one catalog classification (identical
     ``item_classes``/``clean_features``), which holds for the pipelines
-    of one stage run or one matrix defense.
+    of one stage run or one matrix defense.  ``references`` shares the
+    cohorts' SSIM clean sides beyond these pipelines (the matrix passes
+    one for all its columns); by default the pipelines share their own.
     """
     if not pipelines:
         return {}
-    scratch = FeatureScratch(next(iter(pipelines.values())).clean_features)
+    first = next(iter(pipelines.values()))
+    scratch = FeatureScratch(first.clean_features)
+    if references is None:
+        references = CohortReferences(first.dataset.images)
     return {
-        name: partial(pipeline.outcomes_from_cells, scratch=scratch)
+        name: partial(pipeline.outcomes_from_cells, scratch=scratch, references=references)
         for name, pipeline in pipelines.items()
     }
 
 
+def row_measures(
+    measures: Mapping[str, Measure], row: Callable[[str, AttackOutcome], Any]
+) -> Dict[str, Measure]:
+    """``measures`` that turn each outcome into ``row(recommender, outcome)``.
+
+    The reduction runs inside the job, so a forked worker sends back
+    only the rows, not each outcome's scores and image stacks.
+    """
+
+    def rows(name: str, measure: Measure, scenario, attack_name, cells) -> List[Any]:
+        return [row(name, outcome) for outcome in measure(scenario, attack_name, cells)]
+
+    return {name: partial(rows, name, measure) for name, measure in measures.items()}
+
+
 def grid_order(
-    outcomes: Mapping[Tuple[str, str], List[AttackOutcome]],
+    outcomes: Mapping[Tuple[str, str], List[Any]],
     attack_names: Sequence[str],
     recommender_name: str,
-) -> List[AttackOutcome]:
-    """One recommender's outcomes in the grid's scenario → ε → attack order."""
+) -> List[Any]:
+    """One recommender's results in the grid's scenario → ε → attack order."""
     per_attack = [outcomes[(attack, recommender_name)] for attack in attack_names]
     return [outcome for cell in zip(*per_attack) for outcome in cell]
 
@@ -399,12 +469,15 @@ def run_attack_grids(
         else paper_scenarios(context.dataset.name, context.dataset.registry)
     )
     attacks = tuple(attack_names) if attack_names is not None else GRID_ATTACK_NAMES
-    outcomes, _ = grid_outcomes(
+    column = Column(
         {name: Craft(context.classifier, name, context.item_classes) for name in attacks},
         context.item_classes,
+        pipeline_measures(pipelines),
+    )
+    [(outcomes, _)] = grid_outcomes(
+        [column],
         context.dataset,
         resolved_scenarios,
-        pipeline_measures(pipelines),
         tuple(epsilons_255) if epsilons_255 is not None else config.epsilons_255,
         config.pgd_steps,
         config.seed,

@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -498,21 +499,27 @@ def _build_attack_grid(results: StageResults) -> Payload:
     attacks = runner.GRID_ATTACK_NAMES
     classifier, classes = results.classifier, results.item_classes
     pipelines = results.pipelines(RECOMMENDER_NAMES, config.cutoff)
-    outcomes, _ = runner.grid_outcomes(
+    column = runner.Column(
         {name: runner.Craft(classifier, name, classes) for name in attacks},
         classes,
+        runner.row_measures(
+            runner.pipeline_measures(pipelines),
+            partial(_grid_row, ladder_mode=config.ladder_mode),
+        ),
+    )
+    [(row_lists, _)] = runner.grid_outcomes(
+        [column],
         results.dataset,
         paper_scenarios(results.dataset.name, results.dataset.registry),
-        runner.pipeline_measures(pipelines),
         config.epsilons_255,
         config.pgd_steps,
         config.seed,
         config.ladder_mode,
     )
     rows = [
-        _grid_row(name, outcome, config.ladder_mode)
+        row
         for name in RECOMMENDER_NAMES
-        for outcome in runner.grid_order(outcomes, attacks, name)
+        for row in runner.grid_order(row_lists, attacks, name)
     ]
     return {}, {"rows": rows}
 

@@ -68,6 +68,21 @@ def _batch_windows(images: np.ndarray, window: int) -> np.ndarray:
     return patches.reshape(n, c, -1, window * window)
 
 
+def _mean_var(windows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean and variance over the last axis of a window copy.
+
+    The variance takes ``ndarray.var``'s own steps (squared deviations
+    from the mean, summed, over the count) but reuses the mean instead
+    of summing the windows a second time, so both values equal
+    ``windows.mean(-1)`` and ``windows.var(-1)`` bit for bit.
+    """
+    count = windows.shape[-1]
+    mean = windows.mean(axis=-1)
+    deviations = windows - mean[..., None]
+    np.multiply(deviations, deviations, out=deviations)
+    return mean, np.add.reduce(deviations, -1) / count
+
+
 def _check_window(shape: Tuple[int, ...], window: int) -> None:
     if window < 2:
         raise ValueError("window must be >= 2")
@@ -134,9 +149,9 @@ class SSIMReference:
             mean = np.empty((n, c, _window_count(self.images.shape, self.window)))
             var = np.empty_like(mean)
             for block in _blocks(self.images, self.window):
-                wx = _batch_windows(self.images[block], self.window)
-                mean[block] = wx.mean(axis=-1)
-                var[block] = wx.var(axis=-1)
+                mean[block], var[block] = _mean_var(
+                    _batch_windows(self.images[block], self.window)
+                )
             self._statistics = (mean, var)
         return self._statistics
 
@@ -196,9 +211,7 @@ def batch_ssim(
     for block in _blocks(x, window):
         mu_x = clean_mean[block]
         var_x = clean_var[block]
-        wy = _batch_windows(y[block], window)
-        mu_y = wy.mean(axis=-1)
-        var_y = wy.var(axis=-1)
+        mu_y, var_y = _mean_var(_batch_windows(y[block], window))
         # Windows of the product image are the products of the windows,
         # so the clean side needs no window copy for the covariance.
         cov = _batch_windows(x[block] * y[block], window).mean(axis=-1) - mu_x * mu_y

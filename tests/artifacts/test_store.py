@@ -159,6 +159,19 @@ class TestArtifactStore:
         assert loaded.meta["note"] == "hi"
         np.testing.assert_array_equal(loaded.arrays["weights"], ARRAYS["weights"])
 
+    def test_load_opens_the_archive_once(self, tmp_path, monkeypatch):
+        store = ArtifactStore(str(tmp_path))
+        store.save("stage_x", "deadbeef", ARRAYS, meta={"note": "hi"})
+        opened = []
+        real_load = np.load
+        monkeypatch.setattr(
+            np, "load", lambda *args, **kwargs: opened.append(args) or real_load(*args, **kwargs)
+        )
+        loaded = store.load("stage_x", "deadbeef")
+        assert len(opened) == 1
+        assert loaded.meta["note"] == "hi"
+        np.testing.assert_array_equal(loaded.arrays["bias"], ARRAYS["bias"])
+
     def test_missing_artifact(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
         assert not store.exists("stage_x", "cafecafe")

@@ -29,6 +29,17 @@ class TestGeneration:
             total = len(fb.train_items[user]) + (1 if fb.test_items[user] >= 0 else 0)
             assert total >= 5
 
+    def test_min_interactions_when_rejection_sampling_gives_up(self):
+        # 6 items, one category at 0.16 popularity: user 2's attempts run
+        # out at 4 distinct items unless the generator tops up.
+        item_categories = np.repeat(np.arange(2), 3)
+        fb = generate_feedback(
+            item_categories, [0.15789473684210525, 0.8421052631578947], num_users=3, seed=100406
+        )
+        fb.validate_split()
+        for user in range(fb.num_users):
+            assert len(fb.train_items[user]) + 1 >= 5
+
     def test_deterministic(self):
         a, b = small_feedback(seed=3), small_feedback(seed=3)
         assert np.array_equal(a.test_items, b.test_items)

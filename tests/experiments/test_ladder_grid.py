@@ -8,6 +8,8 @@ fingerprints the mode, and run manifests surface the attack accounting.
 """
 
 import dataclasses
+import multiprocessing as mp
+import os
 
 import numpy as np
 import pytest
@@ -23,10 +25,21 @@ from repro.experiments import (
     stage_fingerprints,
 )
 from repro.attacks.projections import epsilon_from_255
-from repro.core import paper_scenarios
-from repro.experiments.runner import build_cell_attack, build_ladder, per_cell_grid
+from repro.core import paper_scenarios, pipeline
+from repro.experiments import parallel
+from repro.experiments.parallel import WorkerTraceback
+from repro.experiments.runner import (
+    Column,
+    Craft,
+    build_cell_attack,
+    build_ladder,
+    grid_outcomes,
+    per_cell_grid,
+)
 from repro.experiments.stages import _grid_row
+from repro.metrics import batch_ssim
 from repro.telemetry import telemetry_session
+from tests.helpers import count_forks
 
 TINY = dict(
     scale=0.002,
@@ -220,3 +233,112 @@ class TestGridRowParity:
                 if key in ignore:
                     continue
                 assert a[key] == b[key], key
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestOneGridPass:
+    """Each job crafts and measures; its results equal a one-CPU run's."""
+
+    @staticmethod
+    def column(context, measures):
+        attacks = ("FGSM", "PGD")
+        return Column(
+            {name: Craft(context.classifier, name, context.item_classes) for name in attacks},
+            context.item_classes,
+            measures,
+        )
+
+    @staticmethod
+    def run_column(context, column):
+        config = context.config
+        [(outcomes, skipped)] = grid_outcomes(
+            [column],
+            context.dataset,
+            paper_scenarios(context.dataset.name, context.dataset.registry),
+            config.epsilons_255,
+            config.pgd_steps,
+            config.seed,
+            config.ladder_mode,
+        )
+        assert skipped == []
+        return outcomes
+
+    def test_forked_outcomes_equal_one_cpu_outcomes(self, context, monkeypatch):
+        cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        forked = run_attack_grids(context, ("VBPR", "AMR"))
+        assert len(forks) == 1
+        cpus(monkeypatch, 1)
+        serial = run_attack_grids(context, ("VBPR", "AMR"))
+        assert len(forks) == 1
+        for a_grid, b_grid in zip(forked, serial):
+            assert len(a_grid.outcomes) == len(b_grid.outcomes) > 0
+            for a, b in zip(a_grid.outcomes, b_grid.outcomes):
+                assert a.scores_after.tobytes() == b.scores_after.tobytes()
+                assert a.adversarial_images.tobytes() == b.adversarial_images.tobytes()
+                assert (a.scenario, a.attack_name, a.epsilon_255) == (
+                    b.scenario,
+                    b.attack_name,
+                    b.epsilon_255,
+                )
+                assert (a.chr_source_after, a.success_rate, a.visual) == (
+                    b.chr_source_after,
+                    b.success_rate,
+                    b.visual,
+                )
+
+    def test_one_ssim_reference_per_cohort(self, context, monkeypatch):
+        """Both paper scenarios attack the sock cohort: one SSIM clean
+        side serves every job, and the SSIM values are unchanged."""
+        cpus(monkeypatch, 1)
+        built = []
+        real = pipeline.ssim_reference
+        monkeypatch.setattr(
+            pipeline, "ssim_reference", lambda images: built.append(1) or real(images)
+        )
+        (grid,) = run_attack_grids(context, ("VBPR",))
+        scenarios = grid.scenarios
+        assert len({s.source for s in scenarios}) == 1 < len(scenarios)
+        assert len(built) == 1
+        for outcome in grid.outcomes:
+            images = context.dataset.images[outcome.attacked_item_ids]
+            assert outcome.visual.ssim == float(
+                np.mean(batch_ssim(images, outcome.adversarial_images))
+            )
+
+    def test_a_failing_measure_names_its_job(self, context, monkeypatch):
+        cpus(monkeypatch, 2)
+        parent = os.getpid()
+        raised = mp.get_context("fork").Event()
+
+        def measure(scenario, attack_name, cells):
+            if os.getpid() == parent:  # hold the first job until the worker fails
+                raised.wait(timeout=30)
+                return [0] * len(cells)
+            raised.set()
+            raise ArithmeticError(f"bad {attack_name}")
+
+        column = self.column(context, {"VBPR": measure})
+        with pytest.raises(ArithmeticError, match="bad") as caught:
+            self.run_column(context, column)
+        assert isinstance(caught.value.__cause__, WorkerTraceback)
+        assert "crafting and measuring" in str(caught.value.__cause__)
+        assert " on sock -> " in str(caught.value.__cause__)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_measures_run_on_one_blas_thread(self, context, count, monkeypatch):
+        np.dot(np.ones((2, 2)), np.ones((2, 2)))  # numpy's OpenBLAS is loaded
+        pools = parallel._openblas_pools()
+        if not pools:
+            pytest.skip("no OpenBLAS loaded")
+        cpus(monkeypatch, count)
+
+        def measure(scenario, attack_name, cells):
+            return [[get() for get, _ in pools] for _ in cells]
+
+        outcomes = self.run_column(context, self.column(context, {"VBPR": measure}))
+        threads = [t for results in outcomes.values() for t in results]
+        assert threads and threads == [[1] * len(pools)] * len(threads)

@@ -469,7 +469,7 @@ class TestForkedCrafting:
         with pytest.MonkeyPatch.context() as patch:
             forks = self.count_forks(patch, cpus=2)
             rows = self.rerun(cube)
-        assert len(forks) == 3  # one worker per defense column
+        assert len(forks) == 1  # one worker for the whole cube
         return rows
 
     def test_parallel_rows_equal_one_cpu_rows(self, cube, parallel_rows, monkeypatch):

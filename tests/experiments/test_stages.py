@@ -19,6 +19,7 @@ from repro.experiments import (
     stage_closure,
     stage_fingerprints,
 )
+from tests.helpers import count_forks
 
 TINY = dict(
     scale=0.002,
@@ -134,6 +135,23 @@ class TestRunCaching:
         outcome = next(o for o in manifest.stages if o.name == "features")
         assert outcome.reason == "forced rebuild"
         assert set(manifest.cache_hits) == set(STAGE_ORDER) - {"features"}
+
+    def test_forced_grid_rows_equal_on_one_and_two_cpus(
+        self, config, store_root, first_run, monkeypatch
+    ):
+        """The attack_grid stage's jobs craft and measure in a forked
+        worker and in-process alike: the rows are the same JSON text."""
+        forks = count_forks(monkeypatch)
+        rows = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            results, manifest = StageRunner(config, ArtifactStore(store_root)).run(
+                force=["attack_grid"]
+            )
+            assert manifest.built == ["attack_grid"]
+            rows[cpus] = json.dumps(results.grid_rows)
+            assert len(forks) == 1
+        assert rows[2] == rows[1] == json.dumps(first_run[0].grid_rows)
 
     def test_force_names_only_nodes_of_the_run(self, config):
         """``force`` accepts exactly what ``plan()`` lists for the run."""

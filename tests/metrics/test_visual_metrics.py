@@ -15,7 +15,7 @@ from repro.metrics import (
     ssim,
     ssim_reference,
 )
-from repro.metrics.ssim import _windows
+from repro.metrics.ssim import _mean_var, _windows
 from repro.nn import TinyResNet
 
 RNG = np.random.default_rng(9)
@@ -188,6 +188,13 @@ class TestBatchSSIMPinnedToPerImage:
         # One image per block: the ragged block walk covers every image.
         monkeypatch.setattr(module, "_BLOCK_ELEMENTS", 1)
         assert batch_ssim(x, y).tobytes() == expected
+
+    @pytest.mark.parametrize("shape", [(7, 3, 100, 49), (2, 3, 100, 49), (3, 3, 4, 64)])
+    def test_window_variance_reuses_the_mean_bitwise(self, shape):
+        windows = RNG.random(shape)
+        mean, var = _mean_var(windows)
+        assert mean.tobytes() == windows.mean(axis=-1).tobytes()
+        assert var.tobytes() == windows.var(axis=-1).tobytes()
 
     def test_empty_batch(self):
         x = np.zeros((0, 3, 8, 8))
