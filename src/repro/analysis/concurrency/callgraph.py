@@ -25,6 +25,10 @@ MUTATING_METHODS = frozenset(
     {"fill", "sort", "partition", "put", "itemset", "resize"}
 )
 
+#: Queue/pipe-end methods that write one whole message, and that read one.
+SEND_METHODS = ("send", "send_bytes", "put")
+RECV_METHODS = ("recv", "recv_bytes")
+
 
 class FunctionInfo:
     """One function or method definition somewhere in the module set."""
@@ -265,6 +269,59 @@ class CallGraph:
                         seen.add(callee)
                         stack.append(callee)
         return seen
+
+    # -- wire helpers ------------------------------------------------------- #
+    def wire_helpers(self, methods: Sequence[str]) -> Dict[FunctionInfo, Tuple[str, Set[str]]]:
+        """Functions that call one of ``methods`` on one of their parameters.
+
+        ``{function: (end parameter, carried parameters)}``: the helper
+        writes (or reads) on whatever end its caller binds to the end
+        parameter, and the carried parameters are those named inside
+        that call's arguments — ``conn.send_bytes(pickle.dumps(message))``
+        carries ``message``.  A call to such a helper is a send or recv
+        on the caller's end, which the wire rules must see as one.
+        """
+        helpers: Dict[FunctionInfo, Tuple[str, Set[str]]] = {}
+        for info in self.functions:
+            for node in body_walk(info.node):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in methods
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in info.params
+                    and node.func.value.id != "self"
+                ):
+                    continue
+                carried = {
+                    name.id
+                    for arg in node.args
+                    for name in ast.walk(arg)
+                    if isinstance(name, ast.Name) and name.id in info.params
+                }
+                helpers[info] = (node.func.value.id, carried)
+                break
+        return helpers
+
+    def wire_call(
+        self,
+        call: ast.Call,
+        caller: FunctionInfo,
+        helpers: Dict[FunctionInfo, Tuple[str, Set[str]]],
+    ) -> Optional[Tuple[FunctionInfo, ast.AST, List[ast.AST]]]:
+        """``(helper, end argument, carried arguments)`` of a helper call."""
+        for callee in self.resolve(call, caller):
+            if callee not in helpers:
+                continue
+            end_param, carried = helpers[callee]
+            bindings = [
+                (arg, self.param_for_arg(callee, call, position=i))
+                for i, arg in enumerate(call.args)
+            ] + [(kw.value, kw.arg) for kw in call.keywords if kw.arg is not None]
+            ends = [arg for arg, param in bindings if param == end_param]
+            if ends:
+                return callee, ends[0], [arg for arg, param in bindings if param in carried]
+        return None
 
     # -- mutation summaries ------------------------------------------------- #
     def param_for_arg(

@@ -4,7 +4,9 @@ The sharded serving tier speaks a tiny ``(op, seq, payload)`` protocol:
 ops are string literals constructed at ``ShardHandle.call/cast/send``
 sites (``send`` is the first half of a split send/collect call) and in
 raw wire tuples such as the ``inbox.send(("stop", …))`` shutdown path,
-via ``send`` or ``put``; they are consumed by string comparisons in
+via ``send`` or ``put`` or a wire helper that sends what it is given
+(``_send_message(inbox, ("stop", …))``); they are consumed by string
+comparisons in
 ``_dispatch`` / the worker loop.  Nothing checks
 the two sides against each other — a typo'd op string fails at runtime
 with an opaque "unknown op", a removed caller leaves a dead handler, and
@@ -29,7 +31,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..engine import ParsedModule, Violation
 from ..rules import ProjectRule
-from .callgraph import CallGraph, FunctionInfo, body_walk
+from .callgraph import SEND_METHODS, CallGraph, FunctionInfo, body_walk
 
 #: Handler-side entry points: the dispatch table plus the worker loop
 #: (which consumes "stop" before dispatch).
@@ -174,6 +176,18 @@ def _caller_payload_keys(
     return None
 
 
+def _wire_tuple_op(expr: ast.AST) -> Optional[str]:
+    """The op of a raw ``(op, seq, payload)`` wire tuple literal."""
+    if (
+        isinstance(expr, ast.Tuple)
+        and expr.elts
+        and isinstance(expr.elts[0], ast.Constant)
+        and isinstance(expr.elts[0].value, str)
+    ):
+        return expr.elts[0].value
+    return None
+
+
 def _payload_expr(call: ast.Call) -> Optional[ast.AST]:
     """The payload argument of a wire-method call (positional or keyword)."""
     if len(call.args) > 1:
@@ -200,7 +214,8 @@ class RpcProtocolRule(ProjectRule):
     KeyError on the next invocation.  This rule rebuilds both sides of
     the protocol from the ASTs — handler table from `_dispatch`/the
     worker loop, op constructions from call/cast/send sites and raw
-    wire tuples passed to send/put — and cross-checks ops and
+    wire tuples passed to send/put or to a helper that sends them —
+    and cross-checks ops and
     statically resolvable payload keys in both directions.
     """
 
@@ -284,6 +299,7 @@ class RpcProtocolRule(ProjectRule):
         self, graph: CallGraph
     ) -> Dict[str, List[Tuple[ast.AST, ParsedModule, Optional[Set[str]]]]]:
         callers: Dict[str, List[Tuple[ast.AST, ParsedModule, Optional[Set[str]]]]] = {}
+        senders = graph.wire_helpers(SEND_METHODS)
         for func in graph.functions:
             # Handlers replying through the outbox are not op constructors.
             handler_side = func.name in HANDLER_FUNCS
@@ -298,17 +314,21 @@ class RpcProtocolRule(ProjectRule):
                 if attr in WIRE_METHODS and literal_op:
                     keys = _caller_payload_keys(func, _payload_expr(node))
                     callers.setdefault(first.value, []).append((node, func.module, keys))
-                elif attr in ("put", "send") and not handler_side:
-                    # Raw wire tuples: inbox.send(("stop", seq, None)).
-                    if (
-                        isinstance(first, ast.Tuple)
-                        and first.elts
-                        and isinstance(first.elts[0], ast.Constant)
-                        and isinstance(first.elts[0].value, str)
-                    ):
-                        payload_expr = first.elts[2] if len(first.elts) > 2 else None
-                        keys = _caller_payload_keys(func, payload_expr)
-                        callers.setdefault(first.elts[0].value, []).append(
-                            (node, func.module, keys)
-                        )
+                    continue
+                if handler_side:
+                    continue
+                # Raw wire tuples: inbox.send(("stop", seq, None)), or
+                # the same tuple handed to a helper that sends it.
+                if attr in ("put", "send"):
+                    messages = [first]
+                else:
+                    bound = graph.wire_call(node, func, senders)
+                    messages = bound[2] if bound is not None else []
+                for message in messages:
+                    op = _wire_tuple_op(message)
+                    if op is None:
+                        continue
+                    payload_expr = message.elts[2] if len(message.elts) > 2 else None
+                    keys = _caller_payload_keys(func, payload_expr)
+                    callers.setdefault(op, []).append((node, func.module, keys))
         return callers

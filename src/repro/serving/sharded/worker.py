@@ -3,7 +3,12 @@
 One shard lives in one worker process.  The protocol is deliberately
 tiny: the router sends ``(op, seq, payload)`` tuples down a simplex
 inbox pipe and the worker answers ``(seq, status, payload)`` up its
-outbox pipe, each side pickling on its own thread (no feeder threads).
+outbox pipe.  Every message in both directions is one plain
+``pickle.dumps(..., HIGHEST_PROTOCOL)`` written with ``send_bytes`` and
+read back by ``recv_bytes`` (:func:`_send_message` /
+:func:`_recv_message`), each side on its own thread (no feeder threads).
+A served top-N list crosses as a list of ints, which pickles in a third
+of an ndarray's time; the router rebuilds the array.
 Recommendation calls are synchronous (:meth:`ProcessShardHandle.call`),
 or split into :meth:`~ProcessShardHandle.send` and
 :meth:`~ProcessShardHandle.collect` so a batch reaches every shard
@@ -11,6 +16,9 @@ before the router waits for any; invalidation fan-out is asynchronous
 (:meth:`ProcessShardHandle.cast` returns after sending, acks are
 drained later by :meth:`flush`) so an attack push never blocks the
 router behind one slow shard.
+
+Each handle registers its outbox with one ``select.poll`` object at
+start-up, so waiting for a reply sets up no selector per call.
 
 Backpressure is explicit: a ``cast`` finding ``backlog`` acks
 outstanding waits up to its timeout for one, then raises
@@ -38,6 +46,7 @@ run on, and the process backend only adds transport.
 from __future__ import annotations
 
 import multiprocessing as mp
+import pickle
 import select
 from typing import Dict, List, Optional
 
@@ -115,13 +124,27 @@ def _error_reply(shard_id: int, op: Optional[str], seq: int, exc: BaseException)
 
 
 # --------------------------------------------------------------------- #
+# The wire: one pickle per message, both directions
+# --------------------------------------------------------------------- #
+def _send_message(conn, message) -> None:
+    """Write one message; it is pickled whole before any byte is written."""
+    conn.send_bytes(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+
+
+def _recv_message(conn):
+    """Read one message written by :func:`_send_message` (blocks)."""
+    return pickle.loads(conn.recv_bytes())
+
+
+# --------------------------------------------------------------------- #
 # Worker-side loop
 # --------------------------------------------------------------------- #
 def _dispatch(shard: Shard, op: str, payload):
     if op == "ping":
         return {"shard_id": shard.shard_id, "users": int(shard.user_ids.size)}
     if op == "recommend":
-        return shard.recommend(payload["user"], n=payload.get("n"))
+        # A list of ints: what crosses the pipe (the router rebuilds it).
+        return shard.recommend(payload["user"], n=payload.get("n")).tolist()
     if op == "recommend_many":
         return shard.recommend_many(payload["users"], n=payload.get("n"))
     if op == "warm":
@@ -161,14 +184,14 @@ def shard_worker_main(spec: ShardSpec, inbox, outbox) -> None:
             # side fails the op that exposed it (ShmRaceError in the
             # error reply) instead of a parity diff much later.
             sentinel = ShmWriteSentinel(shard.scorer.bank)
-        outbox.send((0, "ok", {"shard_id": spec.shard_id}))
+        _send_message(outbox, (0, "ok", {"shard_id": spec.shard_id}))
     except Exception as exc:  # construction failed: report, don't serve
-        outbox.send((0, "error", _error_reply(spec.shard_id, "start", 0, exc)))
+        _send_message(outbox, (0, "error", _error_reply(spec.shard_id, "start", 0, exc)))
         return
     try:
         while True:
             try:
-                op, seq, payload = inbox.recv()
+                op, seq, payload = _recv_message(inbox)
             except EOFError:  # every router end closed: nobody to serve
                 return
             if op == "stop":
@@ -178,9 +201,11 @@ def shard_worker_main(spec: ShardSpec, inbox, outbox) -> None:
                 if sentinel is not None:
                     sentinel.verify(op=op, seq=seq)
             except Exception as exc:
-                outbox.send((seq, "error", _error_reply(shard.shard_id, op, seq, exc)))
+                _send_message(
+                    outbox, (seq, "error", _error_reply(shard.shard_id, op, seq, exc))
+                )
             else:
-                outbox.send((seq, "ok", result))
+                _send_message(outbox, (seq, "ok", result))
     finally:
         if shard is not None:
             shard.close()
@@ -217,6 +242,8 @@ class ProcessShardHandle:
         self._proc.start()
         worker_inbox.close()
         worker_outbox.close()
+        self._poller = select.poll()
+        self._poller.register(self._outbox, select.POLLIN)
         self._seq = 0
         self._acks: Dict[int, tuple] = {}
         self._outstanding: set = set()
@@ -240,11 +267,12 @@ class ProcessShardHandle:
                     f"within {timeout_s:.1f}s"
                 )
             try:
-                if not self._outbox.poll(min(remaining, 0.5)):
+                # Readable, hung up or closed: the read below tells which.
+                if not self._poller.poll(1e3 * min(remaining, 0.5)):
                     if not self.alive():
                         raise self._worker_death()
                     continue
-                seq, status, payload = self._outbox.recv()
+                seq, status, payload = _recv_message(self._outbox)
             except (EOFError, OSError) as exc:
                 raise self._worker_death() from exc
             self._outstanding.discard(seq)
@@ -266,13 +294,14 @@ class ProcessShardHandle:
         :meth:`call` split in two, so a caller can send to every shard
         before it waits for any and the workers run side by side.
         """
-        self._seq += 1
+        seq = self._seq + 1
         try:
-            self._inbox.send((op, self._seq, payload))
+            _send_message(self._inbox, (op, seq, payload))
         except OSError as exc:  # BrokenPipeError, or a closed handle
             raise self._worker_death() from exc
-        self._outstanding.add(self._seq)
-        return self._seq
+        self._seq = seq
+        self._outstanding.add(seq)
+        return seq
 
     def collect(self, ticket: int, timeout_s: Optional[float] = None):
         """The reply to a :meth:`send` ticket (raises as :meth:`call` would)."""
@@ -312,7 +341,7 @@ class ProcessShardHandle:
             return
         try:
             if self.alive() and select.select([], [self._inbox], [], 1.0)[1]:
-                self._inbox.send(("stop", self._seq + 1, None))
+                _send_message(self._inbox, ("stop", self._seq + 1, None))
         except OSError:
             pass
         self._proc.join(timeout=timeout_s)

@@ -4,8 +4,10 @@ Never imported; parsed by the lint self-tests.  The rule rebuilds both
 sides of the ``(op, seq, payload)`` protocol from this file alone: the
 handler table from ``_dispatch``/``shard_worker_main`` and the op
 constructions from ``call``/``cast``/``send`` sites and raw wire tuples
-passed to ``send``/``put``.
+passed to ``send``/``put`` or to a helper that sends what it is given.
 """
+
+import pickle
 
 
 def _dispatch(shard, op, payload):
@@ -20,12 +22,20 @@ def _dispatch(shard, op, payload):
         return shard.reset(payload["reason"])  # VIOLATION: no fan-out payload sets "reason"
     if op == "ping":
         return shard.shard_id
+    if op == "drain":
+        # Kept alive only by a wire tuple handed to the send helper.
+        deadline = payload["deadline"]
+        return shard.drain(deadline, payload["budget"])  # VIOLATION: no call site sets "budget"
     if op == "update":
         epoch = payload["epoch"]  # VIOLATION: no call site sets "epoch"
         if "features" in payload:
             shard.update(epoch, payload["features"])
         return epoch
     raise ValueError(op)
+
+
+def _send_message(conn, message):
+    conn.send_bytes(pickle.dumps(message))
 
 
 def shard_worker_main(spec, inbox, outbox):
@@ -61,6 +71,13 @@ class Handle:
 
     def piped_typo(self):
         self.inbox.send(("recomend", 1, {"user": 1}))  # VIOLATION: unknown op
+
+    def drain(self):
+        # The helper sends its message argument: a raw wire tuple too.
+        _send_message(self.inbox, ("drain", 0, {"deadline": 1.0}))
+
+    def helper_typo(self):
+        _send_message(self.inbox, ("stpo", 0, None))  # VIOLATION: unknown op
 
 
 class Router:

@@ -3,9 +3,14 @@
 Never imported; parsed by the lint self-tests.  Queues, pipe ends and
 locks are recognised by the serving tier's naming conventions
 (``inbox``/``outbox``/``*queue*``, ``*lock*``/``*mutex*``); any other
-receiver's ``send(op, …)`` is a handle's split send.
+receiver's ``send(op, …)`` is a handle's split send.  A wire helper that
+reads or writes on an end it is passed counts as that recv or send at
+its call sites; a ``select.poll`` object polls the ends registered with
+it.
 """
 
+import pickle
+import select
 import threading
 
 state_lock = threading.Lock()
@@ -99,6 +104,65 @@ class SplitHandle:
         raise TimeoutError(ticket)
 
 
+def _send_message(conn, message):
+    conn.send_bytes(pickle.dumps(message))  # not a queue name: the call sites are checked
+
+
+def _recv_message(conn):
+    return pickle.loads(conn.recv_bytes())  # not a queue name: the call sites are checked
+
+
+class WireHandle:
+    """Wire helpers and a registered poller in place of recv()/poll()."""
+
+    def __init__(self, inbox, outbox):
+        self.inbox = inbox
+        self.outbox = outbox
+        self._lock = threading.Lock()
+        self._poller = select.poll()
+        self._poller.register(self.outbox, select.POLLIN)
+        self._inbox_poller = select.poll()
+        self._inbox_poller.register(self.inbox, select.POLLIN)
+
+    def take(self, timeout_ms):
+        if self._poller.poll(timeout_ms):
+            return _recv_message(self.outbox)  # bounded registered poller: fine
+        return None
+
+    def take_unpolled(self):
+        return _recv_message(self.outbox)  # VIOLATION: decode with no bounded poll
+
+    def take_poller_forever(self):
+        self._poller.poll()  # a poller's poll() with no timeout never returns empty
+        return _recv_message(self.outbox)  # VIOLATION: unbounded poller poll
+
+    def take_poller_none(self):
+        self._poller.poll(None)
+        return _recv_message(self.outbox)  # VIOLATION: poll(None) is no bound
+
+    def take_poller_negative(self):
+        self._poller.poll(-1)
+        return _recv_message(self.outbox)  # VIOLATION: a negative timeout is no bound
+
+    def take_other_poller(self, timeout_ms):
+        self._inbox_poller.poll(timeout_ms)
+        return _recv_message(self.outbox)  # VIOLATION: that poller watches the inbox
+
+    def take_bytes(self):
+        return self.outbox.recv_bytes()  # VIOLATION: recv_bytes with no bounded poll
+
+    def put_message(self, message):
+        _send_message(self.inbox, message)  # no lock held: fine
+
+    def put_message_locked(self, message):
+        with self._lock:
+            _send_message(self.inbox, message)  # VIOLATION: helper send under a lock
+
+    def send_bytes_locked(self, data):
+        with self._lock:
+            self.inbox.send_bytes(data)  # VIOLATION: send_bytes under a lock
+
+
 def forward():
     with state_lock:
         with stats_lock:  # VIOLATION: opposite order from backward()
@@ -119,3 +183,4 @@ def shard_worker_main(inbox, outbox):
             break
         outbox.put(task)
         outbox.send(inbox.recv())
+        _send_message(outbox, _recv_message(inbox))

@@ -175,3 +175,31 @@ def test_jobs_run_on_one_blas_thread(count, monkeypatch):
     threads = forked_map(lambda i: [get() for get, _ in pools], 4, describe)
     assert threads == [[1] * len(pools)] * 4
     assert [get() for get, _ in pools] == before
+
+
+def test_blas_pools_are_resolved_once_per_process(monkeypatch):
+    np.dot(np.ones((2, 2)), np.ones((2, 2)))  # numpy's OpenBLAS is loaded
+    with parallel.one_blas_thread():
+        pass  # resolves the pools, if nothing has yet
+    pools = parallel._openblas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS loaded")
+    real_open = open
+    opened = []
+
+    def watching_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    original = [get() for get, _ in pools]
+    monkeypatch.setattr("builtins.open", watching_open)
+    try:
+        for _, set_ in pools:
+            set_(2)  # a count the block must restore, not the default
+        with parallel.one_blas_thread():
+            assert [get() for get, _ in pools] == [1] * len(pools)
+        assert [get() for get, _ in pools] == [2] * len(pools)
+    finally:
+        for (_, set_), count in zip(pools, original):
+            set_(count)
+    assert "/proc/self/maps" not in opened
