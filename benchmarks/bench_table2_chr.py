@@ -30,25 +30,22 @@ def all_grids(men_grids, women_grids):
     return [*men_grids, *women_grids]
 
 
-def test_table2_chr_after_attack(men_context, women_context, all_grids, benchmark):
+def test_table2_chr_after_attack(men_context, all_grids, benchmark):
     epsilons = men_context.config.epsilons_255
-    print("\n" + format_table2(all_grids, epsilons))
+    print("\n" + format_table2([row for grid in all_grids for row in grid.rows()], epsilons))
 
-    # Persist machine-readable records next to the cache for provenance.
+    # Persist the grid rows next to the cache for provenance.
     import os
 
-    from repro.experiments import save_records
+    from repro.artifacts import write_json
 
     from conftest import CACHE_DIR
 
-    save_records(
-        all_grids[:2], men_context.config, os.path.join(CACHE_DIR, "table2_men.json")
-    )
-    save_records(
-        all_grids[2:],
-        women_context.config,
-        os.path.join(CACHE_DIR, "table2_women.json"),
-    )
+    for name, grids in (("men", all_grids[:2]), ("women", all_grids[2:])):
+        write_json(
+            os.path.join(CACHE_DIR, f"table2_{name}.json"),
+            [row for grid in grids for row in grid.rows()],
+        )
 
     # --- Shape assertions mirroring the paper's discussion of Table II ---
     for grid in all_grids:

@@ -27,7 +27,7 @@ def grids(men_grids, women_grids):
 
 def test_table3_attack_success_probability(men_context, grids, benchmark):
     epsilons = men_context.config.epsilons_255
-    print("\n" + format_table3(grids, epsilons))
+    print("\n" + format_table3([row for grid in grids for row in grid.rows()], epsilons))
 
     for grid in grids:
         for scenario in grid.scenarios:

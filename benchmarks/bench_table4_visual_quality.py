@@ -33,7 +33,7 @@ def grids(men_grids, women_grids):
 def test_table4_visual_quality(men_context, grids, benchmark):
     epsilons = men_context.config.epsilons_255
     for name, grid in grids.items():
-        print(f"\n[{name}] " + format_table4(grid, epsilons))
+        print(f"\n[{name}] " + format_table4(grid.rows(), epsilons))
 
     for grid in grids.values():
         for attack_name in ("FGSM", "PGD"):

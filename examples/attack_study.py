@@ -41,9 +41,9 @@ def main() -> None:
         grids.append(run_attack_grid(context, model_name))
 
     print()
-    print(format_table2(grids, config.epsilons_255))
+    print(format_table2([row for grid in grids for row in grid.rows()], config.epsilons_255))
     print()
-    print(format_table3(grids[:1], config.epsilons_255))
+    print(format_table3(grids[0].rows(), config.epsilons_255))
 
     # Headline comparison: mean CHR uplift per model.
     print("\nMean CHR uplift of the attacked category (percentage points):")

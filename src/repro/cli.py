@@ -12,8 +12,9 @@ Four subcommands cover the daily workflows::
     python -m repro lint    --explain
     python -m repro lint    --select RPR003 --format json
 
-``stats`` prints Table I-style dataset statistics; ``train`` builds (and
-optionally caches) the full experiment context; ``attack`` runs a single
+``stats`` prints Table I-style dataset statistics; ``train`` runs (and
+optionally caches) the training stages of the ``run`` DAG and prints
+their manifest and ranking metrics; ``attack`` runs a single
 TAaMR attack and reports CHR / success / visual metrics; ``tables``
 regenerates the paper's Tables II-IV on one dataset (the ``tables``
 stage of the ``run`` DAG, printed); ``run`` executes the experiment stage
@@ -38,6 +39,7 @@ from typing import List, Optional
 from .attacks import BIM, FGSM, MIM, PGD, epsilon_from_255
 from .core import TAaMRPipeline, make_scenario
 from .experiments import build_context, format_table1, men_config, women_config
+from .telemetry.session import current_report
 
 ATTACKS = {
     "fgsm": lambda model, eps, steps, seed: FGSM(model, eps),
@@ -113,7 +115,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    context = _build(args)
+    from .artifacts import ArtifactStore
+    from .experiments import StageRunner, format_manifest
+
+    store = ArtifactStore(args.cache_dir) if args.cache_dir else None
+    runner = StageRunner(_make_config(args), store=store, verbose=not args.quiet)
+    context, manifest = runner.run(stages=["vbpr", "amr"])
+    print(format_manifest(manifest))
     accuracy = context.classifier_accuracy
     print(
         "classifier accuracy: "
@@ -234,8 +242,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    from .telemetry.session import current_report
-
     manifest.telemetry = current_report()
     print(format_manifest(manifest))
     if args.manifest:
@@ -252,8 +258,13 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     import json as json_module
 
     from .artifacts import ArtifactStore
-    from .experiments import MatrixConfig, MatrixRunner, format_cube
-    from .experiments.stages import format_plan
+    from .experiments import (
+        MatrixConfig,
+        MatrixRunner,
+        format_cube,
+        format_manifest,
+        format_plan,
+    )
 
     base = _dag_config(args)
     if base is None:
@@ -311,18 +322,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    built, hits = len(manifest.built), len(manifest.cache_hits)
-    print(
-        f"scenario matrix — {len(config.defenses)} defense(s) x "
-        f"{len(config.attacks)} attack(s) x {len(config.recommenders)} "
-        f"recommender(s): {len(results.rows)} rows, "
-        f"{hits} cache hit(s), {built} built, {manifest.total_seconds:.3f}s"
-    )
-    for attack, rate in manifest.success_rates.items():
-        print(f"  mean success [{attack}]: {rate:.3f}")
-    if manifest.skipped_scenarios:
-        for defense, skipped in sorted(manifest.skipped_scenarios.items()):
-            print(f"  skipped under {defense}: {', '.join(skipped)}")
+    manifest.telemetry = current_report()
+    print(format_manifest(manifest))
     print()
     print(format_cube(results.rows))
     if args.manifest:

@@ -48,9 +48,9 @@ White-box convention: for retraining defenses the adversary attacks the
 and ``detector`` act at ingest time, after crafting.
 
 Results land in a cube of rows — the ``attack_grid`` row schema plus
-``defense`` and ``flagged_items`` columns — and a
-:class:`MatrixManifest` recording per-cell fingerprints and
-hit/built actions, behind ``python -m repro matrix``.
+``defense`` and ``flagged_items`` columns — and the stage runs'
+:class:`~repro.experiments.stages.RunManifest`, recording per-cell
+fingerprints and hit/built actions, behind ``python -m repro matrix``.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..artifacts import MemoryArtifactStore, Store, write_json
+from ..artifacts import MemoryArtifactStore, Store
 from ..attacks import LadderCell
 from ..attacks.base import AttackResult
 from ..attacks.projections import epsilon_from_255
@@ -88,18 +88,16 @@ from ..nn import TinyResNet
 from ..recommenders import BPRMF, BPRMFConfig
 from ..telemetry import Stopwatch
 from .config import ExperimentConfig
-from .runner import Column, Craft, grid_outcomes, pipeline_measures, row_measures
+from .runner import Column, Craft, grid_outcomes, grid_row, pipeline_measures, row_measures
 from .stages import (
-    STAGE_ORDER,
     Node,
     NodeExecutor,
-    StageOutcome,
+    RunManifest,
     StagePlan,
     StageResults,
     _catalog_features,
     _classifier,
     _fitted,
-    _grid_row,
     _load_catalog_features,
     _load_classifier,
     _make_amr,
@@ -521,7 +519,7 @@ def _cube_row(
 ) -> Dict[str, Any]:
     """One cube row: the ``attack_grid`` row plus the defense columns."""
     return {
-        **_grid_row(recommender, outcome, ladder_mode),
+        **grid_row(recommender, outcome, ladder_mode),
         "defense": defense,
         "flagged_items": int(outcome.attack_metadata.get("screen_flagged", 0)),
     }
@@ -623,61 +621,8 @@ def _defense(config: MatrixConfig, defense: str) -> Tuple[Callable, Callable]:
 
 
 # --------------------------------------------------------------------- #
-# Manifest and results
+# Results
 # --------------------------------------------------------------------- #
-
-
-@dataclass
-class MatrixManifest:
-    """Provenance record of one matrix run: base stages + matrix nodes."""
-
-    config: Dict[str, Any]
-    store_root: Optional[str]
-    base_stages: List[StageOutcome] = field(default_factory=list)
-    nodes: List[StageOutcome] = field(default_factory=list)
-    attack_stats: Optional[Dict[str, Any]] = None
-    success_rates: Dict[str, float] = field(default_factory=dict)
-    skipped_scenarios: Dict[str, List[str]] = field(default_factory=dict)
-
-    @property
-    def cells(self) -> Dict[str, str]:
-        """Per-cell fingerprints (node name → fingerprint)."""
-        return {
-            node.name: node.fingerprint
-            for node in self.nodes
-            if node.name.startswith("cell:")
-        }
-
-    @property
-    def built(self) -> List[str]:
-        return [n.name for n in self.base_stages + self.nodes if n.action == "built"]
-
-    @property
-    def cache_hits(self) -> List[str]:
-        return [n.name for n in self.base_stages + self.nodes if n.action == "hit"]
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(n.seconds for n in self.base_stages + self.nodes)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "manifest_version": 1,
-            "config": self.config,
-            "store_root": self.store_root,
-            "total_seconds": self.total_seconds,
-            "built": self.built,
-            "cache_hits": self.cache_hits,
-            "base_stages": [o.as_dict() for o in self.base_stages],
-            "nodes": [o.as_dict() for o in self.nodes],
-            "cells": self.cells,
-            "attack_stats": self.attack_stats,
-            "success_rates": self.success_rates,
-            "skipped_scenarios": self.skipped_scenarios,
-        }
-
-    def save(self, path: str) -> None:
-        write_json(path, self.as_dict())
 
 
 @dataclass
@@ -842,7 +787,7 @@ class MatrixRunner:
         )
 
     # -- execution ------------------------------------------------------- #
-    def run(self, force: Sequence[str] = ()) -> Tuple[MatrixResults, MatrixManifest]:
+    def run(self, force: Sequence[str] = ()) -> Tuple[MatrixResults, RunManifest]:
         """Run every configured cell, loading whatever is still valid.
 
         ``force`` names nodes of :meth:`plan` (``classifier``,
@@ -943,13 +888,12 @@ class MatrixRunner:
             if node.kind == "matrix_cell"
             for row in rows_by_cell[node.name]
         ]
-        manifest = MatrixManifest(
-            config={**asdict(config), "base": asdict(config.base)},
+        manifest = RunManifest(
+            config_key=config.base.cache_key(),
+            config=asdict(config),
             store_root=self.store.root,
-            base_stages=[o for o in executor.outcomes if o.name in STAGE_ORDER],
-            nodes=[o for o in executor.outcomes if o.name not in STAGE_ORDER],
+            stages=executor.outcomes,
             attack_stats=attack_stats_from_rows(all_rows),
-            success_rates=success_rates_by_attack(all_rows),
             skipped_scenarios=skipped_by_defense,
         )
         return (
@@ -958,35 +902,9 @@ class MatrixRunner:
         )
 
 
-def run_matrix(
-    config: MatrixConfig,
-    store: Optional[Store] = None,
-    force: Sequence[str] = (),
-    verbose: bool = False,
-) -> Tuple[MatrixResults, MatrixManifest]:
-    """One-shot convenience wrapper around :class:`MatrixRunner`."""
-    return MatrixRunner(config, store=store, verbose=verbose).run(force=force)
-
-
 # --------------------------------------------------------------------- #
 # Cube views
 # --------------------------------------------------------------------- #
-
-
-def success_rates_by_attack(rows: Sequence[Dict[str, Any]]) -> Dict[str, float]:
-    """Mean targeted success rate per attack across the whole cube.
-
-    Per-row rates come from
-    :func:`~repro.attacks.evaluation.targeted_success_rate` via
-    ``AttackResult.success_rate``; this aggregates them for the
-    manifest's summary block.
-    """
-    by_attack: Dict[str, List[float]] = {}
-    for row in rows:
-        by_attack.setdefault(str(row["attack"]), []).append(float(row["success_rate"]))
-    return {
-        attack: float(np.mean(rates)) for attack, rates in sorted(by_attack.items())
-    }
 
 
 def format_cube(rows: Sequence[Dict[str, Any]]) -> str:

@@ -6,14 +6,16 @@ the visual metrics — exactly how the paper derives all three tables
 from one set of attack executions.  Every grid, and every defense
 column of a scenario cube, runs through :func:`grid_outcomes`: one job
 per (column, scenario, attack) crafts, delivers and measures, and all
-jobs of one call run in one forked pass.
+jobs of one call run in one forked pass.  :func:`grid_row` turns each
+outcome into the one row schema every run stores, and the table
+formatters render those rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +41,9 @@ from ..core import (
 )
 from ..telemetry import active_metrics, span
 from .parallel import forked_map
-from .stages import StageResults
+
+if TYPE_CHECKING:
+    from .stages import StageResults
 
 GRID_ATTACK_NAMES = ("FGSM", "PGD")
 
@@ -58,6 +62,11 @@ class AttackGrid:
     pipeline: TAaMRPipeline
     scenarios: List[AttackScenario]
     outcomes: List[AttackOutcome]
+    ladder_mode: str = "exact"
+
+    def rows(self) -> List[Dict[str, Any]]:
+        """The grid's outcomes as :func:`grid_row` rows, in outcome order."""
+        return [grid_row(self.recommender_name, o, self.ladder_mode) for o in self.outcomes]
 
     def cells(
         self,
@@ -70,6 +79,39 @@ class AttackGrid:
         if attack_name is not None:
             selected = [o for o in selected if o.attack_name == attack_name]
         return selected
+
+
+def grid_row(
+    recommender_name: str, outcome: AttackOutcome, ladder_mode: str
+) -> Dict[str, Any]:
+    """One attack-grid row: the JSON-safe record of one outcome.
+
+    The only place an :class:`AttackOutcome` becomes a row: the
+    ``attack_grid`` stage stores these, the scenario cube adds its
+    defense columns on top, and the table formatters read them.
+    """
+    metadata = outcome.attack_metadata
+    return {
+        "recommender": recommender_name,
+        "source": outcome.scenario.source,
+        "target": outcome.scenario.target,
+        "semantically_similar": outcome.scenario.semantically_similar,
+        "attack": outcome.attack_name,
+        "epsilon_255": float(outcome.epsilon_255),
+        "chr_source_before": float(outcome.chr_source_before),
+        "chr_target_before": float(outcome.chr_target_before),
+        "chr_source_after": float(outcome.chr_source_after),
+        "success_rate": float(outcome.success_rate),
+        "psnr": float(outcome.visual.psnr),
+        "ssim": float(outcome.visual.ssim),
+        "psm": float(outcome.visual.psm),
+        "num_attacked_items": int(outcome.attacked_item_ids.size),
+        "ladder_mode": ladder_mode,
+        "attack_iterations": int(metadata.get("iterations", 0)),
+        "attack_forwards": float(metadata.get("forwards", 0.0)),
+        "attack_backwards": float(metadata.get("backwards", 0.0)),
+        "early_exited": int(metadata.get("early_exited", 0)),
+    }
 
 
 def build_cell_attack(
@@ -489,6 +531,7 @@ def run_attack_grids(
             pipeline=pipelines[name],
             scenarios=resolved_scenarios,
             outcomes=grid_order(outcomes, attacks, name),
+            ladder_mode=config.ladder_mode,
         )
         for name in names
     ]
@@ -569,63 +612,77 @@ def format_table1(stats: Dict[str, Dict[str, float]]) -> str:
     return "\n".join(lines)
 
 
-def format_table2(grids: Sequence[AttackGrid], epsilons_255: Sequence[float]) -> str:
+#: A row of :func:`grid_row` (or a cube row, which extends it).
+Row = Dict[str, Any]
+
+
+def _scenario_groups(rows: Sequence[Row]) -> Dict[Tuple[str, str, str], List[Row]]:
+    """Rows per (recommender, source, target), in first-seen order."""
+    groups: Dict[Tuple[str, str, str], List[Row]] = {}
+    for row in rows:
+        groups.setdefault((row["recommender"], row["source"], row["target"]), []).append(row)
+    return groups
+
+
+def format_table2(rows: Sequence[Row], epsilons_255: Sequence[float]) -> str:
     """Table II analog: CHR@N before/after per model × attack × scenario × ε."""
     lines = ["Table II — CHR@N (%) after targeted attacks (clean value in header)"]
-    for grid in grids:
-        for scenario in grid.scenarios:
-            outcomes = grid.cells(scenario=scenario)
-            if not outcomes:
-                continue
-            head = outcomes[0]
-            lines.append(
-                f"\n{grid.recommender_name}: {scenario.source}"
-                f"({head.chr_source_before:.3f}) → {scenario.target}"
-                f"({head.chr_target_before:.3f})  "
-                f"[{'similar' if scenario.semantically_similar else 'dissimilar'}]"
+    for (name, source, target), selected in _scenario_groups(rows).items():
+        head = selected[0]
+        lines.append(
+            f"\n{name}: {source}"
+            f"({head['chr_source_before']:.3f}) → {target}"
+            f"({head['chr_target_before']:.3f})  "
+            f"[{'similar' if head['semantically_similar'] else 'dissimilar'}]"
+        )
+        header = "  attack " + "".join(f"  ε={eps:<6.0f}" for eps in epsilons_255)
+        lines.append(header)
+        for attack_name in ("FGSM", "PGD"):
+            cells = {
+                r["epsilon_255"]: r["chr_source_after"]
+                for r in selected
+                if r["attack"] == attack_name
+            }
+            row = "  " + f"{attack_name:7s}" + "".join(
+                f"  {cells.get(float(eps), float('nan')):<8.3f}" for eps in epsilons_255
             )
-            header = "  attack " + "".join(f"  ε={eps:<6.0f}" for eps in epsilons_255)
-            lines.append(header)
-            for attack_name in ("FGSM", "PGD"):
-                cells = {
-                    o.epsilon_255: o.chr_source_after
-                    for o in grid.cells(scenario=scenario, attack_name=attack_name)
-                }
-                row = "  " + f"{attack_name:7s}" + "".join(
-                    f"  {cells.get(float(eps), float('nan')):<8.3f}" for eps in epsilons_255
-                )
-                lines.append(row)
+            lines.append(row)
     return "\n".join(lines)
 
 
-def format_table3(grids: Sequence[AttackGrid], epsilons_255: Sequence[float]) -> str:
+def format_table3(rows: Sequence[Row], epsilons_255: Sequence[float]) -> str:
     """Table III analog: targeted attack success probability."""
     lines = ["Table III — targeted misclassification success probability"]
     seen = set()
-    for grid in grids:
-        for scenario in grid.scenarios:
-            key = (scenario.source, scenario.target)
-            if key in seen:
-                continue  # success rate is a classifier property, not per-model
-            seen.add(key)
-            lines.append(f"\n{scenario.source} → {scenario.target}")
-            lines.append("  attack " + "".join(f"  ε={eps:<7.0f}" for eps in epsilons_255))
-            for attack_name in ("FGSM", "PGD"):
-                cells = {
-                    o.epsilon_255: o.success_rate
-                    for o in grid.cells(scenario=scenario, attack_name=attack_name)
-                }
-                row = "  " + f"{attack_name:7s}" + "".join(
-                    f"  {100 * cells.get(float(eps), float('nan')):<8.2f}%"
-                    for eps in epsilons_255
-                )
-                lines.append(row)
+    for (_, source, target), selected in _scenario_groups(rows).items():
+        if (source, target) in seen:
+            continue  # success rate is a classifier property, not per-model
+        seen.add((source, target))
+        lines.append(f"\n{source} → {target}")
+        lines.append("  attack " + "".join(f"  ε={eps:<7.0f}" for eps in epsilons_255))
+        for attack_name in ("FGSM", "PGD"):
+            cells = {
+                r["epsilon_255"]: r["success_rate"]
+                for r in selected
+                if r["attack"] == attack_name
+            }
+            row = "  " + f"{attack_name:7s}" + "".join(
+                f"  {100 * cells.get(float(eps), float('nan')):<8.2f}%"
+                for eps in epsilons_255
+            )
+            lines.append(row)
     return "\n".join(lines)
 
 
-def format_table4(grid: AttackGrid, epsilons_255: Sequence[float]) -> str:
-    """Table IV analog: average PSNR / SSIM / PSM per attack × ε."""
-    lines = [f"Table IV — average visual quality ({grid.recommender_name} grid)"]
+def format_table4(rows: Sequence[Row], epsilons_255: Sequence[float]) -> str:
+    """Table IV analog: average PSNR / SSIM / PSM per attack × ε.
+
+    Averages the first recommender's rows: the visual metrics measure
+    the crafted images, so every recommender's grid holds the same ones.
+    """
+    name = rows[0]["recommender"]
+    grid = [row for row in rows if row["recommender"] == name]
+    lines = [f"Table IV — average visual quality ({name} grid)"]
     for metric in ("PSNR", "SSIM", "PSM"):
         lines.append(f"\n{metric}")
         lines.append("  attack " + "".join(f"  ε={eps:<8.0f}" for eps in epsilons_255))
@@ -633,12 +690,12 @@ def format_table4(grid: AttackGrid, epsilons_255: Sequence[float]) -> str:
             values = {}
             for eps in epsilons_255:
                 cells = [
-                    o
-                    for o in grid.cells(attack_name=attack_name)
-                    if o.epsilon_255 == float(eps)
+                    r[metric.lower()]
+                    for r in grid
+                    if r["attack"] == attack_name and r["epsilon_255"] == float(eps)
                 ]
                 if cells:
-                    values[eps] = sum(o.visual.as_dict()[metric] for o in cells) / len(cells)
+                    values[eps] = sum(cells) / len(cells)
             row = "  " + f"{attack_name:7s}" + "".join(
                 f"  {values.get(eps, float('nan')):<10.4f}" for eps in epsilons_255
             )

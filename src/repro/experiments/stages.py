@@ -27,10 +27,11 @@ rebuilds instead of silently consuming a stale chain.  The executor is
 the one loop every node runs through: :class:`StageRunner` drives it over
 the stages, the matrix runner over the base stages and its model nodes
 as one list, and the matrix's cell columns load and save through its
-:meth:`~NodeExecutor.load_node` / :meth:`~NodeExecutor.save_node`.  A run
-emits a :class:`RunManifest` — per-stage fingerprints, artifact hashes,
-hit/built actions and wall-clock timings — the JSON trail behind
-``python -m repro run``.
+:meth:`~NodeExecutor.load_node` / :meth:`~NodeExecutor.save_node`.  Both
+runners emit one :class:`RunManifest` — per-node fingerprints, artifact
+hashes, hit/built actions, wall-clock timings and the attack accounting
+of the rows — the JSON trail behind ``python -m repro run`` and
+``python -m repro matrix``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,8 +52,7 @@ from ..artifacts import (
     Store,
     write_json,
 )
-from ..core import CatalogState, TAaMRPipeline, VisualQuality, paper_scenarios
-from ..core.scenarios import AttackScenario
+from ..core import CatalogState, TAaMRPipeline, paper_scenarios
 from ..data import MultimediaDataset, amazon_men_like, amazon_women_like
 from ..data.serialization import pack_dataset, unpack_dataset
 from ..features import ClassifierConfig, ClassifierTrainer, FeatureExtractor
@@ -61,6 +60,19 @@ from ..nn import TinyResNet
 from ..recommenders import AMR, AMRConfig, VBPR, VBPRConfig
 from ..telemetry import Stopwatch, span
 from .config import ExperimentConfig
+from .runner import (
+    GRID_ATTACK_NAMES,
+    Column,
+    Craft,
+    format_table2,
+    format_table3,
+    format_table4,
+    grid_order,
+    grid_outcomes,
+    grid_row as _grid_row,
+    pipeline_measures,
+    row_measures,
+)
 
 RECOMMENDER_NAMES = ("VBPR", "AMR")
 
@@ -163,19 +175,40 @@ class StageOutcome:
 
 @dataclass
 class RunManifest:
-    """The provenance record of one ``StageRunner.run`` invocation."""
+    """The provenance record of one stage run or one matrix run.
+
+    ``stages`` holds every node outcome in run order: the base stages
+    first, then (for a matrix run) the surrogate, defenses,
+    recommenders and cells.  Everything else a summary shows derives
+    from these fields, and :meth:`as_dict` writes one key set for both
+    runners.
+    """
 
     config_key: str
     config: Dict[str, Any]
     store_root: Optional[str]
     stages: List[StageOutcome] = field(default_factory=list)
     #: Telemetry report (metrics snapshot / hot-op table) when the run
-    #: was executed inside a telemetry session; absent otherwise.
+    #: was executed inside a telemetry session.
     telemetry: Optional[Dict[str, Any]] = None
-    #: Aggregated attack-execution accounting (iterations, forward /
-    #: backward image-passes, early exits) when the run touched the
-    #: attack grid; absent otherwise.
+    #: :func:`attack_stats_from_rows` over the run's grid or cube rows.
     attack_stats: Optional[Dict[str, Any]] = None
+    #: Per matrix defense, the scenarios skipped for an empty cohort.
+    skipped_scenarios: Dict[str, List[str]] = field(default_factory=dict)
+
+    @property
+    def base_stages(self) -> List[StageOutcome]:
+        return [o for o in self.stages if o.name in STAGE_ORDER]
+
+    @property
+    def nodes(self) -> List[StageOutcome]:
+        """The matrix nodes: every outcome that is not a base stage."""
+        return [o for o in self.stages if o.name not in STAGE_ORDER]
+
+    @property
+    def cells(self) -> Dict[str, str]:
+        """Per-cell fingerprints (node name → fingerprint)."""
+        return {o.name: o.fingerprint for o in self.stages if o.name.startswith("cell:")}
 
     @property
     def total_seconds(self) -> float:
@@ -194,8 +227,8 @@ class RunManifest:
         return bool(self.stages) and not self.built
 
     def as_dict(self) -> Dict[str, Any]:
-        payload = {
-            "manifest_version": 1,
+        return {
+            "manifest_version": 2,
             "config_key": self.config_key,
             "config": self.config,
             "store_root": self.store_root,
@@ -203,12 +236,11 @@ class RunManifest:
             "cache_hits": self.cache_hits,
             "built": self.built,
             "stages": [outcome.as_dict() for outcome in self.stages],
+            "cells": self.cells,
+            "telemetry": self.telemetry,
+            "attack_stats": self.attack_stats,
+            "skipped_scenarios": self.skipped_scenarios,
         }
-        if self.telemetry is not None:
-            payload["telemetry"] = self.telemetry
-        if self.attack_stats is not None:
-            payload["attack_stats"] = self.attack_stats
-        return payload
 
     def save(self, path: str) -> None:
         write_json(path, self.as_dict())
@@ -467,47 +499,20 @@ def _unpack_clean_scores(results: StageResults, arrays, meta) -> None:
         )
 
 
-def _grid_row(recommender_name: str, outcome, ladder_mode: str) -> Dict[str, Any]:
-    metadata = outcome.attack_metadata
-    return {
-        "recommender": recommender_name,
-        "source": outcome.scenario.source,
-        "target": outcome.scenario.target,
-        "semantically_similar": outcome.scenario.semantically_similar,
-        "attack": outcome.attack_name,
-        "epsilon_255": float(outcome.epsilon_255),
-        "chr_source_before": float(outcome.chr_source_before),
-        "chr_target_before": float(outcome.chr_target_before),
-        "chr_source_after": float(outcome.chr_source_after),
-        "success_rate": float(outcome.success_rate),
-        "psnr": float(outcome.visual.psnr),
-        "ssim": float(outcome.visual.ssim),
-        "psm": float(outcome.visual.psm),
-        "num_attacked_items": int(outcome.attacked_item_ids.size),
-        "ladder_mode": ladder_mode,
-        "attack_iterations": int(metadata.get("iterations", 0)),
-        "attack_forwards": float(metadata.get("forwards", 0.0)),
-        "attack_backwards": float(metadata.get("backwards", 0.0)),
-        "early_exited": int(metadata.get("early_exited", 0)),
-    }
-
-
 def _build_attack_grid(results: StageResults) -> Payload:
-    from . import runner  # late import: runner imports this module
-
     config = results.config
-    attacks = runner.GRID_ATTACK_NAMES
+    attacks = GRID_ATTACK_NAMES
     classifier, classes = results.classifier, results.item_classes
     pipelines = results.pipelines(RECOMMENDER_NAMES, config.cutoff)
-    column = runner.Column(
-        {name: runner.Craft(classifier, name, classes) for name in attacks},
+    column = Column(
+        {name: Craft(classifier, name, classes) for name in attacks},
         classes,
-        runner.row_measures(
-            runner.pipeline_measures(pipelines),
+        row_measures(
+            pipeline_measures(pipelines),
             partial(_grid_row, ladder_mode=config.ladder_mode),
         ),
     )
-    [(row_lists, _)] = runner.grid_outcomes(
+    [(row_lists, _)] = grid_outcomes(
         [column],
         results.dataset,
         paper_scenarios(results.dataset.name, results.dataset.registry),
@@ -519,7 +524,7 @@ def _build_attack_grid(results: StageResults) -> Payload:
     rows = [
         row
         for name in RECOMMENDER_NAMES
-        for row in runner.grid_order(row_lists, attacks, name)
+        for row in grid_order(row_lists, attacks, name)
     ]
     return {}, {"rows": rows}
 
@@ -536,10 +541,14 @@ def attack_stats_from_rows(
     Sums are over stored grid rows, so shared ladder passes (attributed
     fractionally per cell) appear once per recommender row — the figure
     answers "what did producing these rows cost", not "how many passes
-    did the engine run".
+    did the engine run".  ``success_rates`` is each attack's mean
+    targeted success rate over its rows.
     """
     if not rows:
         return None
+    by_attack: Dict[str, List[float]] = {}
+    for row in rows:
+        by_attack.setdefault(str(row["attack"]), []).append(float(row["success_rate"]))
     stats: Dict[str, Any] = {
         "cells": len(rows),
         "attack_iterations": int(sum(int(r.get("attack_iterations", 0)) for r in rows)),
@@ -548,6 +557,9 @@ def attack_stats_from_rows(
             sum(float(r.get("attack_backwards", 0.0)) for r in rows)
         ),
         "early_exited_images": int(sum(int(r.get("early_exited", 0)) for r in rows)),
+        "success_rates": {
+            attack: float(np.mean(rates)) for attack, rates in sorted(by_attack.items())
+        },
     }
     modes = sorted({str(r["ladder_mode"]) for r in rows if r.get("ladder_mode")})
     if modes:
@@ -555,65 +567,12 @@ def attack_stats_from_rows(
     return stats
 
 
-def rows_to_grids(rows: Sequence[Dict[str, Any]]):
-    """Rebuild table-formatter-compatible grid shims from stored rows.
-
-    The returned objects satisfy exactly the protocol the
-    ``format_table2/3/4`` formatters read (``recommender_name``,
-    ``scenarios``, ``cells``), so cached and freshly-built attack grids
-    render byte-identical tables.
-    """
-    from .runner import AttackGrid  # late import; runner imports this module
-
-    grids = []
-    for name in sorted({row["recommender"] for row in rows}, key=RECOMMENDER_NAMES.index):
-        selected = [row for row in rows if row["recommender"] == name]
-        scenarios: List[AttackScenario] = []
-        outcomes = []
-        for row in selected:
-            scenario = AttackScenario(
-                source=row["source"],
-                target=row["target"],
-                semantically_similar=bool(row["semantically_similar"]),
-            )
-            if scenario not in scenarios:
-                scenarios.append(scenario)
-            outcomes.append(
-                SimpleNamespace(
-                    scenario=scenario,
-                    attack_name=row["attack"],
-                    epsilon_255=float(row["epsilon_255"]),
-                    chr_source_before=float(row["chr_source_before"]),
-                    chr_target_before=float(row["chr_target_before"]),
-                    chr_source_after=float(row["chr_source_after"]),
-                    success_rate=float(row["success_rate"]),
-                    visual=VisualQuality(
-                        psnr=float(row["psnr"]),
-                        ssim=float(row["ssim"]),
-                        psm=float(row["psm"]),
-                    ),
-                )
-            )
-        grids.append(
-            AttackGrid(
-                recommender_name=name,
-                pipeline=None,
-                scenarios=scenarios,
-                outcomes=outcomes,
-            )
-        )
-    return grids
-
-
 def _build_tables(results: StageResults) -> Payload:
-    from .runner import format_table2, format_table3, format_table4
-
-    grids = rows_to_grids(results.grid_rows)
-    epsilons = results.config.epsilons_255
-    sections = [format_table2(grids, epsilons)]
-    if grids:
-        sections.append(format_table3(grids[:1], epsilons))
-        sections.append(format_table4(grids[0], epsilons))
+    rows, epsilons = results.grid_rows, results.config.epsilons_255
+    sections = [format_table2(rows, epsilons)]
+    if rows:
+        sections.append(format_table3(rows, epsilons))
+        sections.append(format_table4(rows, epsilons))
     return {}, {"text": "\n\n".join(sections)}
 
 
@@ -923,17 +882,6 @@ class StageRunner:
         return results, manifest
 
 
-def run_stages(
-    config: ExperimentConfig,
-    store: Optional[Store] = None,
-    stages: Optional[Sequence[str]] = None,
-    force: Sequence[str] = (),
-    verbose: bool = False,
-) -> Tuple[StageResults, RunManifest]:
-    """One-shot convenience wrapper around :class:`StageRunner`."""
-    return StageRunner(config, store=store, verbose=verbose).run(stages=stages, force=force)
-
-
 #: The store :func:`build_context` runs against without a ``cache_dir``:
 #: one per process, so a second context of one config builds nothing.
 PROCESS_STORE = MemoryArtifactStore()
@@ -949,7 +897,7 @@ def build_context(
     ``context.manifest``.
     """
     store = ArtifactStore(cache_dir) if cache_dir else PROCESS_STORE
-    results, manifest = run_stages(config, store, stages=("vbpr", "amr"), verbose=verbose)
+    results, manifest = StageRunner(config, store, verbose).run(stages=("vbpr", "amr"))
     results.manifest = manifest
     return results
 
@@ -969,12 +917,13 @@ def format_manifest(manifest: RunManifest) -> str:
         f"run manifest — config {manifest.config_key}"
         + (f" (store: {manifest.store_root})" if manifest.store_root else " (in memory)")
     ]
-    lines.append(f"{'stage':14s} {'action':7s} {'seconds':>9s}  artifact")
+    width = max([14] + [len(outcome.name) for outcome in manifest.stages])
+    lines.append(f"{'stage':{width}s} {'action':7s} {'seconds':>9s}  artifact")
     for outcome in manifest.stages:
         digest = (outcome.content_hash or "")[:12]
         suffix = f"  [{outcome.reason}]" if outcome.reason and outcome.action == "built" else ""
         lines.append(
-            f"{outcome.name:14s} {outcome.action:7s} {outcome.seconds:9.3f}  {digest}{suffix}"
+            f"{outcome.name:{width}s} {outcome.action:7s} {outcome.seconds:9.3f}  {digest}{suffix}"
         )
     hits, built = len(manifest.cache_hits), len(manifest.built)
     lines.append(
@@ -989,4 +938,8 @@ def format_manifest(manifest: RunManifest) -> str:
             f"image-passes, {stats['early_exited_images']} early exit(s)"
             + (f" [ladder {mode}]" if mode else "")
         )
+        for attack, rate in stats["success_rates"].items():
+            lines.append(f"  mean success [{attack}]: {rate:.3f}")
+    for defense, skipped in sorted(manifest.skipped_scenarios.items()):
+        lines.append(f"  skipped under {defense}: {', '.join(skipped)}")
     return "\n".join(lines)

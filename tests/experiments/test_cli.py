@@ -174,7 +174,7 @@ class TestRunCommand:
         ]
         assert main(argv) == 0
         payload = json.loads(manifest_path.read_text())
-        assert payload["manifest_version"] == 1
+        assert payload["manifest_version"] == 2
         assert payload["built"] == ["dataset"]
 
         capsys.readouterr()
@@ -233,3 +233,32 @@ class TestMatrixCommand:
         assert code == 2
         assert "unknown matrix nodes" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())  # refused before anything ran
+
+    def test_profiled_manifest_embeds_telemetry(self, capsys, monkeypatch, tmp_path):
+        """``--profile --manifest`` writes the run's telemetry report into
+        a matrix manifest, as it does for ``repro run``."""
+        import json
+
+        import repro.cli as cli
+        from repro.experiments import men_config
+
+        monkeypatch.setattr(
+            cli,
+            "men_config",
+            lambda **overrides: men_config(
+                image_size=16, classifier_epochs=2, recommender_epochs=2, **overrides
+            ),
+        )
+        path = tmp_path / "matrix.json"
+        code = main(
+            ["matrix", "--dataset", "men", *FAST, "--epsilons", "8",
+             "--attacks", "FGSM", "--recommenders", "BPRMF",
+             "--profile", "--manifest", str(path)]
+        )
+        assert code == 0
+        assert "mean success [FGSM]" in capsys.readouterr().out
+        payload = json.loads(path.read_text())
+        assert payload["telemetry"]
+        assert payload["cells"] == {
+            "cell:none/FGSM/BPRMF": payload["stages"][-1]["fingerprint"]
+        }

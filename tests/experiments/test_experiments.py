@@ -127,7 +127,7 @@ class TestFormatters:
 
     def test_table2_contains_scenarios_and_values(self, context):
         grid = run_attack_grid(context, "VBPR")
-        text = format_table2([grid], epsilons_255=(8.0,))
+        text = format_table2(grid.rows(), epsilons_255=(8.0,))
         assert "VBPR" in text
         assert "sock" in text
         assert "FGSM" in text and "PGD" in text
@@ -135,11 +135,11 @@ class TestFormatters:
     def test_table3_deduplicates_scenarios(self, context):
         vbpr_grid = run_attack_grid(context, "VBPR")
         amr_grid = run_attack_grid(context, "AMR")
-        text = format_table3([vbpr_grid, amr_grid], epsilons_255=(8.0,))
+        text = format_table3(vbpr_grid.rows() + amr_grid.rows(), epsilons_255=(8.0,))
         # Each scenario appears once even across two model grids.
         assert text.count("sock → running_shoe") == 1
 
     def test_table4(self, context):
         grid = run_attack_grid(context, "VBPR")
-        text = format_table4(grid, epsilons_255=(8.0,))
+        text = format_table4(grid.rows(), epsilons_255=(8.0,))
         assert "PSNR" in text and "SSIM" in text and "PSM" in text

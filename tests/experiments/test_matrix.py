@@ -29,8 +29,6 @@ from repro.experiments.matrix import (
     matrix_fingerprints,
     matrix_node_order,
     recommender_node,
-    run_matrix,
-    success_rates_by_attack,
 )
 from repro.experiments.runner import build_cell_attack
 from repro.metrics import batch_ssim
@@ -206,7 +204,7 @@ def config():
 @pytest.fixture(scope="module")
 def cold(config, store_root):
     """The cold run that populates the store; every node builds."""
-    return run_matrix(config, store=ArtifactStore(store_root))
+    return MatrixRunner(config, ArtifactStore(store_root)).run()
 
 
 class TestMatrixRun:
@@ -269,10 +267,29 @@ class TestMatrixRun:
 
     def test_success_rate_summary(self, cold, config):
         results, manifest = cold
-        assert set(manifest.success_rates) == set(config.attacks)
-        assert manifest.success_rates == success_rates_by_attack(results.rows)
-        for rate in manifest.success_rates.values():
+        rates = manifest.attack_stats["success_rates"]
+        assert set(rates) == set(config.attacks)
+        for attack, rate in rates.items():
+            rows = results.select(attack=attack)
+            assert rate == float(np.mean([row["success_rate"] for row in rows]))
+        for rate in rates.values():
             assert 0.0 <= rate <= 1.0
+
+    def test_stage_and_matrix_runs_write_one_manifest_schema(
+        self, cold, config, store_root
+    ):
+        from repro.experiments import StageRunner
+
+        _, matrix = cold
+        _, stage = StageRunner(config.base, ArtifactStore(store_root)).run(
+            stages=["dataset"]
+        )
+        assert type(stage) is type(matrix)
+        assert set(stage.as_dict()) == set(matrix.as_dict())
+        assert stage.as_dict()["manifest_version"] == matrix.as_dict()["manifest_version"]
+        assert [o.name for o in matrix.stages] == [
+            o.name for o in matrix.base_stages + matrix.nodes
+        ]
 
     def test_format_cube(self, cold):
         results, _ = cold
@@ -289,7 +306,7 @@ class TestMatrixRun:
         manifest.save(path)
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-        assert payload["manifest_version"] == 1
+        assert payload["manifest_version"] == 2
         assert payload["cells"] == manifest.cells
         assert payload["attack_stats"]["cells"] > 0
 
@@ -297,7 +314,7 @@ class TestMatrixRun:
         self, cold, config, store_root
     ):
         fresh, _ = cold
-        loaded, manifest = run_matrix(config, store=ArtifactStore(store_root))
+        loaded, manifest = MatrixRunner(config, ArtifactStore(store_root)).run()
         assert manifest.built == []
         assert loaded.rows == fresh.rows
 
@@ -306,7 +323,7 @@ class TestMatrixRun:
     ):
         fresh, cold_manifest = cold
         edited = make_config(detector_fpr=0.2)
-        results, manifest = run_matrix(edited, store=ArtifactStore(store_root))
+        results, manifest = MatrixRunner(edited, ArtifactStore(store_root)).run()
         expected = {
             cell_name("detector", attack, rec)
             for attack in config.attacks
@@ -340,7 +357,7 @@ class TestMatrixRun:
         with pytest.raises(ValueError, match="unknown matrix nodes"):
             MatrixRunner(config, store=store).run(force=("defense:none",))
         fresh, _ = cold
-        results, manifest = run_matrix(config, store=store, force=("classifier",))
+        results, manifest = MatrixRunner(config, store).run(force=("classifier",))
         assert manifest.built == ["classifier"]
         assert results.rows == fresh.rows
 
@@ -375,7 +392,7 @@ class TestMatrixRun:
         undefended = make_config(
             attacks=("FGSM", "PGD"), defenses=("none",), recommenders=("VBPR", "AMR")
         )
-        results, _ = run_matrix(undefended, store=store)
+        results, _ = MatrixRunner(undefended, store).run()
 
         def stage_order(rec):
             fgsm, pgd = (
@@ -401,7 +418,7 @@ class TestMatrixRun:
             mim_decay=0.5,
         )
         with telemetry_session(metrics=True) as session:
-            results, manifest = run_matrix(mim, store=ArtifactStore(store_root))
+            results, manifest = MatrixRunner(mim, ArtifactStore(store_root)).run()
         assert "attack_ladder.fallback" not in session.metrics.snapshot()
         assert manifest.built == [cell_name("none", "MIM", "VBPR")]
         base = results.base
@@ -445,7 +462,7 @@ class TestForkedCrafting:
             cw_steps=3,
             mim_steps=2,
         )
-        run_matrix(config, store=ArtifactStore(root))
+        MatrixRunner(config, ArtifactStore(root)).run()
         return config, root
 
     @staticmethod

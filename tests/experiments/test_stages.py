@@ -15,7 +15,6 @@ from repro.experiments import (
     format_manifest,
     format_plan,
     men_config,
-    run_stages,
     stage_closure,
     stage_fingerprints,
 )
@@ -45,7 +44,7 @@ def config():
 @pytest.fixture(scope="module")
 def first_run(config, store_root):
     """The cold run that populates the store; everything builds."""
-    return run_stages(config, store=ArtifactStore(store_root))
+    return StageRunner(config, ArtifactStore(store_root)).run()
 
 
 class TestFingerprints:
@@ -97,7 +96,7 @@ class TestRunCaching:
         assert not manifest.all_hits
 
     def test_warm_run_all_hits(self, config, store_root, first_run):
-        _, manifest = run_stages(config, store=ArtifactStore(store_root))
+        _, manifest = StageRunner(config, ArtifactStore(store_root)).run()
         assert manifest.all_hits
         assert manifest.cache_hits == list(STAGE_ORDER)
         assert manifest.built == []
@@ -106,7 +105,7 @@ class TestRunCaching:
         self, config, store_root, first_run
     ):
         changed = men_config(**{**TINY, "epsilons_255": (4.0,)})
-        _, manifest = run_stages(changed, store=ArtifactStore(store_root))
+        _, manifest = StageRunner(changed, ArtifactStore(store_root)).run()
         assert manifest.built == ["attack_grid", "tables"]
         assert manifest.cache_hits == [
             "dataset",
@@ -119,7 +118,7 @@ class TestRunCaching:
 
     def test_cutoff_change_never_retrains(self, config, store_root, first_run):
         changed = men_config(**{**TINY, "cutoff": 10})
-        _, manifest = run_stages(changed, store=ArtifactStore(store_root))
+        _, manifest = StageRunner(changed, ArtifactStore(store_root)).run()
         assert manifest.built == ["clean_scores", "attack_grid", "tables"]
         assert "vbpr" in manifest.cache_hits and "amr" in manifest.cache_hits
 
@@ -128,8 +127,8 @@ class TestRunCaching:
     ):
         """Deterministic stages rebuild to identical content, so consumers
         of a forced stage still load from the store."""
-        _, manifest = run_stages(
-            config, store=ArtifactStore(store_root), force=("features",)
+        _, manifest = StageRunner(config, ArtifactStore(store_root)).run(
+            force=("features",)
         )
         assert manifest.built == ["features"]
         outcome = next(o for o in manifest.stages if o.name == "features")
@@ -159,7 +158,7 @@ class TestRunCaching:
         assert [p.name for p in plans] == ["dataset"]
         for force in (("vbpr",), ("nope",)):
             with pytest.raises(ValueError, match="unknown stages"):
-                run_stages(config, stages=("dataset",), force=force)
+                StageRunner(config).run(stages=("dataset",), force=force)
 
     def test_corrupted_artifact_triggers_rebuild_not_silent_load(
         self, config, store_root, first_run
@@ -170,7 +169,7 @@ class TestRunCaching:
             payload = {key: archive[key] for key in archive.files}
         payload["user_factors"] = payload["user_factors"] + 1.0
         np.savez(path, **payload)
-        _, manifest = run_stages(config, store=store)
+        _, manifest = StageRunner(config, store).run()
         assert manifest.built == ["vbpr"]
         outcome = next(o for o in manifest.stages if o.name == "vbpr")
         assert "refused stored artifact" in outcome.reason
@@ -186,14 +185,14 @@ class TestRunCaching:
         assert results.features is not None and results.vbpr is None
 
     def test_storeless_run_builds_in_memory(self, config):
-        results, manifest = run_stages(config, stages=("dataset",))
+        results, manifest = StageRunner(config).run(stages=("dataset",))
         assert manifest.built == ["dataset"]
         assert manifest.store_root is None
         assert results.dataset is not None
 
     def test_memory_store_records_the_disk_hashes(self, config, first_run):
         _, disk = first_run
-        _, memory = run_stages(config)
+        _, memory = StageRunner(config).run()
         assert memory.built == disk.built == list(STAGE_ORDER)
         assert [(o.fingerprint, o.content_hash) for o in memory.stages] == [
             (o.fingerprint, o.content_hash) for o in disk.stages
@@ -248,7 +247,7 @@ class TestRoundTripIdentity:
 
     @pytest.fixture(scope="class")
     def warm_run(self, config, store_root, first_run):
-        return run_stages(config, store=ArtifactStore(store_root))
+        return StageRunner(config, ArtifactStore(store_root)).run()
 
     def test_features_identical(self, first_run, warm_run):
         fresh, _ = first_run
@@ -326,7 +325,7 @@ class TestManifest:
         manifest.save(path)
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-        assert payload["manifest_version"] == 1
+        assert payload["manifest_version"] == 2
         assert payload["built"] == list(STAGE_ORDER)
         assert [entry["name"] for entry in payload["stages"]] == list(STAGE_ORDER)
         assert all(entry["fingerprint"] for entry in payload["stages"])
@@ -337,6 +336,45 @@ class TestManifest:
         text = format_manifest(manifest)
         assert "attack_grid" in text
         assert "8 built" in text
+        assert "mean success [PGD]" in text
+
+    def test_success_rates_are_per_attack_row_means(self, first_run):
+        results, manifest = first_run
+        rates = manifest.attack_stats["success_rates"]
+        assert set(rates) == {"FGSM", "PGD"}
+        for attack, rate in rates.items():
+            rows = [row for row in results.grid_rows if row["attack"] == attack]
+            assert rate == float(np.mean([row["success_rate"] for row in rows]))
+
+    def test_stage_run_lists_no_matrix_nodes(self, first_run):
+        _, manifest = first_run
+        assert manifest.base_stages == manifest.stages
+        assert manifest.nodes == [] and manifest.cells == {}
+        assert manifest.as_dict()["skipped_scenarios"] == {}
+
+
+def test_tables_stage_renders_the_attack_grid_rows(config, first_run):
+    """The ``tables`` stage text is the table formatters over the rows
+    of :func:`run_attack_grids` on the same config, byte for byte."""
+    from repro.experiments import (
+        format_table2,
+        format_table3,
+        format_table4,
+        run_attack_grids,
+    )
+
+    results, _ = first_run
+    rows = [row for grid in run_attack_grids(results) for row in grid.rows()]
+    assert rows == results.grid_rows
+    epsilons = config.epsilons_255
+    expected = "\n\n".join(
+        [
+            format_table2(rows, epsilons),
+            format_table3(rows, epsilons),
+            format_table4(rows, epsilons),
+        ]
+    )
+    assert results.tables_text == expected
 
 
 class TestManifestWrites:
@@ -344,12 +382,14 @@ class TestManifestWrites:
     def test_failed_write_keeps_previous_manifest(self, kind, tmp_path, monkeypatch):
         """A write that dies midway leaves the previous manifest intact and
         no temporary file behind."""
-        from repro.experiments import MatrixManifest, RunManifest
+        from repro.experiments import RunManifest
 
-        if kind == "run":
-            manifest = RunManifest(config_key="k", config={}, store_root=None)
-        else:
-            manifest = MatrixManifest(config={}, store_root=None)
+        manifest = RunManifest(
+            config_key="k",
+            config={},
+            store_root=None,
+            skipped_scenarios={"squeeze": ["sock->running_shoe"]} if kind == "matrix" else {},
+        )
         path = str(tmp_path / "manifest.json")
         manifest.save(path)
         with open(path, encoding="utf-8") as handle:
@@ -368,14 +408,14 @@ class TestManifestWrites:
 
 
 def _run_stages(config, store):
-    return run_stages(config, store=store, stages=("vbpr",))
+    return StageRunner(config, store).run(stages=("vbpr",))
 
 
 def _run_bprmf_cube(config, store):
-    from repro.experiments import MatrixConfig, run_matrix
+    from repro.experiments import MatrixConfig, MatrixRunner
 
     cube = MatrixConfig(base=config, attacks=("FGSM",), recommenders=("BPRMF",))
-    return run_matrix(cube, store=store)
+    return MatrixRunner(cube, store).run()
 
 
 class TestNodeProtocol:
